@@ -9,10 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Prbs15State",
     "EyeReport",
     "PRBS15_PERIOD",
-    "prbs15_next",
     "prbs15_sequence",
     "simulate_ook_link",
 ]
@@ -21,36 +19,22 @@ PRBS15_PERIOD = 2 ** 15 - 1
 _REG_MASK = 0x7FFF
 
 
-@dataclass(frozen=True)
-class Prbs15State:
-    """15-bit LFSR register for the x^15 + x^14 + 1 sequence."""
-
-    register: int = 0x0001
-
-    def __post_init__(self):
-        if not 0 < self.register <= _REG_MASK:
-            raise ValueError(f"register {self.register:#x} outside 1..0x7fff")
-
-
-def prbs15_next(state: Prbs15State) -> tuple[int, Prbs15State]:
-    """Advance the LFSR one step; returns (output bit, new state).
-
-    Fibonacci form with feedback from stages 15 and 14; the output is the
-    low tap of the register.
-    """
-    reg = state.register
-    feedback = ((reg >> 14) ^ (reg >> 13)) & 1
-    reg = ((reg << 1) | feedback) & _REG_MASK
-    return feedback, Prbs15State(reg)
-
-
 def prbs15_sequence(n: int, seed: int = 0x0001) -> np.ndarray:
-    """First `n` output bits starting from `seed`."""
-    state = Prbs15State(seed)
-    out = np.empty(n, dtype=np.uint8)
+    """First `n` output bits of the x^15 + x^14 + 1 LFSR started from the
+    15-bit register `seed`.
+
+    Fibonacci form with feedback from stages 15 and 14; each step's
+    feedback bit is the output and shifts in as the low tap.
+    """
+    if not 0 < seed <= _REG_MASK:
+        raise ValueError(f"register {seed:#x} outside 1..0x7fff")
+    out = bytearray(n)
+    reg = seed
     for i in range(n):
-        out[i], state = prbs15_next(state)
-    return out
+        bit = ((reg >> 14) ^ (reg >> 13)) & 1
+        reg = ((reg << 1) | bit) & _REG_MASK
+        out[i] = bit
+    return np.frombuffer(out, dtype=np.uint8)
 
 
 @dataclass(frozen=True)

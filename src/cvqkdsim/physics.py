@@ -192,40 +192,20 @@ def prepare_and_measure(n: int, cfg, drift: DriftState,
     return PulseBatch(phase_idx, quadrature, outcomes, blocked=blocked)
 
 
-def _combine_moments(n_a, mean_a, m2_a, n_b, mean_b, m2_b):
-    """Chan et al. pairwise update for streamed variance."""
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
-    return n, mean, m2
-
-
-def calibrate_shot_noise(blocked_batch: PulseBatch,
-                         chunk: int = 65536) -> float:
+def calibrate_shot_noise(blocked_batch: PulseBatch) -> float:
     """Unbiased variance estimate of a blocked calibration frame.
 
-    Streams the outcomes through a numerically stable single-pass moment
-    accumulator (pairwise-combined per chunk).  Downstream normalization
-    divides signal outcomes by the square root of the estimate.
+    Downstream normalization divides signal outcomes by the square root
+    of the estimate.
     """
     if not blocked_batch.blocked:
         raise ValueError("shot-noise calibration needs a blocked batch")
     n_total = blocked_batch.count
     if n_total < 1000:
         raise ValueError(f"calibration needs >= 1000 pulses, got {n_total}")
-
-    n, mean, m2 = 0, 0.0, 0.0
-    x = blocked_batch.outcome_snu
-    for start in range(0, n_total, chunk):
-        part = x[start:start + chunk]
-        pn = len(part)
-        pmean = float(np.mean(part))
-        pm2 = float(np.sum((part - pmean) ** 2))
-        n, mean, m2 = _combine_moments(n, mean, m2, pn, pmean, pm2)
-    estimate = m2 / (n - 1)
-    # constant frames leave only float roundoff in m2; anything this small
-    # cannot be a physical shot-noise level
+    estimate = float(np.var(blocked_batch.outcome_snu, ddof=1))
+    # constant frames leave only float roundoff in the variance; anything
+    # this small cannot be a physical shot-noise level
     if estimate <= 1e-24:
         raise CalibrationError("degenerate calibration frame (zero variance)")
     return estimate

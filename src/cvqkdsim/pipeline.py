@@ -1,10 +1,15 @@
-"""Per-block simulation and in-process distillation.
+"""Per-block simulation and the distillation chain.
 
 The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
-wire.  distill_block() runs the identical distillation chain without a
-transport and is what the experiment runners use.
+wire.  run_chain() distills a block; distill_block() runs it in process
+for the experiment runners, protocol.run_session() over the wire.
+
+The two paths differ in one behaviour: a block that Cascade leaves with
+residual errors yields no key and SKR 0 in process, while over the wire it
+fails KEY_CONFIRM and both ends abort with KEY_MISMATCH.  A malformed frame
+from the peer ends both ends in SessionFailed with matching AbortReasons.
 """
 
 from __future__ import annotations
@@ -26,8 +31,10 @@ from .physics import (
 __all__ = [
     "BlockPhysics",
     "BlockResult",
+    "LocalLink",
     "derive_seed",
     "simulate_quantum_exchange",
+    "run_chain",
     "distill_block",
 ]
 
@@ -49,7 +56,8 @@ class BlockPhysics:
 class BlockResult:
     report: pp.KeySessionReport
     key_bits: np.ndarray
-    variance_snu: float      # normalized signal variance (modulation included)
+    variance_snu: float      # normalized signal variance (modulation
+                             # included); NaN from a wire session
     qber_raw: float          # this block's own sample estimate
     residual_errors: int
 
@@ -71,49 +79,87 @@ def simulate_quantum_exchange(cfg, block_id: int, drift: DriftState,
     return BlockPhysics(batch=batch, shot_estimate=shot, n_pulses_total=n_total)
 
 
-def distill_block(cfg, block_id: int, drift: DriftState,
-                  n_pulses: int | None = None,
-                  qber_used: float | None = None) -> BlockResult:
-    """Full distillation of one block without a transport.
+class LocalLink:
+    """Both roles in one process: a sent value is the sender's own, and
+    Cascade asks Bob's string directly."""
 
-    `qber_used` substitutes a pooled error-rate estimate (e.g. a running
-    average maintained by the experiment runner) for this block's own
-    noisy sample in the key-length arithmetic; cascade still corrects
-    the real errors either way.
+    alice = bob = True   # this end holds each role's data
+
+    def from_bob(self, kind: str, make, bound=None):
+        return make()
+
+    from_alice = from_bob
+
+    def reconcile(self, alice_key, bob_key, perms, k1):
+        oracle = pp.LocalParityOracle(bob_key, perms)
+        return pp.cascade_reconcile(alice_key, oracle, perms.passes, k1, perms)
+
+    def confirm(self, key) -> None:
+        pass
+
+
+def run_chain(cfg, block_id: int, phys: BlockPhysics, link,
+              qber_used: float | None = None) -> BlockResult:
+    """Distill one simulated block, from sifting to key confirmation.
+
+    An end computes what the roles it plays (`link.alice`, `link.bob`)
+    hold.  A value one role sends the other passes through
+    `link.from_bob` / `link.from_alice` under its MsgType name: the sender
+    calls `make`, the receiver gets the peer's value, checked against
+    `bound`.  `qber_used` replaces the block's sampled error rate in the
+    key-length arithmetic; Cascade still corrects the real errors.
     """
-    phys = simulate_quantum_exchange(cfg, block_id, drift, n_pulses)
     batch = phys.batch
-    variance = float(np.var(batch.outcome_snu))
-
-    frame = pp.sift(batch)
-    frame = pp.post_select(frame, cfg.x_th_snu)
-    rng = np.random.default_rng(derive_seed(cfg, block_id, 1))
-    qber_raw, frame = pp.qber_estimate(frame, cfg.sample_fraction, rng)
-    qber = qber_raw if qber_used is None else qber_used
-
-    kept = frame.kept_indices
-    alice = frame.alice_bits[kept]
-    bob = frame.bob_bits[kept]
-    perms = pp.CascadePermutations(kept.size, cfg.cascade_passes,
-                                   derive_seed(cfg, block_id, 2))
-    oracle = pp.LocalParityOracle(bob, perms)
-    k1 = pp.cascade_block_size(max(qber, 1e-3), kept.size)
-    corrected, leak = pp.cascade_reconcile(alice, oracle, cfg.cascade_passes,
-                                           k1, perms)
-    residual = int(np.sum(corrected != bob))
-
     n_sig = batch.count
-    disclosed = frame.disclosed_count
-    p_post = (kept.size + disclosed) / n_sig
+
+    # Sifting: Bob announces his measured quadratures.
+    quad = link.from_bob("BASIS_ANNOUNCE", lambda: batch.bob_quadrature, n_sig)
+    alice_bits = (pp.sift_alice_bits(batch.alice_phase_index, quad)
+                  if link.alice else None)
+    bob_bits = (batch.outcome_snu > 0.0).astype(np.uint8) if link.bob else None
+
+    # Post-selection: Bob sends the keep mask.
+    mask = link.from_bob("POSTSELECT_MASK",
+                         lambda: np.abs(batch.outcome_snu) >= cfg.x_th_snu,
+                         n_sig)
+    p_post = int(np.count_nonzero(mask)) / n_sig
+
+    # Error estimation on a disclosed pseudo-random subset of kept pulses.
+    sample = link.from_bob("SAMPLE_INDICES", lambda: pp.disclosure_sample(
+        np.nonzero(mask)[0], cfg.sample_fraction,
+        np.random.default_rng(derive_seed(cfg, block_id, 1))), mask)
+    sample_bits = link.from_alice("SAMPLE_BITS", lambda: alice_bits[sample],
+                                  sample.size)
+    qber_raw = link.from_bob("QBER_REPORT", lambda: float(
+        np.mean(sample_bits != bob_bits[sample])))
+    qber = qber_raw if qber_used is None else qber_used
+    mask[sample] = False
+    disclosed = sample.size
+    kept = np.nonzero(mask)[0]
+    n_kept = kept.size
+
+    # Reverse reconciliation: Alice corrects her string toward Bob's.
+    alice_key = alice_bits[kept] if link.alice else None
+    bob_key = bob_bits[kept] if link.bob else None
+    perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
+                                   derive_seed(cfg, block_id, 2))
+    k1 = pp.cascade_block_size(max(qber, 1e-3), n_kept)
+    corrected, leak = link.reconcile(alice_key, bob_key, perms, k1)
+    # Only an end holding both strings can count residual errors, and it
+    # keeps no key from such a block; over the wire, confirm() fails.
+    residual = (int(np.sum(corrected != bob_key))
+                if link.alice and link.bob else 0)
+
+    # Privacy amplification and key confirmation.
     i_ab, chi_e = pp.secret_fraction(qber, cfg.alpha,
                                      fiber_transmittance(cfg.fiber))
-    out_len = pp.final_key_length(kept.size + disclosed, i_ab, chi_e,
-                                  leak, disclosed)
-    out_len = min(out_len, kept.size)
-    if residual:
-        # an uncorrected block yields no usable key
-        out_len = 0
-    key = pp.toeplitz_hash(bob, derive_seed(cfg, block_id, 3), out_len)
+    hash_seed, out_len = link.from_bob("HASH_SEED", lambda: (
+        derive_seed(cfg, block_id, 3),
+        0 if residual else min(n_kept, pp.final_key_length(
+            n_kept + disclosed, i_ab, chi_e, leak, disclosed))), n_kept)
+    key = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
+                           hash_seed, out_len)
+    link.confirm(key)
 
     skr = 0.0 if residual else pp.compute_skr(
         phys.n_pulses_total, cfg.rep_rate_hz, cfg.f_cal, p_post,
@@ -122,5 +168,17 @@ def distill_block(cfg, block_id: int, drift: DriftState,
         n_pulses=phys.n_pulses_total, p_post=p_post, qber=qber,
         i_ab_bits=i_ab, chi_e_bits=chi_e, leak_bits=leak,
         final_key_bits=int(key.size), skr_bits_per_s=skr)
-    return BlockResult(report=report, key_bits=key, variance_snu=variance,
+    return BlockResult(report=report, key_bits=key, variance_snu=math.nan,
                        qber_raw=qber_raw, residual_errors=residual)
+
+
+def distill_block(cfg, block_id: int, drift: DriftState,
+                  n_pulses: int | None = None,
+                  qber_used: float | None = None) -> BlockResult:
+    """Full distillation of one block in process; `qber_used` substitutes
+    a pooled error-rate estimate (e.g. the experiment runner's running
+    average) for the block's own noisy sample, as in run_chain."""
+    phys = simulate_quantum_exchange(cfg, block_id, drift, n_pulses)
+    result = run_chain(cfg, block_id, phys, LocalLink(), qber_used)
+    result.variance_snu = float(np.var(phys.batch.outcome_snu))
+    return result

@@ -35,6 +35,7 @@ __all__ = [
     "sift_alice_bits",
     "post_select",
     "qber_estimate",
+    "disclosure_sample",
     "expected_qber",
     "cascade_block_size",
     "cascade_reconcile",
@@ -131,27 +132,27 @@ def qber_estimate(frame: SiftedFrame, sample_fraction: float,
     The disclosed positions are removed from the key material and counted
     in disclosed_count.  Returns (qber, reduced frame).
     """
+    sample = disclosure_sample(frame.kept_indices, sample_fraction, rng)
+    mismatches = int(np.sum(frame.alice_bits[sample] != frame.bob_bits[sample]))
+    mask = frame.postselect_mask.copy()
+    mask[sample] = False
+    reduced = replace(frame, postselect_mask=mask,
+                      disclosed_count=frame.disclosed_count + len(sample))
+    return mismatches / len(sample), reduced
+
+
+def disclosure_sample(kept: np.ndarray, sample_fraction: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Sorted pseudo-random subset, a `sample_fraction` share (at least
+    one), of the kept positions, drawn without replacement."""
     if not 0.0 < sample_fraction < 1.0:
         raise ValueError(f"sample_fraction {sample_fraction!r} outside (0, 1)")
-    kept = frame.kept_indices
     if kept.size == 0:
         raise ValueError("no kept bits to sample from")
     m = max(1, int(round(sample_fraction * kept.size)))
     sample = rng.choice(kept, size=m, replace=False)
     sample.sort()
-    return apply_disclosure(frame, sample)
-
-
-def apply_disclosure(frame: SiftedFrame,
-                     sample: np.ndarray) -> tuple[float, SiftedFrame]:
-    """Compare bits at the given (kept) positions and drop them."""
-    mismatches = int(np.sum(frame.alice_bits[sample] != frame.bob_bits[sample]))
-    qber = mismatches / len(sample)
-    mask = frame.postselect_mask.copy()
-    mask[sample] = False
-    reduced = replace(frame, postselect_mask=mask,
-                      disclosed_count=frame.disclosed_count + len(sample))
-    return qber, reduced
+    return sample
 
 
 def expected_qber(m_snu: float, var_snu: float, x_th: float) -> float:
@@ -219,8 +220,8 @@ class CascadePermutations:
 
     def unflatten(self, vstart: int, vend: int) -> tuple[int, int, int]:
         p = vstart // self.n
-        if vend - vstart > self.n or (vend - 1) // self.n != p:
-            raise ValueError("parity range crosses a pass boundary")
+        if vend <= vstart or p >= self.passes or (vend - 1) // self.n != p:
+            raise ValueError("parity range is empty or not inside one pass")
         return p, vstart - p * self.n, vend - p * self.n
 
 

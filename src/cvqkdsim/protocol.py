@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import math
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import postprocess as pp
-from .physics import CalibrationError, DriftState, fiber_transmittance
-from .pipeline import simulate_quantum_exchange
+from .physics import CalibrationError, DriftState
+from .pipeline import run_chain, simulate_quantum_exchange
 
 __all__ = [
     "MsgType",
@@ -39,6 +38,7 @@ __all__ = [
     "SessionState",
     "SessionResult",
     "StreamTransport",
+    "WireLink",
     "loopback_pair",
     "encode_frame",
     "decode_frame",
@@ -197,8 +197,8 @@ def decode_frame(data: bytes) -> Frame:
                 raise FrameDecodeError("KEY_CONFIRM payload must be 32 bytes")
             return Frame(t, digest=bytes(payload))
         if t == MsgType.ABORT:
-            return Frame(t, reason=struct.unpack(">H", payload)[0])
-    except struct.error as exc:
+            return Frame(t, reason=AbortReason(struct.unpack(">H", payload)[0]))
+    except (struct.error, ValueError) as exc:
         raise FrameDecodeError(str(exc))
     raise FrameDecodeError(f"unhandled message type {t!r}")  # pragma: no cover
 
@@ -236,6 +236,8 @@ class StreamTransport:
             payload = self._recv_exact(length)
         except socket.timeout:
             raise SessionFailed(AbortReason.TIMEOUT, "receive timed out")
+        except OSError as exc:
+            raise SessionFailed(AbortReason.TRANSPORT_CLOSED, str(exc))
         data = header + payload
         if self._transcript:
             self._transcript.write(data)
@@ -274,9 +276,7 @@ class Phase(enum.Enum):
     FAILED = "failed"
 
 
-_PHASE_ORDER = [Phase.IDLE, Phase.QUANTUM_EXCHANGE, Phase.SIFTING,
-                Phase.POST_SELECTION, Phase.ESTIMATION, Phase.RECONCILIATION,
-                Phase.AMPLIFICATION, Phase.DONE]
+_PHASE_ORDER = [p for p in Phase if p != Phase.FAILED]
 
 
 @dataclass
@@ -302,16 +302,55 @@ class SessionResult:
     key_bits: np.ndarray
 
 
-class _SessionDriver:
-    def __init__(self, role: Role, transport: StreamTransport, cfg,
-                 drift: DriftState | None, block_id: int, n_pulses: int | None):
-        self.role = role
+# The phase that each chain message opens.
+_PHASE_OF = {MsgType.BASIS_ANNOUNCE: Phase.SIFTING,
+             MsgType.POSTSELECT_MASK: Phase.POST_SELECTION,
+             MsgType.SAMPLE_INDICES: Phase.ESTIMATION,
+             MsgType.HASH_SEED: Phase.AMPLIFICATION}
+_BIT_FIELDS = (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK,
+               MsgType.SAMPLE_BITS)
+
+
+def _frame_of(t: MsgType, value) -> Frame:
+    if t in _BIT_FIELDS:
+        return Frame(t, bits=value)
+    if t == MsgType.SAMPLE_INDICES:
+        return Frame(t, indices=value)
+    if t == MsgType.QBER_REPORT:
+        return Frame(t, value=value)
+    return Frame(t, seed=value[0], out_len=value[1])
+
+
+def _checked_value(frame: Frame, bound):
+    """The value a received frame carries, or None if it does not fit
+    `bound`: a bit field's bit count, the keep mask sample indices must
+    select from, the kept-bit count that caps HASH_SEED's out_len."""
+    t = frame.msg_type
+    if t in _BIT_FIELDS:
+        bits = frame.bits
+        return bits[:bound] if bits.size == (bound + 7) // 8 * 8 else None
+    if t == MsgType.SAMPLE_INDICES:
+        idx = frame.indices
+        ok = (idx.size > 0 and np.all(idx[1:] > idx[:-1])
+              and idx[-1] < bound.size and np.all(bound[idx]))
+        return idx if ok else None
+    if t == MsgType.QBER_REPORT:
+        return frame.value if 0.0 <= frame.value <= 1.0 else None
+    return (frame.seed, frame.out_len) if frame.out_len <= bound else None
+
+
+class WireLink:
+    """One endpoint's link for pipeline.run_chain: each value crosses as
+    one frame, and a received one is checked against the block before it
+    enters the chain.  A failure sends ABORT (unless the peer did) and
+    raises SessionFailed."""
+
+    def __init__(self, role: Role, transport: StreamTransport, block_id: int):
+        self.alice = role == Role.ALICE
+        self.bob = role == Role.BOB
         self.transport = transport
-        self.cfg = cfg
-        self.drift = drift if drift is not None else DriftState(
-            cfg.drift.efficiency_mean, cfg.drift.phase_mean_rad)
         self.state = SessionState(role=role, block_id=block_id)
-        self.n_pulses = n_pulses if n_pulses is not None else cfg.block_size_pulses
+        self.perms = None   # Cascade's permutations, once reconcile starts
 
     def fail(self, reason: AbortReason, detail: str = "",
              notify: bool = True) -> SessionFailed:
@@ -322,6 +361,20 @@ class _SessionDriver:
                 pass
         self.state.advance(Phase.FAILED)
         return SessionFailed(reason, detail)
+
+    def send(self, frame: Frame) -> None:
+        try:
+            self.transport.send_frame(frame)
+        except OSError:
+            # the peer hung up; an ABORT it sent first says why
+            try:
+                last = self.transport.recv_frame()
+            except ProtocolError:
+                last = None
+            reason = AbortReason.TRANSPORT_CLOSED
+            if last is not None and last.msg_type == MsgType.ABORT:
+                reason = AbortReason(last.reason)
+            raise self.fail(reason, "peer closed the connection", notify=False)
 
     def expect(self, msg_type: MsgType) -> Frame:
         try:
@@ -337,10 +390,65 @@ class _SessionDriver:
                             f"expected {msg_type.name}, got {frame.msg_type.name}")
         return frame
 
+    def from_alice(self, kind: str, make, bound=None):
+        return self._carry(self.alice, MsgType[kind], make, bound)
 
-def _derive_seed(cfg, block_id: int, tag: int) -> int:
-    ss = np.random.SeedSequence((cfg.seed, block_id, tag))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    def from_bob(self, kind: str, make, bound=None):
+        return self._carry(self.bob, MsgType[kind], make, bound)
+
+    def _carry(self, sending: bool, t: MsgType, make, bound):
+        if t in _PHASE_OF:
+            self.state.advance(_PHASE_OF[t])
+        if sending:
+            value = make()
+            self.send(_frame_of(t, value))
+            return value
+        value = _checked_value(self.expect(t), bound)
+        if value is None:
+            raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
+                            f"{t.name} does not fit the block")
+        return value
+
+    def reconcile(self, alice_key, bob_key, perms: pp.CascadePermutations,
+                  k1: int):
+        """Cascade over PARITY_REQ/RSP until Alice's (0, 0) sentinel.
+        Returns (Alice's corrected string or None, parities disclosed)."""
+        self.state.advance(Phase.RECONCILIATION)
+        self.perms = perms
+        if self.alice:
+            result = pp.cascade_reconcile(alice_key, self, perms.passes, k1,
+                                          perms)
+            self.send(Frame(MsgType.PARITY_REQ, start=0, end=0))
+            return result
+        oracle = pp.LocalParityOracle(bob_key, perms)
+        while True:
+            frame = self.expect(MsgType.PARITY_REQ)
+            if frame.start == 0 and frame.end == 0:
+                return None, oracle.query_count
+            try:
+                p, a, b = perms.unflatten(frame.start, frame.end)
+            except ValueError as exc:
+                raise self.fail(AbortReason.UNEXPECTED_MESSAGE, str(exc))
+            self.send(Frame(MsgType.PARITY_RSP, parity=oracle.parity(p, a, b)))
+
+    def parity(self, pass_index: int, start: int, end: int) -> int:
+        """Alice's Cascade oracle: one request in flight, per parity."""
+        vstart, vend = self.perms.flatten(pass_index, start, end)
+        self.send(Frame(MsgType.PARITY_REQ, start=vstart, end=vend))
+        return self.expect(MsgType.PARITY_RSP).parity
+
+    def confirm(self, key: np.ndarray) -> None:
+        """KEY_CONFIRM, Bob's digest first; different keys abort both ends
+        with KEY_MISMATCH."""
+        digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
+        if self.bob:
+            self.send(Frame(MsgType.KEY_CONFIRM, digest=digest))
+        peer_digest = self.expect(MsgType.KEY_CONFIRM).digest
+        if self.alice:
+            self.send(Frame(MsgType.KEY_CONFIRM, digest=digest))
+        if peer_digest != digest:
+            raise self.fail(AbortReason.KEY_MISMATCH, "final keys differ")
+        self.state.advance(Phase.DONE)
 
 
 def run_session(role: Role, transport: StreamTransport, cfg,
@@ -349,155 +457,18 @@ def run_session(role: Role, transport: StreamTransport, cfg,
     """Drive one key-distillation block end to end over `transport`.
 
     Both endpoints reconstruct the quantum exchange from the shared config
-    seed; each side only ever uses the data its role would physically hold.
-    Raises SessionFailed (after emitting ABORT) on any protocol violation;
-    on success both ends hold bit-identical keys, checked via KEY_CONFIRM.
+    seed, then run pipeline.run_chain over a WireLink.  Raises
+    SessionFailed (after emitting ABORT) on any protocol violation; on
+    success both ends hold bit-identical keys, checked via KEY_CONFIRM.
     """
-    d = _SessionDriver(role, transport, cfg, drift, block_id, n_pulses)
-    st = d.state
-
-    # Quantum exchange, simulated identically on both ends.
-    st.advance(Phase.QUANTUM_EXCHANGE)
+    link = WireLink(role, transport, block_id)
+    link.state.advance(Phase.QUANTUM_EXCHANGE)
+    if drift is None:
+        drift = DriftState(cfg.drift.efficiency_mean, cfg.drift.phase_mean_rad)
     try:
-        phys = simulate_quantum_exchange(cfg, block_id, d.drift, d.n_pulses)
+        phys = simulate_quantum_exchange(cfg, block_id, drift, n_pulses)
     except CalibrationError as exc:
-        raise d.fail(AbortReason.CALIBRATION_FAILED, str(exc))
-    batch = phys.batch
-    n_sig = batch.count
-
-    # Sifting: Bob announces his measured quadratures.
-    st.advance(Phase.SIFTING)
-    if role == Role.BOB:
-        d.transport.send_frame(Frame(MsgType.BASIS_ANNOUNCE,
-                                     bits=batch.bob_quadrature))
-        quadratures = batch.bob_quadrature
-    else:
-        frame = d.expect(MsgType.BASIS_ANNOUNCE)
-        quadratures = frame.bits[:n_sig].astype(np.int8)
-    alice_bits = pp.sift_alice_bits(batch.alice_phase_index, quadratures)
-    bob_bits = (batch.outcome_snu > 0.0).astype(np.uint8)
-
-    # Post-selection: Bob sends the keep mask.
-    st.advance(Phase.POST_SELECTION)
-    if role == Role.BOB:
-        mask = np.abs(batch.outcome_snu) >= cfg.x_th_snu
-        d.transport.send_frame(Frame(MsgType.POSTSELECT_MASK,
-                                     bits=mask.astype(np.uint8)))
-    else:
-        frame = d.expect(MsgType.POSTSELECT_MASK)
-        mask = frame.bits[:n_sig].astype(bool)
-    p_post = float(np.mean(mask))
-
-    # Error estimation on a disclosed pseudo-random subset.
-    st.advance(Phase.ESTIMATION)
-    if role == Role.BOB:
-        kept = np.nonzero(mask)[0]
-        rng = np.random.default_rng(_derive_seed(cfg, block_id, 1))
-        m = max(1, int(round(cfg.sample_fraction * kept.size)))
-        sample = np.sort(rng.choice(kept, size=m, replace=False))
-        d.transport.send_frame(Frame(MsgType.SAMPLE_INDICES, indices=sample))
-        frame = d.expect(MsgType.SAMPLE_BITS)
-        peer_sample_bits = frame.bits[:m]
-        qber = float(np.mean(peer_sample_bits != bob_bits[sample]))
-        d.transport.send_frame(Frame(MsgType.QBER_REPORT, value=qber))
-    else:
-        frame = d.expect(MsgType.SAMPLE_INDICES)
-        sample = frame.indices
-        d.transport.send_frame(Frame(MsgType.SAMPLE_BITS,
-                                     bits=alice_bits[sample]))
-        qber = float(d.expect(MsgType.QBER_REPORT).value)
-    mask = mask.copy()
-    mask[sample] = False
-    disclosed = len(sample)
-    kept = np.nonzero(mask)[0]
-    n_kept = kept.size
-
-    # Reverse reconciliation: Alice corrects toward Bob over PARITY_REQ/RSP.
-    st.advance(Phase.RECONCILIATION)
-    perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
-                                   _derive_seed(cfg, block_id, 2))
-    k1 = pp.cascade_block_size(max(qber, 1e-3), n_kept)
-    if role == Role.ALICE:
-        oracle = _RemoteParityOracle(d, perms)
-        corrected, leak = pp.cascade_reconcile(alice_bits[kept], oracle,
-                                               cfg.cascade_passes, k1, perms)
-        d.transport.send_frame(Frame(MsgType.PARITY_REQ, start=0, end=0))
-        key_source = corrected
-    else:
-        leak = _serve_parities(d, bob_bits[kept], perms)
-        key_source = bob_bits[kept]
-
-    # Privacy amplification and key confirmation.
-    st.advance(Phase.AMPLIFICATION)
-    t_chan = fiber_transmittance(cfg.fiber)
-    i_ab, chi_e = pp.secret_fraction(qber, cfg.alpha, t_chan)
-    if role == Role.BOB:
-        out_len = pp.final_key_length(n_kept + disclosed, i_ab, chi_e,
-                                      leak, disclosed)
-        out_len = min(out_len, n_kept)
-        hash_seed = _derive_seed(cfg, block_id, 3)
-        d.transport.send_frame(Frame(MsgType.HASH_SEED, seed=hash_seed,
-                                     out_len=out_len))
-    else:
-        frame = d.expect(MsgType.HASH_SEED)
-        hash_seed, out_len = frame.seed, frame.out_len
-    key = pp.toeplitz_hash(key_source, hash_seed, out_len)
-    digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
-
-    if role == Role.BOB:
-        d.transport.send_frame(Frame(MsgType.KEY_CONFIRM, digest=digest))
-        peer_digest = d.expect(MsgType.KEY_CONFIRM).digest
-    else:
-        peer_digest = d.expect(MsgType.KEY_CONFIRM).digest
-        d.transport.send_frame(Frame(MsgType.KEY_CONFIRM, digest=digest))
-    if peer_digest != digest:
-        raise d.fail(AbortReason.KEY_MISMATCH, "final keys differ")
-
-    st.advance(Phase.DONE)
-    skr = pp.compute_skr(phys.n_pulses_total, cfg.rep_rate_hz, cfg.f_cal,
-                         p_post, i_ab, chi_e, leak, disclosed)
-    report = pp.KeySessionReport(
-        n_pulses=phys.n_pulses_total, p_post=p_post, qber=qber,
-        i_ab_bits=i_ab, chi_e_bits=chi_e, leak_bits=leak,
-        final_key_bits=int(key.size), skr_bits_per_s=skr)
-    return SessionResult(state=st, report=report, key_bits=key)
-
-
-class _RemoteParityOracle:
-    """Alice-side oracle that fetches Bob's parities over the transport.
-
-    Blocks are flattened into the virtual index space of
-    CascadePermutations so a single (start, end) pair addresses any block
-    of any pass; at most one request is outstanding at a time.
-    """
-
-    def __init__(self, driver: _SessionDriver, perms: pp.CascadePermutations):
-        self.driver = driver
-        self.perms = perms
-        self.query_count = 0
-
-    def parity(self, pass_index: int, start: int, end: int) -> int:
-        vstart, vend = self.perms.flatten(pass_index, start, end)
-        self.driver.transport.send_frame(
-            Frame(MsgType.PARITY_REQ, start=vstart, end=vend))
-        frame = self.driver.expect(MsgType.PARITY_RSP)
-        self.query_count += 1
-        return frame.parity
-
-
-def _serve_parities(driver: _SessionDriver, bob_bits: np.ndarray,
-                    perms: pp.CascadePermutations) -> int:
-    """Bob-side loop answering parity requests until the (0, 0) sentinel.
-
-    Returns the number of parities disclosed."""
-    oracle = pp.LocalParityOracle(bob_bits, perms)
-    while True:
-        frame = driver.expect(MsgType.PARITY_REQ)
-        if frame.start == 0 and frame.end == 0:
-            return oracle.query_count
-        try:
-            p, a, b = perms.unflatten(frame.start, frame.end)
-        except ValueError as exc:
-            raise driver.fail(AbortReason.UNEXPECTED_MESSAGE, str(exc))
-        driver.transport.send_frame(
-            Frame(MsgType.PARITY_RSP, parity=oracle.parity(p, a, b)))
+        raise link.fail(AbortReason.CALIBRATION_FAILED, str(exc))
+    result = run_chain(cfg, block_id, phys, link)
+    return SessionResult(state=link.state, report=result.report,
+                         key_bits=result.key_bits)

@@ -2,8 +2,7 @@
 
 Overlaps, Gram matrices and the Holevo quantity for finite ensembles of
 pure coherent states.  Everything here works in the span of the ensemble,
-so the matrices involved are at most n x n for n states; eigenvalues are
-obtained with a cyclic Jacobi iteration rather than a general solver.
+so the matrices involved are at most n x n for n states.
 
 All entropies are in bits.
 """
@@ -21,7 +20,6 @@ __all__ = [
     "binary_entropy",
     "coherent_overlap",
     "gram_matrix",
-    "hermitian_eigenvalues",
     "holevo_bound",
 ]
 
@@ -29,7 +27,6 @@ __all__ = [
 # roundoff; anything below -EIG_NEGATIVE_TOL is treated as a bug.
 EIG_NEGATIVE_TOL = 1e-10
 ENTROPY_CLIP = 1e-15
-JACOBI_OFFDIAG_TOL = 1e-13
 PROB_SUM_TOL = 1e-12
 
 
@@ -93,50 +90,6 @@ def gram_matrix(ensemble: CoherentStateEnsemble) -> np.ndarray:
     return g
 
 
-def hermitian_eigenvalues(mat: np.ndarray, tol: float = JACOBI_OFFDIAG_TOL,
-                          max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Intended for the tiny (<= ensemble size) matrices used here.  Iterates
-    full sweeps until the off-diagonal Frobenius norm drops below `tol`.
-    """
-    a = np.array(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(1.0, np.linalg.norm(a)):
-        raise ValueError("matrix is not Hermitian")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    for _ in range(max_sweeps):
-        off = math.sqrt(abs(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2)))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < 1e-150:
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    continue
-                phase = apq / abs(apq)
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * abs(apq))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = -s * phase
-                rot[q, p] = s * phase.conjugate()
-                rot[q, q] = c
-                a = rot.conj().T @ a @ rot
-    return np.sort(np.diag(a).real)
-
-
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy H2(p) in bits."""
     if not 0.0 <= p <= 1.0:
@@ -166,5 +119,5 @@ def holevo_bound(ensemble: CoherentStateEnsemble) -> float:
     g = gram_matrix(ensemble)
     w = np.sqrt(np.asarray(ensemble.probabilities, dtype=float))
     k = g * np.outer(w, w)
-    lam = hermitian_eigenvalues(k)
+    lam = np.linalg.eigvalsh(k)
     return _entropy_bits(lam)

@@ -113,5 +113,7 @@ class TestValidation:
 
     def test_unflatten_rejects_cross_pass_range(self):
         perms = pp.CascadePermutations(10, 3, 0)
-        with pytest.raises(ValueError):
-            perms.unflatten(5, 15)
+        # across passes, empty, reversed, past the last pass
+        for vstart, vend in ((5, 15), (5, 5), (6, 5), (30, 31)):
+            with pytest.raises(ValueError):
+                perms.unflatten(vstart, vend)

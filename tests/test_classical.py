@@ -5,8 +5,6 @@ import pytest
 
 from cvqkdsim.classical import (
     PRBS15_PERIOD,
-    Prbs15State,
-    prbs15_next,
     prbs15_sequence,
     simulate_ook_link,
 )
@@ -14,13 +12,12 @@ from cvqkdsim.classical import (
 
 class TestPrbs15:
     def test_period_is_exactly_32767(self):
-        state = Prbs15State(0x0001)
-        seen = state.register
-        for steps in range(1, PRBS15_PERIOD + 1):
-            _, state = prbs15_next(state)
-            if state.register == seen:
-                break
-        assert steps == PRBS15_PERIOD == 32767
+        # after 15 steps the register holds the last 15 output bits, so a
+        # period visiting 32767 distinct windows visits every nonzero state
+        bits = prbs15_sequence(PRBS15_PERIOD + 14).astype(np.int64)
+        windows = np.lib.stride_tricks.sliding_window_view(bits, 15)
+        states = windows @ (1 << np.arange(15))
+        assert np.unique(states).size == PRBS15_PERIOD == 32767
 
     def test_ones_count_over_one_period(self):
         bits = prbs15_sequence(PRBS15_PERIOD)
@@ -43,9 +40,9 @@ class TestPrbs15:
 
     def test_all_seeds_reachable_nonzero(self):
         with pytest.raises(ValueError):
-            Prbs15State(0)
+            prbs15_sequence(1, seed=0)
         with pytest.raises(ValueError):
-            Prbs15State(1 << 15)
+            prbs15_sequence(1, seed=1 << 15)
 
     def test_seed_shifts_phase_only(self):
         a = prbs15_sequence(PRBS15_PERIOD, seed=0x0001)

@@ -1,5 +1,8 @@
+import math
+import socket
 import struct
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqkdsim import postprocess as pp
 from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
 from cvqkdsim.physics import DriftState
-from cvqkdsim.pipeline import distill_block
+from cvqkdsim.pipeline import (
+    LocalLink,
+    derive_seed,
+    distill_block,
+    run_chain,
+    simulate_quantum_exchange,
+)
 from cvqkdsim.protocol import (
     AbortReason,
     Frame,
@@ -37,6 +47,34 @@ def small_cfg(**kwargs) -> SystemConfig:
 
 def noiseless_cfg(**kwargs) -> SystemConfig:
     return small_cfg(force_sigma_snu=1e-9, **kwargs)
+
+
+def mean_drift(cfg) -> DriftState:
+    return DriftState(cfg.drift.efficiency_mean, cfg.drift.phase_mean_rad)
+
+
+def reference_estimation(cfg, block_id: int):
+    """Sifting, post-selection and error estimation of one block by the
+    reference helpers: (signal pulses, post-selected frame, qber, frame
+    after disclosure)."""
+    batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg)).batch
+    frame = pp.post_select(pp.sift(batch), cfg.x_th_snu)
+    rng = np.random.default_rng(derive_seed(cfg, block_id, 1))
+    qber, reduced = pp.qber_estimate(frame, cfg.sample_fraction, rng)
+    return batch.count, frame, qber, reduced
+
+
+class _RecordingLink(LocalLink):
+    """A LocalLink that keeps every value one role sends the other."""
+
+    def __init__(self):
+        self.sent = {}
+
+    def from_bob(self, kind, make, bound=None):
+        self.sent[kind] = value = make()
+        return value
+
+    from_alice = from_bob
 
 
 def run_pair(cfg, transports=None, **kwargs):
@@ -119,6 +157,10 @@ class TestFraming:
         with pytest.raises(FrameDecodeError):
             decode_frame(b"\x00\x00\x00\x05\x05\x00")
 
+    def test_decode_rejects_unknown_abort_reason(self):
+        with pytest.raises(FrameDecodeError):
+            decode_frame(b"\x00\x00\x00\x02\x0a\x00\x63")
+
     def test_decode_rejects_truncated_header(self):
         with pytest.raises(FrameDecodeError):
             decode_frame(b"\x00\x00")
@@ -167,12 +209,29 @@ class TestSession:
         assert ra.report == rb.report
 
     def test_matches_in_process_distillation(self):
-        cfg = small_cfg()
-        out = run_pair(cfg)
-        local = distill_block(cfg, 0, DriftState(cfg.drift.efficiency_mean,
-                                                 cfg.drift.phase_mean_rad))
-        assert out[Role.ALICE].report == local.report
+        for cfg, block_id in ((small_cfg(), 0), (small_cfg(), 1),
+                              (small_cfg(), 4), (noiseless_cfg(), 2)):
+            self._check_against_in_process(cfg, block_id)
+
+    def _check_against_in_process(self, cfg, block_id):
+        out = run_pair(cfg, block_id=block_id)
+        local = distill_block(cfg, block_id, mean_drift(cfg))
+        assert out[Role.ALICE].report == out[Role.BOB].report == local.report
         assert np.array_equal(out[Role.ALICE].key_bits, local.key_bits)
+
+        # the chain's estimation step against the reference helpers
+        link = _RecordingLink()
+        phys = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
+        chained = run_chain(cfg, block_id, phys, link)
+        n_sig, frame, qber, reduced = reference_estimation(cfg, block_id)
+        assert chained.report == local.report
+        assert chained.report.p_post == (
+            (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
+        assert chained.report.qber == chained.qber_raw == qber
+        disclosed = frame.postselect_mask & ~reduced.postselect_mask
+        assert np.array_equal(link.sent["SAMPLE_INDICES"],
+                              np.flatnonzero(disclosed))
+        assert link.sent["SAMPLE_INDICES"].size == reduced.disclosed_count
 
     def test_blocks_differ_by_id(self):
         cfg = noiseless_cfg()
@@ -207,6 +266,31 @@ class _CorruptingTransport(proto.StreamTransport):
             data = data[:4] + b"\x7f" + data[5:]
             self.armed = False
         self.sock.sendall(data)
+
+
+class _TamperingTransport(proto.StreamTransport):
+    """A peer that sends the first frame of one type as `tamper(frame,
+    sent)` rewrites it; `sent` lists the frames it sent before.  It keeps
+    the types of the frames it receives after that one."""
+
+    def __init__(self, sock, timeout_s, msg_type, tamper):
+        super().__init__(sock, timeout_s)
+        self.msg_type = msg_type
+        self.tamper = tamper
+        self.sent = []
+        self.received_after = []
+
+    def send_frame(self, frame):
+        if frame.msg_type == self.msg_type and self.tamper is not None:
+            frame, self.tamper = self.tamper(frame, self.sent), None
+        self.sent.append(frame)
+        super().send_frame(frame)
+
+    def recv_frame(self):
+        frame = super().recv_frame()
+        if self.tamper is None:
+            self.received_after.append(frame.msg_type)
+        return frame
 
 
 class TestFaultInjection:
@@ -245,6 +329,58 @@ class TestFaultInjection:
         assert abort.msg_type == MsgType.ABORT
         assert abort.reason == int(AbortReason.UNEXPECTED_MESSAGE)
         assert result["bob"].reason == AbortReason.UNEXPECTED_MESSAGE
+
+    @pytest.mark.parametrize("sender, msg_type, tamper", [
+        (Role.BOB, MsgType.BASIS_ANNOUNCE,
+         lambda f, sent, n_kept: replace(f, bits=f.bits[:-8])),
+        (Role.BOB, MsgType.POSTSELECT_MASK,
+         lambda f, sent, n_kept: replace(f, bits=f.bits[:-8])),
+        (Role.BOB, MsgType.SAMPLE_INDICES,
+         lambda f, sent, n_kept: replace(
+             f, indices=np.append(f.indices[:-1], 10 ** 9))),
+        (Role.BOB, MsgType.SAMPLE_INDICES,
+         lambda f, sent, n_kept: replace(f, indices=f.indices[::-1])),
+        (Role.BOB, MsgType.SAMPLE_INDICES,
+         lambda f, sent, n_kept: replace(
+             f, indices=np.append(f.indices[:1], f.indices[:-1]))),
+        (Role.BOB, MsgType.SAMPLE_INDICES,
+         lambda f, sent, n_kept: replace(f, indices=np.sort(np.append(
+             f.indices[1:], np.flatnonzero(sent[-1].bits == 0)[0])))),
+        (Role.ALICE, MsgType.SAMPLE_BITS,
+         lambda f, sent, n_kept: replace(f, bits=f.bits[:8])),
+        (Role.BOB, MsgType.QBER_REPORT,
+         lambda f, sent, n_kept: replace(f, value=math.nan)),
+        (Role.ALICE, MsgType.PARITY_REQ,
+         lambda f, sent, n_kept: replace(f, start=50 * n_kept,
+                                         end=50 * n_kept + 1)),
+        (Role.ALICE, MsgType.PARITY_REQ,
+         lambda f, sent, n_kept: replace(f, start=3, end=3)),
+        (Role.BOB, MsgType.HASH_SEED,
+         lambda f, sent, n_kept: replace(f, out_len=n_kept + 1)),
+    ], ids=["basis-short", "mask-short", "index-1e9", "indices-unsorted",
+            "index-repeated", "index-not-kept", "sample-bits-8",
+            "qber-nan", "parity-pass-50", "parity-empty", "out-len-too-big"])
+    def test_out_of_range_field_aborts_both_ends(self, sender, msg_type,
+                                                 tamper):
+        cfg = small_cfg()
+        n_kept = reference_estimation(cfg, 0)[3].kept_indices.size
+        sa, sb = socket.socketpair()
+        socks = {Role.ALICE: sa, Role.BOB: sb}
+        tamperer = _TamperingTransport(socks[sender], 5.0, msg_type,
+                                       lambda f, sent: tamper(f, sent, n_kept))
+        transports = [tamperer if role == sender
+                      else proto.StreamTransport(socks[role], 5.0)
+                      for role in (Role.ALICE, Role.BOB)]
+        start = time.monotonic()
+        out = run_pair(cfg, transports=transports)
+        elapsed = time.monotonic() - start
+        assert isinstance(out[Role.ALICE], SessionFailed)
+        assert isinstance(out[Role.BOB], SessionFailed)
+        assert (out[Role.ALICE].reason == out[Role.BOB].reason
+                == AbortReason.UNEXPECTED_MESSAGE)
+        # the receiver rejects the tampered frame itself, not a later one
+        assert tamperer.received_after == [MsgType.ABORT]
+        assert elapsed < 1.0   # far inside the 5 s receive timeout
 
     def test_timeout_fails_session(self):
         ta, tb = loopback_pair(timeout_s=0.2)

@@ -11,7 +11,6 @@ from cvqkdsim.quantum import (
     binary_entropy,
     coherent_overlap,
     gram_matrix,
-    hermitian_eigenvalues,
     holevo_bound,
 )
 
@@ -104,30 +103,6 @@ class TestGram:
         for m in (0.1, 0.68, 2.0):
             g = gram_matrix(CoherentStateEnsemble.four_state(m))
             assert np.trace(g).real == pytest.approx(4.0)
-
-
-class TestJacobi:
-    def test_matches_numpy_on_random_hermitian(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = rng.integers(2, 6)
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            h = (a + a.conj().T) / 2.0
-            got = hermitian_eigenvalues(h)
-            want = np.linalg.eigvalsh(h)
-            assert np.allclose(got, want, atol=1e-12)
-
-    def test_diagonal_passthrough(self):
-        d = np.diag([3.0, -1.0, 0.5])
-        assert np.allclose(hermitian_eigenvalues(d), [-1.0, 0.5, 3.0])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 class TestBinaryEntropy:
