@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .physics import (
     QUANTUM_CHANNEL_INDEX,
@@ -136,29 +137,22 @@ class SystemConfig:
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 
-# key -> (target, attribute, converter); wdm channels are handled separately
-def _scalar_fields():
-    return {
-        "rep_rate_hz": float,
-        "alpha": float,
-        "epsilon_intrinsic_snu": float,
-        "x_th_snu": float,
-        "f_cal": float,
-        "sample_fraction": float,
-        "qber_smoothing": float,
-        "cascade_passes": int,
-        "block_size_pulses": int,
-        "seed": int,
-        "force_sigma_snu": float,
-        "fiber.length_km": float,
-        "fiber.attenuation_db_per_km": float,
-        "fiber.raman_coefficient_per_mw_km": float,
-        "drift.efficiency_mean": float,
-        "drift.efficiency_sigma": float,
-        "drift.phase_mean_rad": float,
-        "drift.phase_sigma": float,
-        "drift.reversion_rate": float,
-    }
+def _scalars(obj, prefix: str = ""):
+    """(key, type hint, value) of every scalar config field, in field
+    order: the fields of the nested fiber and drift specs become dotted
+    keys, and the wdm channels are left to their own `wdm.*` keys."""
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _scalars(value, f"{prefix}{f.name}.")
+        elif f.name != "wdm":
+            yield prefix + f.name, hints[f.name], value
+
+
+# key -> converter; an optional field (`float | None`) reads as its type
+_SCALAR_TYPES = {key: (typing.get_args(hint) or (hint,))[0]
+                 for key, hint, _ in _scalars(SystemConfig())}
 
 
 _WDM_FIELDS = {
@@ -185,7 +179,6 @@ def parse_config_text(text: str) -> SystemConfig:
     """Parse the line-oriented `key = value` format with dotted section
     keys ('#' starts a comment).  Unknown keys are rejected; missing keys
     take the documented defaults."""
-    scalars = _scalar_fields()
     top: dict = {}
     fiber: dict = {}
     drift: dict = {}
@@ -212,9 +205,9 @@ def parse_config_text(text: str) -> SystemConfig:
             wdm_overrides.setdefault(idx, {})[parts[2]] = _convert(
                 value, _WDM_FIELDS[parts[2]], lineno, key)
             continue
-        if key not in scalars:
+        if key not in _SCALAR_TYPES:
             raise ConfigError("unknown key", lineno, key)
-        converted = _convert(value, scalars[key], lineno, key)
+        converted = _convert(value, _SCALAR_TYPES[key], lineno, key)
         if parts[0] == "fiber":
             fiber[parts[1]] = converted
         elif parts[0] == "drift":
@@ -262,28 +255,8 @@ def load_config(path) -> SystemConfig:
 
 def dump_config(cfg: SystemConfig) -> str:
     """Fully-resolved config in the same format load_config accepts."""
-    lines = [
-        f"rep_rate_hz = {cfg.rep_rate_hz!r}",
-        f"alpha = {cfg.alpha!r}",
-        f"epsilon_intrinsic_snu = {cfg.epsilon_intrinsic_snu!r}",
-        f"x_th_snu = {cfg.x_th_snu!r}",
-        f"f_cal = {cfg.f_cal!r}",
-        f"sample_fraction = {cfg.sample_fraction!r}",
-        f"qber_smoothing = {cfg.qber_smoothing!r}",
-        f"cascade_passes = {cfg.cascade_passes}",
-        f"block_size_pulses = {cfg.block_size_pulses}",
-        f"seed = {cfg.seed}",
-        f"fiber.length_km = {cfg.fiber.length_km!r}",
-        f"fiber.attenuation_db_per_km = {cfg.fiber.attenuation_db_per_km!r}",
-        f"fiber.raman_coefficient_per_mw_km = {cfg.fiber.raman_coefficient_per_mw_km!r}",
-        f"drift.efficiency_mean = {cfg.drift.efficiency_mean!r}",
-        f"drift.efficiency_sigma = {cfg.drift.efficiency_sigma!r}",
-        f"drift.phase_mean_rad = {cfg.drift.phase_mean_rad!r}",
-        f"drift.phase_sigma = {cfg.drift.phase_sigma!r}",
-        f"drift.reversion_rate = {cfg.drift.reversion_rate!r}",
-    ]
-    if cfg.force_sigma_snu is not None:
-        lines.append(f"force_sigma_snu = {cfg.force_sigma_snu!r}")
+    lines = [f"{key} = {value!r}" for key, _, value in _scalars(cfg)
+             if value is not None]
     for ch in cfg.wdm:
         lines.append(f"wdm.{ch.index}.wavelength_nm = {ch.wavelength_nm!r}")
         if not ch.is_quantum:

@@ -6,10 +6,14 @@ Length-prefixed binary frames over any reliable ordered byte stream:
     [1 byte   message type]
     [N bytes  payload]
 
-All integers on the wire are big-endian.  Packed bit fields put pulse 0 in
-the most significant bit of the first byte.  The quantum exchange itself is
-simulated locally on both endpoints from the shared config seed, so no
-quantum data travels over this channel.
+A frame carries one value, and each message type's payload layout is
+one row of `_CODEC`.  All integers on the wire are big-endian.  Packed bit
+fields put pulse 0 in the most significant bit of the first byte.  A
+received header is checked against its type and the block before any
+payload byte is read: a fixed-size type needs its exact size, and a
+variable-size one may carry no more than a block of its pulse count
+needs.  The quantum exchange itself is simulated locally on both endpoints
+from the shared config seed, so no quantum data travels over this channel.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ __all__ = [
 ]
 
 MAX_PAYLOAD = 2 ** 32 - 1
-HEADER_SIZE = 5
+_HEADER = struct.Struct(">IB")   # payload length, message type
 DEFAULT_TIMEOUT_S = 30.0
 
 
@@ -86,121 +90,110 @@ class SessionFailed(ProtocolError):
         self.reason = reason
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
-def _unpack_bits(payload: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-
-
 @dataclass
 class Frame:
-    """A decoded wire message: its type plus the parsed fields.
+    """A wire message: its type and the one value it carries, whose
+    payload layout is the type's `_CODEC` row.
 
-    Bit-array payloads come back padded to a whole number of bytes; the
+    A bit-array value comes back padded to a whole number of bytes; the
     consumer truncates to the pulse count it already knows.
     """
 
     msg_type: MsgType
-    bits: np.ndarray | None = None        # BASIS_ANNOUNCE / POSTSELECT_MASK / SAMPLE_BITS
-    indices: np.ndarray | None = None     # SAMPLE_INDICES
-    value: float | None = None            # QBER_REPORT
-    start: int | None = None              # PARITY_REQ
-    end: int | None = None
-    parity: int | None = None             # PARITY_RSP
-    seed: int | None = None               # HASH_SEED
-    out_len: int | None = None
-    digest: bytes | None = None           # KEY_CONFIRM
-    reason: int | None = None             # ABORT
-
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        if self.msg_type != other.msg_type:
-            return False
-        for name in ("value", "start", "end", "parity", "seed", "out_len",
-                     "digest", "reason"):
-            if getattr(self, name) != getattr(other, name):
-                return False
-        for name in ("bits", "indices"):
-            a, b = getattr(self, name), getattr(other, name)
-            if (a is None) != (b is None):
-                return False
-            if a is not None and not np.array_equal(a, b):
-                return False
-        return True
+    value: object
 
 
-def encode_frame(frame: Frame) -> bytes:
-    t = MsgType(frame.msg_type)
-    if t in (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK, MsgType.SAMPLE_BITS):
-        payload = _pack_bits(frame.bits)
-    elif t == MsgType.SAMPLE_INDICES:
-        idx = np.asarray(frame.indices, dtype=">u4")
-        payload = struct.pack(">I", idx.size) + idx.tobytes()
-    elif t == MsgType.QBER_REPORT:
-        payload = struct.pack(">d", frame.value)
-    elif t == MsgType.PARITY_REQ:
-        payload = struct.pack(">II", frame.start, frame.end)
-    elif t == MsgType.PARITY_RSP:
-        payload = struct.pack(">B", frame.parity & 1)
-    elif t == MsgType.HASH_SEED:
-        payload = struct.pack(">QI", frame.seed, frame.out_len)
-    elif t == MsgType.KEY_CONFIRM:
-        if len(frame.digest) != 32:
-            raise ProtocolError("KEY_CONFIRM digest must be 32 bytes")
-        payload = bytes(frame.digest)
-    elif t == MsgType.ABORT:
-        payload = struct.pack(">H", frame.reason)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ProtocolError(f"unencodable message type {t!r}")
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError("payload too large")
-    return struct.pack(">IB", len(payload), t) + payload
+def _struct_row(fmt: str, to_value=None):
+    """A fixed-size row: `to_value` of the one field `fmt` packs or,
+    without it, the tuple of its fields."""
+    s = struct.Struct(fmt)
+    if to_value is None:
+        return lambda v: s.pack(*v), s.unpack, s.size
+    return s.pack, lambda payload: to_value(s.unpack(payload)[0]), s.size
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Decode one complete frame (header + payload)."""
-    if len(data) < HEADER_SIZE:
-        raise FrameDecodeError("truncated header")
-    length, raw_type = struct.unpack(">IB", data[:HEADER_SIZE])
-    payload = data[HEADER_SIZE:]
-    if len(payload) != length:
-        raise FrameDecodeError(
-            f"length mismatch: header says {length}, got {len(payload)}")
+def _encode_indices(indices) -> bytes:
+    idx = np.asarray(indices, dtype=">u4")
+    return struct.pack(">I", idx.size) + idx.tobytes()
+
+
+def _decode_indices(payload: bytes) -> np.ndarray:
+    (count,) = struct.unpack(">I", payload[:4])
+    idx = np.frombuffer(payload[4:], dtype=">u4")
+    if idx.size != count:
+        raise FrameDecodeError("index count mismatch")
+    return idx.astype(np.int64)
+
+
+def _encode_digest(digest: bytes) -> bytes:
+    if len(digest) != 32:
+        raise ProtocolError("KEY_CONFIRM digest must be 32 bytes")
+    return bytes(digest)
+
+
+_BITS_ROW = (
+    lambda bits: np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes(),
+    lambda payload: np.unpackbits(np.frombuffer(payload, dtype=np.uint8)),
+    lambda n: (n + 7) // 8)
+
+# MsgType -> (value -> payload, payload -> value, size): size is the exact
+# payload length of a fixed-size type, or for a variable-size one the most
+# bytes it can carry in a block of n pulses.
+_CODEC = {
+    MsgType.BASIS_ANNOUNCE: _BITS_ROW,
+    MsgType.POSTSELECT_MASK: _BITS_ROW,
+    MsgType.SAMPLE_INDICES: (_encode_indices, _decode_indices,
+                             lambda n: 4 + 4 * n),
+    MsgType.SAMPLE_BITS: _BITS_ROW,
+    MsgType.QBER_REPORT: _struct_row(">d", float),
+    MsgType.PARITY_REQ: _struct_row(">II"),
+    MsgType.PARITY_RSP: _struct_row(">B", lambda parity: parity & 1),
+    MsgType.HASH_SEED: _struct_row(">QI"),
+    MsgType.KEY_CONFIRM: (_encode_digest, bytes, 32),
+    MsgType.ABORT: _struct_row(">H", AbortReason),
+}
+
+
+def _checked_type(raw_type: int, length: int,
+                  n_pulses: int | None = None) -> MsgType:
+    """The type a header names, if its payload length fits the type and,
+    given a block's pulse count, the block."""
     try:
         t = MsgType(raw_type)
     except ValueError:
         raise FrameDecodeError(f"unknown message type {raw_type:#04x}")
+    size = _CODEC[t][2]
+    if isinstance(size, int):
+        fits = length == size
+    else:
+        fits = n_pulses is None or length <= size(n_pulses)
+    if not fits:
+        raise FrameDecodeError(f"{t.name} cannot carry a {length}-byte payload")
+    return t
+
+
+def encode_frame(frame: Frame) -> bytes:
+    t = MsgType(frame.msg_type)
+    payload = _CODEC[t][0](frame.value)
+    if len(payload) > MAX_PAYLOAD:
+        raise ProtocolError("payload too large")
+    return _HEADER.pack(len(payload), t) + payload
+
+
+def decode_frame(data: bytes) -> Frame:
+    """Decode one complete frame (header + payload)."""
+    if len(data) < _HEADER.size:
+        raise FrameDecodeError("truncated header")
+    length, raw_type = _HEADER.unpack_from(data)
+    payload = data[_HEADER.size:]
+    if len(payload) != length:
+        raise FrameDecodeError(
+            f"length mismatch: header says {length}, got {len(payload)}")
+    t = _checked_type(raw_type, length)
     try:
-        if t in (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK, MsgType.SAMPLE_BITS):
-            return Frame(t, bits=_unpack_bits(payload))
-        if t == MsgType.SAMPLE_INDICES:
-            (count,) = struct.unpack(">I", payload[:4])
-            idx = np.frombuffer(payload[4:], dtype=">u4")
-            if idx.size != count:
-                raise FrameDecodeError("index count mismatch")
-            return Frame(t, indices=idx.astype(np.int64))
-        if t == MsgType.QBER_REPORT:
-            return Frame(t, value=struct.unpack(">d", payload)[0])
-        if t == MsgType.PARITY_REQ:
-            start, end = struct.unpack(">II", payload)
-            return Frame(t, start=start, end=end)
-        if t == MsgType.PARITY_RSP:
-            return Frame(t, parity=payload[0] & 1)
-        if t == MsgType.HASH_SEED:
-            seed, out_len = struct.unpack(">QI", payload)
-            return Frame(t, seed=seed, out_len=out_len)
-        if t == MsgType.KEY_CONFIRM:
-            if len(payload) != 32:
-                raise FrameDecodeError("KEY_CONFIRM payload must be 32 bytes")
-            return Frame(t, digest=bytes(payload))
-        if t == MsgType.ABORT:
-            return Frame(t, reason=AbortReason(struct.unpack(">H", payload)[0]))
+        return Frame(t, _CODEC[t][1](payload))
     except (struct.error, ValueError) as exc:
         raise FrameDecodeError(str(exc))
-    raise FrameDecodeError(f"unhandled message type {t!r}")  # pragma: no cover
 
 
 class StreamTransport:
@@ -229,10 +222,14 @@ class StreamTransport:
             buf.extend(chunk)
         return bytes(buf)
 
-    def recv_frame(self) -> Frame:
+    def recv_frame(self, n_pulses: int | None = None) -> Frame:
+        """The next frame.  Its header is checked before any payload byte
+        is read: the type must be known and the length fit the type and,
+        given the block's pulse count `n_pulses`, the block."""
         try:
-            header = self._recv_exact(HEADER_SIZE)
-            length, _ = struct.unpack(">IB", header)
+            header = self._recv_exact(_HEADER.size)
+            length, raw_type = _HEADER.unpack(header)
+            _checked_type(raw_type, length, n_pulses)
             payload = self._recv_exact(length)
         except socket.timeout:
             raise SessionFailed(AbortReason.TIMEOUT, "receive timed out")
@@ -311,32 +308,20 @@ _BIT_FIELDS = (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK,
                MsgType.SAMPLE_BITS)
 
 
-def _frame_of(t: MsgType, value) -> Frame:
-    if t in _BIT_FIELDS:
-        return Frame(t, bits=value)
-    if t == MsgType.SAMPLE_INDICES:
-        return Frame(t, indices=value)
-    if t == MsgType.QBER_REPORT:
-        return Frame(t, value=value)
-    return Frame(t, seed=value[0], out_len=value[1])
-
-
 def _checked_value(frame: Frame, bound):
     """The value a received frame carries, or None if it does not fit
     `bound`: a bit field's bit count, the keep mask sample indices must
     select from, the kept-bit count that caps HASH_SEED's out_len."""
-    t = frame.msg_type
+    t, value = frame.msg_type, frame.value
     if t in _BIT_FIELDS:
-        bits = frame.bits
-        return bits[:bound] if bits.size == (bound + 7) // 8 * 8 else None
+        return value[:bound] if value.size == (bound + 7) // 8 * 8 else None
     if t == MsgType.SAMPLE_INDICES:
-        idx = frame.indices
-        ok = (idx.size > 0 and np.all(idx[1:] > idx[:-1])
-              and idx[-1] < bound.size and np.all(bound[idx]))
-        return idx if ok else None
+        ok = (value.size > 0 and np.all(value[1:] > value[:-1])
+              and value[-1] < bound.size and np.all(bound[value]))
+        return value if ok else None
     if t == MsgType.QBER_REPORT:
-        return frame.value if 0.0 <= frame.value <= 1.0 else None
-    return (frame.seed, frame.out_len) if frame.out_len <= bound else None
+        return value if 0.0 <= value <= 1.0 else None
+    return value if value[1] <= bound else None   # HASH_SEED (seed, out_len)
 
 
 class WireLink:
@@ -345,10 +330,12 @@ class WireLink:
     enters the chain.  A failure sends ABORT (unless the peer did) and
     raises SessionFailed."""
 
-    def __init__(self, role: Role, transport: StreamTransport, block_id: int):
+    def __init__(self, role: Role, transport: StreamTransport, block_id: int,
+                 n_pulses: int):
         self.alice = role == Role.ALICE
         self.bob = role == Role.BOB
         self.transport = transport
+        self.n_pulses = n_pulses   # bounds what the peer's headers may claim
         self.state = SessionState(role=role, block_id=block_id)
         self.perms = None   # Cascade's permutations, once reconcile starts
 
@@ -356,7 +343,7 @@ class WireLink:
              notify: bool = True) -> SessionFailed:
         if notify:
             try:
-                self.transport.send_frame(Frame(MsgType.ABORT, reason=int(reason)))
+                self.transport.send_frame(Frame(MsgType.ABORT, reason))
             except OSError:
                 pass
         self.state.advance(Phase.FAILED)
@@ -368,23 +355,23 @@ class WireLink:
         except OSError:
             # the peer hung up; an ABORT it sent first says why
             try:
-                last = self.transport.recv_frame()
+                last = self.transport.recv_frame(self.n_pulses)
             except ProtocolError:
                 last = None
             reason = AbortReason.TRANSPORT_CLOSED
             if last is not None and last.msg_type == MsgType.ABORT:
-                reason = AbortReason(last.reason)
+                reason = last.value
             raise self.fail(reason, "peer closed the connection", notify=False)
 
     def expect(self, msg_type: MsgType) -> Frame:
         try:
-            frame = self.transport.recv_frame()
+            frame = self.transport.recv_frame(self.n_pulses)
         except FrameDecodeError as exc:
             raise self.fail(AbortReason.DECODE_ERROR, str(exc))
         except SessionFailed as exc:
             raise self.fail(exc.reason, str(exc), notify=exc.reason == AbortReason.TIMEOUT)
         if frame.msg_type == MsgType.ABORT:
-            raise self.fail(AbortReason(frame.reason), "peer aborted", notify=False)
+            raise self.fail(frame.value, "peer aborted", notify=False)
         if frame.msg_type != msg_type:
             raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
                             f"expected {msg_type.name}, got {frame.msg_type.name}")
@@ -401,7 +388,7 @@ class WireLink:
             self.state.advance(_PHASE_OF[t])
         if sending:
             value = make()
-            self.send(_frame_of(t, value))
+            self.send(Frame(t, value))
             return value
         value = _checked_value(self.expect(t), bound)
         if value is None:
@@ -418,34 +405,34 @@ class WireLink:
         if self.alice:
             result = pp.cascade_reconcile(alice_key, self, perms.passes, k1,
                                           perms)
-            self.send(Frame(MsgType.PARITY_REQ, start=0, end=0))
+            self.send(Frame(MsgType.PARITY_REQ, (0, 0)))
             return result
         oracle = pp.LocalParityOracle(bob_key, perms)
         while True:
             frame = self.expect(MsgType.PARITY_REQ)
-            if frame.start == 0 and frame.end == 0:
+            if frame.value == (0, 0):
                 return None, oracle.query_count
             try:
-                p, a, b = perms.unflatten(frame.start, frame.end)
+                p, a, b = perms.unflatten(*frame.value)
             except ValueError as exc:
                 raise self.fail(AbortReason.UNEXPECTED_MESSAGE, str(exc))
-            self.send(Frame(MsgType.PARITY_RSP, parity=oracle.parity(p, a, b)))
+            self.send(Frame(MsgType.PARITY_RSP, oracle.parity(p, a, b)))
 
     def parity(self, pass_index: int, start: int, end: int) -> int:
         """Alice's Cascade oracle: one request in flight, per parity."""
-        vstart, vend = self.perms.flatten(pass_index, start, end)
-        self.send(Frame(MsgType.PARITY_REQ, start=vstart, end=vend))
-        return self.expect(MsgType.PARITY_RSP).parity
+        self.send(Frame(MsgType.PARITY_REQ,
+                        self.perms.flatten(pass_index, start, end)))
+        return self.expect(MsgType.PARITY_RSP).value
 
     def confirm(self, key: np.ndarray) -> None:
         """KEY_CONFIRM, Bob's digest first; different keys abort both ends
         with KEY_MISMATCH."""
         digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
         if self.bob:
-            self.send(Frame(MsgType.KEY_CONFIRM, digest=digest))
-        peer_digest = self.expect(MsgType.KEY_CONFIRM).digest
+            self.send(Frame(MsgType.KEY_CONFIRM, digest))
+        peer_digest = self.expect(MsgType.KEY_CONFIRM).value
         if self.alice:
-            self.send(Frame(MsgType.KEY_CONFIRM, digest=digest))
+            self.send(Frame(MsgType.KEY_CONFIRM, digest))
         if peer_digest != digest:
             raise self.fail(AbortReason.KEY_MISMATCH, "final keys differ")
         self.state.advance(Phase.DONE)
@@ -461,7 +448,9 @@ def run_session(role: Role, transport: StreamTransport, cfg,
     SessionFailed (after emitting ABORT) on any protocol violation; on
     success both ends hold bit-identical keys, checked via KEY_CONFIRM.
     """
-    link = WireLink(role, transport, block_id)
+    if n_pulses is None:
+        n_pulses = cfg.block_size_pulses
+    link = WireLink(role, transport, block_id, n_pulses)
     link.state.advance(Phase.QUANTUM_EXCHANGE)
     if drift is None:
         drift = DriftState(cfg.drift.efficiency_mean, cfg.drift.phase_mean_rad)

@@ -101,50 +101,76 @@ def run_pair(cfg, transports=None, **kwargs):
 
 _frame_strategies = st.one_of(
     st.builds(lambda bits: Frame(MsgType.BASIS_ANNOUNCE,
-                                 bits=np.array(bits, dtype=np.uint8)),
+                                 np.array(bits, dtype=np.uint8)),
               st.lists(st.integers(0, 1), min_size=8, max_size=64).map(
                   lambda xs: xs[:len(xs) - len(xs) % 8])
               .filter(lambda xs: len(xs) >= 8)),
     st.builds(lambda idx: Frame(MsgType.SAMPLE_INDICES,
-                                indices=np.array(sorted(set(idx)),
-                                                 dtype=np.int64)),
+                                np.array(sorted(set(idx)), dtype=np.int64)),
               st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=32)),
     st.builds(lambda v: Frame(MsgType.QBER_REPORT, value=v),
               st.floats(min_value=0.0, max_value=0.5)),
-    st.builds(lambda a, b: Frame(MsgType.PARITY_REQ, start=min(a, b),
-                                 end=max(a, b)),
+    st.builds(lambda a, b: Frame(MsgType.PARITY_REQ, (min(a, b), max(a, b))),
               st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
-    st.builds(lambda p: Frame(MsgType.PARITY_RSP, parity=p),
+    st.builds(lambda p: Frame(MsgType.PARITY_RSP, p),
               st.integers(0, 1)),
-    st.builds(lambda s, n: Frame(MsgType.HASH_SEED, seed=s, out_len=n),
+    st.builds(lambda s, n: Frame(MsgType.HASH_SEED, (s, n)),
               st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32 - 1)),
-    st.builds(lambda d: Frame(MsgType.KEY_CONFIRM, digest=bytes(d)),
+    st.builds(lambda d: Frame(MsgType.KEY_CONFIRM, bytes(d)),
               st.binary(min_size=32, max_size=32)),
-    st.builds(lambda r: Frame(MsgType.ABORT, reason=r),
+    st.builds(lambda r: Frame(MsgType.ABORT, r),
               st.sampled_from([int(r) for r in AbortReason])),
 )
+
+
+# (frame, its bytes in hex: length, type, payload fields)
+_PINNED_FRAMES = [
+    # bits 0100 1101 pack to 0x4D, pulse 0 in the MSB
+    (Frame(MsgType.BASIS_ANNOUNCE,
+           np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)),
+     "00000001 01 4d"),
+    # a partial last byte is zero-padded
+    (Frame(MsgType.POSTSELECT_MASK,
+           np.array([1, 0, 0, 0, 0, 0, 0, 0, 1, 1], dtype=bool)),
+     "00000002 02 80c0"),
+    (Frame(MsgType.SAMPLE_INDICES, np.array([3, 258, 70000])),
+     "00000010 03 00000003 00000003 00000102 00011170"),
+    (Frame(MsgType.SAMPLE_BITS,
+           np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 1], dtype=np.uint8)),
+     "00000002 04 f040"),
+    (Frame(MsgType.QBER_REPORT, 0.25), "00000008 05 3fd0000000000000"),
+    (Frame(MsgType.PARITY_REQ, (1, 258)), "00000008 06 00000001 00000102"),
+    (Frame(MsgType.PARITY_RSP, 1), "00000001 07 01"),
+    (Frame(MsgType.HASH_SEED, (0x0102030405060708, 0x0A0B0C0D)),
+     "0000000c 08 0102030405060708 0a0b0c0d"),
+    (Frame(MsgType.KEY_CONFIRM, bytes(range(32))),
+     "00000020 09 " + bytes(range(32)).hex()),
+    (Frame(MsgType.ABORT, AbortReason.TIMEOUT), "00000002 0a 0003"),
+]
 
 
 class TestFraming:
     @settings(max_examples=200, deadline=None)
     @given(_frame_strategies)
     def test_round_trip(self, frame):
-        assert decode_frame(encode_frame(frame)) == frame
+        data = encode_frame(frame)
+        assert encode_frame(decode_frame(data)) == data
 
     def test_pinned_basis_announce(self):
-        # bits 0100 1101 pack to 0x4D, pulse 0 in the MSB
-        frame = Frame(MsgType.BASIS_ANNOUNCE,
-                      bits=np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=np.uint8))
-        assert encode_frame(frame) == b"\x00\x00\x00\x01\x01\x4d"
+        # one frame per MsgType, with the bytes the layout fixes
+        assert [f.msg_type for f, _ in _PINNED_FRAMES] == list(MsgType)
+        for frame, data in _PINNED_FRAMES:
+            data = bytes.fromhex(data)
+            assert encode_frame(frame) == data, frame.msg_type.name
+            assert encode_frame(decode_frame(data)) == data
 
     def test_abort_frame_is_seven_bytes(self):
-        data = encode_frame(Frame(MsgType.ABORT,
-                                  reason=int(AbortReason.TIMEOUT)))
+        data = encode_frame(Frame(MsgType.ABORT, AbortReason.TIMEOUT))
         assert len(data) == 7
         assert data == b"\x00\x00\x00\x02\x0a\x00\x03"
 
     def test_header_is_big_endian(self):
-        data = encode_frame(Frame(MsgType.QBER_REPORT, value=0.25))
+        data = encode_frame(Frame(MsgType.QBER_REPORT, 0.25))
         length, raw_type = struct.unpack(">IB", data[:5])
         assert length == 8
         assert raw_type == 0x05
@@ -167,7 +193,7 @@ class TestFraming:
 
     def test_key_confirm_digest_size_enforced(self):
         with pytest.raises(ProtocolError):
-            encode_frame(Frame(MsgType.KEY_CONFIRM, digest=b"short"))
+            encode_frame(Frame(MsgType.KEY_CONFIRM, b"short"))
 
 
 class TestStateMachine:
@@ -286,11 +312,26 @@ class _TamperingTransport(proto.StreamTransport):
         self.sent.append(frame)
         super().send_frame(frame)
 
-    def recv_frame(self):
-        frame = super().recv_frame()
+    def recv_frame(self, n_pulses=None):
+        frame = super().recv_frame(n_pulses)
         if self.tamper is None:
             self.received_after.append(frame.msg_type)
         return frame
+
+
+class _OversizedHeaderTransport(proto.StreamTransport):
+    """A peer that sends the first frame of one type as a bare header
+    claiming a 64 MiB payload, then goes on with its session."""
+
+    def __init__(self, sock, timeout_s, msg_type):
+        super().__init__(sock, timeout_s)
+        self.msg_type = msg_type
+
+    def send_frame(self, frame):
+        if frame.msg_type != self.msg_type:
+            return super().send_frame(frame)
+        self.msg_type = None
+        self.sock.sendall(struct.pack(">IB", 2 ** 26, frame.msg_type))
 
 
 class TestFaultInjection:
@@ -321,42 +362,42 @@ class TestFaultInjection:
         # consume Bob's opening frames, then answer out of order
         for _ in range(3):
             ta.recv_frame()
-        ta.send_frame(Frame(MsgType.QBER_REPORT, value=0.1))
+        ta.send_frame(Frame(MsgType.QBER_REPORT, 0.1))
         abort = ta.recv_frame()
         t.join()
         ta.close()
         tb.close()
         assert abort.msg_type == MsgType.ABORT
-        assert abort.reason == int(AbortReason.UNEXPECTED_MESSAGE)
+        assert abort.value == AbortReason.UNEXPECTED_MESSAGE
         assert result["bob"].reason == AbortReason.UNEXPECTED_MESSAGE
 
     @pytest.mark.parametrize("sender, msg_type, tamper", [
         (Role.BOB, MsgType.BASIS_ANNOUNCE,
-         lambda f, sent, n_kept: replace(f, bits=f.bits[:-8])),
+         lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, bits=f.bits[:-8])),
+         lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
-             f, indices=np.append(f.indices[:-1], 10 ** 9))),
+             f, value=np.append(f.value[:-1], 10 ** 9))),
         (Role.BOB, MsgType.SAMPLE_INDICES,
-         lambda f, sent, n_kept: replace(f, indices=f.indices[::-1])),
+         lambda f, sent, n_kept: replace(f, value=f.value[::-1])),
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
-             f, indices=np.append(f.indices[:1], f.indices[:-1]))),
+             f, value=np.append(f.value[:1], f.value[:-1]))),
         (Role.BOB, MsgType.SAMPLE_INDICES,
-         lambda f, sent, n_kept: replace(f, indices=np.sort(np.append(
-             f.indices[1:], np.flatnonzero(sent[-1].bits == 0)[0])))),
+         lambda f, sent, n_kept: replace(f, value=np.sort(np.append(
+             f.value[1:], np.flatnonzero(sent[-1].value == 0)[0])))),
         (Role.ALICE, MsgType.SAMPLE_BITS,
-         lambda f, sent, n_kept: replace(f, bits=f.bits[:8])),
+         lambda f, sent, n_kept: replace(f, value=f.value[:8])),
         (Role.BOB, MsgType.QBER_REPORT,
          lambda f, sent, n_kept: replace(f, value=math.nan)),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(f, start=50 * n_kept,
-                                         end=50 * n_kept + 1)),
+         lambda f, sent, n_kept: replace(
+             f, value=(50 * n_kept, 50 * n_kept + 1))),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(f, start=3, end=3)),
+         lambda f, sent, n_kept: replace(f, value=(3, 3))),
         (Role.BOB, MsgType.HASH_SEED,
-         lambda f, sent, n_kept: replace(f, out_len=n_kept + 1)),
+         lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
     ], ids=["basis-short", "mask-short", "index-1e9", "indices-unsorted",
             "index-repeated", "index-not-kept", "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "out-len-too-big"])
@@ -380,6 +421,27 @@ class TestFaultInjection:
                 == AbortReason.UNEXPECTED_MESSAGE)
         # the receiver rejects the tampered frame itself, not a later one
         assert tamperer.received_after == [MsgType.ABORT]
+        assert elapsed < 1.0   # far inside the 5 s receive timeout
+
+    @pytest.mark.parametrize("sender, msg_type", [
+        (Role.ALICE, MsgType.SAMPLE_BITS),
+        (Role.BOB, MsgType.QBER_REPORT),
+    ], ids=["sample-bits", "qber-report"])
+    def test_oversized_length_header_aborts_both_ends(self, sender, msg_type):
+        sa, sb = socket.socketpair()
+        socks = {Role.ALICE: sa, Role.BOB: sb}
+        transports = [_OversizedHeaderTransport(socks[role], 5.0, msg_type)
+                      if role == sender
+                      else proto.StreamTransport(socks[role], 5.0)
+                      for role in (Role.ALICE, Role.BOB)]
+        start = time.monotonic()
+        out = run_pair(small_cfg(), transports=transports)
+        elapsed = time.monotonic() - start
+        assert isinstance(out[Role.ALICE], SessionFailed)
+        assert isinstance(out[Role.BOB], SessionFailed)
+        assert (out[Role.ALICE].reason == out[Role.BOB].reason
+                == AbortReason.DECODE_ERROR)
+        # rejected from the header, without waiting for the payload
         assert elapsed < 1.0   # far inside the 5 s receive timeout
 
     def test_timeout_fails_session(self):
