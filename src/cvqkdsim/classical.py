@@ -51,14 +51,12 @@ class EyeReport:
 
 
 def simulate_ook_link(bits, snr_db: float, samples_per_bit: int,
-                      rng: np.random.Generator,
-                      cvqkd_on: bool = False) -> EyeReport:
+                      rng: np.random.Generator) -> EyeReport:
     """NRZ OOK over an AWGN link, reported as mid-bit level statistics.
 
     snr_db sets the swing-to-noise ratio: sigma = (mu1 - mu0) / 10^(snr/20).
     The co-propagating quantum channel adds no measurable noise, so the
-    report does not depend on `cvqkd_on`; the flag exists so callers can
-    tag their output rows.
+    model has no term for it.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:

@@ -113,6 +113,10 @@ class DriftParams:
     phase_sigma: float = 0.0       # per sqrt(second)
     reversion_rate: float = 1.0 / 600.0  # 1/s
 
+    def mean_state(self) -> DriftState:
+        """Where a run's drift starts: both walks at their means."""
+        return DriftState(self.efficiency_mean, self.phase_mean_rad)
+
 
 @dataclass(frozen=True)
 class DriftState:

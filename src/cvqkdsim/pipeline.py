@@ -3,8 +3,9 @@
 The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
-wire.  run_chain() distills a block; distill_block() runs it in process
-for the experiment runners, protocol.run_session() over the wire.
+wire.  run_chain() distills a block into a BlockResult, which
+distill_block() returns in process for the experiment runners and
+protocol.run_session() over the wire.
 
 The two paths differ in one behaviour: a block that Cascade leaves with
 residual errors yields no key and SKR 0 in process, while over the wire it
@@ -173,12 +174,11 @@ def run_chain(cfg, block_id: int, phys: BlockPhysics, link,
 
 
 def distill_block(cfg, block_id: int, drift: DriftState,
-                  n_pulses: int | None = None,
                   qber_used: float | None = None) -> BlockResult:
     """Full distillation of one block in process; `qber_used` substitutes
     a pooled error-rate estimate (e.g. the experiment runner's running
     average) for the block's own noisy sample, as in run_chain."""
-    phys = simulate_quantum_exchange(cfg, block_id, drift, n_pulses)
+    phys = simulate_quantum_exchange(cfg, block_id, drift)
     result = run_chain(cfg, block_id, phys, LocalLink(), qber_used)
     result.variance_snu = float(np.var(phys.batch.outcome_snu))
     return result

@@ -14,6 +14,14 @@ payload byte is read: a fixed-size type needs its exact size, and a
 variable-size one may carry no more than a block of its pulse count
 needs.  The quantum exchange itself is simulated locally on both endpoints
 from the shared config seed, so no quantum data travels over this channel.
+
+run_session() is pipeline.run_chain over a WireLink and returns its
+BlockResult, as distill_block() does in process.  A malformed,
+out-of-range, out-of-order or missing frame ends both endpoints in
+SessionFailed with the same AbortReason.  The one exception is the last
+message of a session, Alice's KEY_CONFIRM: if it is lost, Alice has
+already returned her key while Bob fails, with TRANSPORT_CLOSED once she
+hangs up or TIMEOUT if she does not.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import postprocess as pp
-from .physics import CalibrationError, DriftState
-from .pipeline import run_chain, simulate_quantum_exchange
+from .physics import CalibrationError
+from .pipeline import BlockResult, run_chain, simulate_quantum_exchange
 
 __all__ = [
     "MsgType",
@@ -38,9 +46,6 @@ __all__ = [
     "FrameDecodeError",
     "SessionFailed",
     "Role",
-    "Phase",
-    "SessionState",
-    "SessionResult",
     "StreamTransport",
     "WireLink",
     "loopback_pair",
@@ -125,6 +130,12 @@ def _decode_indices(payload: bytes) -> np.ndarray:
     return idx.astype(np.int64)
 
 
+def _decode_parity(byte: int) -> int:
+    if byte > 1:
+        raise ValueError(f"parity byte {byte} is neither 0 nor 1")
+    return byte
+
+
 def _encode_digest(digest: bytes) -> bytes:
     if len(digest) != 32:
         raise ProtocolError("KEY_CONFIRM digest must be 32 bytes")
@@ -147,7 +158,7 @@ _CODEC = {
     MsgType.SAMPLE_BITS: _BITS_ROW,
     MsgType.QBER_REPORT: _struct_row(">d", float),
     MsgType.PARITY_REQ: _struct_row(">II"),
-    MsgType.PARITY_RSP: _struct_row(">B", lambda parity: parity & 1),
+    MsgType.PARITY_RSP: _struct_row(">B", _decode_parity),
     MsgType.HASH_SEED: _struct_row(">QI"),
     MsgType.KEY_CONFIRM: (_encode_digest, bytes, 32),
     MsgType.ABORT: _struct_row(">H", AbortReason),
@@ -261,49 +272,6 @@ class Role(enum.Enum):
     BOB = "bob"
 
 
-class Phase(enum.Enum):
-    IDLE = "idle"
-    QUANTUM_EXCHANGE = "quantum_exchange"
-    SIFTING = "sifting"
-    POST_SELECTION = "post_selection"
-    ESTIMATION = "estimation"
-    RECONCILIATION = "reconciliation"
-    AMPLIFICATION = "amplification"
-    DONE = "done"
-    FAILED = "failed"
-
-
-_PHASE_ORDER = [p for p in Phase if p != Phase.FAILED]
-
-
-@dataclass
-class SessionState:
-    role: Role
-    phase: Phase = Phase.IDLE
-    block_id: int = 0
-
-    def advance(self, new_phase: Phase) -> None:
-        if new_phase == Phase.FAILED:
-            self.phase = new_phase
-            return
-        if _PHASE_ORDER.index(new_phase) != _PHASE_ORDER.index(self.phase) + 1:
-            raise ProtocolError(
-                f"illegal phase transition {self.phase} -> {new_phase}")
-        self.phase = new_phase
-
-
-@dataclass
-class SessionResult:
-    state: SessionState
-    report: pp.KeySessionReport
-    key_bits: np.ndarray
-
-
-# The phase that each chain message opens.
-_PHASE_OF = {MsgType.BASIS_ANNOUNCE: Phase.SIFTING,
-             MsgType.POSTSELECT_MASK: Phase.POST_SELECTION,
-             MsgType.SAMPLE_INDICES: Phase.ESTIMATION,
-             MsgType.HASH_SEED: Phase.AMPLIFICATION}
 _BIT_FIELDS = (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK,
                MsgType.SAMPLE_BITS)
 
@@ -330,13 +298,11 @@ class WireLink:
     enters the chain.  A failure sends ABORT (unless the peer did) and
     raises SessionFailed."""
 
-    def __init__(self, role: Role, transport: StreamTransport, block_id: int,
-                 n_pulses: int):
+    def __init__(self, role: Role, transport: StreamTransport, n_pulses: int):
         self.alice = role == Role.ALICE
         self.bob = role == Role.BOB
         self.transport = transport
         self.n_pulses = n_pulses   # bounds what the peer's headers may claim
-        self.state = SessionState(role=role, block_id=block_id)
         self.perms = None   # Cascade's permutations, once reconcile starts
 
     def fail(self, reason: AbortReason, detail: str = "",
@@ -346,7 +312,6 @@ class WireLink:
                 self.transport.send_frame(Frame(MsgType.ABORT, reason))
             except OSError:
                 pass
-        self.state.advance(Phase.FAILED)
         return SessionFailed(reason, detail)
 
     def send(self, frame: Frame) -> None:
@@ -384,8 +349,6 @@ class WireLink:
         return self._carry(self.bob, MsgType[kind], make, bound)
 
     def _carry(self, sending: bool, t: MsgType, make, bound):
-        if t in _PHASE_OF:
-            self.state.advance(_PHASE_OF[t])
         if sending:
             value = make()
             self.send(Frame(t, value))
@@ -400,7 +363,6 @@ class WireLink:
                   k1: int):
         """Cascade over PARITY_REQ/RSP until Alice's (0, 0) sentinel.
         Returns (Alice's corrected string or None, parities disclosed)."""
-        self.state.advance(Phase.RECONCILIATION)
         self.perms = perms
         if self.alice:
             result = pp.cascade_reconcile(alice_key, self, perms.passes, k1,
@@ -435,29 +397,21 @@ class WireLink:
             self.send(Frame(MsgType.KEY_CONFIRM, digest))
         if peer_digest != digest:
             raise self.fail(AbortReason.KEY_MISMATCH, "final keys differ")
-        self.state.advance(Phase.DONE)
 
 
 def run_session(role: Role, transport: StreamTransport, cfg,
-                drift: DriftState | None = None, block_id: int = 0,
-                n_pulses: int | None = None) -> SessionResult:
+                block_id: int = 0) -> BlockResult:
     """Drive one key-distillation block end to end over `transport`.
 
     Both endpoints reconstruct the quantum exchange from the shared config
-    seed, then run pipeline.run_chain over a WireLink.  Raises
-    SessionFailed (after emitting ABORT) on any protocol violation; on
-    success both ends hold bit-identical keys, checked via KEY_CONFIRM.
+    seed, then run pipeline.run_chain over a WireLink and return its
+    BlockResult.  Raises SessionFailed (after emitting ABORT) on any
+    protocol violation; on success both ends hold bit-identical keys,
+    checked via KEY_CONFIRM.
     """
-    if n_pulses is None:
-        n_pulses = cfg.block_size_pulses
-    link = WireLink(role, transport, block_id, n_pulses)
-    link.state.advance(Phase.QUANTUM_EXCHANGE)
-    if drift is None:
-        drift = DriftState(cfg.drift.efficiency_mean, cfg.drift.phase_mean_rad)
+    link = WireLink(role, transport, cfg.block_size_pulses)
     try:
-        phys = simulate_quantum_exchange(cfg, block_id, drift, n_pulses)
+        phys = simulate_quantum_exchange(cfg, block_id, cfg.drift.mean_state())
     except CalibrationError as exc:
         raise link.fail(AbortReason.CALIBRATION_FAILED, str(exc))
-    result = run_chain(cfg, block_id, phys, link)
-    return SessionResult(state=link.state, report=result.report,
-                         key_bits=result.key_bits)
+    return run_chain(cfg, block_id, phys, link)

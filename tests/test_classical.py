@@ -76,14 +76,6 @@ class TestEye:
         rep = simulate_ook_link(bits, snr_db, 8, np.random.default_rng(2))
         assert rep.eye_opening == pytest.approx(0.7, abs=0.01)
 
-    def test_report_independent_of_cvqkd_flag(self):
-        bits = prbs15_sequence(5000)
-        a = simulate_ook_link(bits, 18.0, 8, np.random.default_rng(5),
-                              cvqkd_on=True)
-        b = simulate_ook_link(bits, 18.0, 8, np.random.default_rng(5),
-                              cvqkd_on=False)
-        assert a == b
-
     def test_rejects_bad_inputs(self):
         bits = prbs15_sequence(100)
         with pytest.raises(ValueError):

@@ -26,11 +26,9 @@ from cvqkdsim.protocol import (
     Frame,
     FrameDecodeError,
     MsgType,
-    Phase,
     ProtocolError,
     Role,
     SessionFailed,
-    SessionState,
     decode_frame,
     encode_frame,
     loopback_pair,
@@ -50,7 +48,7 @@ def noiseless_cfg(**kwargs) -> SystemConfig:
 
 
 def mean_drift(cfg) -> DriftState:
-    return DriftState(cfg.drift.efficiency_mean, cfg.drift.phase_mean_rad)
+    return cfg.drift.mean_state()
 
 
 def reference_estimation(cfg, block_id: int):
@@ -187,6 +185,11 @@ class TestFraming:
         with pytest.raises(FrameDecodeError):
             decode_frame(b"\x00\x00\x00\x02\x0a\x00\x63")
 
+    def test_decode_rejects_parity_above_one(self):
+        for byte in (0x02, 0xFF):
+            with pytest.raises(FrameDecodeError):
+                decode_frame(b"\x00\x00\x00\x01\x07" + bytes([byte]))
+
     def test_decode_rejects_truncated_header(self):
         with pytest.raises(FrameDecodeError):
             decode_frame(b"\x00\x00")
@@ -194,27 +197,6 @@ class TestFraming:
     def test_key_confirm_digest_size_enforced(self):
         with pytest.raises(ProtocolError):
             encode_frame(Frame(MsgType.KEY_CONFIRM, b"short"))
-
-
-class TestStateMachine:
-    def test_phases_advance_in_order(self):
-        state = SessionState(role=Role.ALICE)
-        for phase in (Phase.QUANTUM_EXCHANGE, Phase.SIFTING,
-                      Phase.POST_SELECTION, Phase.ESTIMATION,
-                      Phase.RECONCILIATION, Phase.AMPLIFICATION, Phase.DONE):
-            state.advance(phase)
-        assert state.phase == Phase.DONE
-
-    def test_illegal_transition_rejected(self):
-        state = SessionState(role=Role.BOB)
-        with pytest.raises(ProtocolError):
-            state.advance(Phase.RECONCILIATION)
-
-    def test_failed_reachable_from_anywhere(self):
-        state = SessionState(role=Role.BOB)
-        state.advance(Phase.QUANTUM_EXCHANGE)
-        state.advance(Phase.FAILED)
-        assert state.phase == Phase.FAILED
 
 
 class TestSession:
@@ -225,8 +207,6 @@ class TestSession:
         assert rb.report.qber == 0.0
         assert ra.key_bits.size > 0
         assert np.array_equal(ra.key_bits, rb.key_bits)
-        assert ra.state.phase == Phase.DONE
-        assert rb.state.phase == Phase.DONE
 
     def test_default_noise_keys_identical(self):
         out = run_pair(small_cfg())
@@ -332,6 +312,20 @@ class _OversizedHeaderTransport(proto.StreamTransport):
             return super().send_frame(frame)
         self.msg_type = None
         self.sock.sendall(struct.pack(">IB", 2 ** 26, frame.msg_type))
+
+
+class _DroppingTransport(proto.StreamTransport):
+    """A peer that silently drops the first frame of one type, then goes
+    on with its session."""
+
+    def __init__(self, sock, timeout_s, msg_type):
+        super().__init__(sock, timeout_s)
+        self.msg_type = msg_type
+
+    def send_frame(self, frame):
+        if frame.msg_type != self.msg_type:
+            return super().send_frame(frame)
+        self.msg_type = None
 
 
 class TestFaultInjection:
@@ -443,6 +437,34 @@ class TestFaultInjection:
                 == AbortReason.DECODE_ERROR)
         # rejected from the header, without waiting for the payload
         assert elapsed < 1.0   # far inside the 5 s receive timeout
+
+    @pytest.mark.parametrize("sender, msg_type, reason", [
+        # the next frame arrives in the dropped one's place
+        (Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.UNEXPECTED_MESSAGE),
+        (Role.BOB, MsgType.POSTSELECT_MASK, AbortReason.UNEXPECTED_MESSAGE),
+        (Role.BOB, MsgType.HASH_SEED, AbortReason.UNEXPECTED_MESSAGE),
+        # both ends wait on each other
+        (Role.BOB, MsgType.SAMPLE_INDICES, AbortReason.TIMEOUT),
+        (Role.BOB, MsgType.QBER_REPORT, AbortReason.TIMEOUT),
+        (Role.BOB, MsgType.PARITY_RSP, AbortReason.TIMEOUT),
+        (Role.BOB, MsgType.KEY_CONFIRM, AbortReason.TIMEOUT),
+        (Role.ALICE, MsgType.SAMPLE_BITS, AbortReason.TIMEOUT),
+        (Role.ALICE, MsgType.PARITY_REQ, AbortReason.TIMEOUT),
+    ], ids=lambda v: v.name.lower())
+    def test_dropped_frame_fails_both_ends(self, sender, msg_type, reason):
+        sa, sb = socket.socketpair()
+        socks = {Role.ALICE: sa, Role.BOB: sb}
+        transports = [_DroppingTransport(socks[role], 0.2, msg_type)
+                      if role == sender
+                      else proto.StreamTransport(socks[role], 0.2)
+                      for role in (Role.ALICE, Role.BOB)]
+        start = time.monotonic()
+        out = run_pair(small_cfg(), transports=transports)
+        elapsed = time.monotonic() - start
+        assert isinstance(out[Role.ALICE], SessionFailed)
+        assert isinstance(out[Role.BOB], SessionFailed)
+        assert out[Role.ALICE].reason == out[Role.BOB].reason == reason
+        assert elapsed < 1.0
 
     def test_timeout_fails_session(self):
         ta, tb = loopback_pair(timeout_s=0.2)
