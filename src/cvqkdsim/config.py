@@ -1,6 +1,15 @@
 """System configuration: defaults, the key = value config-file format, and
 validation.
 
+The config keys are exactly the fields of the SystemConfig dataclass tree:
+a top-level field is its own key, a field of the nested fiber or drift spec
+is `fiber.<field>` / `drift.<field>`, and every field of channel i but its
+index is `wdm.<i>.<field>`.  One walk over the tree gives the parser its key
+table and types and gives dump_config its lines, so a key cannot exist in
+one and not the other.  A bad channel index is an unknown key.  The quantum
+band's launch power is ignored on parse, and of that band only the
+wavelength is dumped.
+
 The default operating point was fixed by a one-time calibration run so that
 the no-WDM secret key rate at the default 10 km link sits inside the
 20-50 kbit/s band (see README):
@@ -137,30 +146,41 @@ class SystemConfig:
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
                 "false": False, "no": False, "0": False}
 
-def _scalars(obj, prefix: str = ""):
-    """(key, type hint, value) of every scalar config field, in field
-    order: the fields of the nested fiber and drift specs become dotted
-    keys, and the wdm channels are left to their own `wdm.*` keys."""
+
+def _walk(obj, prefix: str = ""):
+    """(key, type hint, value) of every config field, in field order: the
+    fields of a nested spec become dotted keys, and channel i's fields,
+    all but its index, come last as `wdm.<i>.<field>`."""
     hints = typing.get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            yield from _scalars(value, f"{prefix}{f.name}.")
-        elif f.name != "wdm":
+            yield from _walk(value, f"{prefix}{f.name}.")
+        elif f.name not in ("wdm", "index"):
             yield prefix + f.name, hints[f.name], value
+    for ch in getattr(obj, "wdm", ()):
+        yield from _walk(ch, f"wdm.{ch.index}.")
+
+
+def _replace(obj, values: dict, prefix: str = ""):
+    """`obj` with every parsed value of its keys, as _walk names them."""
+    changes = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _replace(value, values, f"{prefix}{f.name}.")
+        elif f.name == "wdm":
+            changes[f.name] = [_replace(ch, values, f"wdm.{ch.index}.")
+                               for ch in value]
+        elif prefix + f.name in values:
+            changes[f.name] = values[prefix + f.name]
+    return replace(obj, **changes)
 
 
 # key -> converter; an optional field (`float | None`) reads as its type
-_SCALAR_TYPES = {key: (typing.get_args(hint) or (hint,))[0]
-                 for key, hint, _ in _scalars(SystemConfig())}
-
-
-_WDM_FIELDS = {
-    "launch_power_dbm": float,
-    "enabled": bool,
-    "modulated": bool,
-    "wavelength_nm": float,
-}
+_KEY_TYPES = {key: (typing.get_args(hint) or (hint,))[0]
+              for key, hint, _ in _walk(SystemConfig())}
+_QUANTUM_PREFIX = f"wdm.{QUANTUM_CHANNEL_INDEX}."
 
 
 def _convert(raw: str, conv, line: int, key: str):
@@ -179,11 +199,7 @@ def parse_config_text(text: str) -> SystemConfig:
     """Parse the line-oriented `key = value` format with dotted section
     keys ('#' starts a comment).  Unknown keys are rejected; missing keys
     take the documented defaults."""
-    top: dict = {}
-    fiber: dict = {}
-    drift: dict = {}
-    wdm_overrides: dict[int, dict] = {}
-
+    values: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -192,45 +208,14 @@ def parse_config_text(text: str) -> SystemConfig:
             raise ConfigError(f"expected 'key = value', got {rawline!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        parts = key.split(".")
-        if parts[0] == "wdm":
-            if len(parts) != 3 or parts[2] not in _WDM_FIELDS:
-                raise ConfigError("unknown key", lineno, key)
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ConfigError("channel index must be an integer", lineno, key)
-            if not 1 <= idx <= 8:
-                raise ConfigError(f"channel index {idx} outside 1..8", lineno, key)
-            wdm_overrides.setdefault(idx, {})[parts[2]] = _convert(
-                value, _WDM_FIELDS[parts[2]], lineno, key)
-            continue
-        if key not in _SCALAR_TYPES:
+        if key not in _KEY_TYPES:
             raise ConfigError("unknown key", lineno, key)
-        converted = _convert(value, _SCALAR_TYPES[key], lineno, key)
-        if parts[0] == "fiber":
-            fiber[parts[1]] = converted
-        elif parts[0] == "drift":
-            drift[parts[1]] = converted
-        else:
-            top[key] = converted
-
-    base = SystemConfig()
-    wdm = []
-    for ch in base.wdm:
-        override = wdm_overrides.get(ch.index, {})
-        if ch.is_quantum:
-            # launch power of the quantum band is ignored by the model
-            override.pop("launch_power_dbm", None)
-        wdm.append(replace(ch, **override))
+        values[key] = _convert(value, _KEY_TYPES[key], lineno, key)
+    # launch power of the quantum band is ignored by the model
+    values.pop(_QUANTUM_PREFIX + "launch_power_dbm", None)
 
     try:
-        cfg = SystemConfig(
-            fiber=replace(base.fiber, **fiber),
-            drift=replace(base.drift, **drift),
-            wdm=wdm,
-            **top,
-        )
+        cfg = _replace(SystemConfig(), values)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -254,13 +239,10 @@ def load_config(path) -> SystemConfig:
 
 
 def dump_config(cfg: SystemConfig) -> str:
-    """Fully-resolved config in the same format load_config accepts."""
-    lines = [f"{key} = {value!r}" for key, _, value in _scalars(cfg)
-             if value is not None]
-    for ch in cfg.wdm:
-        lines.append(f"wdm.{ch.index}.wavelength_nm = {ch.wavelength_nm!r}")
-        if not ch.is_quantum:
-            lines.append(f"wdm.{ch.index}.launch_power_dbm = {ch.launch_power_dbm!r}")
-            lines.append(f"wdm.{ch.index}.enabled = {'true' if ch.enabled else 'false'}")
-            lines.append(f"wdm.{ch.index}.modulated = {'true' if ch.modulated else 'false'}")
-    return "\n".join(lines) + "\n"
+    """Fully-resolved config in the same format load_config accepts; of
+    the quantum band, only the wavelength."""
+    return "".join(
+        f"{key} = {str(value).lower() if isinstance(value, bool) else repr(value)}\n"
+        for key, _, value in _walk(cfg)
+        if value is not None and (not key.startswith(_QUANTUM_PREFIX)
+                                  or key.endswith(".wavelength_nm")))

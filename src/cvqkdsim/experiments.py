@@ -7,12 +7,18 @@ between runs.  The --time-scale factor compresses represented wall time by
 shrinking the pulse budget, never the per-block statistics: a scaled run
 simulates fewer blocks of the full configured size, with each block standing
 in for `time_scale` times its nominal duration.
+
+exp_longrun and exp_onoff share one block loop (`_run_blocks`): it runs
+each block through BlockRunner.run_block on the config a function of the
+block's start time picks, and writes one row per block.  The long run
+always picks the given config; the on/off run alternates between all
+classical channels on and all off, and appends its summary lines.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +34,6 @@ from .postprocess import expected_qber
 from .pipeline import derive_seed, distill_block, simulate_quantum_exchange
 
 __all__ = [
-    "ExperimentResultRow",
     "BlockRunner",
     "wdm_state_mask",
     "exp_variance_sweep",
@@ -38,7 +43,6 @@ __all__ = [
     "run_calibration",
     "DEFAULT_TIME_SCALE",
     "LONGRUN_HEADER",
-    "ONOFF_HEADER",
     "VARIANCE_HEADER",
     "EYE_HEADER",
 ]
@@ -50,7 +54,6 @@ EYE_SNR_DB = 20.0
 EYE_SAMPLES_PER_BIT = 8
 
 LONGRUN_HEADER = "timestamp_s,skr_bits_per_s,variance_snu,qber,wdm_state"
-ONOFF_HEADER = LONGRUN_HEADER
 VARIANCE_HEADER = "channel_index,variance_snu,relative_change"
 EYE_HEADER = ("channel_index,cvqkd_on,eye_opening,level_one_mean,"
               "level_zero_mean,noise_sigma")
@@ -59,20 +62,8 @@ EYE_HEADER = ("channel_index,cvqkd_on,eye_opening,level_one_mean,"
 _DRIFT_SEED_TAG = 4
 
 
-@dataclass(frozen=True)
-class ExperimentResultRow:
-    timestamp_s: float
-    skr_bits_per_s: float
-    variance_snu: float
-    qber: float
-    wdm_state: int        # bit (index - 1) set iff that channel carries light
-
-    def to_csv(self) -> str:
-        return (f"{self.timestamp_s!r},{self.skr_bits_per_s!r},"
-                f"{self.variance_snu!r},{self.qber!r},{self.wdm_state}")
-
-
 def wdm_state_mask(cfg) -> int:
+    """Bit (index - 1) set iff that channel carries light."""
     mask = 0
     for ch in cfg.wdm:
         if ch.enabled or ch.is_quantum:
@@ -129,6 +120,24 @@ class BlockRunner:
         return result
 
 
+def _run_blocks(cfg, duration_s: float, time_scale: float, config_at):
+    """One block per represented block duration over `duration_s`, block b
+    on `config_at(t)` for its start time t.  Returns the CSV lines and each
+    block's (config, SKR)."""
+    runner = BlockRunner(cfg, time_scale)
+    lines = [LONGRUN_HEADER]
+    skr = []
+    for b in range(int(round(duration_s / runner.represented_dt_s))):
+        t = b * runner.represented_dt_s
+        active = config_at(t)
+        res = runner.run_block(b, active)
+        rep = res.report
+        lines.append(f"{t!r},{rep.skr_bits_per_s!r},{res.variance_snu!r},"
+                     f"{rep.qber!r},{wdm_state_mask(active)}")
+        skr.append((active, rep.skr_bits_per_s))
+    return lines, skr
+
+
 def exp_longrun(cfg, duration_s: float,
                 time_scale: float = DEFAULT_TIME_SCALE) -> str:
     """Sustained key distillation over `duration_s` of represented time.
@@ -138,19 +147,7 @@ def exp_longrun(cfg, duration_s: float,
     """
     if duration_s < 0.0:
         raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
-    runner = BlockRunner(cfg, time_scale)
-    n_blocks = int(round(duration_s / runner.represented_dt_s))
-    mask = wdm_state_mask(cfg)
-    lines = [LONGRUN_HEADER]
-    for b in range(n_blocks):
-        res = runner.run_block(b)
-        row = ExperimentResultRow(
-            timestamp_s=b * runner.represented_dt_s,
-            skr_bits_per_s=res.report.skr_bits_per_s,
-            variance_snu=res.variance_snu,
-            qber=res.report.qber,
-            wdm_state=mask)
-        lines.append(row.to_csv())
+    lines, _ = _run_blocks(cfg, duration_s, time_scale, lambda t: cfg)
     return "\n".join(lines) + "\n"
 
 
@@ -164,29 +161,14 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     """
     if interval_s <= 0.0:
         raise ValueError(f"interval_s must be > 0, got {interval_s!r}")
-    runner = BlockRunner(cfg, time_scale)
-    classical = [ch.index for ch in cfg.classical_channels]
-    cfg_on = cfg.with_wdm_enabled(classical)
+    cfg_on = cfg.with_wdm_enabled(ch.index for ch in cfg.classical_channels)
     cfg_off = cfg.with_wdm_enabled([])
-    n_blocks = int(round(total_s / runner.represented_dt_s))
+    lines, skr = _run_blocks(
+        cfg, total_s, time_scale,
+        lambda t: cfg_on if int(t // interval_s) % 2 == 0 else cfg_off)
 
-    lines = [ONOFF_HEADER]
-    skr_on: list[float] = []
-    skr_off: list[float] = []
-    for b in range(n_blocks):
-        t = b * runner.represented_dt_s
-        on = int(t // interval_s) % 2 == 0
-        active = cfg_on if on else cfg_off
-        res = runner.run_block(b, active)
-        (skr_on if on else skr_off).append(res.report.skr_bits_per_s)
-        row = ExperimentResultRow(
-            timestamp_s=t,
-            skr_bits_per_s=res.report.skr_bits_per_s,
-            variance_snu=res.variance_snu,
-            qber=res.report.qber,
-            wdm_state=wdm_state_mask(active))
-        lines.append(row.to_csv())
-
+    skr_on = [s for active, s in skr if active is cfg_on]
+    skr_off = [s for active, s in skr if active is cfg_off]
     mean_on = float(np.mean(skr_on)) if skr_on else 0.0
     mean_off = float(np.mean(skr_off)) if skr_off else 0.0
     rel = abs(mean_on - mean_off) / mean_off if mean_off > 0.0 else 0.0
@@ -212,8 +194,9 @@ def exp_variance_sweep(cfg, time_scale: float = DEFAULT_TIME_SCALE) -> str:
     drift = cfg.drift.mean_state()
 
     def point_variance(active_cfg) -> float:
-        phys = simulate_quantum_exchange(active_cfg, 0, drift, n_point)
-        return float(np.var(phys.batch.outcome_snu))
+        batch = simulate_quantum_exchange(
+            replace(active_cfg, block_size_pulses=n_point), 0, drift)
+        return float(np.var(batch.outcome_snu))
 
     baseline = point_variance(cfg.with_wdm_enabled([]))
     lines = [VARIANCE_HEADER]

@@ -30,7 +30,6 @@ from .physics import (
 )
 
 __all__ = [
-    "BlockPhysics",
     "BlockResult",
     "LocalLink",
     "derive_seed",
@@ -47,13 +46,6 @@ def derive_seed(cfg, block_id: int, tag: int) -> int:
 
 
 @dataclass
-class BlockPhysics:
-    batch: PulseBatch        # signal frames, outcomes normalized to SNU
-    shot_estimate: float     # raw blocked-frame variance estimate
-    n_pulses_total: int      # signal + calibration pulses
-
-
-@dataclass
 class BlockResult:
     report: pp.KeySessionReport
     key_bits: np.ndarray
@@ -63,11 +55,12 @@ class BlockResult:
     residual_errors: int
 
 
-def simulate_quantum_exchange(cfg, block_id: int, drift: DriftState,
-                              n_pulses: int | None = None) -> BlockPhysics:
-    """One block of pulses: blocked calibration frames first, then signal
-    frames normalized by the measured shot noise."""
-    n_total = n_pulses if n_pulses is not None else cfg.block_size_pulses
+def simulate_quantum_exchange(cfg, block_id: int,
+                              drift: DriftState) -> PulseBatch:
+    """One block of pulses: blocked calibration frames first, then the
+    signal frames, returned with outcomes normalized by the measured shot
+    noise."""
+    n_total = cfg.block_size_pulses
     rng = np.random.default_rng(derive_seed(cfg, block_id, 0))
     n_cal = max(1000, int(round(cfg.f_cal * n_total)))
     n_sig = n_total - n_cal
@@ -77,7 +70,7 @@ def simulate_quantum_exchange(cfg, block_id: int, drift: DriftState,
     shot = calibrate_shot_noise(cal)
     batch = prepare_and_measure(n_sig, cfg, drift, rng)
     batch.outcome_snu /= math.sqrt(shot)
-    return BlockPhysics(batch=batch, shot_estimate=shot, n_pulses_total=n_total)
+    return batch
 
 
 class LocalLink:
@@ -93,13 +86,13 @@ class LocalLink:
 
     def reconcile(self, alice_key, bob_key, perms, k1):
         oracle = pp.LocalParityOracle(bob_key, perms)
-        return pp.cascade_reconcile(alice_key, oracle, perms.passes, k1, perms)
+        return pp.cascade_reconcile(alice_key, oracle, k1, perms)
 
     def confirm(self, key) -> None:
         pass
 
 
-def run_chain(cfg, block_id: int, phys: BlockPhysics, link,
+def run_chain(cfg, block_id: int, batch: PulseBatch, link,
               qber_used: float | None = None) -> BlockResult:
     """Distill one simulated block, from sifting to key confirmation.
 
@@ -110,7 +103,6 @@ def run_chain(cfg, block_id: int, phys: BlockPhysics, link,
     `bound`.  `qber_used` replaces the block's sampled error rate in the
     key-length arithmetic; Cascade still corrects the real errors.
     """
-    batch = phys.batch
     n_sig = batch.count
 
     # Sifting: Bob announces his measured quadratures.
@@ -163,10 +155,10 @@ def run_chain(cfg, block_id: int, phys: BlockPhysics, link,
     link.confirm(key)
 
     skr = 0.0 if residual else pp.compute_skr(
-        phys.n_pulses_total, cfg.rep_rate_hz, cfg.f_cal, p_post,
+        cfg.block_size_pulses, cfg.rep_rate_hz, cfg.f_cal, p_post,
         i_ab, chi_e, leak, disclosed)
     report = pp.KeySessionReport(
-        n_pulses=phys.n_pulses_total, p_post=p_post, qber=qber,
+        n_pulses=cfg.block_size_pulses, p_post=p_post, qber=qber,
         i_ab_bits=i_ab, chi_e_bits=chi_e, leak_bits=leak,
         final_key_bits=int(key.size), skr_bits_per_s=skr)
     return BlockResult(report=report, key_bits=key, variance_snu=math.nan,
@@ -178,7 +170,7 @@ def distill_block(cfg, block_id: int, drift: DriftState,
     """Full distillation of one block in process; `qber_used` substitutes
     a pooled error-rate estimate (e.g. the experiment runner's running
     average) for the block's own noisy sample, as in run_chain."""
-    phys = simulate_quantum_exchange(cfg, block_id, drift)
-    result = run_chain(cfg, block_id, phys, LocalLink(), qber_used)
-    result.variance_snu = float(np.var(phys.batch.outcome_snu))
+    batch = simulate_quantum_exchange(cfg, block_id, drift)
+    result = run_chain(cfg, block_id, batch, LocalLink(), qber_used)
+    result.variance_snu = float(np.var(batch.outcome_snu))
     return result

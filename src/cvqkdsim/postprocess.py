@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 from scipy.signal import fftconvolve
 
 from .physics import PulseBatch
@@ -157,31 +157,18 @@ def disclosure_sample(kept: np.ndarray, sample_fraction: float,
 
 def expected_qber(m_snu: float, var_snu: float, x_th: float) -> float:
     """Sign-decision error probability between N(+m, var) and N(-m, var)
-    conditioned on |outcome| >= x_th, by adaptive quadrature."""
+    conditioned on |outcome| >= x_th: Q((x_th + m)/sigma) over
+    Q((x_th - m)/sigma) + Q((x_th + m)/sigma), from log tails so that the
+    ratio stays finite where both tails underflow."""
     if var_snu <= 0.0:
         raise ValueError(f"variance must be > 0, got {var_snu!r}")
     if m_snu == 0.0:
         return 0.5
     m = abs(m_snu)
     sig = math.sqrt(var_snu)
-
-    def tail_density(t):
-        # density of |x| for the symmetric +/-m mixture, t >= 0
-        return (math.exp(-0.5 * ((t - m) / sig) ** 2)
-                + math.exp(-0.5 * ((t + m) / sig) ** 2)) / (sig * math.sqrt(2 * math.pi))
-
-    def err_weighted(t):
-        z = 2.0 * m * t / var_snu
-        if z > 700.0:
-            return 0.0
-        return tail_density(t) / (1.0 + math.exp(z))
-
-    upper = max(x_th, m) + 12.0 * sig
-    num, _ = integrate.quad(err_weighted, x_th, upper, epsabs=1e-12, limit=200)
-    den, _ = integrate.quad(tail_density, x_th, upper, epsabs=1e-12, limit=200)
-    if den <= 0.0:
-        return 0.5
-    return min(0.5, num / den)
+    log_wrong = special.log_ndtr(-(x_th + m) / sig)
+    log_right = special.log_ndtr(-(x_th - m) / sig)
+    return min(0.5, float(special.expit(log_wrong - log_right)))
 
 
 def cascade_block_size(qber: float, n: int) -> int:
@@ -202,6 +189,8 @@ class CascadePermutations:
     """
 
     def __init__(self, n: int, passes: int, seed: int):
+        if passes < 2:
+            raise ValueError(f"cascade needs >= 2 passes, got {passes}")
         rng = np.random.default_rng(seed)
         self.n = n
         self.passes = passes
@@ -239,18 +228,16 @@ class LocalParityOracle:
         return int(np.bitwise_xor.reduce(self.bits[idx]))
 
 
-def cascade_reconcile(alice_bits: np.ndarray, oracle, passes: int,
-                      initial_block: int, perms: CascadePermutations,
-                      ) -> tuple[np.ndarray, int]:
+def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
+                      perms: CascadePermutations) -> tuple[np.ndarray, int]:
     """Cascade with binary search and back-propagation.
 
     Reverse reconciliation: Alice corrects her string toward Bob's, whose
-    parities are served by `oracle` (never modified).  Returns the
-    corrected string and the number of parity bits disclosed (= oracle
-    queries made).
+    parities are served by `oracle` (never modified), over every pass of
+    `perms`.  Returns the corrected string and the number of parity bits
+    disclosed (= oracle queries made).
     """
-    if passes < 2:
-        raise ValueError(f"cascade needs >= 2 passes, got {passes}")
+    passes = perms.passes
     n = len(alice_bits)
     if n == 0:
         raise ValueError("empty frame")

@@ -365,8 +365,7 @@ class WireLink:
         Returns (Alice's corrected string or None, parities disclosed)."""
         self.perms = perms
         if self.alice:
-            result = pp.cascade_reconcile(alice_key, self, perms.passes, k1,
-                                          perms)
+            result = pp.cascade_reconcile(alice_key, self, k1, perms)
             self.send(Frame(MsgType.PARITY_REQ, (0, 0)))
             return result
         oracle = pp.LocalParityOracle(bob_key, perms)
@@ -411,7 +410,8 @@ def run_session(role: Role, transport: StreamTransport, cfg,
     """
     link = WireLink(role, transport, cfg.block_size_pulses)
     try:
-        phys = simulate_quantum_exchange(cfg, block_id, cfg.drift.mean_state())
+        batch = simulate_quantum_exchange(cfg, block_id,
+                                          cfg.drift.mean_state())
     except CalibrationError as exc:
         raise link.fail(AbortReason.CALIBRATION_FAILED, str(exc))
-    return run_chain(cfg, block_id, phys, link)
+    return run_chain(cfg, block_id, batch, link)

@@ -155,7 +155,7 @@ def test_criterion_6_reconciliation():
         perms = pp.CascadePermutations(10_000, 4, 6000 + trial)
         oracle = pp.LocalParityOracle(bob, perms)
         corrected, leak = pp.cascade_reconcile(
-            alice, oracle, 4, pp.cascade_block_size(0.05, 10_000), perms)
+            alice, oracle, pp.cascade_block_size(0.05, 10_000), perms)
         if not np.array_equal(corrected, bob):
             failures += 1
         if leak != oracle.query_count:

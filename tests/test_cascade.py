@@ -8,7 +8,7 @@ def run_cascade(alice, bob, passes, k1, seed=99):
     perms = pp.CascadePermutations(len(alice), passes, seed)
     oracle = pp.LocalParityOracle(np.asarray(bob, dtype=np.uint8), perms)
     corrected, leak = pp.cascade_reconcile(np.asarray(alice, dtype=np.uint8),
-                                           oracle, passes, k1, perms)
+                                           oracle, k1, perms)
     assert leak == oracle.query_count
     return corrected, leak
 
@@ -92,18 +92,14 @@ class TestCorrection:
 
 class TestValidation:
     def test_rejects_single_pass(self):
-        bits = np.zeros(16, dtype=np.uint8)
-        perms = pp.CascadePermutations(16, 2, 0)
-        oracle = pp.LocalParityOracle(bits, perms)
         with pytest.raises(ValueError):
-            pp.cascade_reconcile(bits, oracle, 1, 4, perms)
+            pp.CascadePermutations(16, 1, 0)
 
     def test_rejects_empty_frame(self):
         perms = pp.CascadePermutations(4, 2, 0)
         oracle = pp.LocalParityOracle(np.zeros(4, dtype=np.uint8), perms)
         with pytest.raises(ValueError):
-            pp.cascade_reconcile(np.zeros(0, dtype=np.uint8), oracle, 2, 4,
-                                 perms)
+            pp.cascade_reconcile(np.zeros(0, dtype=np.uint8), oracle, 4, perms)
 
     def test_virtual_index_space_round_trip(self):
         perms = pp.CascadePermutations(100, 4, 0)

@@ -125,6 +125,23 @@ class TestEnvironmentSeed:
         assert parse_config_text("seed = 5").seed == 5
 
 
+# every key away from its default; of the quantum band (channel 6) only
+# the wavelength is dumped, so only it can round-trip
+EVERY_KEY_CHANGED = "\n".join([
+    "rep_rate_hz = 2e7", "alpha = 0.5", "epsilon_intrinsic_snu = 1e-3",
+    "x_th_snu = 1.5", "f_cal = 0.2", "sample_fraction = 0.05",
+    "qber_smoothing = 0.1", "cascade_passes = 5",
+    "block_size_pulses = 200000", "seed = 7",
+    "fiber.length_km = 20", "fiber.attenuation_db_per_km = 0.25",
+    "fiber.raman_coefficient_per_mw_km = 1e-4",
+    "drift.efficiency_mean = 0.9", "drift.efficiency_sigma = 1e-3",
+    "drift.phase_mean_rad = 0.01", "drift.phase_sigma = 1e-3",
+    "drift.reversion_rate = 0.01", "force_sigma_snu = 1.2",
+] + [f"wdm.{i}.wavelength_nm = {1540 + i}.5" for i in range(1, 9)] + [
+    f"wdm.{i}.{setting}" for i in (1, 2, 3, 4, 5, 7, 8)
+    for setting in ("launch_power_dbm = -3", "enabled = no", "modulated = 0")])
+
+
 class TestDumpRoundTrip:
     def test_round_trips_defaults(self, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -133,10 +150,16 @@ class TestDumpRoundTrip:
 
     def test_round_trips_overrides(self, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        cfg = parse_config_text(
-            "alpha = 0.42\nfiber.length_km = 15\nwdm.3.enabled = false\n"
-            "seed = 99\n")
-        assert parse_config_text(dump_config(cfg)) == cfg
+        for text in ("alpha = 0.42\nfiber.length_km = 15\nwdm.3.enabled = false\n"
+                     "seed = 99\n", EVERY_KEY_CHANGED):
+            cfg = parse_config_text(text)
+            assert parse_config_text(dump_config(cfg)) == cfg
+        # the last input changes every key dump_config writes
+        default, changed = (
+            dict(line.split(" = ") for line in dump_config(c).splitlines())
+            for c in (SystemConfig(), cfg))
+        assert changed.keys() == default.keys() | {"force_sigma_snu"}
+        assert all(changed[key] != value for key, value in default.items())
 
     def test_load_config_from_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)

@@ -168,6 +168,25 @@ class TestToeplitz:
             want = (t @ x) % 2
             assert np.array_equal(pp.toeplitz_hash(x, seed, out), want)
 
+    def test_exact_at_full_block_size(self):
+        # 882,000 bits are kept from a default 1e6-pulse block at
+        # x_th_snu = 0 (9e5 signal pulses less the 2 % disclosed); the
+        # FFT product must still round to the exact GF(2) product there
+        n, out = 882_000, 441_000
+        seed = 2024
+        rng = np.random.default_rng(17)
+        x = rng.integers(0, 2, n).astype(np.uint8)
+        got = pp.toeplitz_hash(x, seed, out)
+        diag = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, 2, size=out + n - 1, dtype=np.uint8)
+        x64 = x.astype(np.int64)
+        rows = np.unique(np.concatenate(
+            [[0, out - 1], rng.integers(0, out, 254)]))
+        for i in rows:
+            # row i: diag[i - j] for j <= i, then diag[out + j - i - 1]
+            row = np.concatenate([diag[i::-1], diag[out:out + n - i - 1]])
+            assert got[i] == int(row @ x64) % 2, i
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31),
            st.lists(st.integers(0, 1), min_size=2, max_size=128),

@@ -55,7 +55,7 @@ def reference_estimation(cfg, block_id: int):
     """Sifting, post-selection and error estimation of one block by the
     reference helpers: (signal pulses, post-selected frame, qber, frame
     after disclosure)."""
-    batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg)).batch
+    batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
     frame = pp.post_select(pp.sift(batch), cfg.x_th_snu)
     rng = np.random.default_rng(derive_seed(cfg, block_id, 1))
     qber, reduced = pp.qber_estimate(frame, cfg.sample_fraction, rng)
@@ -227,8 +227,8 @@ class TestSession:
 
         # the chain's estimation step against the reference helpers
         link = _RecordingLink()
-        phys = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
-        chained = run_chain(cfg, block_id, phys, link)
+        batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
+        chained = run_chain(cfg, block_id, batch, link)
         n_sig, frame, qber, reduced = reference_estimation(cfg, block_id)
         assert chained.report == local.report
         assert chained.report.p_post == (
