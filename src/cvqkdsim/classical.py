@@ -50,10 +50,11 @@ class EyeReport:
     noise_sigma: float
 
 
-def simulate_ook_link(bits, snr_db: float, samples_per_bit: int,
+def simulate_ook_link(bits, snr_db: float,
                       rng: np.random.Generator) -> EyeReport:
     """NRZ OOK over an AWGN link, reported as mid-bit level statistics.
 
+    Each bit is one mid-bit sample: its level plus one Gaussian noise draw.
     snr_db sets the swing-to-noise ratio: sigma = (mu1 - mu0) / 10^(snr/20).
     The co-propagating quantum channel adds no measurable noise, so the
     model has no term for it.
@@ -61,18 +62,15 @@ def simulate_ook_link(bits, snr_db: float, samples_per_bit: int,
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:
         raise ValueError("bit sequence must be nonempty")
-    if samples_per_bit < 4:
-        raise ValueError(f"samples_per_bit must be >= 4, got {samples_per_bit}")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"invalid snr_db {snr_db!r}")
 
     swing = 1.0
     sigma = 0.0 if snr_db == math.inf else swing / (10.0 ** (snr_db / 20.0))
-    waveform = np.repeat(bits.astype(float), samples_per_bit)
+    mid = bits.astype(float)
     if sigma > 0.0:
-        waveform = waveform + sigma * rng.standard_normal(waveform.size)
+        mid = mid + sigma * rng.standard_normal(mid.size)
 
-    mid = waveform[samples_per_bit // 2::samples_per_bit]
     ones = mid[bits == 1]
     zeros = mid[bits == 0]
     mu1 = float(np.mean(ones)) if ones.size else 1.0

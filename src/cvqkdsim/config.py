@@ -4,11 +4,11 @@ validation.
 The config keys are exactly the fields of the SystemConfig dataclass tree:
 a top-level field is its own key, a field of the nested fiber or drift spec
 is `fiber.<field>` / `drift.<field>`, and every field of channel i but its
-index is `wdm.<i>.<field>`.  One walk over the tree gives the parser its key
+index is `wdm.<i>.<field>`, except that the quantum band (channel 6) has
+only `wdm.6.wavelength_nm`.  One walk over the tree gives the parser its key
 table and types and gives dump_config its lines, so a key cannot exist in
-one and not the other.  A bad channel index is an unknown key.  The quantum
-band's launch power is ignored on parse, and of that band only the
-wavelength is dumped.
+one and not the other.  A bad channel index is an unknown key.  Every float
+value must be finite.
 
 The default operating point was fixed by a one-time calibration run so that
 the no-WDM secret key rate at the default 10 km link sits inside the
@@ -74,7 +74,6 @@ def default_wdm_channels() -> list[WdmChannelSpec]:
             wavelength_nm=round(wavelength_nm, 4),
             launch_power_dbm=-4.5,
             enabled=idx != QUANTUM_CHANNEL_INDEX,
-            modulated=True,
         ))
     return channels
 
@@ -103,6 +102,9 @@ class SystemConfig:
     force_sigma_snu: float | None = None
 
     def __post_init__(self):
+        for key, _, value in _walk(self):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{value!r} is not finite", key=key)
         if self.rep_rate_hz <= 0:
             raise ConfigError("rep_rate_hz must be > 0", key="rep_rate_hz")
         if not 0.0 <= self.f_cal < 1.0:
@@ -113,8 +115,8 @@ class SystemConfig:
         if not 0.0 < self.qber_smoothing <= 1.0:
             raise ConfigError("qber_smoothing outside (0, 1]",
                               key="qber_smoothing")
-        if self.alpha < 0.0 or not math.isfinite(self.alpha):
-            raise ConfigError("alpha must be finite and >= 0", key="alpha")
+        if self.alpha < 0.0:
+            raise ConfigError("alpha must be >= 0", key="alpha")
         if self.x_th_snu < 0.0:
             raise ConfigError("x_th_snu must be >= 0", key="x_th_snu")
         if self.epsilon_intrinsic_snu < 0.0:
@@ -150,7 +152,8 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True,
 def _walk(obj, prefix: str = ""):
     """(key, type hint, value) of every config field, in field order: the
     fields of a nested spec become dotted keys, and channel i's fields,
-    all but its index, come last as `wdm.<i>.<field>`."""
+    all but its index, come last as `wdm.<i>.<field>`; of the quantum
+    band, only its wavelength."""
     hints = typing.get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -159,7 +162,8 @@ def _walk(obj, prefix: str = ""):
         elif f.name not in ("wdm", "index"):
             yield prefix + f.name, hints[f.name], value
     for ch in getattr(obj, "wdm", ()):
-        yield from _walk(ch, f"wdm.{ch.index}.")
+        yield from (item for item in _walk(ch, f"wdm.{ch.index}.")
+                    if not ch.is_quantum or item[0].endswith(".wavelength_nm"))
 
 
 def _replace(obj, values: dict, prefix: str = ""):
@@ -180,7 +184,6 @@ def _replace(obj, values: dict, prefix: str = ""):
 # key -> converter; an optional field (`float | None`) reads as its type
 _KEY_TYPES = {key: (typing.get_args(hint) or (hint,))[0]
               for key, hint, _ in _walk(SystemConfig())}
-_QUANTUM_PREFIX = f"wdm.{QUANTUM_CHANNEL_INDEX}."
 
 
 def _convert(raw: str, conv, line: int, key: str):
@@ -211,8 +214,6 @@ def parse_config_text(text: str) -> SystemConfig:
         if key not in _KEY_TYPES:
             raise ConfigError("unknown key", lineno, key)
         values[key] = _convert(value, _KEY_TYPES[key], lineno, key)
-    # launch power of the quantum band is ignored by the model
-    values.pop(_QUANTUM_PREFIX + "launch_power_dbm", None)
 
     try:
         cfg = _replace(SystemConfig(), values)
@@ -239,10 +240,7 @@ def load_config(path) -> SystemConfig:
 
 
 def dump_config(cfg: SystemConfig) -> str:
-    """Fully-resolved config in the same format load_config accepts; of
-    the quantum band, only the wavelength."""
+    """Fully-resolved config in the same format load_config accepts."""
     return "".join(
         f"{key} = {str(value).lower() if isinstance(value, bool) else repr(value)}\n"
-        for key, _, value in _walk(cfg)
-        if value is not None and (not key.startswith(_QUANTUM_PREFIX)
-                                  or key.endswith(".wavelength_nm")))
+        for key, _, value in _walk(cfg) if value is not None)

@@ -51,7 +51,6 @@ DEFAULT_TIME_SCALE = 1000.0
 MIN_BLOCK_PULSES = 100_000
 VARIANCE_POINT_SECONDS = 180.0   # per-point averaging time before scaling
 EYE_SNR_DB = 20.0
-EYE_SAMPLES_PER_BIT = 8
 
 LONGRUN_HEADER = "timestamp_s,skr_bits_per_s,variance_snu,qber,wdm_state"
 VARIANCE_HEADER = "channel_index,variance_snu,relative_change"
@@ -207,8 +206,7 @@ def exp_variance_sweep(cfg, time_scale: float = DEFAULT_TIME_SCALE) -> str:
     return "\n".join(lines) + "\n"
 
 
-def exp_eye(cfg, snr_db: float = EYE_SNR_DB,
-            samples_per_bit: int = EYE_SAMPLES_PER_BIT) -> str:
+def exp_eye(cfg, snr_db: float = EYE_SNR_DB) -> str:
     """Eye-diagram metrics for each classical channel, with the quantum
     system on and off.  The quantum channel adds no measurable noise to a
     classical one, so one simulation per channel gives both rows, which
@@ -218,7 +216,7 @@ def exp_eye(cfg, snr_db: float = EYE_SNR_DB,
     for ch in cfg.classical_channels:
         rng = np.random.default_rng(
             derive_seed(cfg, ch.index, _DRIFT_SEED_TAG + 1))
-        rep = simulate_ook_link(bits, snr_db, samples_per_bit, rng)
+        rep = simulate_ook_link(bits, snr_db, rng)
         metrics = (f"{rep.eye_opening!r},{rep.level_one_mean!r},"
                    f"{rep.level_zero_mean!r},{rep.noise_sigma!r}")
         lines += [f"{ch.index},true,{metrics}", f"{ch.index},false,{metrics}"]

@@ -67,7 +67,6 @@ class WdmChannelSpec:
     wavelength_nm: float
     launch_power_dbm: float = -4.5
     enabled: bool = True
-    modulated: bool = True
 
     def __post_init__(self):
         if not 1 <= self.index <= 8:
@@ -170,8 +169,9 @@ def prepare_and_measure(n: int, cfg, drift: DriftState,
     outcomes are pure receiver shot noise (the WDM scatter arrives through
     the same fiber and is blocked with it).
 
-    `cfg` supplies alpha, epsilon_intrinsic_snu, fiber, wdm channels and the
-    optional force_sigma_snu diagnostic override.
+    `cfg` is a SystemConfig. Its alpha, epsilon_intrinsic_snu, fiber and
+    wdm channels set the model; its force_sigma_snu diagnostic, when not
+    None, overrides the noise sigma.
     """
     if n < 1:
         raise ValueError(f"pulse count must be >= 1, got {n}")
@@ -190,7 +190,7 @@ def prepare_and_measure(n: int, cfg, drift: DriftState,
         mean = 2.0 * cfg.alpha * math.sqrt(t * eta) * np.cos(theta - phi)
         var = 1.0 + t * eta * eps
     sigma = math.sqrt(var)
-    if getattr(cfg, "force_sigma_snu", None) is not None:
+    if cfg.force_sigma_snu is not None:
         sigma = cfg.force_sigma_snu
     outcomes = mean + sigma * rng.standard_normal(n)
     return PulseBatch(phase_idx, quadrature, outcomes, blocked=blocked)

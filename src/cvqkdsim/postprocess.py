@@ -17,8 +17,7 @@ import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
-from scipy.signal import fftconvolve
+from scipy import fft, special
 
 from .physics import PulseBatch
 from .quantum import CoherentStateEnsemble, binary_entropy, holevo_bound
@@ -294,7 +293,8 @@ def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
 
     The (out_len + n - 1) diagonal bits (first column followed by the
     remainder of the first row) are drawn from a PCG64 generator seeded
-    with `seed`; the product is evaluated with an FFT convolution.
+    with `seed`; the product is evaluated with a real FFT convolution,
+    padded to a fast length.
     """
     x = np.asarray(bits, dtype=np.uint8)
     n = x.size
@@ -305,8 +305,9 @@ def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
     diag = np.random.Generator(np.random.PCG64(seed)).integers(
         0, 2, size=out_len + n - 1, dtype=np.uint8)
     # T[i, j] = e[i - j + n - 1] with e = reversed first row ++ first column
-    e = np.concatenate([diag[out_len:][::-1], diag[:out_len]]).astype(float)
-    conv = fftconvolve(e, x.astype(float))
+    e = np.concatenate([diag[out_len:][::-1], diag[:out_len]])
+    size = fft.next_fast_len(e.size + n - 1, real=True)
+    conv = fft.irfft(fft.rfft(e, size) * fft.rfft(x, size), size)
     return (np.rint(conv[n - 1:n - 1 + out_len]).astype(np.int64) % 2).astype(np.uint8)
 
 

@@ -1,8 +1,21 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cvqkdsim
 from cvqkdsim import cli
 from cvqkdsim.config import SystemConfig, parse_config_text
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cvqkdsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -25,6 +38,26 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["--config", "/no/such/file", "dump-config"]) == 1
+
+    def test_non_finite_rep_rate_exits_cleanly(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("rep_rate_hz = inf\n", encoding="utf-8")
+        proc = run_python("-m", "cvqkdsim.cli", "--config", str(bad),
+                          "exp-longrun", "--duration", "100")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "rep_rate_hz" in proc.stderr
+
+
+class TestImport:
+    def test_import_leaves_out_scipy_signal_and_stats(self):
+        # scipy.signal (and the scipy.stats it pulls in) costs about a
+        # second of every run's start-up; nothing in the package needs it
+        proc = run_python("-c", "import sys, cvqkdsim; print(sorted("
+                          "m for m in ('scipy.signal', 'scipy.stats') "
+                          "if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSubcommands:

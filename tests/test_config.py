@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim.config import (
+    _KEY_TYPES,
     SEED_ENV_VAR,
     ConfigError,
     SystemConfig,
@@ -91,23 +94,42 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("wdm.9.enabled = true")
 
-    def test_quantum_channel_power_ignored(self):
-        cfg = parse_config_text("wdm.6.launch_power_dbm = 3.0")
+    @pytest.mark.parametrize("key", [
+        "wdm.6.launch_power_dbm", "wdm.6.enabled", "wdm.6.modulated",
+        "wdm.1.modulated"])
+    def test_dropped_channel_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown key") as exc_info:
+            parse_config_text(f"{key} = 1")
+        assert exc_info.value.key == key
+
+    def test_quantum_band_has_only_wavelength(self):
+        assert [k for k in _KEY_TYPES if k.startswith("wdm.6.")] == [
+            "wdm.6.wavelength_nm"]
+        cfg = parse_config_text("wdm.6.wavelength_nm = 1550.0")
         quantum = [ch for ch in cfg.wdm if ch.is_quantum][0]
-        assert quantum.launch_power_dbm == -4.5
+        assert quantum.wavelength_nm == 1550.0
 
     def test_boolean_values(self):
         for raw, want in (("true", True), ("no", False), ("1", True)):
-            cfg = parse_config_text(f"wdm.1.modulated = {raw}")
-            assert cfg.wdm[0].modulated is want
+            cfg = parse_config_text(f"wdm.1.enabled = {raw}")
+            assert cfg.wdm[0].enabled is want
         with pytest.raises(ConfigError):
-            parse_config_text("wdm.1.modulated = maybe")
+            parse_config_text("wdm.1.enabled = maybe")
 
     def test_drift_overrides(self):
         cfg = parse_config_text("drift.efficiency_sigma = 0.001\n"
                                 "drift.reversion_rate = 0.01\n")
         assert cfg.drift.efficiency_sigma == 0.001
         assert cfg.drift.reversion_rate == 0.01
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", [k for k, conv in _KEY_TYPES.items() if conv is float])
+    def test_non_finite_float_rejected(self, key, raw):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(f"{key} = {raw}")
+        # fiber.* is checked by FiberSpec, which names the field only
+        assert key.rsplit(".", 1)[-1] in str(exc_info.value)
 
 
 class TestEnvironmentSeed:
@@ -125,8 +147,7 @@ class TestEnvironmentSeed:
         assert parse_config_text("seed = 5").seed == 5
 
 
-# every key away from its default; of the quantum band (channel 6) only
-# the wavelength is dumped, so only it can round-trip
+# every key away from its default
 EVERY_KEY_CHANGED = "\n".join([
     "rep_rate_hz = 2e7", "alpha = 0.5", "epsilon_intrinsic_snu = 1e-3",
     "x_th_snu = 1.5", "f_cal = 0.2", "sample_fraction = 0.05",
@@ -139,7 +160,7 @@ EVERY_KEY_CHANGED = "\n".join([
     "drift.reversion_rate = 0.01", "force_sigma_snu = 1.2",
 ] + [f"wdm.{i}.wavelength_nm = {1540 + i}.5" for i in range(1, 9)] + [
     f"wdm.{i}.{setting}" for i in (1, 2, 3, 4, 5, 7, 8)
-    for setting in ("launch_power_dbm = -3", "enabled = no", "modulated = 0")])
+    for setting in ("launch_power_dbm = -3", "enabled = no")])
 
 
 class TestDumpRoundTrip:
@@ -160,6 +181,10 @@ class TestDumpRoundTrip:
             for c in (SystemConfig(), cfg))
         assert changed.keys() == default.keys() | {"force_sigma_snu"}
         assert all(changed[key] != value for key, value in default.items())
+
+    def test_key_count(self):
+        assert len(_KEY_TYPES) == 41
+        assert len(EVERY_KEY_CHANGED.splitlines()) == 41
 
     def test_load_config_from_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -188,3 +213,23 @@ class TestInvariants:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+# any text for any key: every config that parses must round-trip
+_VALUES = st.one_of(
+    st.floats().map(repr), st.integers().map(str),
+    st.booleans().map(lambda b: str(b).lower()))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(_KEY_TYPES)), _VALUES))
+    def test_every_parsed_config_round_trips(self, values):
+        text = "".join(f"{key} = {value}\n" for key, value in values.items())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(SEED_ENV_VAR, raising=False)
+            try:
+                cfg = parse_config_text(text)
+            except ConfigError:
+                return
+            assert parse_config_text(dump_config(cfg)) == cfg
