@@ -71,6 +71,10 @@ class WdmChannelSpec:
     def __post_init__(self):
         if not 1 <= self.index <= 8:
             raise ValueError(f"channel index {self.index} outside 1..8")
+        try:
+            self.launch_power_mw
+        except OverflowError:
+            raise ValueError("launch_power_dbm overflows in mW") from None
 
     @property
     def is_quantum(self) -> bool:
@@ -111,6 +115,14 @@ class DriftParams:
     phase_mean_rad: float = 0.0
     phase_sigma: float = 0.0       # per sqrt(second)
     reversion_rate: float = 1.0 / 600.0  # 1/s
+
+    def __post_init__(self):
+        if not 0.0 < self.efficiency_mean <= 1.0:
+            raise ValueError(
+                f"efficiency_mean {self.efficiency_mean!r} outside (0, 1]")
+        for name in ("efficiency_sigma", "phase_sigma", "reversion_rate"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
     def mean_state(self) -> DriftState:
         """Where a run's drift starts: both walks at their means."""

@@ -181,10 +181,8 @@ class CascadePermutations:
     """Per-pass shuffles shared by both endpoints, derived from a seed.
 
     Pass 0 uses the identity; later passes use seeded permutations.  A
-    block in pass p is addressed as a half-open range in that pass's
-    permuted order; ranges are flattened into a single virtual index space
-    (pass p occupies [p*n, (p+1)*n)) so one (start, end) pair identifies
-    any block on the wire.
+    block in pass p is a half-open range [start, end) of `perm[p]`, the
+    order in which that pass reads the string.
     """
 
     def __init__(self, n: int, passes: int, seed: int):
@@ -193,98 +191,70 @@ class CascadePermutations:
         rng = np.random.default_rng(seed)
         self.n = n
         self.passes = passes
-        self.perm = [np.arange(n)]
-        for _ in range(1, passes):
-            self.perm.append(rng.permutation(n))
-        # position of each original index within each pass's order
-        self.pos = []
-        for p in range(passes):
-            inv = np.empty(n, dtype=np.int64)
-            inv[self.perm[p]] = np.arange(n)
-            self.pos.append(inv)
+        self.perm = [np.arange(n)] + [rng.permutation(n)
+                                      for _ in range(1, passes)]
 
-    def flatten(self, pass_index: int, start: int, end: int) -> tuple[int, int]:
-        return pass_index * self.n + start, pass_index * self.n + end
 
-    def unflatten(self, vstart: int, vend: int) -> tuple[int, int, int]:
-        p = vstart // self.n
-        if vend <= vstart or p >= self.passes or (vend - 1) // self.n != p:
-            raise ValueError("parity range is empty or not inside one pass")
-        return p, vstart - p * self.n, vend - p * self.n
+def _prefix_xor(bits: np.ndarray) -> np.ndarray:
+    """Running parity c with a leading 0: bits[a:b] has parity c[b] ^ c[a]."""
+    return np.bitwise_xor.accumulate(np.append(np.uint8(0), bits))
 
 
 class LocalParityOracle:
     """Serves Bob's block parities for in-process reconciliation."""
 
     def __init__(self, bob_bits: np.ndarray, perms: CascadePermutations):
-        self.bits = np.asarray(bob_bits, dtype=np.uint8)
-        self.perms = perms
+        bits = np.asarray(bob_bits, dtype=np.uint8)
+        self.prefix = [_prefix_xor(bits[perm]) for perm in perms.perm]
         self.query_count = 0
 
-    def parity(self, pass_index: int, start: int, end: int) -> int:
-        self.query_count += 1
-        idx = self.perms.perm[pass_index][start:end]
-        return int(np.bitwise_xor.reduce(self.bits[idx]))
+    def parities(self, pass_index: int, starts: np.ndarray,
+                 ends: np.ndarray) -> np.ndarray:
+        """The parity of each range [starts[i], ends[i]) of the pass."""
+        self.query_count += len(starts)
+        c = self.prefix[pass_index]
+        return c[ends] ^ c[starts]
 
 
 def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
                       perms: CascadePermutations) -> tuple[np.ndarray, int]:
-    """Cascade with binary search and back-propagation.
+    """Cascade with binary search and back-propagation, in lockstep.
 
     Reverse reconciliation: Alice corrects her string toward Bob's, whose
-    parities are served by `oracle` (never modified), over every pass of
-    `perms`.  Returns the corrected string and the number of parity bits
-    disclosed (= oracle queries made).
+    parities `oracle.parities(pass, starts, ends)` serves for many ranges
+    of one pass per call.  Each pass asks for all its top-level parities
+    at once.  While a block of a pass seen so far has odd parity, the odd
+    blocks of the first such pass are bisected together, one call per
+    depth; they are disjoint, so each flips a different error.  Returns
+    the corrected string and the number of parities disclosed.
     """
-    passes = perms.passes
     n = len(alice_bits)
     if n == 0:
         raise ValueError("empty frame")
     if initial_block < 2:
         raise ValueError(f"initial block size must be >= 2, got {initial_block}")
     bits = np.array(alice_bits, dtype=np.uint8)
-    block_sizes = [min(n, initial_block << p) for p in range(passes)]
+    starts = [np.arange(0, n, min(n, initial_block << p))
+              for p in range(perms.passes)]
+    ends = [np.append(s[1:], n) for s in starts]
+    bob_top = []
     leak = 0
-
-    def local_parity(p, a, b):
-        idx = perms.perm[p][a:b]
-        return int(np.bitwise_xor.reduce(bits[idx]))
-
-    def query(p, a, b):
-        nonlocal leak
-        leak += 1
-        return oracle.parity(p, a, b)
-
-    def binary_correct(p, a, b):
-        while b - a > 1:
-            mid = (a + b) // 2
-            if local_parity(p, a, mid) != query(p, a, mid):
-                b = mid
-            else:
-                a = mid
-        idx = int(perms.perm[p][a])
-        bits[idx] ^= 1
-        return idx
-
-    def fix_block(p, blk, visible_passes):
-        k = block_sizes[p]
-        a, b = blk * k, min((blk + 1) * k, n)
-        if local_parity(p, a, b) == query(p, a, b):
-            return
-        flipped = binary_correct(p, a, b)
-        for p2 in visible_passes:
-            if p2 != p:
-                pos = int(perms.pos[p2][flipped])
-                pending.append((p2, pos // block_sizes[p2]))
-
-    for p in range(passes):
-        visible = list(range(p + 1))
-        pending: list[tuple[int, int]] = []
-        for blk in range(math.ceil(n / block_sizes[p])):
-            fix_block(p, blk, visible)
-            while pending:
-                p2, blk2 = pending.pop()
-                fix_block(p2, blk2, visible)
+    for p in range(perms.passes):
+        bob_top.append(oracle.parities(p, starts[p], ends[p]))
+        leak += starts[p].size
+        q = 0
+        while q <= p:
+            c = _prefix_xor(bits[perms.perm[q]])
+            odd = np.flatnonzero(c[ends[q]] ^ c[starts[q]] != bob_top[q])
+            a, b = starts[q][odd], ends[q][odd]
+            while (act := np.flatnonzero(b - a > 1)).size:
+                lo, mid = a[act], (a[act] + b[act]) // 2
+                left = c[mid] ^ c[lo] != oracle.parities(q, lo, mid)
+                leak += act.size
+                b[act[left]] = mid[left]
+                a[act[~left]] = mid[~left]
+            bits[perms.perm[q][a]] ^= 1
+            q = 0 if odd.size else q + 1
     return bits, leak
 
 

@@ -15,6 +15,13 @@ variable-size one may carry no more than a block of its pulse count
 needs.  The quantum exchange itself is simulated locally on both endpoints
 from the shared config seed, so no quantum data travels over this channel.
 
+Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
+u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
+One request asks for all top-level parities of a pass, or for one
+bisection depth of all its odd blocks, so a block takes tens of round
+trips, not one per parity; an empty request ends Cascade.  These layouts
+replaced one range per request and one byte per response.
+
 run_session() is pipeline.run_chain over a WireLink and returns its
 BlockResult, as distill_block() does in process.  A malformed,
 out-of-range, out-of-order or missing frame ends both endpoints in
@@ -130,10 +137,17 @@ def _decode_indices(payload: bytes) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _decode_parity(byte: int) -> int:
-    if byte > 1:
-        raise ValueError(f"parity byte {byte} is neither 0 nor 1")
-    return byte
+def _encode_ranges(value) -> bytes:
+    pass_index, starts, ends = value
+    return (struct.pack(">I", pass_index) + _encode_indices(starts)
+            + _encode_indices(ends))
+
+
+def _decode_ranges(payload: bytes) -> tuple:
+    pass_index, count = struct.unpack(">II", payload[:8])
+    split = 8 + 4 * count
+    return (pass_index, _decode_indices(payload[4:split]),
+            _decode_indices(payload[split:]))
 
 
 def _encode_digest(digest: bytes) -> bytes:
@@ -157,8 +171,9 @@ _CODEC = {
                              lambda n: 4 + 4 * n),
     MsgType.SAMPLE_BITS: _BITS_ROW,
     MsgType.QBER_REPORT: _struct_row(">d", float),
-    MsgType.PARITY_REQ: _struct_row(">II"),
-    MsgType.PARITY_RSP: _struct_row(">B", _decode_parity),
+    MsgType.PARITY_REQ: (_encode_ranges, _decode_ranges,
+                         lambda n: 12 + 8 * n),
+    MsgType.PARITY_RSP: _BITS_ROW,
     MsgType.HASH_SEED: _struct_row(">QI"),
     MsgType.KEY_CONFIRM: (_encode_digest, bytes, 32),
     MsgType.ABORT: _struct_row(">H", AbortReason),
@@ -273,19 +288,25 @@ class Role(enum.Enum):
 
 
 _BIT_FIELDS = (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK,
-               MsgType.SAMPLE_BITS)
+               MsgType.SAMPLE_BITS, MsgType.PARITY_RSP)
 
 
 def _checked_value(frame: Frame, bound):
     """The value a received frame carries, or None if it does not fit
     `bound`: a bit field's bit count, the keep mask sample indices must
-    select from, the kept-bit count that caps HASH_SEED's out_len."""
+    select from, the Cascade permutations parity ranges must lie in, the
+    kept-bit count that caps HASH_SEED's out_len."""
     t, value = frame.msg_type, frame.value
     if t in _BIT_FIELDS:
         return value[:bound] if value.size == (bound + 7) // 8 * 8 else None
     if t == MsgType.SAMPLE_INDICES:
         ok = (value.size > 0 and np.all(value[1:] > value[:-1])
               and value[-1] < bound.size and np.all(bound[value]))
+        return value if ok else None
+    if t == MsgType.PARITY_REQ:
+        pass_index, starts, ends = value
+        ok = (pass_index < bound.passes and starts.size == ends.size
+              and np.all(starts < ends) and np.all(ends <= bound.n))
         return value if ok else None
     if t == MsgType.QBER_REPORT:
         return value if 0.0 <= value <= 1.0 else None
@@ -303,7 +324,6 @@ class WireLink:
         self.bob = role == Role.BOB
         self.transport = transport
         self.n_pulses = n_pulses   # bounds what the peer's headers may claim
-        self.perms = None   # Cascade's permutations, once reconcile starts
 
     def fail(self, reason: AbortReason, detail: str = "",
              notify: bool = True) -> SessionFailed:
@@ -361,29 +381,25 @@ class WireLink:
 
     def reconcile(self, alice_key, bob_key, perms: pp.CascadePermutations,
                   k1: int):
-        """Cascade over PARITY_REQ/RSP until Alice's (0, 0) sentinel.
+        """Cascade over PARITY_REQ/RSP until Alice's empty request.
         Returns (Alice's corrected string or None, parities disclosed)."""
-        self.perms = perms
         if self.alice:
             result = pp.cascade_reconcile(alice_key, self, k1, perms)
-            self.send(Frame(MsgType.PARITY_REQ, (0, 0)))
+            self.send(Frame(MsgType.PARITY_REQ, (0, [], [])))
             return result
         oracle = pp.LocalParityOracle(bob_key, perms)
         while True:
-            frame = self.expect(MsgType.PARITY_REQ)
-            if frame.value == (0, 0):
+            p, a, b = self.from_alice("PARITY_REQ", None, perms)
+            if a.size == 0:
                 return None, oracle.query_count
-            try:
-                p, a, b = perms.unflatten(*frame.value)
-            except ValueError as exc:
-                raise self.fail(AbortReason.UNEXPECTED_MESSAGE, str(exc))
-            self.send(Frame(MsgType.PARITY_RSP, oracle.parity(p, a, b)))
+            self.from_bob("PARITY_RSP", lambda: oracle.parities(p, a, b))
 
-    def parity(self, pass_index: int, start: int, end: int) -> int:
-        """Alice's Cascade oracle: one request in flight, per parity."""
-        self.send(Frame(MsgType.PARITY_REQ,
-                        self.perms.flatten(pass_index, start, end)))
-        return self.expect(MsgType.PARITY_RSP).value
+    def parities(self, pass_index: int, starts: np.ndarray,
+                 ends: np.ndarray) -> np.ndarray:
+        """Alice's Cascade oracle: one PARITY_REQ/RSP exchange per call,
+        however many ranges it asks for."""
+        self.from_alice("PARITY_REQ", lambda: (pass_index, starts, ends))
+        return self.from_bob("PARITY_RSP", None, len(starts))
 
     def confirm(self, key: np.ndarray) -> None:
         """KEY_CONFIRM, Bob's digest first; different keys abort both ends

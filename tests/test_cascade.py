@@ -100,16 +100,3 @@ class TestValidation:
         oracle = pp.LocalParityOracle(np.zeros(4, dtype=np.uint8), perms)
         with pytest.raises(ValueError):
             pp.cascade_reconcile(np.zeros(0, dtype=np.uint8), oracle, 4, perms)
-
-    def test_virtual_index_space_round_trip(self):
-        perms = pp.CascadePermutations(100, 4, 0)
-        for p in range(4):
-            for a, b in ((0, 10), (90, 100), (5, 6)):
-                assert perms.unflatten(*perms.flatten(p, a, b)) == (p, a, b)
-
-    def test_unflatten_rejects_cross_pass_range(self):
-        perms = pp.CascadePermutations(10, 3, 0)
-        # across passes, empty, reversed, past the last pass
-        for vstart, vend in ((5, 15), (5, 5), (6, 5), (30, 31)):
-            with pytest.raises(ValueError):
-                perms.unflatten(vstart, vend)

@@ -39,14 +39,22 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert cli.main(["--config", "/no/such/file", "dump-config"]) == 1
 
-    def test_non_finite_rep_rate_exits_cleanly(self, tmp_path):
+    @staticmethod
+    def _exits_cleanly(tmp_path, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("rep_rate_hz = inf\n", encoding="utf-8")
+        bad.write_text(line + "\n", encoding="utf-8")
         proc = run_python("-m", "cvqkdsim.cli", "--config", str(bad),
                           "exp-longrun", "--duration", "100")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "rep_rate_hz" in proc.stderr
+        assert line.split(" = ")[0].rsplit(".", 1)[-1] in proc.stderr
+
+    def test_non_finite_rep_rate_exits_cleanly(self, tmp_path):
+        self._exits_cleanly(tmp_path, "rep_rate_hz = inf")
+
+    def test_overflowing_launch_power_exits_cleanly(self, tmp_path):
+        # 10 ** 400 mW does not fit a float
+        self._exits_cleanly(tmp_path, "wdm.1.launch_power_dbm = 4000")
 
 
 class TestImport:

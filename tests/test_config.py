@@ -122,6 +122,15 @@ class TestParsing:
         assert cfg.drift.efficiency_sigma == 0.001
         assert cfg.drift.reversion_rate == 0.01
 
+    @pytest.mark.parametrize("line", [
+        "drift.efficiency_mean = 0", "drift.efficiency_mean = 1.5",
+        "drift.efficiency_sigma = -1", "drift.phase_sigma = -1",
+        "drift.reversion_rate = -1"])
+    def test_drift_out_of_range_rejected(self, line):
+        field = line.split(" = ")[0].rsplit(".", 1)[-1]
+        with pytest.raises(ConfigError, match=field):
+            parse_config_text(line)
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "key", [k for k, conv in _KEY_TYPES.items() if conv is float])

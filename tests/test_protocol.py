@@ -108,10 +108,14 @@ _frame_strategies = st.one_of(
               st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=32)),
     st.builds(lambda v: Frame(MsgType.QBER_REPORT, value=v),
               st.floats(min_value=0.0, max_value=0.5)),
-    st.builds(lambda a, b: Frame(MsgType.PARITY_REQ, (min(a, b), max(a, b))),
-              st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
-    st.builds(lambda p: Frame(MsgType.PARITY_RSP, p),
-              st.integers(0, 1)),
+    st.builds(lambda p, starts, ends: Frame(MsgType.PARITY_REQ, (
+        p, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))),
+              st.integers(0, 2 ** 32 - 1),
+              st.lists(st.integers(0, 2 ** 32 - 1), max_size=16),
+              st.lists(st.integers(0, 2 ** 32 - 1), max_size=16)),
+    st.builds(lambda bits: Frame(MsgType.PARITY_RSP,
+                                 np.array(bits, dtype=np.uint8)),
+              st.lists(st.integers(0, 1), max_size=64)),
     st.builds(lambda s, n: Frame(MsgType.HASH_SEED, (s, n)),
               st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32 - 1)),
     st.builds(lambda d: Frame(MsgType.KEY_CONFIRM, bytes(d)),
@@ -137,8 +141,12 @@ _PINNED_FRAMES = [
            np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 1], dtype=np.uint8)),
      "00000002 04 f040"),
     (Frame(MsgType.QBER_REPORT, 0.25), "00000008 05 3fd0000000000000"),
-    (Frame(MsgType.PARITY_REQ, (1, 258)), "00000008 06 00000001 00000102"),
-    (Frame(MsgType.PARITY_RSP, 1), "00000001 07 01"),
+    # pass 1, then the starts and the ends, each array count-prefixed
+    (Frame(MsgType.PARITY_REQ, (1, np.array([3, 258]), np.array([5, 70000]))),
+     "0000001c 06 00000001 00000002 00000003 00000102"
+     " 00000002 00000005 00011170"),
+    (Frame(MsgType.PARITY_RSP, np.array([1, 0, 1], dtype=np.uint8)),
+     "00000001 07 a0"),
     (Frame(MsgType.HASH_SEED, (0x0102030405060708, 0x0A0B0C0D)),
      "0000000c 08 0102030405060708 0a0b0c0d"),
     (Frame(MsgType.KEY_CONFIRM, bytes(range(32))),
@@ -185,10 +193,14 @@ class TestFraming:
         with pytest.raises(FrameDecodeError):
             decode_frame(b"\x00\x00\x00\x02\x0a\x00\x63")
 
-    def test_decode_rejects_parity_above_one(self):
-        for byte in (0x02, 0xFF):
+    def test_decode_rejects_truncated_parity_request(self):
+        # two starts announced, one sent; no end array; one end of two
+        for payload in ("00000000 00000002 00000003",
+                        "00000000 00000001 00000003",
+                        "00000000 00000001 00000003 00000002 00000005"):
+            payload = bytes.fromhex(payload)
             with pytest.raises(FrameDecodeError):
-                decode_frame(b"\x00\x00\x00\x01\x07" + bytes([byte]))
+                decode_frame(struct.pack(">IB", len(payload), 0x06) + payload)
 
     def test_decode_rejects_truncated_header(self):
         with pytest.raises(FrameDecodeError):
@@ -277,7 +289,8 @@ class _CorruptingTransport(proto.StreamTransport):
 class _TamperingTransport(proto.StreamTransport):
     """A peer that sends the first frame of one type as `tamper(frame,
     sent)` rewrites it; `sent` lists the frames it sent before.  It keeps
-    the types of the frames it receives after that one."""
+    the types of the frames it receives after that one.  With `tamper`
+    None it only records."""
 
     def __init__(self, sock, timeout_s, msg_type, tamper):
         super().__init__(sock, timeout_s)
@@ -387,14 +400,29 @@ class TestFaultInjection:
          lambda f, sent, n_kept: replace(f, value=math.nan)),
         (Role.ALICE, MsgType.PARITY_REQ,
          lambda f, sent, n_kept: replace(
-             f, value=(50 * n_kept, 50 * n_kept + 1))),
+             f, value=(50, f.value[1], f.value[2]))),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(f, value=(3, 3))),
+         lambda f, sent, n_kept: replace(
+             f, value=(f.value[0], f.value[1], f.value[1]))),
+        (Role.ALICE, MsgType.PARITY_REQ,
+         lambda f, sent, n_kept: replace(f, value=(
+             f.value[0], f.value[1], np.append(f.value[2][:-1], n_kept + 1)))),
+        (Role.ALICE, MsgType.PARITY_REQ,
+         lambda f, sent, n_kept: replace(
+             f, value=(f.value[0], f.value[2], f.value[1]))),
+        (Role.ALICE, MsgType.PARITY_REQ,
+         lambda f, sent, n_kept: replace(
+             f, value=(f.value[0], f.value[1], f.value[2][:-1]))),
+        (Role.BOB, MsgType.PARITY_RSP,
+         lambda f, sent, n_kept: replace(
+             f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
         (Role.BOB, MsgType.HASH_SEED,
          lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
     ], ids=["basis-short", "mask-short", "index-1e9", "indices-unsorted",
             "index-repeated", "index-not-kept", "sample-bits-8",
-            "qber-nan", "parity-pass-50", "parity-empty", "out-len-too-big"])
+            "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
+            "parity-start-past-end", "parity-arrays-unequal",
+            "parity-rsp-count", "out-len-too-big"])
     def test_out_of_range_field_aborts_both_ends(self, sender, msg_type,
                                                  tamper):
         cfg = small_cfg()
@@ -482,3 +510,25 @@ class TestFaultInjection:
             run_session(Role.ALICE, tb, SystemConfig(block_size_pulses=5000))
         assert exc_info.value.reason == AbortReason.TRANSPORT_CLOSED
         tb.close()
+
+
+class TestRoundTrips:
+    # Cascade asks one PARITY_REQ per bisection depth, not per parity.
+    # Blocks 0-5 of small_cfg took 18-35 requests, the end marker
+    # included; the one-parity-per-request search took 137-260.
+    MAX_PARITY_REQUESTS = 70
+
+    def test_parity_requests_per_block_bounded(self):
+        cfg = small_cfg()
+        for block_id in range(6):
+            sa, sb = socket.socketpair()
+            alice = _TamperingTransport(sa, 5.0, MsgType.PARITY_REQ, None)
+            out = run_pair(cfg, block_id=block_id,
+                           transports=(alice, proto.StreamTransport(sb, 5.0)))
+            requests = [f for f in alice.sent
+                        if f.msg_type == MsgType.PARITY_REQ]
+            assert len(requests) <= self.MAX_PARITY_REQUESTS, block_id
+            # Bob sizes out_len from the parities he served
+            served = sum(len(f.value[1]) for f in requests)
+            assert out[Role.BOB].report.leak_bits == served > 0
+            assert out[Role.ALICE].report == out[Role.BOB].report
