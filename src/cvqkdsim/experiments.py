@@ -113,7 +113,8 @@ class BlockRunner:
         result = distill_block(cfg, block_id, self.drift,
                                qber_used=self.qber_ema)
         w = self.cfg.qber_smoothing
-        self.qber_ema = (1.0 - w) * self.qber_ema + w * result.qber_raw
+        if result.report.p_post:   # a block that kept no pulse sampled none
+            self.qber_ema = (1.0 - w) * self.qber_ema + w * result.qber_raw
         self.drift = advance_drift(self.drift, self.represented_dt_s,
                                    cfg.drift, self.drift_rng)
         return result

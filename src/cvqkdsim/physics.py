@@ -197,9 +197,12 @@ def prepare_and_measure(n: int, cfg, drift: DriftState,
         var = 1.0
     else:
         eps = cfg.epsilon_intrinsic_snu + wdm_excess_noise(cfg.wdm, cfg.fiber)
-        theta = (2.0 * phase_idx + 1.0) * (math.pi / 4.0) + drift.phase_error_rad
-        phi = quadrature * (math.pi / 2.0)
-        mean = 2.0 * cfg.alpha * math.sqrt(t * eta) * np.cos(theta - phi)
+        # theta - phi takes 8 values: one mean per (phase index, quadrature)
+        theta = ((2.0 * np.arange(4)[:, None] + 1.0) * (math.pi / 4.0)
+                 + drift.phase_error_rad)
+        phi = np.arange(2) * (math.pi / 2.0)
+        table = 2.0 * cfg.alpha * math.sqrt(t * eta) * np.cos(theta - phi)
+        mean = table[phase_idx, quadrature]
         var = 1.0 + t * eta * eps
     sigma = math.sqrt(var)
     if cfg.force_sigma_snu is not None:

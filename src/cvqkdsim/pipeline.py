@@ -7,10 +7,12 @@ wire.  run_chain() distills a block into a BlockResult, which
 distill_block() returns in process for the experiment runners and
 protocol.run_session() over the wire.
 
-The two paths differ in one behaviour: a block that Cascade leaves with
-residual errors yields no key and SKR 0 in process, while over the wire it
-fails KEY_CONFIRM and both ends abort with KEY_MISMATCH.  A malformed frame
-from the peer ends both ends in SessionFailed with matching AbortReasons.
+A block that keeps no pulse, or whose error sample leaves no bit to
+reconcile, yields a 0-bit key and SKR 0 on both paths.  The two paths
+differ in one behaviour: a block that Cascade leaves with residual errors
+yields no key and SKR 0 in process, while over the wire it fails
+KEY_CONFIRM and both ends abort with KEY_MISMATCH.  A malformed frame from
+the peer ends both ends in SessionFailed with matching AbortReasons.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class BlockResult:
     key_bits: np.ndarray
     variance_snu: float      # normalized signal variance (modulation
                              # included); NaN from a wire session
-    qber_raw: float          # this block's own sample estimate
+    qber_raw: float          # this block's own sample estimate; 0.5
+                             # if it kept no pulse
     residual_errors: int
 
 
@@ -94,7 +97,7 @@ class LocalLink:
 
 def run_chain(cfg, block_id: int, batch: PulseBatch, link,
               qber_used: float | None = None) -> BlockResult:
-    """Distill one simulated block, from sifting to key confirmation.
+    """Distill one simulated block, from the keep mask to key confirmation.
 
     An end computes what the roles it plays (`link.alice`, `link.bob`)
     hold.  A value one role sends the other passes through
@@ -103,41 +106,48 @@ def run_chain(cfg, block_id: int, batch: PulseBatch, link,
     `bound`.  `qber_used` replaces the block's sampled error rate in the
     key-length arithmetic; Cascade still corrects the real errors.
     """
-    n_sig = batch.count
-
-    # Sifting: Bob announces his measured quadratures.
-    quad = link.from_bob("BASIS_ANNOUNCE", lambda: batch.bob_quadrature, n_sig)
-    alice_bits = (pp.sift_alice_bits(batch.alice_phase_index, quad)
-                  if link.alice else None)
-    bob_bits = (batch.outcome_snu > 0.0).astype(np.uint8) if link.bob else None
-
-    # Post-selection: Bob sends the keep mask.
+    # Bob sends the keep mask first; from here on, indices count kept pulses.
     mask = link.from_bob("POSTSELECT_MASK",
                          lambda: np.abs(batch.outcome_snu) >= cfg.x_th_snu,
-                         n_sig)
-    p_post = int(np.count_nonzero(mask)) / n_sig
+                         batch.count)
+    kept = np.flatnonzero(mask)
+    n_post = kept.size
+    p_post = n_post / batch.count
 
-    # Error estimation on a disclosed pseudo-random subset of kept pulses.
-    sample = link.from_bob("SAMPLE_INDICES", lambda: pp.disclosure_sample(
-        np.nonzero(mask)[0], cfg.sample_fraction,
-        np.random.default_rng(derive_seed(cfg, block_id, 1))), mask)
-    sample_bits = link.from_alice("SAMPLE_BITS", lambda: alice_bits[sample],
-                                  sample.size)
-    qber_raw = link.from_bob("QBER_REPORT", lambda: float(
-        np.mean(sample_bits != bob_bits[sample])))
+    # Sifting: Bob announces the quadratures he measured the kept pulses in.
+    quad = link.from_bob("BASIS_ANNOUNCE", lambda: batch.bob_quadrature[kept],
+                         n_post)
+    alice_bits = (pp.sift_alice_bits(batch.alice_phase_index[kept], quad)
+                  if link.alice else None)
+    bob_bits = ((batch.outcome_snu[kept] > 0.0).astype(np.uint8)
+                if link.bob else None)
+
+    # Error estimation on a disclosed pseudo-random subset of the kept bits.
+    # With none kept, both ends know there is no sample, and 0.5, the error
+    # rate that certifies no key, stands in for the estimate.
+    if n_post:
+        sample = link.from_bob("SAMPLE_INDICES", lambda: pp.disclosure_sample(
+            n_post, cfg.sample_fraction,
+            np.random.default_rng(derive_seed(cfg, block_id, 1))), n_post)
+        sample_bits = link.from_alice("SAMPLE_BITS",
+                                      lambda: alice_bits[sample], sample.size)
+        qber_raw = link.from_bob("QBER_REPORT", lambda: float(
+            np.mean(sample_bits != bob_bits[sample])))
+    else:
+        sample, qber_raw = kept, 0.5
     qber = qber_raw if qber_used is None else qber_used
-    mask[sample] = False
     disclosed = sample.size
-    kept = np.nonzero(mask)[0]
-    n_kept = kept.size
+    n_kept = n_post - disclosed
 
-    # Reverse reconciliation: Alice corrects her string toward Bob's.
-    alice_key = alice_bits[kept] if link.alice else None
-    bob_key = bob_bits[kept] if link.bob else None
+    # Reverse reconciliation: Alice corrects her string toward Bob's, if the
+    # sample left a bit to correct.
+    alice_key = np.delete(alice_bits, sample) if link.alice else None
+    bob_key = np.delete(bob_bits, sample) if link.bob else None
     perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
                                    derive_seed(cfg, block_id, 2))
     k1 = pp.cascade_block_size(max(qber, 1e-3), n_kept)
-    corrected, leak = link.reconcile(alice_key, bob_key, perms, k1)
+    corrected, leak = (link.reconcile(alice_key, bob_key, perms, k1)
+                       if n_kept else (alice_key, 0))
     # Only an end holding both strings can count residual errors, and it
     # keeps no key from such a block; over the wire, confirm() fails.
     residual = (int(np.sum(corrected != bob_key))
@@ -149,7 +159,7 @@ def run_chain(cfg, block_id: int, batch: PulseBatch, link,
     hash_seed, out_len = link.from_bob("HASH_SEED", lambda: (
         derive_seed(cfg, block_id, 3),
         0 if residual else min(n_kept, pp.final_key_length(
-            n_kept + disclosed, i_ab, chi_e, leak, disclosed))), n_kept)
+            n_post, i_ab, chi_e, leak, disclosed))), n_kept)
     key = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
                            hash_seed, out_len)
     link.confirm(key)

@@ -131,7 +131,8 @@ def qber_estimate(frame: SiftedFrame, sample_fraction: float,
     The disclosed positions are removed from the key material and counted
     in disclosed_count.  Returns (qber, reduced frame).
     """
-    sample = disclosure_sample(frame.kept_indices, sample_fraction, rng)
+    kept = frame.kept_indices
+    sample = kept[disclosure_sample(kept.size, sample_fraction, rng)]
     mismatches = int(np.sum(frame.alice_bits[sample] != frame.bob_bits[sample]))
     mask = frame.postselect_mask.copy()
     mask[sample] = False
@@ -140,16 +141,16 @@ def qber_estimate(frame: SiftedFrame, sample_fraction: float,
     return mismatches / len(sample), reduced
 
 
-def disclosure_sample(kept: np.ndarray, sample_fraction: float,
+def disclosure_sample(n: int, sample_fraction: float,
                       rng: np.random.Generator) -> np.ndarray:
     """Sorted pseudo-random subset, a `sample_fraction` share (at least
-    one), of the kept positions, drawn without replacement."""
+    one), of the positions 0..n-1, drawn without replacement."""
     if not 0.0 < sample_fraction < 1.0:
         raise ValueError(f"sample_fraction {sample_fraction!r} outside (0, 1)")
-    if kept.size == 0:
+    if n < 1:
         raise ValueError("no kept bits to sample from")
-    m = max(1, int(round(sample_fraction * kept.size)))
-    sample = rng.choice(kept, size=m, replace=False)
+    m = max(1, int(round(sample_fraction * n)))
+    sample = rng.choice(n, size=m, replace=False)
     sample.sort()
     return sample
 
@@ -227,6 +228,10 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     blocks of the first such pass are bisected together, one call per
     depth; they are disjoint, so each flips a different error.  Returns
     the corrected string and the number of parities disclosed.
+
+    It stops once n parities are out, as no key can come of the string
+    then, or once it has flipped more than n bits, which only an oracle
+    that is no one string's can make it do.
     """
     n = len(alice_bits)
     if n == 0:
@@ -238,22 +243,27 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
               for p in range(perms.passes)]
     ends = [np.append(s[1:], n) for s in starts]
     bob_top = []
-    leak = 0
+    leak = flips = 0
     for p in range(perms.passes):
         bob_top.append(oracle.parities(p, starts[p], ends[p]))
         leak += starts[p].size
         q = 0
         while q <= p:
+            if leak >= n or flips > n:
+                return bits, leak
             c = _prefix_xor(bits[perms.perm[q]])
             odd = np.flatnonzero(c[ends[q]] ^ c[starts[q]] != bob_top[q])
             a, b = starts[q][odd], ends[q][odd]
             while (act := np.flatnonzero(b - a > 1)).size:
+                if leak >= n:
+                    return bits, leak
                 lo, mid = a[act], (a[act] + b[act]) // 2
                 left = c[mid] ^ c[lo] != oracle.parities(q, lo, mid)
                 leak += act.size
                 b[act[left]] = mid[left]
                 a[act[~left]] = mid[~left]
             bits[perms.perm[q][a]] ^= 1
+            flips += odd.size
             q = 0 if odd.size else q + 1
     return bits, leak
 

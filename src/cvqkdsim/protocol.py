@@ -15,12 +15,20 @@ variable-size one may carry no more than a block of its pulse count
 needs.  The quantum exchange itself is simulated locally on both endpoints
 from the shared config seed, so no quantum data travels over this channel.
 
+Post-selection comes first: Bob sends POSTSELECT_MASK, then BASIS_ANNOUNCE
+with the quadratures of the kept pulses only, and SAMPLE_INDICES are
+positions among the kept pulses, in [0, n_post).  No layout changed, but
+transcripts are not compatible with the earlier order, which announced
+every pulse's basis and sampled positions among all pulses.
+
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
 One request asks for all top-level parities of a pass, or for one
 bisection depth of all its odd blocks, so a block takes tens of round
 trips, not one per parity; an empty request ends Cascade.  These layouts
-replaced one range per request and one byte per response.
+replaced one range per request and one byte per response.  Alice asks
+nothing once n_kept parities are out, and Bob aborts on a request after
+that.
 
 run_session() is pipeline.run_chain over a WireLink and returns its
 BlockResult, as distill_block() does in process.  A malformed,
@@ -293,15 +301,14 @@ _BIT_FIELDS = (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK,
 
 def _checked_value(frame: Frame, bound):
     """The value a received frame carries, or None if it does not fit
-    `bound`: a bit field's bit count, the keep mask sample indices must
-    select from, the Cascade permutations parity ranges must lie in, the
-    kept-bit count that caps HASH_SEED's out_len."""
+    `bound`: a bit field's bit count, the kept-pulse count sample indices
+    must lie below, the Cascade permutations parity ranges must lie in,
+    the kept-bit count that caps HASH_SEED's out_len."""
     t, value = frame.msg_type, frame.value
     if t in _BIT_FIELDS:
         return value[:bound] if value.size == (bound + 7) // 8 * 8 else None
     if t == MsgType.SAMPLE_INDICES:
-        ok = (value.size > 0 and np.all(value[1:] > value[:-1])
-              and value[-1] < bound.size and np.all(bound[value]))
+        ok = value.size and value[-1] < bound and np.all(np.diff(value) > 0)
         return value if ok else None
     if t == MsgType.PARITY_REQ:
         pass_index, starts, ends = value
@@ -382,7 +389,9 @@ class WireLink:
     def reconcile(self, alice_key, bob_key, perms: pp.CascadePermutations,
                   k1: int):
         """Cascade over PARITY_REQ/RSP until Alice's empty request.
-        Returns (Alice's corrected string or None, parities disclosed)."""
+        Returns (Alice's corrected string or None, parities disclosed).
+        Alice asks nothing once n_kept parities are out, so Bob takes a
+        further request as a protocol violation."""
         if self.alice:
             result = pp.cascade_reconcile(alice_key, self, k1, perms)
             self.send(Frame(MsgType.PARITY_REQ, (0, [], [])))
@@ -392,6 +401,9 @@ class WireLink:
             p, a, b = self.from_alice("PARITY_REQ", None, perms)
             if a.size == 0:
                 return None, oracle.query_count
+            if oracle.query_count >= perms.n:
+                raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
+                                "parity request after n_kept parities")
             self.from_bob("PARITY_RSP", lambda: oracle.parities(p, a, b))
 
     def parities(self, pass_index: int, starts: np.ndarray,

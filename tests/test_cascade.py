@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,49 @@ class TestValidation:
         oracle = pp.LocalParityOracle(np.zeros(4, dtype=np.uint8), perms)
         with pytest.raises(ValueError):
             pp.cascade_reconcile(np.zeros(0, dtype=np.uint8), oracle, 4, perms)
+
+
+class _RandomOracle:
+    """Parities of no one string: each answer is a fresh coin flip.  It
+    fails the test past `limit` parities instead of answering forever."""
+
+    def __init__(self, seed: int, limit: int):
+        self.rng = np.random.default_rng(seed)
+        self.limit = limit
+        self.query_count = 0
+
+    def parities(self, pass_index, starts, ends):
+        self.query_count += len(starts)
+        assert self.query_count <= self.limit, "Cascade does not stop"
+        return self.rng.integers(0, 2, len(starts), dtype=np.uint8)
+
+
+class TestInconsistentOracle:
+    def test_random_answers_end_with_bounded_leak(self):
+        # without a cap, n = 2000 was still asking after 20,000 calls
+        n = 2000
+        for seed in range(5):
+            perms = pp.CascadePermutations(n, 4, seed)
+            oracle = _RandomOracle(seed, limit=10 * n)
+            _, leak = pp.cascade_reconcile(
+                np.zeros(n, dtype=np.uint8), oracle,
+                pp.cascade_block_size(0.05, n), perms)
+            assert leak == oracle.query_count < 2 * n
+
+    def test_contradicting_one_bit_blocks_end(self):
+        # n = 9, k1 = 4, identity permutations: bit 8 is a block of its own
+        # in passes 0 and 1.  An oracle that calls it 0 in pass 0 and 1 in
+        # pass 1 has Alice flip it back and forth without asking anything.
+        perms = pp.CascadePermutations(9, 4, 0)
+        perms.perm = [np.arange(9)] * 4
+
+        class Contradicting:
+            def parities(self, pass_index, starts, ends):
+                return ((pass_index % 2 == 1) & (starts == 8)).astype(np.uint8)
+
+        done = threading.Event()
+        thread = threading.Thread(daemon=True, target=lambda: (
+            pp.cascade_reconcile(np.zeros(9, dtype=np.uint8),
+                                 Contradicting(), 4, perms), done.set()))
+        thread.start()
+        assert done.wait(5.0), "Cascade does not stop"

@@ -96,6 +96,17 @@ class TestSubcommands:
         assert lines[0] == "timestamp_s,skr_bits_per_s,variance_snu,qber,wdm_state"
         assert len(lines) == 11
 
+    def test_exp_longrun_with_nothing_kept(self, tmp_path, capsys):
+        # no outcome reaches 40 SNU: every block yields no key, not an error
+        path = tmp_path / "high.cfg"
+        path.write_text("block_size_pulses = 100000\nx_th_snu = 40.0\n",
+                        encoding="utf-8")
+        assert cli.main(["--config", str(path), "exp-longrun",
+                         "--duration", "100"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 10
+        assert all(float(row.split(",")[1]) == 0.0 for row in rows)
+
     def test_exp_variance(self, fast_config_file, capsys):
         assert cli.main(["--config", fast_config_file, "exp-variance"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -228,6 +228,15 @@ class TestRates:
             1000 * 0.7 - 100 - 50 - pp.DELTA_FIN_BITS)
         assert pp.final_key_length(100, 0.5, 0.9, 0, 0) == 0
 
+    @given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 5),
+           st.floats(0.0, 1.0), st.integers(0, 10 ** 6))
+    def test_no_key_once_leak_reaches_kept_bits(self, n_kept, disclosed,
+                                                margin, extra_leak):
+        # Cascade stops at n_kept parities; no key is lost by stopping
+        # there, since I_AB - chi_E <= 1 bit per post-selected pulse
+        assert pp.final_key_length(n_kept + disclosed, margin, 0.0,
+                                   n_kept + extra_leak, disclosed) == 0
+
     def test_compute_skr_formula(self):
         got = pp.compute_skr(n_pulses=1_000_000, rep_rate_hz=1e7, f_cal=0.1,
                              p_post=0.02, i_ab=0.8, chi_e=0.5,

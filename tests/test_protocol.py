@@ -75,6 +75,20 @@ class _RecordingLink(LocalLink):
     from_alice = from_bob
 
 
+def run_pair_timed(cfg):
+    """run_pair over a loopback pair, and the seconds it took.  A watchdog
+    shuts both sockets down if the session is still running after 5 s, so
+    that a hang fails the test instead of stalling it."""
+    transports = loopback_pair(timeout_s=5.0)
+    watchdog = threading.Timer(5.0, lambda: [
+        t.sock.shutdown(socket.SHUT_RDWR) for t in transports])
+    watchdog.start()
+    start = time.monotonic()
+    out = run_pair(cfg, transports=transports)
+    watchdog.cancel()
+    return out, time.monotonic() - start
+
+
 def run_pair(cfg, transports=None, **kwargs):
     """Drive both roles over a loopback pair; returns {role: result|exception}."""
     if transports is None:
@@ -246,8 +260,11 @@ class TestSession:
         assert chained.report.p_post == (
             (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
         assert chained.report.qber == chained.qber_raw == qber
+        # sample indices count among the kept pulses
+        kept = np.flatnonzero(link.sent["POSTSELECT_MASK"])
+        assert np.array_equal(kept, frame.kept_indices)
         disclosed = frame.postselect_mask & ~reduced.postselect_mask
-        assert np.array_equal(link.sent["SAMPLE_INDICES"],
+        assert np.array_equal(kept[link.sent["SAMPLE_INDICES"]],
                               np.flatnonzero(disclosed))
         assert link.sent["SAMPLE_INDICES"].size == reduced.disclosed_count
 
@@ -258,6 +275,25 @@ class TestSession:
         assert a.key_bits.size > 0
         assert b.key_bits.size > 0
         assert not np.array_equal(a.key_bits, b.key_bits)
+
+    @pytest.mark.parametrize("n_post, sample_fraction", [
+        (0, 0.2), (1, 0.2), (2, 0.2), (2, 0.9)])
+    def test_too_few_kept_pulses_yield_no_key(self, n_post, sample_fraction):
+        # with one kept pulse, or a sample that takes all of them, no bit
+        # is left for Cascade; with none, there is nothing to sample
+        cfg = small_cfg()
+        batch = simulate_quantum_exchange(cfg, 0, mean_drift(cfg))
+        x_th = 40.0 if n_post == 0 else float(
+            np.sort(np.abs(batch.outcome_snu))[-n_post])
+        cfg = replace(cfg, x_th_snu=x_th, sample_fraction=sample_fraction)
+        out, elapsed = run_pair_timed(cfg)
+        assert elapsed < 1.0
+        local = distill_block(cfg, 0, mean_drift(cfg))
+        for result in (out[Role.ALICE], out[Role.BOB], local):
+            assert result.report == local.report
+            assert result.key_bits.size == 0
+        assert local.report.p_post == n_post / batch.count
+        assert local.report.skr_bits_per_s == 0.0
 
     def test_transcripts_deterministic(self, tmp_path):
         cfg = small_cfg()
@@ -391,9 +427,10 @@ class TestFaultInjection:
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:1], f.value[:-1]))),
+        # index n_post, one past the last kept pulse (sent[0] is the mask)
         (Role.BOB, MsgType.SAMPLE_INDICES,
-         lambda f, sent, n_kept: replace(f, value=np.sort(np.append(
-             f.value[1:], np.flatnonzero(sent[-1].value == 0)[0])))),
+         lambda f, sent, n_kept: replace(f, value=np.append(
+             f.value[:-1], np.count_nonzero(sent[0].value)))),
         (Role.ALICE, MsgType.SAMPLE_BITS,
          lambda f, sent, n_kept: replace(f, value=f.value[:8])),
         (Role.BOB, MsgType.QBER_REPORT,
@@ -419,7 +456,7 @@ class TestFaultInjection:
         (Role.BOB, MsgType.HASH_SEED,
          lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
     ], ids=["basis-short", "mask-short", "index-1e9", "indices-unsorted",
-            "index-repeated", "index-not-kept", "sample-bits-8",
+            "index-repeated", "index-past-kept", "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
             "parity-start-past-end", "parity-arrays-unequal",
             "parity-rsp-count", "out-len-too-big"])
@@ -444,6 +481,38 @@ class TestFaultInjection:
         # the receiver rejects the tampered frame itself, not a later one
         assert tamperer.received_after == [MsgType.ABORT]
         assert elapsed < 1.0   # far inside the 5 s receive timeout
+
+    def test_endless_parity_requests_abort_both_ends(self, monkeypatch):
+        # an Alice that asks for the same parity again and again
+        def ask_forever(alice_bits, oracle, initial_block, perms):
+            while True:
+                oracle.parities(0, np.array([0]), np.array([perms.n]))
+
+        monkeypatch.setattr(pp, "cascade_reconcile", ask_forever)
+        out, elapsed = run_pair_timed(small_cfg())
+        assert elapsed < 1.0
+        assert isinstance(out[Role.ALICE], SessionFailed)
+        assert isinstance(out[Role.BOB], SessionFailed)
+        assert (out[Role.ALICE].reason == out[Role.BOB].reason
+                == AbortReason.UNEXPECTED_MESSAGE)
+
+    def test_random_parity_answers_end_in_one_outcome(self, monkeypatch):
+        # a Bob whose parities come from no one string
+        rng = np.random.default_rng(7)
+
+        def random_parities(oracle, pass_index, starts, ends):
+            oracle.query_count += len(starts)
+            return rng.integers(0, 2, len(starts), dtype=np.uint8)
+
+        monkeypatch.setattr(pp.LocalParityOracle, "parities", random_parities)
+        out, elapsed = run_pair_timed(small_cfg())
+        assert elapsed < 1.0
+        ra, rb = out[Role.ALICE], out[Role.BOB]
+        if isinstance(ra, SessionFailed) or isinstance(rb, SessionFailed):
+            assert ra.reason == rb.reason
+        else:
+            assert ra.key_bits.size == rb.key_bits.size == 0
+            assert ra.report == rb.report
 
     @pytest.mark.parametrize("sender, msg_type", [
         (Role.ALICE, MsgType.SAMPLE_BITS),
@@ -517,6 +586,10 @@ class TestRoundTrips:
     # Blocks 0-5 of small_cfg took 18-35 requests, the end marker
     # included; the one-parity-per-request search took 137-260.
     MAX_PARITY_REQUESTS = 70
+    # Bob sends the keep mask, then the bases of kept pulses only: blocks
+    # 0-5 of small_cfg took 13.7-13.9 KB from Bob, 11.3 KB of it the mask;
+    # announcing every pulse's basis took 24.7-24.8 KB.
+    MAX_BOB_BYTES = 16_000
 
     def test_parity_requests_per_block_bounded(self):
         cfg = small_cfg()
@@ -532,3 +605,19 @@ class TestRoundTrips:
             served = sum(len(f.value[1]) for f in requests)
             assert out[Role.BOB].report.leak_bits == served > 0
             assert out[Role.ALICE].report == out[Role.BOB].report
+
+    def test_bases_of_kept_pulses_only(self):
+        cfg = small_cfg()
+        for block_id in range(6):
+            sa, sb = socket.socketpair()
+            bob = _TamperingTransport(sb, 5.0, MsgType.BASIS_ANNOUNCE, None)
+            run_pair(cfg, block_id=block_id,
+                     transports=(proto.StreamTransport(sa, 5.0), bob))
+            mask, basis = bob.sent[:2]
+            assert mask.msg_type == MsgType.POSTSELECT_MASK
+            assert basis.msg_type == MsgType.BASIS_ANNOUNCE
+            n_post = reference_estimation(cfg, block_id)[1].kept_indices.size
+            assert np.count_nonzero(mask.value) == n_post
+            assert len(encode_frame(basis)) == 5 + math.ceil(n_post / 8)
+            sent = sum(len(encode_frame(f)) for f in bob.sent)
+            assert sent <= self.MAX_BOB_BYTES, block_id
