@@ -21,6 +21,15 @@ positions among the kept pulses, in [0, n_post).  No layout changed, but
 transcripts are not compatible with the earlier order, which announced
 every pulse's basis and sampled positions among all pulses.
 
+Bob sends some frames back to back: POSTSELECT_MASK, BASIS_ANNOUNCE and
+SAMPLE_INDICES, and later HASH_SEED and KEY_CONFIRM.  Under Nagle's
+algorithm a later one waits until the peer acknowledges the one before,
+and the peer delays that ACK (~40 ms on Linux) because it has nothing to
+send back yet: a block over TCP could lose ~80 ms to waiting.  A TCP
+StreamTransport therefore sets TCP_NODELAY and every frame leaves when it
+is written; an AF_UNIX socket has no such delay.  A received frame must
+arrive whole within the transport's timeout, however its bytes trickle in.
+
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
 One request asks for all top-level parities of a pass, or for one
@@ -45,6 +54,7 @@ import enum
 import hashlib
 import socket
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,13 +241,20 @@ def decode_frame(data: bytes) -> Frame:
 
 
 class StreamTransport:
-    """Blocking framed I/O over a socket-like object, with an optional
-    transcript file recording every frame in endpoint event order."""
+    """Blocking framed I/O over a socket, with an optional transcript file
+    recording every frame in endpoint event order.
+
+    `timeout_s` bounds the wait for each whole received frame, and each
+    send.  A TCP socket gets TCP_NODELAY, so that each frame leaves when
+    it is written (see the module docstring)."""
 
     def __init__(self, sock, timeout_s: float = DEFAULT_TIMEOUT_S,
                  transcript_path=None):
         self.sock = sock
+        self.timeout_s = timeout_s
         self.sock.settimeout(timeout_s)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._transcript = open(transcript_path, "wb") if transcript_path else None
 
     def send_frame(self, frame: Frame) -> None:
@@ -246,9 +263,13 @@ class StreamTransport:
             self._transcript.write(data)
         self.sock.sendall(data)
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int, deadline: float) -> bytes:
         buf = bytearray()
         while len(buf) < n:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout
+            self.sock.settimeout(remaining)
             chunk = self.sock.recv(n - len(buf))
             if not chunk:
                 raise SessionFailed(AbortReason.TRANSPORT_CLOSED,
@@ -257,14 +278,20 @@ class StreamTransport:
         return bytes(buf)
 
     def recv_frame(self, n_pulses: int | None = None) -> Frame:
-        """The next frame.  Its header is checked before any payload byte
-        is read: the type must be known and the length fit the type and,
-        given the block's pulse count `n_pulses`, the block."""
+        """The next frame, which must arrive whole within the timeout: a
+        peer that trickles bytes cannot stretch the wait.  Its header is
+        checked before any payload byte is read: the type must be known
+        and the length fit the type and, given the block's pulse count
+        `n_pulses`, the block."""
+        deadline = time.monotonic() + self.timeout_s
         try:
-            header = self._recv_exact(_HEADER.size)
-            length, raw_type = _HEADER.unpack(header)
-            _checked_type(raw_type, length, n_pulses)
-            payload = self._recv_exact(length)
+            try:
+                header = self._recv_exact(_HEADER.size, deadline)
+                length, raw_type = _HEADER.unpack(header)
+                _checked_type(raw_type, length, n_pulses)
+                payload = self._recv_exact(length, deadline)
+            finally:
+                self.sock.settimeout(self.timeout_s)   # sendall's timeout
         except socket.timeout:
             raise SessionFailed(AbortReason.TIMEOUT, "receive timed out")
         except OSError as exc:

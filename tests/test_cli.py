@@ -1,6 +1,9 @@
 import os
+import socket
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -120,10 +123,10 @@ class TestSubcommands:
 
 
 class TestRunLink:
-    def test_two_endpoint_session(self, fast_config_file, tmp_path):
-        import threading
-
-        port = 47613
+    def test_two_endpoint_session(self, fast_config_file, tmp_path, capsys):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
         codes = {}
 
         def serve():
@@ -133,16 +136,23 @@ class TestRunLink:
                  "--key-out", str(tmp_path / "bob.key"),
                  "--output", str(tmp_path / "bob.txt")])
 
-        t = threading.Thread(target=serve)
+        t = threading.Thread(target=serve, daemon=True)
         t.start()
-        import time
-        time.sleep(0.3)
-        codes["alice"] = cli.main(
-            ["--config", fast_config_file, "run-link", "--role", "alice",
-             "--connect", f"127.0.0.1:{port}",
-             "--key-out", str(tmp_path / "alice.key"),
-             "--output", str(tmp_path / "alice.txt")])
-        t.join()
+        # Alice may connect before Bob listens: retry while she is refused
+        deadline = time.monotonic() + 30.0
+        while True:
+            codes["alice"] = cli.main(
+                ["--config", fast_config_file, "run-link", "--role", "alice",
+                 "--connect", f"127.0.0.1:{port}",
+                 "--key-out", str(tmp_path / "alice.key"),
+                 "--output", str(tmp_path / "alice.txt")])
+            refused = "refused" in capsys.readouterr().err
+            if not (codes["alice"] == 1 and refused
+                    and time.monotonic() < deadline):
+                break
+            time.sleep(0.05)
+        t.join(timeout=60.0)
+        assert not t.is_alive()
         assert codes == {"alice": 0, "bob": 0}
         from cvqkdsim.postprocess import read_key_file
         a = read_key_file(tmp_path / "alice.key")

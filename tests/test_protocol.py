@@ -111,6 +111,16 @@ def run_pair(cfg, transports=None, **kwargs):
     return out
 
 
+def tcp_pair(timeout_s: float = 5.0):
+    """(Alice end, Bob end) over one loopback TCP connection, built as
+    run-link builds it: Bob listens and Alice connects."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        alice = socket.create_connection(server.getsockname()[:2])
+        bob, _ = server.accept()
+    return (proto.StreamTransport(alice, timeout_s),
+            proto.StreamTransport(bob, timeout_s))
+
+
 _frame_strategies = st.one_of(
     st.builds(lambda bits: Frame(MsgType.BASIS_ANNOUNCE,
                                  np.array(bits, dtype=np.uint8)),
@@ -579,6 +589,64 @@ class TestFaultInjection:
             run_session(Role.ALICE, tb, SystemConfig(block_size_pulses=5000))
         assert exc_info.value.reason == AbortReason.TRANSPORT_CLOSED
         tb.close()
+
+    def test_trickled_frame_times_out(self):
+        # one byte every 0.2 s keeps each recv inside a 0.3 s timeout, but
+        # the frame as a whole may not take longer than that
+        sa, sb = socket.socketpair()
+        receiver = proto.StreamTransport(sb, 0.3)
+        data = encode_frame(Frame(MsgType.SAMPLE_INDICES, np.arange(4)))
+        assert len(data) == 25
+        stop = threading.Event()
+
+        def trickle():
+            for byte in data:
+                sa.sendall(bytes([byte]))
+                if stop.wait(0.2):
+                    return
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(SessionFailed) as exc_info:
+                receiver.recv_frame()
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert exc_info.value.reason == AbortReason.TIMEOUT
+        assert 0.3 <= elapsed < 0.8
+        # sendall shares the socket's timeout: it is the full one again
+        assert receiver.sock.gettimeout() == 0.3
+        receiver.close()
+        sa.close()
+
+
+class TestTcpTransport:
+    def test_nodelay_on_tcp_only(self):
+        # Bob's back-to-back frames would otherwise wait on the peer's
+        # delayed ACK; AF_UNIX has no Nagle and no TCP options to set
+        ends = tcp_pair()
+        for end in ends:
+            assert end.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            end.close()
+        ta, tb = loopback_pair(timeout_s=5.0)
+        assert ta.sock.family == tb.sock.family == socket.AF_UNIX
+        out = run_pair(noiseless_cfg(), transports=(ta, tb))
+        assert out[Role.ALICE].key_bits.size > 0
+        assert np.array_equal(out[Role.ALICE].key_bits, out[Role.BOB].key_bits)
+
+    def test_session_matches_in_process(self):
+        cfg = small_cfg()
+        for block_id in range(3):
+            out = run_pair(cfg, transports=tcp_pair(), block_id=block_id)
+            local = distill_block(cfg, block_id, mean_drift(cfg),
+                                  qber_used=None)
+            for role in (Role.ALICE, Role.BOB):
+                assert out[role].report == local.report, (block_id, role)
+                assert np.array_equal(out[role].key_bits, local.key_bits)
 
 
 class TestRoundTrips:
