@@ -14,7 +14,8 @@ import sys
 from . import experiments as ex
 from . import postprocess as pp
 from .config import ConfigError, SystemConfig, dump_config, load_config
-from .protocol import Role, SessionFailed, StreamTransport, run_session
+from .protocol import (AbortReason, Role, SessionFailed, StreamTransport,
+                       run_session)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--connect", metavar="HOST:PORT")
     p.add_argument("--block-id", type=int, default=0)
     p.add_argument("--timeout", type=float, default=30.0,
-                   help="receive timeout in seconds")
+                   help="seconds to wait for the peer and for each frame")
     p.add_argument("--key-out", metavar="PATH",
                    help="write the final key as a binary key file")
     p.add_argument("--transcript", metavar="PATH",
@@ -87,23 +88,32 @@ def _parse_endpoint(spec: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _connect(args) -> socket.socket:
+    """The connection to the peer; waiting for it longer than --timeout
+    fails the session with TIMEOUT."""
+    try:
+        if args.listen:
+            with socket.create_server(_parse_endpoint(args.listen)) as server:
+                server.settimeout(args.timeout)
+                return server.accept()[0]
+        return socket.create_connection(_parse_endpoint(args.connect),
+                                        timeout=args.timeout)
+    except socket.timeout:
+        raise SessionFailed(AbortReason.TIMEOUT, "no peer")
+
+
 def _run_link(cfg, args) -> int:
     role = Role.ALICE if args.role == "alice" else Role.BOB
-    if args.listen:
-        host, port = _parse_endpoint(args.listen)
-        with socket.create_server((host, port)) as server:
-            conn, _ = server.accept()
-    else:
-        host, port = _parse_endpoint(args.connect)
-        conn = socket.create_connection((host, port))
-    transport = StreamTransport(conn, args.timeout, args.transcript)
     try:
-        result = run_session(role, transport, cfg, block_id=args.block_id)
+        transport = StreamTransport(_connect(args), args.timeout,
+                                    args.transcript)
+        try:
+            result = run_session(role, transport, cfg, block_id=args.block_id)
+        finally:
+            transport.close()
     except SessionFailed as exc:
         print(f"session failed: {exc.reason.name}", file=sys.stderr)
         return EXIT_PROTOCOL
-    finally:
-        transport.close()
     if args.key_out:
         pp.write_key_file(args.key_out, result.key_bits)
     rep = result.report

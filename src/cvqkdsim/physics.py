@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 QUANTUM_CHANNEL_INDEX = 6
-QUADRATURE_Q = 0
-QUADRATURE_P = 1
 
 
 class CalibrationError(RuntimeError):

@@ -7,6 +7,14 @@ wire.  run_chain() distills a block into a BlockResult, which
 distill_block() returns in process for the experiment runners and
 protocol.run_session() over the wire.
 
+The transports differ only in the link run_chain is given:
+  * `alice`, `bob`: whether this end plays each role and holds its data;
+  * `from_bob(kind, make, bound)`, `from_alice(...)`: a value one role
+    sends the other, under its MsgType name.  The sender calls `make`,
+    the receiver gets the peer's value, checked against `bound`;
+  * `fail(reason, detail)`, wire only: abort both ends with an
+    AbortReason name and return the SessionFailed to raise.
+
 A block that keeps no pulse, or whose error sample leaves no bit to
 reconcile, yields a 0-bit key and SKR 0 on both paths.  The two paths
 differ in one behaviour: a block that Cascade leaves with residual errors
@@ -17,8 +25,10 @@ the peer ends both ends in SessionFailed with matching AbortReasons.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,8 +87,7 @@ def simulate_quantum_exchange(cfg, block_id: int,
 
 
 class LocalLink:
-    """Both roles in one process: a sent value is the sender's own, and
-    Cascade asks Bob's string directly."""
+    """Both roles in one process: a sent value is the sender's own."""
 
     alice = bob = True   # this end holds each role's data
 
@@ -87,24 +96,42 @@ class LocalLink:
 
     from_alice = from_bob
 
-    def reconcile(self, alice_key, bob_key, perms, k1):
-        oracle = pp.LocalParityOracle(bob_key, perms)
-        return pp.cascade_reconcile(alice_key, oracle, k1, perms)
 
-    def confirm(self, key) -> None:
-        pass
+def _reconcile(link, alice_key, bob_key, perms, k1):
+    """Cascade, one PARITY_REQ/PARITY_RSP exchange per call of Alice's
+    oracle, until her empty request.  Returns (Alice's corrected string or
+    None, parities disclosed).  Alice asks nothing once n_kept parities are
+    out, so Bob, serving across the wire, takes a further request as a
+    protocol violation."""
+    oracle = pp.LocalParityOracle(bob_key, perms) if link.bob else None
+    if link.alice:
+        def parities(p, starts, ends):
+            link.from_alice("PARITY_REQ", lambda: (p, starts, ends))
+            return link.from_bob("PARITY_RSP", lambda: oracle.parities(
+                p, starts, ends), len(starts))
+
+        result = pp.cascade_reconcile(
+            alice_key, SimpleNamespace(parities=parities), k1, perms)
+        link.from_alice("PARITY_REQ", lambda: (0, [], []))
+        return result
+    while True:
+        p, starts, ends = link.from_alice("PARITY_REQ", None, perms)
+        if starts.size == 0:
+            return None, oracle.query_count
+        if oracle.query_count >= perms.n:
+            raise link.fail("UNEXPECTED_MESSAGE",
+                            "parity request after n_kept parities")
+        link.from_bob("PARITY_RSP", lambda: oracle.parities(p, starts, ends))
 
 
 def run_chain(cfg, block_id: int, batch: PulseBatch, link,
               qber_used: float | None = None) -> BlockResult:
     """Distill one simulated block, from the keep mask to key confirmation.
 
-    An end computes what the roles it plays (`link.alice`, `link.bob`)
-    hold.  A value one role sends the other passes through
-    `link.from_bob` / `link.from_alice` under its MsgType name: the sender
-    calls `make`, the receiver gets the peer's value, checked against
-    `bound`.  `qber_used` replaces the block's sampled error rate in the
-    key-length arithmetic; Cascade still corrects the real errors.
+    An end computes what the roles it plays hold, and every value one role
+    sends the other passes through the link (see the module docstring).
+    `qber_used` replaces the block's sampled error rate in the key-length
+    arithmetic; Cascade still corrects the real errors.
     """
     # Bob sends the keep mask first; from here on, indices count kept pulses.
     mask = link.from_bob("POSTSELECT_MASK",
@@ -146,10 +173,10 @@ def run_chain(cfg, block_id: int, batch: PulseBatch, link,
     perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
                                    derive_seed(cfg, block_id, 2))
     k1 = pp.cascade_block_size(max(qber, 1e-3), n_kept)
-    corrected, leak = (link.reconcile(alice_key, bob_key, perms, k1)
+    corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
                        if n_kept else (alice_key, 0))
     # Only an end holding both strings can count residual errors, and it
-    # keeps no key from such a block; over the wire, confirm() fails.
+    # keeps no key from such a block; over the wire, key confirmation fails.
     residual = (int(np.sum(corrected != bob_key))
                 if link.alice and link.bob else 0)
 
@@ -162,7 +189,10 @@ def run_chain(cfg, block_id: int, batch: PulseBatch, link,
             n_post, i_ab, chi_e, leak, disclosed))), n_kept)
     key = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
                            hash_seed, out_len)
-    link.confirm(key)
+    digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
+    bob_digest = link.from_bob("KEY_CONFIRM", lambda: digest)
+    if link.from_alice("KEY_CONFIRM", lambda: digest) != bob_digest:
+        raise link.fail("KEY_MISMATCH", "final keys differ")
 
     skr = 0.0 if residual else pp.compute_skr(
         cfg.block_size_pulses, cfg.rep_rate_hz, cfg.f_cal, p_post,

@@ -25,7 +25,6 @@ from .quantum import CoherentStateEnsemble, binary_entropy, holevo_bound
 __all__ = [
     "SiftedFrame",
     "KeySessionReport",
-    "ReconciliationError",
     "CascadePermutations",
     "LocalParityOracle",
     "DELTA_FIN_BITS",
@@ -54,10 +53,6 @@ KEY_FILE_VERSION = 1
 _ALICE_BIT_TABLE = np.array([[1, 0, 0, 1],   # quadrature Q
                              [1, 1, 0, 0]],  # quadrature P
                             dtype=np.uint8)
-
-
-class ReconciliationError(RuntimeError):
-    """Cascade could not converge (error rate too high)."""
 
 
 @dataclass

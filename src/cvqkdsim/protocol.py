@@ -15,11 +15,9 @@ variable-size one may carry no more than a block of its pulse count
 needs.  The quantum exchange itself is simulated locally on both endpoints
 from the shared config seed, so no quantum data travels over this channel.
 
-Post-selection comes first: Bob sends POSTSELECT_MASK, then BASIS_ANNOUNCE
-with the quadratures of the kept pulses only, and SAMPLE_INDICES are
-positions among the kept pulses, in [0, n_post).  No layout changed, but
-transcripts are not compatible with the earlier order, which announced
-every pulse's basis and sampled positions among all pulses.
+Bob's frames come first: POSTSELECT_MASK, then BASIS_ANNOUNCE with the
+quadratures of the kept pulses only, and SAMPLE_INDICES are positions
+among the kept pulses, in [0, n_post).
 
 Bob sends some frames back to back: POSTSELECT_MASK, BASIS_ANNOUNCE and
 SAMPLE_INDICES, and later HASH_SEED and KEY_CONFIRM.  Under Nagle's
@@ -34,24 +32,22 @@ Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
 One request asks for all top-level parities of a pass, or for one
 bisection depth of all its odd blocks, so a block takes tens of round
-trips, not one per parity; an empty request ends Cascade.  These layouts
-replaced one range per request and one byte per response.  Alice asks
-nothing once n_kept parities are out, and Bob aborts on a request after
-that.
+trips; an empty request ends Cascade.
 
 run_session() is pipeline.run_chain over a WireLink and returns its
-BlockResult, as distill_block() does in process.  A malformed,
-out-of-range, out-of-order or missing frame ends both endpoints in
-SessionFailed with the same AbortReason.  The one exception is the last
-message of a session, Alice's KEY_CONFIRM: if it is lost, Alice has
-already returned her key while Bob fails, with TRANSPORT_CLOSED once she
-hangs up or TIMEOUT if she does not.
+BlockResult, as distill_block() does in process.  Every protocol step,
+Cascade's parity exchange and key confirmation (Bob's KEY_CONFIRM, then
+Alice's) included, is a step of run_chain; a WireLink only carries values.
+A malformed, out-of-range, out-of-order or missing frame ends both
+endpoints in SessionFailed with the same AbortReason.  The one exception
+is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
+Alice has already returned her key while Bob fails, with TRANSPORT_CLOSED
+once she hangs up or TIMEOUT if she does not.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 import socket
 import struct
 import time
@@ -59,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import postprocess as pp
 from .physics import CalibrationError
 from .pipeline import BlockResult, run_chain, simulate_quantum_exchange
 
@@ -344,7 +339,10 @@ def _checked_value(frame: Frame, bound):
         return value if ok else None
     if t == MsgType.QBER_REPORT:
         return value if 0.0 <= value <= 1.0 else None
-    return value if value[1] <= bound else None   # HASH_SEED (seed, out_len)
+    if t == MsgType.HASH_SEED:   # (seed, out_len)
+        return value if value[1] <= bound else None
+    if t == MsgType.KEY_CONFIRM:   # its 32 bytes are checked at the header
+        return value
 
 
 class WireLink:
@@ -359,8 +357,11 @@ class WireLink:
         self.transport = transport
         self.n_pulses = n_pulses   # bounds what the peer's headers may claim
 
-    def fail(self, reason: AbortReason, detail: str = "",
+    def fail(self, reason: AbortReason | str, detail: str = "",
              notify: bool = True) -> SessionFailed:
+        """ABORT the peer unless told not to; the SessionFailed to raise."""
+        if isinstance(reason, str):
+            reason = AbortReason[reason]
         if notify:
             try:
                 self.transport.send_frame(Frame(MsgType.ABORT, reason))
@@ -412,45 +413,6 @@ class WireLink:
             raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
                             f"{t.name} does not fit the block")
         return value
-
-    def reconcile(self, alice_key, bob_key, perms: pp.CascadePermutations,
-                  k1: int):
-        """Cascade over PARITY_REQ/RSP until Alice's empty request.
-        Returns (Alice's corrected string or None, parities disclosed).
-        Alice asks nothing once n_kept parities are out, so Bob takes a
-        further request as a protocol violation."""
-        if self.alice:
-            result = pp.cascade_reconcile(alice_key, self, k1, perms)
-            self.send(Frame(MsgType.PARITY_REQ, (0, [], [])))
-            return result
-        oracle = pp.LocalParityOracle(bob_key, perms)
-        while True:
-            p, a, b = self.from_alice("PARITY_REQ", None, perms)
-            if a.size == 0:
-                return None, oracle.query_count
-            if oracle.query_count >= perms.n:
-                raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
-                                "parity request after n_kept parities")
-            self.from_bob("PARITY_RSP", lambda: oracle.parities(p, a, b))
-
-    def parities(self, pass_index: int, starts: np.ndarray,
-                 ends: np.ndarray) -> np.ndarray:
-        """Alice's Cascade oracle: one PARITY_REQ/RSP exchange per call,
-        however many ranges it asks for."""
-        self.from_alice("PARITY_REQ", lambda: (pass_index, starts, ends))
-        return self.from_bob("PARITY_RSP", None, len(starts))
-
-    def confirm(self, key: np.ndarray) -> None:
-        """KEY_CONFIRM, Bob's digest first; different keys abort both ends
-        with KEY_MISMATCH."""
-        digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
-        if self.bob:
-            self.send(Frame(MsgType.KEY_CONFIRM, digest))
-        peer_digest = self.expect(MsgType.KEY_CONFIRM).value
-        if self.alice:
-            self.send(Frame(MsgType.KEY_CONFIRM, digest))
-        if peer_digest != digest:
-            raise self.fail(AbortReason.KEY_MISMATCH, "final keys differ")
 
 
 def run_session(role: Role, transport: StreamTransport, cfg,

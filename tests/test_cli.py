@@ -161,6 +161,20 @@ class TestRunLink:
         assert (tmp_path / "alice.txt").read_text() == \
             (tmp_path / "bob.txt").read_text()
 
+    def test_listen_times_out_without_peer(self, capsys):
+        # no peer ever connects: --timeout bounds the wait in accept()
+        codes = []
+        t = threading.Thread(target=lambda: codes.append(cli.main(
+            ["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
+             "--timeout", "0.5"])), daemon=True)
+        start = time.monotonic()
+        t.start()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+        assert time.monotonic() - start < 5.0
+        assert codes == [2]
+        assert "session failed: TIMEOUT" in capsys.readouterr().err
+
     def test_bad_endpoint_spec(self, capsys):
         assert cli.main(["run-link", "--role", "alice",
                          "--connect", "nonsense"]) == 1

@@ -63,13 +63,16 @@ def reference_estimation(cfg, block_id: int):
 
 
 class _RecordingLink(LocalLink):
-    """A LocalLink that keeps every value one role sends the other."""
+    """A LocalLink that keeps the last value of each kind one role sends
+    the other, and every value it passes encoded as a wire frame."""
 
     def __init__(self):
         self.sent = {}
+        self.frames = []
 
     def from_bob(self, kind, make, bound=None):
         self.sent[kind] = value = make()
+        self.frames.append(encode_frame(Frame(MsgType[kind], value)))
         return value
 
     from_alice = from_bob
@@ -277,6 +280,25 @@ class TestSession:
         assert np.array_equal(kept[link.sent["SAMPLE_INDICES"]],
                               np.flatnonzero(disclosed))
         assert link.sent["SAMPLE_INDICES"].size == reduced.disclosed_count
+
+    @pytest.mark.parametrize("cfg, block_id", [
+        (small_cfg(), 0), (small_cfg(), 1), (small_cfg(), 2),
+        (noiseless_cfg(), 0), (SystemConfig(seed=1), 0)],
+        ids=["small-0", "small-1", "small-2", "noiseless-0", "seed1-0"])
+    def test_both_transports_carry_the_same_frames(self, cfg, block_id,
+                                                   tmp_path):
+        # every protocol step runs in run_chain, so the in-process link
+        # passes exactly the frames the wire carries, in the same order
+        paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
+        run_pair(cfg, transports=loopback_pair(transcripts=paths),
+                 block_id=block_id)
+        link = _RecordingLink()
+        run_chain(cfg, block_id,
+                  simulate_quantum_exchange(cfg, block_id, mean_drift(cfg)),
+                  link)
+        wire = paths[0].read_bytes()
+        assert paths[1].read_bytes() == wire
+        assert b"".join(link.frames) == wire
 
     def test_blocks_differ_by_id(self):
         cfg = noiseless_cfg()
