@@ -7,6 +7,7 @@ from .physics import (
     DriftParams,
     DriftState,
     FiberSpec,
+    KeptPulses,
     PulseBatch,
     WdmChannelSpec,
     fiber_transmittance,
@@ -24,6 +25,7 @@ __all__ = [
     "FiberSpec",
     "WdmChannelSpec",
     "PulseBatch",
+    "KeptPulses",
     "DriftParams",
     "DriftState",
     "CalibrationError",

@@ -23,15 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from .classical import PRBS15_PERIOD, prbs15_sequence, simulate_ook_link
-from .physics import (
-    advance_drift,
-    calibrate_shot_noise,
-    fiber_transmittance,
-    prepare_and_measure,
-    wdm_excess_noise,
-)
-from .postprocess import expected_qber
-from .pipeline import derive_seed, distill_block, simulate_quantum_exchange
+from .physics import advance_drift, calibrate_shot_noise, prepare_and_measure
+from .pipeline import derive_seed, distill_block, model_qber, signal_variance
 
 __all__ = [
     "BlockRunner",
@@ -70,6 +63,15 @@ def wdm_state_mask(cfg) -> int:
     return mask
 
 
+def _check_positive(name: str, value: float, allow_zero: bool) -> None:
+    """A ValueError naming the argument unless it is finite and > 0, or
+    >= 0 with `allow_zero`."""
+    if not (math.isfinite(value)
+            and (value >= 0.0 if allow_zero else value > 0.0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 def _check_block_size(cfg) -> None:
     if cfg.block_size_pulses < MIN_BLOCK_PULSES:
         raise ValueError(
@@ -91,8 +93,7 @@ class BlockRunner:
     """
 
     def __init__(self, cfg, time_scale: float = DEFAULT_TIME_SCALE):
-        if time_scale <= 0.0:
-            raise ValueError(f"time_scale must be > 0, got {time_scale!r}")
+        _check_positive("time_scale", time_scale, allow_zero=False)
         _check_block_size(cfg)
         self.cfg = cfg
         self.time_scale = time_scale
@@ -101,12 +102,7 @@ class BlockRunner:
         self.drift = cfg.drift.mean_state()
         self.drift_rng = np.random.default_rng(
             derive_seed(cfg, 0, _DRIFT_SEED_TAG))
-        t = fiber_transmittance(cfg.fiber)
-        eta = cfg.drift.efficiency_mean
-        m = math.sqrt(2.0 * t * eta) * cfg.alpha
-        var = 1.0 + t * eta * (cfg.epsilon_intrinsic_snu
-                               + wdm_excess_noise(cfg.wdm, cfg.fiber))
-        self.qber_ema = expected_qber(m, var, cfg.x_th_snu)
+        self.qber_ema = model_qber(cfg)
 
     def run_block(self, block_id: int, cfg=None):
         cfg = self.cfg if cfg is None else cfg
@@ -145,8 +141,7 @@ def exp_longrun(cfg, duration_s: float,
     One CSV row per block; timestamps are represented seconds from the
     start of the run.
     """
-    if duration_s < 0.0:
-        raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
+    _check_positive("duration_s", duration_s, allow_zero=True)
     lines, _ = _run_blocks(cfg, duration_s, time_scale, lambda t: cfg)
     return "\n".join(lines) + "\n"
 
@@ -159,8 +154,8 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     The appended '# ...' lines carry the paired statistic: mean SKR with
     the channels on, with them off, and the relative difference.
     """
-    if interval_s <= 0.0:
-        raise ValueError(f"interval_s must be > 0, got {interval_s!r}")
+    _check_positive("interval_s", interval_s, allow_zero=False)
+    _check_positive("total_s", total_s, allow_zero=True)
     cfg_on = cfg.with_wdm_enabled(ch.index for ch in cfg.classical_channels)
     cfg_off = cfg.with_wdm_enabled([])
     lines, skr = _run_blocks(
@@ -186,17 +181,15 @@ def exp_variance_sweep(cfg, time_scale: float = DEFAULT_TIME_SCALE) -> str:
     term; with all scattering coefficients zero, every relative change is
     exactly 0.
     """
-    if time_scale <= 0.0:
-        raise ValueError(f"time_scale must be > 0, got {time_scale!r}")
+    _check_positive("time_scale", time_scale, allow_zero=False)
     _check_block_size(cfg)
     n_point = max(cfg.block_size_pulses,
                   math.ceil(VARIANCE_POINT_SECONDS * cfg.rep_rate_hz / time_scale))
     drift = cfg.drift.mean_state()
 
     def point_variance(active_cfg) -> float:
-        batch = simulate_quantum_exchange(
+        return signal_variance(
             replace(active_cfg, block_size_pulses=n_point), 0, drift)
-        return float(np.var(batch.outcome_snu))
 
     baseline = point_variance(cfg.with_wdm_enabled([]))
     lines = [VARIANCE_HEADER]

@@ -3,9 +3,11 @@
 The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
-wire.  run_chain() distills a block into a BlockResult, which
-distill_block() returns in process for the experiment runners and
-protocol.run_session() over the wire.
+wire.  It draws only what the chain reads: the pulses that pass
+post-selection (physics.KeptPulses), ~2.5 % of a default block, and the
+block's signal variance from per-class statistics.  run_chain() distills
+a block into a BlockResult, which distill_block() returns in process for
+the experiment runners and protocol.run_session() over the wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
@@ -35,16 +37,22 @@ import numpy as np
 from . import postprocess as pp
 from .physics import (
     DriftState,
-    PulseBatch,
-    calibrate_shot_noise,
+    KeptPulses,
+    draw_kept_pulses,
+    draw_signal_statistics,
     fiber_transmittance,
-    prepare_and_measure,
+    signal_model,
 )
+# The per-pulse reference model: not called here, but perfbench's tracer
+# patches these names on this module.
+from .physics import calibrate_shot_noise, prepare_and_measure  # noqa: F401
 
 __all__ = [
     "BlockResult",
     "LocalLink",
     "derive_seed",
+    "model_qber",
+    "signal_variance",
     "simulate_quantum_exchange",
     "run_chain",
     "distill_block",
@@ -68,22 +76,38 @@ class BlockResult:
     residual_errors: int
 
 
-def simulate_quantum_exchange(cfg, block_id: int,
-                              drift: DriftState) -> PulseBatch:
-    """One block of pulses: blocked calibration frames first, then the
-    signal frames, returned with outcomes normalized by the measured shot
-    noise."""
+def model_qber(cfg) -> float:
+    """The error rate the model expects of a kept pulse at the mean drift.
+    BlockRunner's pooled estimate starts here, and Cascade's first block
+    size assumes no lower rate, however few errors a block's sample shows."""
+    table, sigma = signal_model(cfg, cfg.drift.mean_state())
+    return pp.expected_qber(float(np.mean(np.abs(table))), sigma ** 2,
+                            cfg.x_th_snu)
+
+
+def _signal_statistics(cfg, block_id: int, drift: DriftState):
+    """The block's random stream and its physics.SignalStatistics: blocked
+    calibration frames first, then the signal frames."""
     n_total = cfg.block_size_pulses
     rng = np.random.default_rng(derive_seed(cfg, block_id, 0))
     n_cal = max(1000, int(round(cfg.f_cal * n_total)))
-    n_sig = n_total - n_cal
-    if n_sig < 1:
-        raise ValueError(f"block of {n_total} pulses leaves no signal frames")
-    cal = prepare_and_measure(n_cal, cfg, drift, rng, blocked=True)
-    shot = calibrate_shot_noise(cal)
-    batch = prepare_and_measure(n_sig, cfg, drift, rng)
-    batch.outcome_snu /= math.sqrt(shot)
-    return batch
+    return rng, draw_signal_statistics(n_total - n_cal, n_cal, cfg, drift,
+                                       rng)
+
+
+def signal_variance(cfg, block_id: int, drift: DriftState) -> float:
+    """The normalized variance of all of a block's signal outcomes, as
+    distill_block reports it, without drawing a kept pulse."""
+    return _signal_statistics(cfg, block_id, drift)[1].variance_snu
+
+
+def simulate_quantum_exchange(cfg, block_id: int,
+                              drift: DriftState) -> KeptPulses:
+    """One block's signal pulses that reach cfg.x_th_snu after
+    normalization by the measured shot noise, and the variance of all of
+    them; physics.draw_kept_pulses says how they are drawn."""
+    rng, stats = _signal_statistics(cfg, block_id, drift)
+    return draw_kept_pulses(stats, cfg.x_th_snu, rng)
 
 
 class LocalLink:
@@ -124,7 +148,7 @@ def _reconcile(link, alice_key, bob_key, perms, k1):
         link.from_bob("PARITY_RSP", lambda: oracle.parities(p, starts, ends))
 
 
-def run_chain(cfg, block_id: int, batch: PulseBatch, link,
+def run_chain(cfg, block_id: int, batch: KeptPulses, link,
               qber_used: float | None = None) -> BlockResult:
     """Distill one simulated block, from the keep mask to key confirmation.
 
@@ -134,19 +158,20 @@ def run_chain(cfg, block_id: int, batch: PulseBatch, link,
     arithmetic; Cascade still corrects the real errors.
     """
     # Bob sends the keep mask first; from here on, indices count kept pulses.
-    mask = link.from_bob("POSTSELECT_MASK",
-                         lambda: np.abs(batch.outcome_snu) >= cfg.x_th_snu,
-                         batch.count)
+    # Alice's share of the simulated block holds the kept pulses only.
+    mask = link.from_bob("POSTSELECT_MASK", batch.keep_mask, batch.n_signal)
     kept = np.flatnonzero(mask)
+    if link.alice and not np.array_equal(kept, batch.position):
+        raise link.fail("UNEXPECTED_MESSAGE", "keep mask differs from block")
     n_post = kept.size
-    p_post = n_post / batch.count
+    p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.
-    quad = link.from_bob("BASIS_ANNOUNCE", lambda: batch.bob_quadrature[kept],
+    quad = link.from_bob("BASIS_ANNOUNCE", lambda: batch.bob_quadrature,
                          n_post)
-    alice_bits = (pp.sift_alice_bits(batch.alice_phase_index[kept], quad)
+    alice_bits = (pp.sift_alice_bits(batch.alice_phase_index, quad)
                   if link.alice else None)
-    bob_bits = ((batch.outcome_snu[kept] > 0.0).astype(np.uint8)
+    bob_bits = ((batch.outcome_snu > 0.0).astype(np.uint8)
                 if link.bob else None)
 
     # Error estimation on a disclosed pseudo-random subset of the kept bits.
@@ -172,7 +197,7 @@ def run_chain(cfg, block_id: int, batch: PulseBatch, link,
     bob_key = np.delete(bob_bits, sample) if link.bob else None
     perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
                                    derive_seed(cfg, block_id, 2))
-    k1 = pp.cascade_block_size(max(qber, 1e-3), n_kept)
+    k1 = pp.cascade_block_size(max(qber, model_qber(cfg), 1e-3), n_kept)
     corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
                        if n_kept else (alice_key, 0))
     # Only an end holding both strings can count residual errors, and it
@@ -212,5 +237,5 @@ def distill_block(cfg, block_id: int, drift: DriftState,
     average) for the block's own noisy sample, as in run_chain."""
     batch = simulate_quantum_exchange(cfg, block_id, drift)
     result = run_chain(cfg, block_id, batch, LocalLink(), qber_used)
-    result.variance_snu = float(np.var(batch.outcome_snu))
+    result.variance_snu = batch.variance_snu
     return result

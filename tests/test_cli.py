@@ -59,6 +59,23 @@ class TestExitCodes:
         # 10 ** 400 mW does not fit a float
         self._exits_cleanly(tmp_path, "wdm.1.launch_power_dbm = 4000")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["exp-longrun", "--duration", "inf"], "duration_s"),
+        (["exp-longrun", "--duration", "nan"], "duration_s"),
+        (["exp-longrun", "--time-scale", "nan"], "time_scale"),
+        (["exp-longrun", "--time-scale", "inf"], "time_scale"),
+        (["exp-onoff", "--total", "inf"], "total_s"),
+        (["exp-onoff", "--total", "nan"], "total_s"),
+        (["exp-onoff", "--interval", "inf"], "interval_s"),
+        (["exp-onoff", "--time-scale", "nan"], "time_scale"),
+        (["exp-variance", "--time-scale", "nan"], "time_scale"),
+    ])
+    def test_non_finite_argument_is_an_error(self, argv, name, capsys):
+        # rejected before any block runs, with the argument named
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
 
 class TestImport:
     def test_import_leaves_out_scipy_signal_and_stats(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cvqkdsim import postprocess as pp
 from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
-from cvqkdsim.physics import DriftState
+from cvqkdsim.physics import DriftState, PulseBatch
 from cvqkdsim.pipeline import (
     LocalLink,
     derive_seed,
@@ -51,11 +51,23 @@ def mean_drift(cfg) -> DriftState:
     return cfg.drift.mean_state()
 
 
+def signal_batch(kept) -> PulseBatch:
+    """A block's signal pulses as a PulseBatch: the kept pulses at their
+    positions, every other pulse with outcome 0, below any threshold > 0."""
+    n = kept.n_signal
+    phase, quad, x = np.zeros(n, np.int8), np.zeros(n, np.int8), np.zeros(n)
+    phase[kept.position] = kept.alice_phase_index
+    quad[kept.position] = kept.bob_quadrature
+    x[kept.position] = kept.outcome_snu
+    return PulseBatch(phase, quad, x)
+
+
 def reference_estimation(cfg, block_id: int):
     """Sifting, post-selection and error estimation of one block by the
-    reference helpers: (signal pulses, post-selected frame, qber, frame
-    after disclosure)."""
-    batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
+    reference helpers, on its signal_batch: (signal pulses, post-selected
+    frame, qber, frame after disclosure)."""
+    batch = signal_batch(
+        simulate_quantum_exchange(cfg, block_id, mean_drift(cfg)))
     frame = pp.post_select(pp.sift(batch), cfg.x_th_snu)
     rng = np.random.default_rng(derive_seed(cfg, block_id, 1))
     qber, reduced = pp.qber_estimate(frame, cfg.sample_fraction, rng)
@@ -264,7 +276,8 @@ class TestSession:
         assert out[Role.ALICE].report == out[Role.BOB].report == local.report
         assert np.array_equal(out[Role.ALICE].key_bits, local.key_bits)
 
-        # the chain's estimation step against the reference helpers
+        # the chain's estimation step against the reference helpers; the
+        # threshold applied to the drawn outcomes keeps exactly the drawn set
         link = _RecordingLink()
         batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
         chained = run_chain(cfg, block_id, batch, link)
@@ -313,10 +326,19 @@ class TestSession:
     def test_too_few_kept_pulses_yield_no_key(self, n_post, sample_fraction):
         # with one kept pulse, or a sample that takes all of them, no bit
         # is left for Cascade; with none, there is nothing to sample
+        # only the kept pulses are simulated, so the threshold that keeps
+        # n_post of block 0 is found by scanning it upward
         cfg = small_cfg()
-        batch = simulate_quantum_exchange(cfg, 0, mean_drift(cfg))
-        x_th = 40.0 if n_post == 0 else float(
-            np.sort(np.abs(batch.outcome_snu))[-n_post])
+
+        def kept_at(x_th):
+            return simulate_quantum_exchange(
+                replace(cfg, x_th_snu=x_th), 0, mean_drift(cfg))
+
+        x_th = 40.0 if n_post == 0 else next(
+            x for x in np.arange(4.0, 8.0, 0.01)
+            if kept_at(x).position.size == n_post)
+        batch = kept_at(x_th)
+        assert batch.position.size == n_post
         cfg = replace(cfg, x_th_snu=x_th, sample_fraction=sample_fraction)
         out, elapsed = run_pair_timed(cfg)
         assert elapsed < 1.0
@@ -324,7 +346,7 @@ class TestSession:
         for result in (out[Role.ALICE], out[Role.BOB], local):
             assert result.report == local.report
             assert result.key_bits.size == 0
-        assert local.report.p_post == n_post / batch.count
+        assert local.report.p_post == n_post / batch.n_signal
         assert local.report.skr_bits_per_s == 0.0
 
     def test_transcripts_deterministic(self, tmp_path):
@@ -451,6 +473,9 @@ class TestFaultInjection:
          lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
+        # as many pulses kept, but not the ones Alice's block kept
+        (Role.BOB, MsgType.POSTSELECT_MASK,
+         lambda f, sent, n_kept: replace(f, value=np.roll(f.value, 1))),
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:-1], 10 ** 9))),
@@ -487,8 +512,9 @@ class TestFaultInjection:
              f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
         (Role.BOB, MsgType.HASH_SEED,
          lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
-    ], ids=["basis-short", "mask-short", "index-1e9", "indices-unsorted",
-            "index-repeated", "index-past-kept", "sample-bits-8",
+    ], ids=["basis-short", "mask-short", "mask-moved", "index-1e9",
+            "indices-unsorted", "index-repeated", "index-past-kept",
+            "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
             "parity-start-past-end", "parity-arrays-unequal",
             "parity-rsp-count", "out-len-too-big"])
