@@ -14,6 +14,7 @@ import sys
 from . import experiments as ex
 from . import postprocess as pp
 from .config import ConfigError, SystemConfig, dump_config, load_config
+from .physics import CalibrationError
 from .protocol import (AbortReason, Role, SessionFailed, StreamTransport,
                        run_session)
 
@@ -146,7 +147,7 @@ def main(argv=None) -> int:
             _emit(ex.exp_eye(cfg), args.output)
         elif args.command == "dump-config":
             _emit(dump_config(cfg), args.output)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, CalibrationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -158,12 +158,12 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     arithmetic; Cascade still corrects the real errors.
     """
     # Bob sends the keep mask first; from here on, indices count kept pulses.
-    # Alice's share of the simulated block holds the kept pulses only.
+    # Alice's share of the simulated block holds the kept pulses only, so
+    # an end that plays her alone checks that the mask is her block's.
     mask = link.from_bob("POSTSELECT_MASK", batch.keep_mask, batch.n_signal)
-    kept = np.flatnonzero(mask)
-    if link.alice and not np.array_equal(kept, batch.position):
+    if not link.bob and not np.array_equal(mask, batch.keep_mask()):
         raise link.fail("UNEXPECTED_MESSAGE", "keep mask differs from block")
-    n_post = kept.size
+    n_post = batch.position.size
     p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.
@@ -186,7 +186,7 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
         qber_raw = link.from_bob("QBER_REPORT", lambda: float(
             np.mean(sample_bits != bob_bits[sample])))
     else:
-        sample, qber_raw = kept, 0.5
+        sample, qber_raw = batch.position, 0.5
     qber = qber_raw if qber_used is None else qber_used
     disclosed = sample.size
     n_kept = n_post - disclosed

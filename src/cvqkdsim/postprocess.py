@@ -224,6 +224,12 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     depth; they are disjoint, so each flips a different error.  Returns
     the corrected string and the number of parities disclosed.
 
+    Alice keeps her own top-level parity of each block of every pass
+    started, so finding the odd blocks reads no bit.  A flip toggles one
+    block per pass, found through the pass's inverse permutation.  To
+    bisect, only the odd blocks' bits are laid end to end under a running
+    parity; the rest of the string is not read.
+
     It stops once n parities are out, as no key can come of the string
     then, or once it has flipped more than n bits, which only an oracle
     that is no one string's can make it do.
@@ -234,32 +240,48 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     if initial_block < 2:
         raise ValueError(f"initial block size must be >= 2, got {initial_block}")
     bits = np.array(alice_bits, dtype=np.uint8)
-    starts = [np.arange(0, n, min(n, initial_block << p))
-              for p in range(perms.passes)]
+    sizes = [min(n, initial_block << p) for p in range(perms.passes)]
+    starts = [np.arange(0, n, size) for size in sizes]
     ends = [np.append(s[1:], n) for s in starts]
-    bob_top = []
+    bob_top, alice_top, inverse = [], [], []
     leak = flips = 0
     for p in range(perms.passes):
         bob_top.append(oracle.parities(p, starts[p], ends[p]))
         leak += starts[p].size
+        alice_top.append(np.bitwise_xor.reduceat(bits[perms.perm[p]],
+                                                 starts[p]))
+        inverse.append(np.empty(n, dtype=np.int32))
+        inverse[p][perms.perm[p]] = np.arange(n, dtype=np.int32)
         q = 0
         while q <= p:
             if leak >= n or flips > n:
                 return bits, leak
-            c = _prefix_xor(bits[perms.perm[q]])
-            odd = np.flatnonzero(c[ends[q]] ^ c[starts[q]] != bob_top[q])
+            odd = np.flatnonzero(alice_top[q] != bob_top[q])
+            if not odd.size:
+                q += 1
+                continue
             a, b = starts[q][odd], ends[q][odd]
+            # block i's bit at pass position x sits at c[x + shift[i]]
+            length = b - a
+            shift = np.cumsum(length) - length - a
+            c = _prefix_xor(bits[perms.perm[q][
+                np.arange(length.sum()) - np.repeat(shift, length)]])
             while (act := np.flatnonzero(b - a > 1)).size:
                 if leak >= n:
                     return bits, leak
                 lo, mid = a[act], (a[act] + b[act]) // 2
-                left = c[mid] ^ c[lo] != oracle.parities(q, lo, mid)
+                s = shift[act]
+                left = c[mid + s] ^ c[lo + s] != oracle.parities(q, lo, mid)
                 leak += act.size
                 b[act[left]] = mid[left]
                 a[act[~left]] = mid[~left]
-            bits[perms.perm[q][a]] ^= 1
+            flipped = perms.perm[q][a]
+            bits[flipped] ^= 1
+            for r in range(p + 1):
+                block = inverse[r][flipped] // sizes[r]
+                np.bitwise_xor.at(alice_top[r], block, 1)
             flips += odd.size
-            q = 0 if odd.size else q + 1
+            q = 0
     return bits, leak
 
 
@@ -268,8 +290,13 @@ def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
 
     The (out_len + n - 1) diagonal bits (first column followed by the
     remainder of the first row) are drawn from a PCG64 generator seeded
-    with `seed`; the product is evaluated with a real FFT convolution,
-    padded to a fast length.
+    with `seed`; the product is evaluated with a real FFT convolution.
+
+    The convolution is circular, at a fast length N >= out_len + n - 1,
+    not at the linear product's full out_len + 2n - 2.  That is exact: the
+    linear product ends at index out_len + 2n - 3, so every term past N
+    wraps to an index <= n - 2, below the window [n - 1, n - 1 + out_len)
+    that is read, which itself ends below N.
     """
     x = np.asarray(bits, dtype=np.uint8)
     n = x.size
@@ -281,7 +308,7 @@ def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
         0, 2, size=out_len + n - 1, dtype=np.uint8)
     # T[i, j] = e[i - j + n - 1] with e = reversed first row ++ first column
     e = np.concatenate([diag[out_len:][::-1], diag[:out_len]])
-    size = fft.next_fast_len(e.size + n - 1, real=True)
+    size = fft.next_fast_len(e.size, real=True)
     conv = fft.irfft(fft.rfft(e, size) * fft.rfft(x, size), size)
     return (np.rint(conv[n - 1:n - 1 + out_len]).astype(np.int64) % 2).astype(np.uint8)
 

@@ -2,8 +2,71 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim import postprocess as pp
+
+
+def reference_cascade(alice_bits, oracle, initial_block, perms):
+    """Cascade with a full running parity of Alice's permuted string built
+    on each visit to a pass: the reference cascade_reconcile must match
+    call for call, flip for flip."""
+    n = len(alice_bits)
+    bits = np.array(alice_bits, dtype=np.uint8)
+    starts = [np.arange(0, n, min(n, initial_block << p))
+              for p in range(perms.passes)]
+    ends = [np.append(s[1:], n) for s in starts]
+    bob_top = []
+    leak = flips = 0
+    for p in range(perms.passes):
+        bob_top.append(oracle.parities(p, starts[p], ends[p]))
+        leak += starts[p].size
+        q = 0
+        while q <= p:
+            if leak >= n or flips > n:
+                return bits, leak
+            c = np.bitwise_xor.accumulate(
+                np.append(np.uint8(0), bits[perms.perm[q]]))
+            odd = np.flatnonzero(c[ends[q]] ^ c[starts[q]] != bob_top[q])
+            a, b = starts[q][odd], ends[q][odd]
+            while (act := np.flatnonzero(b - a > 1)).size:
+                if leak >= n:
+                    return bits, leak
+                lo, mid = a[act], (a[act] + b[act]) // 2
+                left = c[mid] ^ c[lo] != oracle.parities(q, lo, mid)
+                leak += act.size
+                b[act[left]] = mid[left]
+                a[act[~left]] = mid[~left]
+            bits[perms.perm[q][a]] ^= 1
+            flips += odd.size
+            q = 0 if odd.size else q + 1
+    return bits, leak
+
+
+class _RecordingOracle:
+    """Passes each call to `oracle` and records it as (pass, starts, ends)."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls = []
+
+    def parities(self, pass_index, starts, ends):
+        self.calls.append((pass_index, starts.tolist(), ends.tolist()))
+        return self.oracle.parities(pass_index, starts, ends)
+
+
+def assert_matches_reference(alice, make_oracle, initial_block, perms):
+    """cascade_reconcile and reference_cascade, each given a fresh oracle
+    from `make_oracle`, return the same bits and leak after the same
+    oracle calls."""
+    runs = []
+    for reconcile in (pp.cascade_reconcile, reference_cascade):
+        oracle = _RecordingOracle(make_oracle())
+        bits, leak = reconcile(np.asarray(alice, dtype=np.uint8), oracle,
+                               initial_block, perms)
+        runs.append((bits.tolist(), leak, oracle.calls))
+    assert runs[0] == runs[1]
 
 
 def run_cascade(alice, bob, passes, k1, seed=99):
@@ -135,16 +198,50 @@ class TestInconsistentOracle:
         # n = 9, k1 = 4, identity permutations: bit 8 is a block of its own
         # in passes 0 and 1.  An oracle that calls it 0 in pass 0 and 1 in
         # pass 1 has Alice flip it back and forth without asking anything.
-        perms = pp.CascadePermutations(9, 4, 0)
-        perms.perm = [np.arange(9)] * 4
-
-        class Contradicting:
-            def parities(self, pass_index, starts, ends):
-                return ((pass_index % 2 == 1) & (starts == 8)).astype(np.uint8)
-
+        perms = _identity_perms(9, 4)
         done = threading.Event()
         thread = threading.Thread(daemon=True, target=lambda: (
             pp.cascade_reconcile(np.zeros(9, dtype=np.uint8),
-                                 Contradicting(), 4, perms), done.set()))
+                                 _Contradicting(), 4, perms), done.set()))
         thread.start()
         assert done.wait(5.0), "Cascade does not stop"
+
+
+def _identity_perms(n, passes):
+    perms = pp.CascadePermutations(n, passes, 0)
+    perms.perm = [np.arange(n)] * passes
+    return perms
+
+
+class _Contradicting:
+    """Calls bit 8 a block of parity 0 in even passes and 1 in odd ones."""
+
+    def parities(self, pass_index, starts, ends):
+        return ((pass_index % 2 == 1) & (starts == 8)).astype(np.uint8)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 3000), rate=st.floats(0.0, 0.3),
+           k1=st.integers(2, 200), passes=st.integers(2, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bob_oracle(self, n, rate, k1, passes, seed):
+        rng = np.random.default_rng(seed)
+        bob = rng.integers(0, 2, n, dtype=np.uint8)
+        alice = bob ^ (rng.random(n) < rate).astype(np.uint8)
+        perms = pp.CascadePermutations(n, passes, seed)
+        assert_matches_reference(
+            alice, lambda: pp.LocalParityOracle(bob, perms), k1, perms)
+
+    @pytest.mark.parametrize("n", [9, 100, 2000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_answers(self, n, seed):
+        perms = pp.CascadePermutations(n, 4, seed)
+        assert_matches_reference(
+            np.zeros(n, dtype=np.uint8),
+            lambda: _RandomOracle(seed, limit=10 * n),
+            pp.cascade_block_size(0.05, n), perms)
+
+    def test_contradicting_one_bit_blocks(self):
+        assert_matches_reference(np.zeros(9, dtype=np.uint8), _Contradicting,
+                                 4, _identity_perms(9, 4))

@@ -59,6 +59,18 @@ class TestExitCodes:
         # 10 ** 400 mW does not fit a float
         self._exits_cleanly(tmp_path, "wdm.1.launch_power_dbm = 4000")
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--pulses", "2000"], ["exp-variance"]],
+        ids=["calibrate", "exp-variance"])
+    def test_failed_calibration_exits_cleanly(self, tmp_path, argv):
+        # zero noise leaves a calibration frame with no variance to measure
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("force_sigma_snu = 0.0\n", encoding="utf-8")
+        proc = run_python("-m", "cvqkdsim.cli", "--config", str(bad), *argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv, name", [
         (["exp-longrun", "--duration", "inf"], "duration_s"),
         (["exp-longrun", "--duration", "nan"], "duration_s"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 from scipy.stats import norm
 
 from cvqkdsim import postprocess as pp
@@ -146,6 +147,20 @@ class TestExpectedQber:
             pp.expected_qber(1.0, 0.0, 1.0)
 
 
+def explicit_toeplitz(x, seed, out):
+    """The GF(2) product of x with the hash's Toeplitz matrix, built entry
+    by entry."""
+    n = x.size
+    diag = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, 2, size=out + n - 1, dtype=np.uint8)
+    t = np.empty((out, n), dtype=np.uint8)
+    for i in range(out):
+        for j in range(n):
+            # first column = diag[:out], rest of first row follows
+            t[i, j] = diag[i - j] if i >= j else diag[out + j - i - 1]
+    return (t @ x) % 2
+
+
 class TestToeplitz:
     def test_pinned_vector(self):
         got = pp.toeplitz_hash(np.array([1, 0, 1], dtype=np.uint8), 7, 2)
@@ -158,15 +173,23 @@ class TestToeplitz:
             out = int(rng.integers(1, n + 1))
             seed = int(rng.integers(0, 2 ** 32))
             x = rng.integers(0, 2, n).astype(np.uint8)
-            diag = np.random.Generator(np.random.PCG64(seed)).integers(
-                0, 2, size=out + n - 1, dtype=np.uint8)
-            t = np.empty((out, n), dtype=np.uint8)
-            for i in range(out):
-                for j in range(n):
-                    # first column = diag[:out], rest of first row follows
-                    t[i, j] = diag[i - j] if i >= j else diag[out + j - i - 1]
-            want = (t @ x) % 2
-            assert np.array_equal(pp.toeplitz_hash(x, seed, out), want)
+            assert np.array_equal(pp.toeplitz_hash(x, seed, out),
+                                  explicit_toeplitz(x, seed, out))
+
+    @pytest.mark.parametrize("n, out", [
+        (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 5), (13, 13),
+        (41, 41), (64, 1), (250, 1), (50, 15), (61, 60), (97, 32),
+        (1000, 297)])
+    def test_exact_without_padding_slack(self, n, out):
+        # the circular length is out + n - 1 itself here, so the product's
+        # wrapped tail lands just below the window that is read
+        assert fft.next_fast_len(out + n - 1, real=True) == out + n - 1
+        rng = np.random.default_rng(n * 1000 + out)
+        for x in (np.ones(n, dtype=np.uint8),
+                  rng.integers(0, 2, n).astype(np.uint8)):
+            for seed in (0, 1, 2024):
+                assert np.array_equal(pp.toeplitz_hash(x, seed, out),
+                                      explicit_toeplitz(x, seed, out))
 
     def test_exact_at_full_block_size(self):
         # 882,000 bits are kept from a default 1e6-pulse block at

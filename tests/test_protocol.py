@@ -476,6 +476,10 @@ class TestFaultInjection:
         # as many pulses kept, but not the ones Alice's block kept
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=np.roll(f.value, 1))),
+        # the pulses Alice's block kept, and the first one it did not
+        (Role.BOB, MsgType.POSTSELECT_MASK,
+         lambda f, sent, n_kept: replace(f, value=f.value | (
+             np.arange(f.value.size) == np.argmin(f.value)))),
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:-1], 10 ** 9))),
@@ -512,9 +516,9 @@ class TestFaultInjection:
              f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
         (Role.BOB, MsgType.HASH_SEED,
          lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
-    ], ids=["basis-short", "mask-short", "mask-moved", "index-1e9",
-            "indices-unsorted", "index-repeated", "index-past-kept",
-            "sample-bits-8",
+    ], ids=["basis-short", "mask-short", "mask-moved", "mask-extra",
+            "index-1e9", "indices-unsorted", "index-repeated",
+            "index-past-kept", "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
             "parity-start-past-end", "parity-arrays-unequal",
             "parity-rsp-count", "out-len-too-big"])
