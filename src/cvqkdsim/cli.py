@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import socket
 import sys
+import threading
 
 from . import experiments as ex
 from . import postprocess as pp
@@ -104,6 +105,13 @@ def _connect(args) -> socket.socket:
 
 
 def _run_link(cfg, args) -> int:
+    # settimeout raises OverflowError past the longest wait it can time
+    if not 0 < args.timeout <= threading.TIMEOUT_MAX:
+        raise ConfigError(f"--timeout must be > 0 and at most "
+                          f"{threading.TIMEOUT_MAX:.0f} s, "
+                          f"got {args.timeout!r}")
+    if args.block_id < 0:
+        raise ConfigError(f"--block-id must be >= 0, got {args.block_id}")
     role = Role.ALICE if args.role == "alice" else Role.BOB
     try:
         transport = StreamTransport(_connect(args), args.timeout,

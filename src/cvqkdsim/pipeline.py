@@ -28,7 +28,6 @@ the peer ends both ends in SessionFailed with matching AbortReasons.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -69,8 +68,7 @@ def derive_seed(cfg, block_id: int, tag: int) -> int:
 class BlockResult:
     report: pp.KeySessionReport
     key_bits: np.ndarray
-    variance_snu: float      # normalized signal variance (modulation
-                             # included); NaN from a wire session
+    variance_snu: float      # normalized signal variance, modulation included
     qber_raw: float          # this block's own sample estimate; 0.5
                              # if it kept no pulse
     residual_errors: int
@@ -226,8 +224,9 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
         n_pulses=cfg.block_size_pulses, p_post=p_post, qber=qber,
         i_ab_bits=i_ab, chi_e_bits=chi_e, leak_bits=leak,
         final_key_bits=int(key.size), skr_bits_per_s=skr)
-    return BlockResult(report=report, key_bits=key, variance_snu=math.nan,
-                       qber_raw=qber_raw, residual_errors=residual)
+    return BlockResult(report=report, key_bits=key,
+                       variance_snu=batch.variance_snu, qber_raw=qber_raw,
+                       residual_errors=residual)
 
 
 def distill_block(cfg, block_id: int, drift: DriftState,
@@ -235,7 +234,6 @@ def distill_block(cfg, block_id: int, drift: DriftState,
     """Full distillation of one block in process; `qber_used` substitutes
     a pooled error-rate estimate (e.g. the experiment runner's running
     average) for the block's own noisy sample, as in run_chain."""
-    batch = simulate_quantum_exchange(cfg, block_id, drift)
-    result = run_chain(cfg, block_id, batch, LocalLink(), qber_used)
-    result.variance_snu = batch.variance_snu
-    return result
+    return run_chain(cfg, block_id,
+                     simulate_quantum_exchange(cfg, block_id, drift),
+                     LocalLink(), qber_used)

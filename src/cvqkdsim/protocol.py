@@ -6,14 +6,17 @@ Length-prefixed binary frames over any reliable ordered byte stream:
     [1 byte   message type]
     [N bytes  payload]
 
-A frame carries one value, and each message type's payload layout is
-one row of `_CODEC`.  All integers on the wire are big-endian.  Packed bit
-fields put pulse 0 in the most significant bit of the first byte.  A
-received header is checked against its type and the block before any
-payload byte is read: a fixed-size type needs its exact size, and a
-variable-size one may carry no more than a block of its pulse count
-needs.  The quantum exchange itself is simulated locally on both endpoints
-from the shared config seed, so no quantum data travels over this channel.
+A frame carries one value.  Each message type is one row of `_CODEC`:
+its payload layout, its size, and the check on a received value; that
+check (a bit field cut to its bit count, any other value held to its
+bound) is the whole receive-side contract.  All integers on the wire are
+big-endian.  Packed bit fields put pulse 0 in the most significant bit of
+the first byte.  A received header is checked against its type and the
+block before any payload byte is read: a fixed-size type needs its exact
+size, and a variable-size one may carry no more than a block of its pulse
+count needs.  The quantum exchange itself is simulated locally on both
+endpoints from the shared config seed, so no quantum data travels over
+this channel.
 
 Bob's frames come first: POSTSELECT_MASK, then BASIS_ANNOUNCE with the
 quadratures of the kept pulses only, and SAMPLE_INDICES are positions
@@ -42,7 +45,9 @@ A malformed, out-of-range, out-of-order or missing frame ends both
 endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
 Alice has already returned her key while Bob fails, with TRANSPORT_CLOSED
-once she hangs up or TIMEOUT if she does not.
+once she hangs up or TIMEOUT if she does not.  A lost frame that leaves
+both ends waiting on each other ends only when the receive timeout
+expires, which for `run-link` is 30 s by default.
 """
 
 from __future__ import annotations
@@ -118,23 +123,27 @@ class SessionFailed(ProtocolError):
 @dataclass
 class Frame:
     """A wire message: its type and the one value it carries, whose
-    payload layout is the type's `_CODEC` row.
-
-    A bit-array value comes back padded to a whole number of bytes; the
-    consumer truncates to the pulse count it already knows.
+    payload layout is the type's `_CODEC` row.  A decoded bit array is
+    padded to whole bytes; the row's check cuts it to the bit count the
+    receiver knows, as it checks every other value against its bound.
     """
 
     msg_type: MsgType
     value: object
 
 
-def _struct_row(fmt: str, to_value=None):
+def _passes(ok):
+    """A check that passes a value through if `ok(value, bound)`."""
+    return lambda value, bound: value if ok(value, bound) else None
+
+
+def _struct_row(fmt: str, check, to_value=None):
     """A fixed-size row: `to_value` of the one field `fmt` packs or,
     without it, the tuple of its fields."""
     s = struct.Struct(fmt)
     if to_value is None:
-        return lambda v: s.pack(*v), s.unpack, s.size
-    return s.pack, lambda payload: to_value(s.unpack(payload)[0]), s.size
+        return lambda v: s.pack(*v), s.unpack, s.size, check
+    return s.pack, lambda p: to_value(s.unpack(p)[0]), s.size, check
 
 
 def _encode_indices(indices) -> bytes:
@@ -163,33 +172,43 @@ def _decode_ranges(payload: bytes) -> tuple:
             _decode_indices(payload[split:]))
 
 
-def _encode_digest(digest: bytes) -> bytes:
-    if len(digest) != 32:
-        raise ProtocolError("KEY_CONFIRM digest must be 32 bytes")
-    return bytes(digest)
+def _ranges_fit(value, perms) -> bool:
+    """Whether `value`'s ranges lie in one pass of the permutations `perms`."""
+    pass_index, starts, ends = value
+    return (pass_index < perms.passes and starts.size == ends.size
+            and np.all(starts < ends) and np.all(ends <= perms.n))
 
 
+# a bit field, bounded by its bit count; it arrives padded to whole bytes
 _BITS_ROW = (
     lambda bits: np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes(),
     lambda payload: np.unpackbits(np.frombuffer(payload, dtype=np.uint8)),
-    lambda n: (n + 7) // 8)
+    lambda n: (n + 7) // 8,
+    lambda bits, n: bits[:n] if bits.size == (n + 7) // 8 * 8 else None)
 
-# MsgType -> (value -> payload, payload -> value, size): size is the exact
-# payload length of a fixed-size type, or for a variable-size one the most
-# bytes it can carry in a block of n pulses.
+# MsgType -> (value -> payload, payload -> value, size, check).  size is
+# the exact payload length of a fixed-size type, or for a variable-size one
+# the most bytes it can carry in a block of n pulses.  check(value, bound)
+# returns a received value as run_chain takes it, or None if it does not
+# fit the bound run_chain gives.
 _CODEC = {
     MsgType.BASIS_ANNOUNCE: _BITS_ROW,
     MsgType.POSTSELECT_MASK: _BITS_ROW,
-    MsgType.SAMPLE_INDICES: (_encode_indices, _decode_indices,
-                             lambda n: 4 + 4 * n),
+    MsgType.SAMPLE_INDICES: (
+        _encode_indices, _decode_indices, lambda n: 4 + 4 * n,
+        _passes(lambda idx, n_post: idx.size and idx[-1] < n_post
+                and np.all(np.diff(idx) > 0))),
     MsgType.SAMPLE_BITS: _BITS_ROW,
-    MsgType.QBER_REPORT: _struct_row(">d", float),
+    MsgType.QBER_REPORT: _struct_row(
+        ">d", _passes(lambda q, _: 0.0 <= q <= 1.0), float),
     MsgType.PARITY_REQ: (_encode_ranges, _decode_ranges,
-                         lambda n: 12 + 8 * n),
+                         lambda n: 12 + 8 * n, _passes(_ranges_fit)),
     MsgType.PARITY_RSP: _BITS_ROW,
-    MsgType.HASH_SEED: _struct_row(">QI"),
-    MsgType.KEY_CONFIRM: (_encode_digest, bytes, 32),
-    MsgType.ABORT: _struct_row(">H", AbortReason),
+    MsgType.HASH_SEED: _struct_row(
+        ">QI", _passes(lambda v, n_kept: v[1] <= n_kept)),
+    # a digest of any other length is refused at the header
+    MsgType.KEY_CONFIRM: (bytes, bytes, 32, lambda digest, _: digest),
+    MsgType.ABORT: _struct_row(">H", None, AbortReason),   # ends a session
 }
 
 
@@ -213,7 +232,10 @@ def _checked_type(raw_type: int, length: int,
 
 def encode_frame(frame: Frame) -> bytes:
     t = MsgType(frame.msg_type)
-    payload = _CODEC[t][0](frame.value)
+    encode, _, size, _ = _CODEC[t]
+    payload = encode(frame.value)
+    if isinstance(size, int) and len(payload) != size:
+        raise ProtocolError(f"{t.name} payload must be {size} bytes")
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError("payload too large")
     return _HEADER.pack(len(payload), t) + payload
@@ -317,34 +339,6 @@ class Role(enum.Enum):
     BOB = "bob"
 
 
-_BIT_FIELDS = (MsgType.BASIS_ANNOUNCE, MsgType.POSTSELECT_MASK,
-               MsgType.SAMPLE_BITS, MsgType.PARITY_RSP)
-
-
-def _checked_value(frame: Frame, bound):
-    """The value a received frame carries, or None if it does not fit
-    `bound`: a bit field's bit count, the kept-pulse count sample indices
-    must lie below, the Cascade permutations parity ranges must lie in,
-    the kept-bit count that caps HASH_SEED's out_len."""
-    t, value = frame.msg_type, frame.value
-    if t in _BIT_FIELDS:
-        return value[:bound] if value.size == (bound + 7) // 8 * 8 else None
-    if t == MsgType.SAMPLE_INDICES:
-        ok = value.size and value[-1] < bound and np.all(np.diff(value) > 0)
-        return value if ok else None
-    if t == MsgType.PARITY_REQ:
-        pass_index, starts, ends = value
-        ok = (pass_index < bound.passes and starts.size == ends.size
-              and np.all(starts < ends) and np.all(ends <= bound.n))
-        return value if ok else None
-    if t == MsgType.QBER_REPORT:
-        return value if 0.0 <= value <= 1.0 else None
-    if t == MsgType.HASH_SEED:   # (seed, out_len)
-        return value if value[1] <= bound else None
-    if t == MsgType.KEY_CONFIRM:   # its 32 bytes are checked at the header
-        return value
-
-
 class WireLink:
     """One endpoint's link for pipeline.run_chain: each value crosses as
     one frame, and a received one is checked against the block before it
@@ -408,7 +402,7 @@ class WireLink:
             value = make()
             self.send(Frame(t, value))
             return value
-        value = _checked_value(self.expect(t), bound)
+        value = _CODEC[t][3](self.expect(t).value, bound)
         if value is None:
             raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
                             f"{t.name} does not fit the block")

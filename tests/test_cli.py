@@ -81,6 +81,19 @@ class TestExitCodes:
         (["exp-onoff", "--interval", "inf"], "interval_s"),
         (["exp-onoff", "--time-scale", "nan"], "time_scale"),
         (["exp-variance", "--time-scale", "nan"], "time_scale"),
+        # checked before any socket opens, so no peer is needed
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
+          "--timeout", "inf"], "--timeout"),
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
+          "--timeout", "1e300"], "--timeout"),
+        (["run-link", "--role", "alice", "--connect", "127.0.0.1:9",
+          "--timeout", "nan"], "--timeout"),
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
+          "--timeout", "0"], "--timeout"),
+        (["run-link", "--role", "alice", "--connect", "127.0.0.1:9",
+          "--timeout", "-1"], "--timeout"),
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
+          "--block-id", "-1"], "--block-id"),
     ])
     def test_non_finite_argument_is_an_error(self, argv, name, capsys):
         # rejected before any block runs, with the argument named

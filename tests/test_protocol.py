@@ -193,6 +193,40 @@ _PINNED_FRAMES = [
     (Frame(MsgType.ABORT, AbortReason.TIMEOUT), "00000002 0a 0003"),
 ]
 
+# (type, the bound run_chain gives it, a value at that bound, one just
+# past it), for every type the chain receives.  A bit field arrives
+# padded to whole bytes, so the first bit count past a bound of 10 is 17.
+_PERMS = pp.CascadePermutations(50, 4, 0)
+_CHECKS = [
+    (MsgType.BASIS_ANNOUNCE, 10, np.ones(10, np.uint8), np.ones(17, np.uint8)),
+    (MsgType.POSTSELECT_MASK, 16, np.ones(16, bool), np.ones(17, bool)),
+    (MsgType.SAMPLE_INDICES, 100, np.array([3, 99]), np.array([3, 100])),
+    (MsgType.SAMPLE_BITS, 8, np.ones(8, np.uint8), np.ones(9, np.uint8)),
+    (MsgType.QBER_REPORT, None, 0.0, np.nextafter(0.0, -1.0)),
+    (MsgType.QBER_REPORT, None, 1.0, np.nextafter(1.0, 2.0)),
+    (MsgType.QBER_REPORT, None, 1.0, math.nan),
+    (MsgType.PARITY_REQ, _PERMS, (3, np.array([0, 10]), np.array([10, 50])),
+     (3, np.array([0, 10]), np.array([10, 51]))),
+    (MsgType.PARITY_REQ, _PERMS, (3, np.array([0]), np.array([50])),
+     (4, np.array([0]), np.array([50]))),
+    (MsgType.PARITY_RSP, 3, np.ones(3, np.uint8), np.ones(9, np.uint8)),
+    (MsgType.HASH_SEED, 1000, (7, 1000), (7, 1001)),
+    (MsgType.KEY_CONFIRM, None, bytes(32), bytes(33)),
+]
+
+
+def _received(msg_type, value, bound):
+    """`value` sent as a `msg_type` frame, as the receiver's checks pass it
+    on, or None if the header check or the row's check refuses it."""
+    encode, _, _, check = proto._CODEC[msg_type]
+    payload = encode(value)
+    try:
+        frame = decode_frame(struct.pack(">IB", len(payload), msg_type)
+                             + payload)
+    except FrameDecodeError:
+        return None
+    return check(frame.value, bound)
+
 
 class TestFraming:
     @settings(max_examples=200, deadline=None)
@@ -249,6 +283,20 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             encode_frame(Frame(MsgType.KEY_CONFIRM, b"short"))
 
+    def test_each_check_takes_its_bound_and_refuses_past_it(self):
+        # a type the chain receives cannot ship without a check here;
+        # ABORT ends a session and is never checked
+        assert ({t for t, *_ in _CHECKS}
+                == set(proto._CODEC) - {MsgType.ABORT})
+        for msg_type, bound, at, past in _CHECKS:
+            got = _received(msg_type, at, bound)
+            assert got is not None, msg_type.name
+            encode = proto._CODEC[msg_type][0]
+            assert encode(got) == encode(at), msg_type.name
+            if isinstance(at, np.ndarray):   # a bit field cut to its bound
+                assert len(got) == len(at), msg_type.name
+            assert _received(msg_type, past, bound) is None, msg_type.name
+
 
 class TestSession:
     def test_noiseless_keys_identical_and_qber_zero(self):
@@ -275,6 +323,8 @@ class TestSession:
         local = distill_block(cfg, block_id, mean_drift(cfg))
         assert out[Role.ALICE].report == out[Role.BOB].report == local.report
         assert np.array_equal(out[Role.ALICE].key_bits, local.key_bits)
+        assert (out[Role.ALICE].variance_snu == out[Role.BOB].variance_snu
+                == local.variance_snu)
 
         # the chain's estimation step against the reference helpers; the
         # threshold applied to the drawn outcomes keeps exactly the drawn set
