@@ -3,9 +3,10 @@ validation.
 
 The config keys are exactly the fields of the SystemConfig dataclass tree:
 a top-level field is its own key, a field of the nested fiber or drift spec
-is `fiber.<field>` / `drift.<field>`, and every field of channel i but its
-index is `wdm.<i>.<field>`, except that the quantum band (channel 6) has
-only `wdm.6.wavelength_nm`.  One walk over the tree gives the parser its key
+is `fiber.<field>` / `drift.<field>`, and every field of classical channel i
+but its index is `wdm.<i>.<field>`.  `wdm` holds the seven classical
+channels only: the quantum band (channel 6) is not an entry, since no model
+reads anything of it.  One walk over the tree gives the parser its key
 table and types and gives dump_config its lines, so a key cannot exist in
 one and not the other.  A bad channel index is an unknown key.  Every float
 value must be finite.
@@ -21,7 +22,6 @@ the no-WDM secret key rate at the default 10 km link sits inside the
 from __future__ import annotations
 
 import math
-import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -39,14 +39,7 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "dump_config",
-    "SEED_ENV_VAR",
 ]
-
-SEED_ENV_VAR = "CVQKD_SEED"
-
-SPEED_OF_LIGHT_M_S = 299_792_458.0
-QUANTUM_WAVELENGTH_NM = 1549.2
-CHANNEL_SPACING_GHZ = 100.0
 
 
 class ConfigError(ValueError):
@@ -62,20 +55,10 @@ class ConfigError(ValueError):
 
 
 def default_wdm_channels() -> list[WdmChannelSpec]:
-    """Eight channels on a 100 GHz grid with the quantum signal in band 6
-    at 1549.2 nm and the classical channels launched at -4.5 dBm."""
-    f_quantum_ghz = SPEED_OF_LIGHT_M_S / (QUANTUM_WAVELENGTH_NM * 1e-9) / 1e9
-    channels = []
-    for idx in range(1, 9):
-        f_ghz = f_quantum_ghz + (QUANTUM_CHANNEL_INDEX - idx) * CHANNEL_SPACING_GHZ
-        wavelength_nm = SPEED_OF_LIGHT_M_S / (f_ghz * 1e9) * 1e9
-        channels.append(WdmChannelSpec(
-            index=idx,
-            wavelength_nm=round(wavelength_nm, 4),
-            launch_power_dbm=-4.5,
-            enabled=idx != QUANTUM_CHANNEL_INDEX,
-        ))
-    return channels
+    """The seven classical channels of the 8-band grid, every band but the
+    quantum one, each enabled at -4.5 dBm."""
+    return [WdmChannelSpec(i) for i in range(1, 9)
+            if i != QUANTUM_CHANNEL_INDEX]
 
 
 @dataclass(frozen=True)
@@ -125,24 +108,30 @@ class SystemConfig:
         if self.cascade_passes < 2:
             raise ConfigError("cascade_passes must be >= 2",
                               key="cascade_passes")
-        if self.block_size_pulses < 1000:
-            raise ConfigError("block_size_pulses must be >= 1000",
-                              key="block_size_pulses")
-        quantum = [ch for ch in self.wdm if ch.is_quantum]
-        if len(quantum) != 1:
-            raise ConfigError("exactly one quantum channel (index 6) required")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0", key="seed")
+        if self.calibration_pulses >= self.block_size_pulses:
+            raise ConfigError(
+                f"a block of {self.block_size_pulses} pulses leaves no signal "
+                f"pulse after its {self.calibration_pulses}-pulse calibration "
+                f"frame", key="block_size_pulses")
+
+    @property
+    def calibration_pulses(self) -> int:
+        """Pulses in a block's calibration frame: a fraction f_cal of the
+        block, and never fewer than 1000."""
+        return max(1000, int(round(self.f_cal * self.block_size_pulses)))
 
     @property
     def classical_channels(self) -> list[WdmChannelSpec]:
-        return [ch for ch in self.wdm if not ch.is_quantum]
+        """`wdm`, under the name perfbench reads."""
+        return self.wdm
 
     def with_wdm_enabled(self, enabled_indices) -> "SystemConfig":
         """Copy with only the listed classical channels enabled."""
         enabled = set(enabled_indices)
-        wdm = [replace(ch, enabled=(ch.index in enabled))
-               if not ch.is_quantum else ch
-               for ch in self.wdm]
-        return replace(self, wdm=wdm)
+        return replace(self, wdm=[replace(ch, enabled=(ch.index in enabled))
+                                  for ch in self.wdm])
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True,
@@ -152,8 +141,7 @@ _BOOL_VALUES = {"true": True, "yes": True, "1": True,
 def _walk(obj, prefix: str = ""):
     """(key, type hint, value) of every config field, in field order: the
     fields of a nested spec become dotted keys, and channel i's fields,
-    all but its index, come last as `wdm.<i>.<field>`; of the quantum
-    band, only its wavelength."""
+    all but its index, come last as `wdm.<i>.<field>`."""
     hints = typing.get_type_hints(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -162,8 +150,7 @@ def _walk(obj, prefix: str = ""):
         elif f.name not in ("wdm", "index"):
             yield prefix + f.name, hints[f.name], value
     for ch in getattr(obj, "wdm", ()):
-        yield from (item for item in _walk(ch, f"wdm.{ch.index}.")
-                    if not ch.is_quantum or item[0].endswith(".wavelength_nm"))
+        yield from _walk(ch, f"wdm.{ch.index}.")
 
 
 def _replace(obj, values: dict, prefix: str = ""):
@@ -216,22 +203,11 @@ def parse_config_text(text: str) -> SystemConfig:
         values[key] = _convert(value, _KEY_TYPES[key], lineno, key)
 
     try:
-        cfg = _replace(SystemConfig(), values)
+        return _replace(SystemConfig(), values)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc))
-    return _apply_seed_env(cfg)
-
-
-def _apply_seed_env(cfg: SystemConfig) -> SystemConfig:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return cfg
-    try:
-        return replace(cfg, seed=int(env))
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
 
 
 def load_config(path) -> SystemConfig:

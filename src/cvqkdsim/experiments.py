@@ -23,7 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from .classical import PRBS15_PERIOD, prbs15_sequence, simulate_ook_link
-from .physics import advance_drift, calibrate_shot_noise, prepare_and_measure
+from .physics import (QUANTUM_CHANNEL_INDEX, advance_drift,
+                      calibrate_shot_noise, prepare_and_measure)
 from .pipeline import derive_seed, distill_block, model_qber, signal_variance
 
 __all__ = [
@@ -55,10 +56,11 @@ _DRIFT_SEED_TAG = 4
 
 
 def wdm_state_mask(cfg) -> int:
-    """Bit (index - 1) set iff that channel carries light."""
-    mask = 0
+    """Bit (index - 1) set iff that channel carries light; the quantum
+    band always does."""
+    mask = 1 << (QUANTUM_CHANNEL_INDEX - 1)
     for ch in cfg.wdm:
-        if ch.enabled or ch.is_quantum:
+        if ch.enabled:
             mask |= 1 << (ch.index - 1)
     return mask
 
@@ -156,7 +158,7 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     """
     _check_positive("interval_s", interval_s, allow_zero=False)
     _check_positive("total_s", total_s, allow_zero=True)
-    cfg_on = cfg.with_wdm_enabled(ch.index for ch in cfg.classical_channels)
+    cfg_on = cfg.with_wdm_enabled(ch.index for ch in cfg.wdm)
     cfg_off = cfg.with_wdm_enabled([])
     lines, skr = _run_blocks(
         cfg, total_s, time_scale,
@@ -193,7 +195,7 @@ def exp_variance_sweep(cfg, time_scale: float = DEFAULT_TIME_SCALE) -> str:
 
     baseline = point_variance(cfg.with_wdm_enabled([]))
     lines = [VARIANCE_HEADER]
-    for ch in cfg.classical_channels:
+    for ch in cfg.wdm:
         v = point_variance(cfg.with_wdm_enabled([ch.index]))
         rel = (v - baseline) / baseline
         lines.append(f"{ch.index},{v!r},{rel!r}")
@@ -207,7 +209,7 @@ def exp_eye(cfg, snr_db: float = EYE_SNR_DB) -> str:
     differ only in the flag."""
     bits = prbs15_sequence(PRBS15_PERIOD)
     lines = [EYE_HEADER]
-    for ch in cfg.classical_channels:
+    for ch in cfg.wdm:
         rng = np.random.default_rng(
             derive_seed(cfg, ch.index, _DRIFT_SEED_TAG + 1))
         rep = simulate_ook_link(bits, snr_db, rng)

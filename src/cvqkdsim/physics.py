@@ -73,22 +73,21 @@ class FiberSpec:
 
 @dataclass(frozen=True)
 class WdmChannelSpec:
+    """One classical channel of the 8-band grid.  The quantum signal sits in
+    band QUANTUM_CHANNEL_INDEX and is not a channel here: no model reads
+    anything of it."""
     index: int
-    wavelength_nm: float
     launch_power_dbm: float = -4.5
     enabled: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.index <= 8:
-            raise ValueError(f"channel index {self.index} outside 1..8")
+        if not 1 <= self.index <= 8 or self.index == QUANTUM_CHANNEL_INDEX:
+            raise ValueError(f"channel index {self.index} is not a classical "
+                             f"band: 1..8 but not {QUANTUM_CHANNEL_INDEX}")
         try:
             self.launch_power_mw
         except OverflowError:
             raise ValueError("launch_power_dbm overflows in mW") from None
-
-    @property
-    def is_quantum(self) -> bool:
-        return self.index == QUANTUM_CHANNEL_INDEX
 
     @property
     def launch_power_mw(self) -> float:
@@ -206,7 +205,7 @@ def wdm_excess_noise(channels: list[WdmChannelSpec], fiber: FiberSpec) -> float:
     l_eff = effective_length_km(fiber)
     eps = 0.0
     for ch in channels:
-        if ch.is_quantum or not ch.enabled:
+        if not ch.enabled:
             continue
         eps += 2.0 * fiber.raman_coefficient_per_mw_km * ch.launch_power_mw * l_eff
     return eps

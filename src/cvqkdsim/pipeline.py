@@ -86,11 +86,10 @@ def model_qber(cfg) -> float:
 def _signal_statistics(cfg, block_id: int, drift: DriftState):
     """The block's random stream and its physics.SignalStatistics: blocked
     calibration frames first, then the signal frames."""
-    n_total = cfg.block_size_pulses
     rng = np.random.default_rng(derive_seed(cfg, block_id, 0))
-    n_cal = max(1000, int(round(cfg.f_cal * n_total)))
-    return rng, draw_signal_statistics(n_total - n_cal, n_cal, cfg, drift,
-                                       rng)
+    n_cal = cfg.calibration_pulses
+    return rng, draw_signal_statistics(cfg.block_size_pulses - n_cal, n_cal,
+                                       cfg, drift, rng)
 
 
 def signal_variance(cfg, block_id: int, drift: DriftState) -> float:

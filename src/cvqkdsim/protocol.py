@@ -179,12 +179,14 @@ def _ranges_fit(value, perms) -> bool:
             and np.all(starts < ends) and np.all(ends <= perms.n))
 
 
-# a bit field, bounded by its bit count; it arrives padded to whole bytes
+# a bit field, bounded by its bit count; it arrives padded with zeros to
+# whole bytes, so one value has one encoding
 _BITS_ROW = (
     lambda bits: np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes(),
     lambda payload: np.unpackbits(np.frombuffer(payload, dtype=np.uint8)),
     lambda n: (n + 7) // 8,
-    lambda bits, n: bits[:n] if bits.size == (n + 7) // 8 * 8 else None)
+    lambda bits, n: (bits[:n] if bits.size == (n + 7) // 8 * 8
+                     and not bits[n:].any() else None))
 
 # MsgType -> (value -> payload, payload -> value, size, check).  size is
 # the exact payload length of a fixed-size type, or for a variable-size one

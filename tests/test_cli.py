@@ -120,8 +120,7 @@ class TestSubcommands:
         assert out.startswith("shot_noise_estimate_snu = ")
         assert abs(float(out.split("=")[1]) - 1.0) < 0.05
 
-    def test_dump_config_round_trips(self, capsys, monkeypatch):
-        monkeypatch.delenv("CVQKD_SEED", raising=False)
+    def test_dump_config_round_trips(self, capsys):
         assert cli.main(["dump-config"]) == 0
         text = capsys.readouterr().out
         assert parse_config_text(text) == SystemConfig()

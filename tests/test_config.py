@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 
 from cvqkdsim.config import (
     _KEY_TYPES,
-    SEED_ENV_VAR,
     ConfigError,
     SystemConfig,
     default_wdm_channels,
@@ -14,7 +15,18 @@ from cvqkdsim.config import (
     load_config,
     parse_config_text,
 )
-from cvqkdsim.physics import QUANTUM_CHANNEL_INDEX, fiber_transmittance
+from cvqkdsim.physics import (
+    QUANTUM_CHANNEL_INDEX,
+    WdmChannelSpec,
+    fiber_transmittance,
+)
+from cvqkdsim.pipeline import signal_variance
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# float keys that no model read, gone from the format: a config holding
+# one fails to load as an unknown key
+REMOVED_FLOAT_KEYS = [f"wdm.{i}.wavelength_nm" for i in range(1, 9)]
 
 
 class TestDefaults:
@@ -28,19 +40,17 @@ class TestDefaults:
         assert cfg.fiber.length_km == 10.0
         assert cfg.fiber.attenuation_db_per_km == 0.2
 
-    def test_wdm_grid(self):
-        channels = default_wdm_channels()
-        assert len(channels) == 8
-        quantum = [ch for ch in channels if ch.is_quantum]
-        assert len(quantum) == 1
-        assert quantum[0].index == QUANTUM_CHANNEL_INDEX
-        assert quantum[0].wavelength_nm == pytest.approx(1549.2, abs=1e-3)
-        # neighbours sit on a 100 GHz grid, frequency falling with index
-        # (wavelengths are stored rounded to 1e-4 nm, about 0.013 GHz)
-        c = 299_792_458.0
-        freqs = [c / (ch.wavelength_nm * 1e-9) / 1e9 for ch in channels]
-        for a, b in zip(freqs, freqs[1:]):
-            assert a - b == pytest.approx(100.0, abs=0.05)
+    def test_wdm_holds_the_classical_bands_only(self):
+        assert [ch.index for ch in default_wdm_channels()] == [
+            1, 2, 3, 4, 5, 7, 8]
+        for index in (0, QUANTUM_CHANNEL_INDEX, 9):
+            with pytest.raises(ValueError):
+                WdmChannelSpec(index)
+
+    def test_channel_keys_are_power_and_state_only(self):
+        assert {k for k in _KEY_TYPES if k.startswith("wdm.")} == {
+            f"wdm.{i}.{name}" for i in (1, 2, 3, 4, 5, 7, 8)
+            for name in ("launch_power_dbm", "enabled")}
 
     def test_classical_channels_launch_power(self):
         cfg = SystemConfig()
@@ -96,18 +106,17 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", [
         "wdm.6.launch_power_dbm", "wdm.6.enabled", "wdm.6.modulated",
-        "wdm.1.modulated"])
+        "wdm.1.modulated"] + REMOVED_FLOAT_KEYS)
     def test_dropped_channel_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown key") as exc_info:
             parse_config_text(f"{key} = 1")
         assert exc_info.value.key == key
 
-    def test_quantum_band_has_only_wavelength(self):
-        assert [k for k in _KEY_TYPES if k.startswith("wdm.6.")] == [
-            "wdm.6.wavelength_nm"]
-        cfg = parse_config_text("wdm.6.wavelength_nm = 1550.0")
-        quantum = [ch for ch in cfg.wdm if ch.is_quantum][0]
-        assert quantum.wavelength_nm == 1550.0
+    def test_readme_example_loads(self):
+        section = README.read_text(encoding="utf-8").split(
+            "\n## Configuration\n", 1)[1]
+        example = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        assert parse_config_text(example) != SystemConfig()
 
     def test_boolean_values(self):
         for raw, want in (("true", True), ("no", False), ("1", True)):
@@ -132,28 +141,18 @@ class TestParsing:
             parse_config_text(line)
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize(
-        "key", [k for k, conv in _KEY_TYPES.items() if conv is float])
+    @pytest.mark.parametrize("key", [
+        k for k, conv in _KEY_TYPES.items() if conv is float
+    ] + REMOVED_FLOAT_KEYS)
     def test_non_finite_float_rejected(self, key, raw):
         with pytest.raises(ConfigError) as exc_info:
             parse_config_text(f"{key} = {raw}")
-        # fiber.* is checked by FiberSpec, which names the field only
+        # fiber.* is checked by FiberSpec, which names the field only; a
+        # removed key is refused before its value is read
         assert key.rsplit(".", 1)[-1] in str(exc_info.value)
-
-
-class TestEnvironmentSeed:
-    def test_env_var_overrides_seed(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "777")
-        assert parse_config_text("seed = 5").seed == 777
-
-    def test_invalid_env_seed_rejected(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        with pytest.raises(ConfigError):
-            parse_config_text("")
-
-    def test_unset_env_leaves_config_seed(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        assert parse_config_text("seed = 5").seed == 5
+        if key in REMOVED_FLOAT_KEYS:
+            assert exc_info.value.key == key
+            assert "unknown key" in str(exc_info.value)
 
 
 # every key away from its default
@@ -167,19 +166,16 @@ EVERY_KEY_CHANGED = "\n".join([
     "drift.efficiency_mean = 0.9", "drift.efficiency_sigma = 1e-3",
     "drift.phase_mean_rad = 0.01", "drift.phase_sigma = 1e-3",
     "drift.reversion_rate = 0.01", "force_sigma_snu = 1.2",
-] + [f"wdm.{i}.wavelength_nm = {1540 + i}.5" for i in range(1, 9)] + [
-    f"wdm.{i}.{setting}" for i in (1, 2, 3, 4, 5, 7, 8)
+] + [f"wdm.{i}.{setting}" for i in (1, 2, 3, 4, 5, 7, 8)
     for setting in ("launch_power_dbm = -3", "enabled = no")])
 
 
 class TestDumpRoundTrip:
-    def test_round_trips_defaults(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_round_trips_defaults(self):
         cfg = SystemConfig()
         assert parse_config_text(dump_config(cfg)) == cfg
 
-    def test_round_trips_overrides(self, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_round_trips_overrides(self):
         for text in ("alpha = 0.42\nfiber.length_km = 15\nwdm.3.enabled = false\n"
                      "seed = 99\n", EVERY_KEY_CHANGED):
             cfg = parse_config_text(text)
@@ -192,11 +188,10 @@ class TestDumpRoundTrip:
         assert all(changed[key] != value for key, value in default.items())
 
     def test_key_count(self):
-        assert len(_KEY_TYPES) == 41
-        assert len(EVERY_KEY_CHANGED.splitlines()) == 41
+        assert len(_KEY_TYPES) == 33
+        assert len(EVERY_KEY_CHANGED.splitlines()) == 33
 
-    def test_load_config_from_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "link.cfg"
         path.write_text("x_th_snu = 2.0\n", encoding="utf-8")
         assert load_config(path).x_th_snu == 2.0
@@ -205,7 +200,7 @@ class TestDumpRoundTrip:
 class TestInvariants:
     def test_with_wdm_enabled_subsets(self):
         cfg = SystemConfig().with_wdm_enabled([1, 2])
-        enabled = [ch.index for ch in cfg.classical_channels if ch.enabled]
+        enabled = [ch.index for ch in cfg.wdm if ch.enabled]
         assert enabled == [1, 2]
 
     def test_cascade_passes_minimum(self):
@@ -215,6 +210,27 @@ class TestInvariants:
     def test_block_size_minimum(self):
         with pytest.raises(ConfigError):
             SystemConfig(block_size_pulses=10)
+
+    # a config that loads can run a block: the seed feeds a SeedSequence,
+    # and the calibration frame must leave at least one signal pulse
+    @pytest.mark.parametrize("text, key", [
+        ("seed = -1", "seed"),
+        ("block_size_pulses = 1000", "block_size_pulses"),
+        ("block_size_pulses = 1000\nf_cal = 0", "block_size_pulses"),
+        ("f_cal = 0.9999999", "block_size_pulses"),
+    ], ids=["seed-negative", "block-1000", "block-1000-no-f_cal",
+            "f_cal-near-1"])
+    def test_config_that_cannot_run_a_block_rejected(self, text, key):
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text(text)
+        assert exc_info.value.key == key
+
+    def test_smallest_runnable_block(self):
+        cfg = SystemConfig(block_size_pulses=1001, seed=0)
+        assert cfg.calibration_pulses == 1000
+        assert math.isfinite(
+            signal_variance(cfg, 0, cfg.drift.mean_state()))
+        assert SystemConfig(f_cal=0.999999).calibration_pulses == 999_999
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):
@@ -235,10 +251,8 @@ class TestRoundTripProperty:
     @given(st.dictionaries(st.sampled_from(sorted(_KEY_TYPES)), _VALUES))
     def test_every_parsed_config_round_trips(self, values):
         text = "".join(f"{key} = {value}\n" for key, value in values.items())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv(SEED_ENV_VAR, raising=False)
-            try:
-                cfg = parse_config_text(text)
-            except ConfigError:
-                return
-            assert parse_config_text(dump_config(cfg)) == cfg
+        try:
+            cfg = parse_config_text(text)
+        except ConfigError:
+            return
+        assert parse_config_text(dump_config(cfg)) == cfg

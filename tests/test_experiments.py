@@ -69,6 +69,7 @@ class TestOnOff:
         rows = csv_rows(csv)
         masks = [int(r[4]) for r in rows]
         on_mask = ex.wdm_state_mask(cfg)
+        assert on_mask == 0xFF   # all 8 bands, the quantum one included
         off_mask = 1 << 5  # only the quantum channel carries light
         # four 40 s intervals of 4 blocks each, starting on
         assert masks == ([on_mask] * 4 + [off_mask] * 4) * 2
@@ -118,7 +119,6 @@ class TestVarianceSweep:
         boosted = replace(
             cfg, wdm=[replace(ch, launch_power_dbm=ch.launch_power_dbm
                               + 10.0 * math.log10(2.0))
-                      if not ch.is_quantum else ch
                       for ch in cfg.wdm])
         base = csv_rows(ex.exp_variance_sweep(cfg))
         loud = csv_rows(ex.exp_variance_sweep(boosted))

@@ -7,11 +7,13 @@ from scipy.stats import chi2
 
 from cvqkdsim.config import SystemConfig
 from cvqkdsim.physics import (
+    QUANTUM_CHANNEL_INDEX,
     CalibrationError,
     DriftParams,
     DriftState,
     FiberSpec,
     PulseBatch,
+    WdmChannelSpec,
     advance_drift,
     calibrate_shot_noise,
     effective_length_km,
@@ -74,8 +76,9 @@ class TestWdmNoise:
         cfg = SystemConfig()
         assert wdm_excess_noise(
             [replace(ch, enabled=False) for ch in cfg.wdm], cfg.fiber) == 0.0
-        quantum = [ch for ch in cfg.wdm if ch.is_quantum]
-        assert wdm_excess_noise(quantum, cfg.fiber) == 0.0
+        # the quantum band cannot be a channel, so it never adds noise
+        with pytest.raises(ValueError):
+            WdmChannelSpec(QUANTUM_CHANNEL_INDEX)
 
 
 class TestPrepareAndMeasure:

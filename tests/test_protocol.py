@@ -279,6 +279,15 @@ class TestFraming:
         with pytest.raises(FrameDecodeError):
             decode_frame(b"\x00\x00")
 
+    def test_bit_field_padding_must_be_zero(self):
+        # one payload byte carries a 1-bit PARITY_RSP; only its zero-padded
+        # form is well formed, so two byte strings never carry one value
+        check = proto._CODEC[MsgType.PARITY_RSP][3]
+        received = lambda data: check(decode_frame(data).value, 1)
+        assert received(b"\x00\x00\x00\x01\x07\x80").tolist() == [1]
+        assert received(b"\x00\x00\x00\x01\x07\xff") is None
+        assert received(b"\x00\x00\x00\x01\x07\x40") is None
+
     def test_key_confirm_digest_size_enforced(self):
         with pytest.raises(ProtocolError):
             encode_frame(Frame(MsgType.KEY_CONFIRM, b"short"))
@@ -521,6 +530,11 @@ class TestFaultInjection:
     @pytest.mark.parametrize("sender, msg_type, tamper", [
         (Role.BOB, MsgType.BASIS_ANNOUNCE,
          lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
+        # the right bases, with the padding of the partial last byte set to
+        # 1s (block 0 keeps 2319 pulses, so 1 padding bit)
+        (Role.BOB, MsgType.BASIS_ANNOUNCE,
+         lambda f, sent, n_kept: replace(f, value=np.append(
+             f.value, np.ones(-f.value.size % 8, dtype=np.uint8)))),
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
         # as many pulses kept, but not the ones Alice's block kept
@@ -566,7 +580,7 @@ class TestFaultInjection:
              f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
         (Role.BOB, MsgType.HASH_SEED,
          lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
-    ], ids=["basis-short", "mask-short", "mask-moved", "mask-extra",
+    ], ids=["basis-short", "basis-padded-1s", "mask-short", "mask-moved", "mask-extra",
             "index-1e9", "indices-unsorted", "index-repeated",
             "index-past-kept", "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",

@@ -47,8 +47,7 @@ SCENARIOS = {
 
 
 def frame_sizes(cfg) -> tuple[int, int]:
-    n_cal = max(1000, int(round(cfg.f_cal * cfg.block_size_pulses)))
-    return n_cal, cfg.block_size_pulses - n_cal
+    return cfg.calibration_pulses, cfg.block_size_pulses - cfg.calibration_pulses
 
 
 def reference_exchange(cfg, block_id: int, drift) -> KeptPulses:
