@@ -85,8 +85,8 @@ def _emit(text: str, output_path) -> None:
 
 def _parse_endpoint(spec: str) -> tuple[str, int]:
     host, _, port = spec.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"expected HOST:PORT, got {spec!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"expected HOST:PORT, PORT <= 65535, got {spec!r}")
     return host, int(port)
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .classical import PRBS15_PERIOD, prbs15_sequence, simulate_ook_link
 from .physics import (QUANTUM_CHANNEL_INDEX, advance_drift,
                       calibrate_shot_noise, prepare_and_measure)
-from .pipeline import derive_seed, distill_block, model_qber, signal_variance
+from .pipeline import (SEED_TAG_DRIFT, SEED_TAG_EYE, SEED_TAG_PULSES,
+                       derive_seed, distill_block, model_qber, signal_variance)
 
 __all__ = [
     "BlockRunner",
@@ -51,9 +52,6 @@ VARIANCE_HEADER = "channel_index,variance_snu,relative_change"
 EYE_HEADER = ("channel_index,cvqkd_on,eye_opening,level_one_mean,"
               "level_zero_mean,noise_sigma")
 
-# seed tags 0..3 belong to the per-block distillation chain (pipeline.py)
-_DRIFT_SEED_TAG = 4
-
 
 def wdm_state_mask(cfg) -> int:
     """Bit (index - 1) set iff that channel carries light; the quantum
@@ -72,6 +70,13 @@ def _check_positive(name: str, value: float, allow_zero: bool) -> None:
             and (value >= 0.0 if allow_zero else value > 0.0)):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def _count(what: str, value: float) -> float:
+    """`value`, or a ValueError if an int64 cannot count that many `what`."""
+    if not value < 2.0 ** 63:   # an inf or a nan too
+        raise ValueError(f"{value!r} {what} are too many to count")
+    return value
 
 
 def _check_block_size(cfg) -> None:
@@ -98,12 +103,13 @@ class BlockRunner:
         _check_positive("time_scale", time_scale, allow_zero=False)
         _check_block_size(cfg)
         self.cfg = cfg
-        self.time_scale = time_scale
-        self.block_duration_s = cfg.block_size_pulses / cfg.rep_rate_hz
-        self.represented_dt_s = self.block_duration_s * time_scale
+        self.represented_dt_s = (cfg.block_size_pulses / cfg.rep_rate_hz
+                                 * time_scale)
+        _check_positive("time_scale x block duration", self.represented_dt_s,
+                        allow_zero=False)
         self.drift = cfg.drift.mean_state()
         self.drift_rng = np.random.default_rng(
-            derive_seed(cfg, 0, _DRIFT_SEED_TAG))
+            derive_seed(cfg, 0, SEED_TAG_DRIFT))
         self.qber_ema = model_qber(cfg)
 
     def run_block(self, block_id: int, cfg=None):
@@ -125,7 +131,9 @@ def _run_blocks(cfg, duration_s: float, time_scale: float, config_at):
     runner = BlockRunner(cfg, time_scale)
     lines = [LONGRUN_HEADER]
     skr = []
-    for b in range(int(round(duration_s / runner.represented_dt_s))):
+    for b in range(round(_count(
+            f"blocks at duration_s {duration_s!r}, time_scale {time_scale!r}",
+            duration_s / runner.represented_dt_s))):
         t = b * runner.represented_dt_s
         active = config_at(t)
         res = runner.run_block(b, active)
@@ -160,9 +168,11 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     _check_positive("total_s", total_s, allow_zero=True)
     cfg_on = cfg.with_wdm_enabled(ch.index for ch in cfg.wdm)
     cfg_off = cfg.with_wdm_enabled([])
-    lines, skr = _run_blocks(
-        cfg, total_s, time_scale,
-        lambda t: cfg_on if int(t // interval_s) % 2 == 0 else cfg_off)
+
+    def config_at(t):
+        n = _count(f"toggles at interval_s {interval_s!r}", t // interval_s)
+        return cfg_on if int(n) % 2 == 0 else cfg_off
+    lines, skr = _run_blocks(cfg, total_s, time_scale, config_at)
 
     skr_on = [s for active, s in skr if active is cfg_on]
     skr_off = [s for active, s in skr if active is cfg_off]
@@ -185,8 +195,9 @@ def exp_variance_sweep(cfg, time_scale: float = DEFAULT_TIME_SCALE) -> str:
     """
     _check_positive("time_scale", time_scale, allow_zero=False)
     _check_block_size(cfg)
-    n_point = max(cfg.block_size_pulses,
-                  math.ceil(VARIANCE_POINT_SECONDS * cfg.rep_rate_hz / time_scale))
+    n_point = max(cfg.block_size_pulses, math.ceil(_count(
+        f"pulses per point at time_scale {time_scale!r}",
+        VARIANCE_POINT_SECONDS * cfg.rep_rate_hz / time_scale)))
     drift = cfg.drift.mean_state()
 
     def point_variance(active_cfg) -> float:
@@ -211,7 +222,7 @@ def exp_eye(cfg, snr_db: float = EYE_SNR_DB) -> str:
     lines = [EYE_HEADER]
     for ch in cfg.wdm:
         rng = np.random.default_rng(
-            derive_seed(cfg, ch.index, _DRIFT_SEED_TAG + 1))
+            derive_seed(cfg, ch.index, SEED_TAG_EYE))
         rep = simulate_ook_link(bits, snr_db, rng)
         metrics = (f"{rep.eye_opening!r},{rep.level_one_mean!r},"
                    f"{rep.level_zero_mean!r},{rep.noise_sigma!r}")
@@ -221,7 +232,7 @@ def exp_eye(cfg, snr_db: float = EYE_SNR_DB) -> str:
 
 def run_calibration(cfg, n_pulses: int = 1_000_000) -> float:
     """One blocked calibration frame; returns the shot-noise estimate."""
-    rng = np.random.default_rng(derive_seed(cfg, 0, 0))
+    rng = np.random.default_rng(derive_seed(cfg, 0, SEED_TAG_PULSES))
     batch = prepare_and_measure(n_pulses, cfg, cfg.drift.mean_state(), rng,
                                 blocked=True)
     return calibrate_shot_noise(batch)

@@ -17,8 +17,9 @@ The transports differ only in the link run_chain is given:
   * `fail(reason, detail)`, wire only: abort both ends with an
     AbortReason name and return the SessionFailed to raise.
 
-A block that keeps no pulse, or whose error sample leaves no bit to
-reconcile, yields a 0-bit key and SKR 0 on both paths.  The two paths
+A block's SKR is its final key bits over its duration, calibration frames
+included.  A block that keeps no pulse, or whose error sample leaves no bit
+to reconcile, yields a 0-bit key and SKR 0 on both paths.  The two paths
 differ in one behaviour: a block that Cascade leaves with residual errors
 yields no key and SKR 0 in process, while over the wire it fails
 KEY_CONFIRM and both ends abort with KEY_MISMATCH.  A malformed frame from
@@ -58,6 +59,15 @@ __all__ = [
 ]
 
 
+# derive_seed's tags, one per random stream; a new stream takes the next
+SEED_TAG_PULSES = 0     # a block's pulses, or a calibration frame
+SEED_TAG_SAMPLE = 1     # the disclosed error sample
+SEED_TAG_CASCADE = 2    # Cascade's permutations
+SEED_TAG_HASH = 3       # the Toeplitz seed
+SEED_TAG_DRIFT = 4      # an experiment's drift walk
+SEED_TAG_EYE = 5        # a classical channel's eye-diagram noise
+
+
 def derive_seed(cfg, block_id: int, tag: int) -> int:
     """Deterministic per-block sub-seed shared by both endpoints."""
     ss = np.random.SeedSequence((cfg.seed, block_id, tag))
@@ -86,7 +96,7 @@ def model_qber(cfg) -> float:
 def _signal_statistics(cfg, block_id: int, drift: DriftState):
     """The block's random stream and its physics.SignalStatistics: blocked
     calibration frames first, then the signal frames."""
-    rng = np.random.default_rng(derive_seed(cfg, block_id, 0))
+    rng = np.random.default_rng(derive_seed(cfg, block_id, SEED_TAG_PULSES))
     n_cal = cfg.calibration_pulses
     return rng, draw_signal_statistics(cfg.block_size_pulses - n_cal, n_cal,
                                        cfg, drift, rng)
@@ -176,8 +186,8 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     # rate that certifies no key, stands in for the estimate.
     if n_post:
         sample = link.from_bob("SAMPLE_INDICES", lambda: pp.disclosure_sample(
-            n_post, cfg.sample_fraction,
-            np.random.default_rng(derive_seed(cfg, block_id, 1))), n_post)
+            n_post, cfg.sample_fraction, np.random.default_rng(
+                derive_seed(cfg, block_id, SEED_TAG_SAMPLE))), n_post)
         sample_bits = link.from_alice("SAMPLE_BITS",
                                       lambda: alice_bits[sample], sample.size)
         qber_raw = link.from_bob("QBER_REPORT", lambda: float(
@@ -192,8 +202,8 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     # sample left a bit to correct.
     alice_key = np.delete(alice_bits, sample) if link.alice else None
     bob_key = np.delete(bob_bits, sample) if link.bob else None
-    perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
-                                   derive_seed(cfg, block_id, 2))
+    perms = pp.CascadePermutations(n_kept, cfg.cascade_passes, derive_seed(
+        cfg, block_id, SEED_TAG_CASCADE))
     k1 = pp.cascade_block_size(max(qber, model_qber(cfg), 1e-3), n_kept)
     corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
                        if n_kept else (alice_key, 0))
@@ -206,9 +216,9 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     i_ab, chi_e = pp.secret_fraction(qber, cfg.alpha,
                                      fiber_transmittance(cfg.fiber))
     hash_seed, out_len = link.from_bob("HASH_SEED", lambda: (
-        derive_seed(cfg, block_id, 3),
-        0 if residual else min(n_kept, pp.final_key_length(
-            n_post, i_ab, chi_e, leak, disclosed))), n_kept)
+        derive_seed(cfg, block_id, SEED_TAG_HASH),
+        0 if residual else pp.final_key_length(
+            n_post, i_ab, chi_e, leak, disclosed)), n_kept)
     key = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
                            hash_seed, out_len)
     digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
@@ -216,13 +226,9 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     if link.from_alice("KEY_CONFIRM", lambda: digest) != bob_digest:
         raise link.fail("KEY_MISMATCH", "final keys differ")
 
-    skr = 0.0 if residual else pp.compute_skr(
-        cfg.block_size_pulses, cfg.rep_rate_hz, cfg.f_cal, p_post,
-        i_ab, chi_e, leak, disclosed)
     report = pp.KeySessionReport(
-        n_pulses=cfg.block_size_pulses, p_post=p_post, qber=qber,
-        i_ab_bits=i_ab, chi_e_bits=chi_e, leak_bits=leak,
-        final_key_bits=int(key.size), skr_bits_per_s=skr)
+        p_post=p_post, qber=qber, leak_bits=leak, final_key_bits=int(key.size),
+        skr_bits_per_s=key.size * cfg.rep_rate_hz / cfg.block_size_pulses)
     return BlockResult(report=report, key_bits=key,
                        variance_snu=batch.variance_snu, qber_raw=qber_raw,
                        residual_errors=residual)

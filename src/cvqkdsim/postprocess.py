@@ -1,6 +1,6 @@
 """Key distillation: sifting, post-selection, error estimation, Cascade
-reverse reconciliation, Toeplitz privacy amplification and the secret-key
-rate arithmetic under a collective beam-splitter-attack bound.
+reverse reconciliation, Toeplitz privacy amplification and the key-length
+arithmetic under a collective beam-splitter-attack bound.
 
 Bit conventions (pinned for interoperability):
   * Alice's bit for a pulse depends on Bob's announced quadrature: with the
@@ -40,7 +40,6 @@ __all__ = [
     "toeplitz_hash",
     "secret_fraction",
     "final_key_length",
-    "compute_skr",
     "write_key_file",
     "read_key_file",
 ]
@@ -81,11 +80,8 @@ class SiftedFrame:
 
 @dataclass(frozen=True)
 class KeySessionReport:
-    n_pulses: int
     p_post: float
     qber: float
-    i_ab_bits: float
-    chi_e_bits: float
     leak_bits: int
     final_key_bits: int
     skr_bits_per_s: float
@@ -339,20 +335,6 @@ def final_key_length(n_post_selected: int, i_ab: float, chi_e: float,
     budget = (n_post_selected * max(0.0, i_ab - chi_e)
               - leak_bits - disclosed_count - DELTA_FIN_BITS)
     return max(0, int(math.floor(budget)))
-
-
-def compute_skr(n_pulses: int, rep_rate_hz: float, f_cal: float,
-                p_post: float, i_ab: float, chi_e: float,
-                leak_bits: int, disclosed_count: int) -> float:
-    """Secret key rate in bits per second for one block.
-
-    skr = rep * (1 - f_cal) * p_post * max(0, i_ab - chi_e)
-          - (leak + disclosed + Delta_fin) / block_duration, floored at 0.
-    """
-    duration_s = n_pulses / rep_rate_hz
-    gross = rep_rate_hz * (1.0 - f_cal) * p_post * max(0.0, i_ab - chi_e)
-    cost = (leak_bits + disclosed_count + DELTA_FIN_BITS) / duration_s
-    return max(0.0, gross - cost)
 
 
 def write_key_file(path, key_bits: np.ndarray) -> None:

@@ -94,9 +94,29 @@ class TestExitCodes:
           "--timeout", "-1"], "--timeout"),
         (["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
           "--block-id", "-1"], "--block-id"),
+        # finite, but more blocks, toggles or pulses than an int64 counts
+        (["exp-longrun", "--duration", "10", "--time-scale", "1e-320"],
+         "time_scale"),
+        (["exp-longrun", "--duration", "1e308", "--time-scale", "1e-5"],
+         "duration_s"),
+        (["exp-onoff", "--total", "300", "--interval", "1e-320"],
+         "interval_s"),
+        (["exp-variance", "--time-scale", "1e-12"], "time_scale"),
+        # a block of no represented duration
+        (["exp-longrun", "--duration", "10", "--time-scale", "5e-324"],
+         "time_scale"),
+        # a port past 65535: no OverflowError from the socket layer, and no
+        # connection to the port modulo 65536
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:99999"],
+         "127.0.0.1:99999"),
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:65536"],
+         "127.0.0.1:65536"),
+        (["run-link", "--role", "alice", "--connect", "127.0.0.1:70000"],
+         "127.0.0.1:70000"),
     ])
     def test_non_finite_argument_is_an_error(self, argv, name, capsys):
-        # rejected before any block runs, with the argument named
+        # rejected with the argument named; all but a toggle count before
+        # any block runs
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err

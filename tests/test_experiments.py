@@ -52,6 +52,21 @@ class TestLongrun:
         assert np.all(skr > 0.0)
         assert np.std(skr) <= 0.15 * np.mean(skr)
 
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(), SystemConfig(f_cal=0.0, block_size_pulses=100_000)],
+        ids=["default", "f_cal-0"])
+    def test_skr_is_the_key_over_the_block(self, cfg):
+        # a row's SKR is its block's final key bits over the block's whole
+        # duration, calibration frames included
+        rows = csv_rows(ex.exp_longrun(cfg, 500.0))
+        runner = ex.BlockRunner(cfg)
+        keys = [runner.run_block(b).report.final_key_bits
+                for b in range(len(rows))]
+        assert len(rows) >= 5 and max(keys) > 0
+        for row, key_bits in zip(rows, keys):
+            assert float(row[1]) == (
+                key_bits * cfg.rep_rate_hz / cfg.block_size_pulses)
+
     def test_rejects_small_blocks(self):
         with pytest.raises(ValueError):
             ex.exp_longrun(SystemConfig(block_size_pulses=10_000), 100.0)

@@ -260,18 +260,6 @@ class TestRates:
         assert pp.final_key_length(n_kept + disclosed, margin, 0.0,
                                    n_kept + extra_leak, disclosed) == 0
 
-    def test_compute_skr_formula(self):
-        got = pp.compute_skr(n_pulses=1_000_000, rep_rate_hz=1e7, f_cal=0.1,
-                             p_post=0.02, i_ab=0.8, chi_e=0.5,
-                             leak_bits=1500, disclosed_count=400)
-        duration = 0.1
-        want = 1e7 * 0.9 * 0.02 * 0.3 - (1500 + 400 + 100) / duration
-        assert got == pytest.approx(want)
-
-    def test_compute_skr_never_negative(self):
-        assert pp.compute_skr(1_000_000, 1e7, 0.1, 0.02, 0.5, 0.9,
-                              10_000, 400) == 0.0
-
     def test_cascade_block_size(self):
         assert pp.cascade_block_size(0.05, 10_000) == 15
         assert pp.cascade_block_size(0.5, 10_000) == 2

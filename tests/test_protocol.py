@@ -15,6 +15,7 @@ from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
 from cvqkdsim.physics import DriftState, PulseBatch
 from cvqkdsim.pipeline import (
+    SEED_TAG_SAMPLE,
     LocalLink,
     derive_seed,
     distill_block,
@@ -69,7 +70,7 @@ def reference_estimation(cfg, block_id: int):
     batch = signal_batch(
         simulate_quantum_exchange(cfg, block_id, mean_drift(cfg)))
     frame = pp.post_select(pp.sift(batch), cfg.x_th_snu)
-    rng = np.random.default_rng(derive_seed(cfg, block_id, 1))
+    rng = np.random.default_rng(derive_seed(cfg, block_id, SEED_TAG_SAMPLE))
     qber, reduced = pp.qber_estimate(frame, cfg.sample_fraction, rng)
     return batch.count, frame, qber, reduced
 
@@ -324,7 +325,9 @@ class TestSession:
 
     def test_matches_in_process_distillation(self):
         for cfg, block_id in ((small_cfg(), 0), (small_cfg(), 1),
-                              (small_cfg(), 4), (noiseless_cfg(), 2)):
+                              (small_cfg(), 4), (noiseless_cfg(), 2),
+                              (SystemConfig(f_cal=0.0,
+                                            block_size_pulses=100_000), 0)):
             self._check_against_in_process(cfg, block_id)
 
     def _check_against_in_process(self, cfg, block_id):
@@ -332,6 +335,8 @@ class TestSession:
         local = distill_block(cfg, block_id, mean_drift(cfg))
         assert out[Role.ALICE].report == out[Role.BOB].report == local.report
         assert np.array_equal(out[Role.ALICE].key_bits, local.key_bits)
+        assert local.report.skr_bits_per_s == (
+            local.key_bits.size * cfg.rep_rate_hz / cfg.block_size_pulses)
         assert (out[Role.ALICE].variance_snu == out[Role.BOB].variance_snu
                 == local.variance_snu)
 

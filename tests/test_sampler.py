@@ -27,6 +27,7 @@ from cvqkdsim.physics import (
     prepare_and_measure,
 )
 from cvqkdsim.pipeline import (
+    SEED_TAG_PULSES,
     LocalLink,
     derive_seed,
     run_chain,
@@ -54,7 +55,7 @@ def reference_exchange(cfg, block_id: int, drift) -> KeptPulses:
     """A block by the per-pulse reference: every pulse drawn, the shot noise
     estimated from a blocked frame, the threshold applied to the normalized
     outcomes."""
-    rng = np.random.default_rng(derive_seed(cfg, block_id, 0))
+    rng = np.random.default_rng(derive_seed(cfg, block_id, SEED_TAG_PULSES))
     n_cal, n_sig = frame_sizes(cfg)
     shot = calibrate_shot_noise(
         prepare_and_measure(n_cal, cfg, drift, rng, blocked=True))
@@ -149,7 +150,7 @@ class TestCalibration:
         hi = stats.chi2.ppf(0.995, n_cal - 1) / (n_cal - 1)
         inside = []
         for b in range(200):
-            rng = np.random.default_rng(derive_seed(cfg, b, 0))
+            rng = np.random.default_rng(derive_seed(cfg, b, SEED_TAG_PULSES))
             est = draw_signal_statistics(n_sig, n_cal, cfg,
                                          cfg.drift.mean_state(), rng).shot_snu
             inside.append(lo <= est <= hi)
@@ -163,7 +164,8 @@ class TestCalibration:
         n_cal, n_sig = frame_sizes(cfg)
         est = np.array([draw_signal_statistics(
             n_sig, n_cal, cfg, cfg.drift.mean_state(),
-            np.random.default_rng(derive_seed(cfg, b, 0))).shot_snu
+            np.random.default_rng(derive_seed(cfg, b, SEED_TAG_PULSES))
+        ).shot_snu
             for b in range(300)])
         scaled = est / 1.3 ** 2 * (n_cal - 1)
         assert stats.kstest(scaled, stats.chi2(n_cal - 1).cdf).pvalue > ALPHA
