@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: calibrate, run-link, exp-variance, exp-onoff, exp-longrun,
-exp-eye, dump-config.  Exit code 0 on success, 1 on configuration errors,
-2 on protocol failures.
+exp-eye, dump-config.  Exit code 0 on success, 1 on usage and
+configuration errors, 2 on protocol failures.
 """
 
 from __future__ import annotations
@@ -24,8 +24,17 @@ EXIT_CONFIG = 1
 EXIT_PROTOCOL = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error: argparse's own exit code, 2,
+    would read as a protocol failure.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvqkdsim",
         description="Desk-scale CV-QKD + WDM coexistence simulator")
     parser.add_argument("--config", metavar="PATH",
@@ -155,7 +164,8 @@ def main(argv=None) -> int:
             _emit(ex.exp_eye(cfg), args.output)
         elif args.command == "dump-config":
             _emit(dump_config(cfg), args.output)
-    except (ConfigError, CalibrationError, ValueError, OSError) as exc:
+    except (ConfigError, CalibrationError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

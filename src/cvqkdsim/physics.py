@@ -139,12 +139,6 @@ class KeptPulses:
     outcome_snu: np.ndarray         # float64, normalized by the shot noise
     variance_snu: float             # over all signal pulses, kept or not
 
-    def keep_mask(self) -> np.ndarray:
-        """One bool per signal pulse, True where it was kept."""
-        mask = np.zeros(self.n_signal, dtype=bool)
-        mask[self.position] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class DriftParams:

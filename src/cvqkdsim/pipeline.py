@@ -157,19 +157,18 @@ def _reconcile(link, alice_key, bob_key, perms, k1):
 
 def run_chain(cfg, block_id: int, batch: KeptPulses, link,
               qber_used: float | None = None) -> BlockResult:
-    """Distill one simulated block, from the keep mask to key confirmation.
+    """Distill one simulated block, from post-selection to key confirmation.
 
     An end computes what the roles it plays hold, and every value one role
     sends the other passes through the link (see the module docstring).
     `qber_used` replaces the block's sampled error rate in the key-length
     arithmetic; Cascade still corrects the real errors.
     """
-    # Bob sends the keep mask first; from here on, indices count kept pulses.
-    # Alice's share of the simulated block holds the kept pulses only, so
-    # an end that plays her alone checks that the mask is her block's.
-    mask = link.from_bob("POSTSELECT_MASK", batch.keep_mask, batch.n_signal)
-    if not link.bob and not np.array_equal(mask, batch.keep_mask()):
-        raise link.fail("UNEXPECTED_MESSAGE", "keep mask differs from block")
+    # Bob announces the kept pulses first; from here on, indices count them.
+    kept = link.from_bob("POSTSELECT_MASK", lambda: batch.position,
+                         batch.n_signal)
+    if not link.bob and not np.array_equal(kept, batch.position):
+        raise link.fail("UNEXPECTED_MESSAGE", "kept pulses differ from block")
     n_post = batch.position.size
     p_post = n_post / batch.n_signal
 

@@ -18,18 +18,19 @@ count needs.  The quantum exchange itself is simulated locally on both
 endpoints from the shared config seed, so no quantum data travels over
 this channel.
 
-Bob's frames come first: POSTSELECT_MASK, then BASIS_ANNOUNCE with the
-quadratures of the kept pulses only, and SAMPLE_INDICES are positions
-among the kept pulses, in [0, n_post).
+Bob's frames come first: POSTSELECT_MASK 0x02, the kept pulses' positions
+among the signal pulses; BASIS_ANNOUNCE 0x01, their quadratures; and
+SAMPLE_INDICES 0x03, positions among the kept pulses.  Each index frame is
+a u32 count, then that many strictly ascending u32 indices.
 
-Bob sends some frames back to back: POSTSELECT_MASK, BASIS_ANNOUNCE and
-SAMPLE_INDICES, and later HASH_SEED and KEY_CONFIRM.  Under Nagle's
-algorithm a later one waits until the peer acknowledges the one before,
-and the peer delays that ACK (~40 ms on Linux) because it has nothing to
-send back yet: a block over TCP could lose ~80 ms to waiting.  A TCP
-StreamTransport therefore sets TCP_NODELAY and every frame leaves when it
-is written; an AF_UNIX socket has no such delay.  A received frame must
-arrive whole within the transport's timeout, however its bytes trickle in.
+Bob sends these three frames back to back, and later HASH_SEED and
+KEY_CONFIRM.  Under Nagle's algorithm a later one waits until the peer
+acknowledges the one before, and the peer delays that ACK (~40 ms on
+Linux) because it has nothing to send back yet: a block over TCP could
+lose ~80 ms to waiting.  A TCP StreamTransport therefore sets TCP_NODELAY
+and every frame leaves when it is written; an AF_UNIX socket has no such
+delay.  A received frame must arrive whole within the transport's
+timeout, however its bytes trickle in.
 
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
@@ -172,6 +173,11 @@ def _decode_ranges(payload: bytes) -> tuple:
             _decode_indices(payload[split:]))
 
 
+def _ascending_below(idx, bound) -> bool:
+    """Whether `idx` ascends strictly, each index below `bound`."""
+    return not idx.size or (idx[-1] < bound and np.all(np.diff(idx) > 0))
+
+
 def _ranges_fit(value, perms) -> bool:
     """Whether `value`'s ranges lie in one pass of the permutations `perms`."""
     pass_index, starts, ends = value
@@ -188,6 +194,8 @@ _BITS_ROW = (
     lambda bits, n: (bits[:n] if bits.size == (n + 7) // 8 * 8
                      and not bits[n:].any() else None))
 
+_INDICES = (_encode_indices, _decode_indices, lambda n: 4 + 4 * n)
+
 # MsgType -> (value -> payload, payload -> value, size, check).  size is
 # the exact payload length of a fixed-size type, or for a variable-size one
 # the most bytes it can carry in a block of n pulses.  check(value, bound)
@@ -195,11 +203,10 @@ _BITS_ROW = (
 # fit the bound run_chain gives.
 _CODEC = {
     MsgType.BASIS_ANNOUNCE: _BITS_ROW,
-    MsgType.POSTSELECT_MASK: _BITS_ROW,
-    MsgType.SAMPLE_INDICES: (
-        _encode_indices, _decode_indices, lambda n: 4 + 4 * n,
-        _passes(lambda idx, n_post: idx.size and idx[-1] < n_post
-                and np.all(np.diff(idx) > 0))),
+    # a block may keep no pulse, but a sample holds at least one
+    MsgType.POSTSELECT_MASK: (*_INDICES, _passes(_ascending_below)),
+    MsgType.SAMPLE_INDICES: (*_INDICES, _passes(
+        lambda idx, n_post: idx.size and _ascending_below(idx, n_post))),
     MsgType.SAMPLE_BITS: _BITS_ROW,
     MsgType.QBER_REPORT: _struct_row(
         ">d", _passes(lambda q, _: 0.0 <= q <= 1.0), float),

@@ -42,6 +42,32 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert cli.main(["--config", "/no/such/file", "dump-config"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--pulses", "abc"],
+        ["run-link", "--role", "carol", "--listen", "127.0.0.1:1"],
+        ["run-link", "--role", "bob"],
+        [],
+    ], ids=["pulses-abc", "role-carol", "no-endpoint", "no-command"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # exit 2 means a protocol failure, so argparse's own 2 is not used
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cvqkdsim") and "error: " in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["run-link", "--help"])
+        assert exc_info.value.code == 0
+        assert "--role" in capsys.readouterr().out
+
+    def test_impossible_allocation_is_an_error(self, capsys):
+        # 10**15 pulses need 909 TiB, more than the 128 TiB a 64-bit Linux
+        # process can address, so the allocation fails without taking memory
+        assert cli.main(["calibrate", "--pulses", "1000000000000000"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @staticmethod
     def _exits_cleanly(tmp_path, line):
         bad = tmp_path / "bad.cfg"

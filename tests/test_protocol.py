@@ -44,6 +44,12 @@ def small_cfg(**kwargs) -> SystemConfig:
                         **kwargs)
 
 
+def keyed_cfg() -> SystemConfig:
+    # default noise and sampling, the smallest calibration frame; blocks
+    # 0-2 yield 397, 424 and 254 key bits
+    return SystemConfig(f_cal=0.0, block_size_pulses=100_000)
+
+
 def noiseless_cfg(**kwargs) -> SystemConfig:
     return small_cfg(force_sigma_snu=1e-9, **kwargs)
 
@@ -143,8 +149,11 @@ _frame_strategies = st.one_of(
               st.lists(st.integers(0, 1), min_size=8, max_size=64).map(
                   lambda xs: xs[:len(xs) - len(xs) % 8])
               .filter(lambda xs: len(xs) >= 8)),
-    st.builds(lambda idx: Frame(MsgType.SAMPLE_INDICES,
-                                np.array(sorted(set(idx)), dtype=np.int64)),
+    # the two index messages share one layout
+    st.builds(lambda t, idx: Frame(t, np.array(sorted(set(idx)),
+                                               dtype=np.int64)),
+              st.sampled_from([MsgType.POSTSELECT_MASK,
+                               MsgType.SAMPLE_INDICES]),
               st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=32)),
     st.builds(lambda v: Frame(MsgType.QBER_REPORT, value=v),
               st.floats(min_value=0.0, max_value=0.5)),
@@ -171,10 +180,9 @@ _PINNED_FRAMES = [
     (Frame(MsgType.BASIS_ANNOUNCE,
            np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)),
      "00000001 01 4d"),
-    # a partial last byte is zero-padded
-    (Frame(MsgType.POSTSELECT_MASK,
-           np.array([1, 0, 0, 0, 0, 0, 0, 0, 1, 1], dtype=bool)),
-     "00000002 02 80c0"),
+    # a count, then the kept pulses' positions
+    (Frame(MsgType.POSTSELECT_MASK, np.array([0, 8, 9])),
+     "00000010 02 00000003 00000000 00000008 00000009"),
     (Frame(MsgType.SAMPLE_INDICES, np.array([3, 258, 70000])),
      "00000010 03 00000003 00000003 00000102 00011170"),
     (Frame(MsgType.SAMPLE_BITS,
@@ -200,8 +208,11 @@ _PINNED_FRAMES = [
 _PERMS = pp.CascadePermutations(50, 4, 0)
 _CHECKS = [
     (MsgType.BASIS_ANNOUNCE, 10, np.ones(10, np.uint8), np.ones(17, np.uint8)),
-    (MsgType.POSTSELECT_MASK, 16, np.ones(16, bool), np.ones(17, bool)),
+    (MsgType.POSTSELECT_MASK, 16, np.array([0, 15]), np.array([0, 16])),
     (MsgType.SAMPLE_INDICES, 100, np.array([3, 99]), np.array([3, 100])),
+    # a block may keep no pulse, but a sample holds at least one
+    (MsgType.POSTSELECT_MASK, 0, np.array([], np.int64), np.array([0])),
+    (MsgType.SAMPLE_INDICES, 100, np.array([0]), np.array([], np.int64)),
     (MsgType.SAMPLE_BITS, 8, np.ones(8, np.uint8), np.ones(9, np.uint8)),
     (MsgType.QBER_REPORT, None, 0.0, np.nextafter(0.0, -1.0)),
     (MsgType.QBER_REPORT, None, 1.0, np.nextafter(1.0, 2.0)),
@@ -318,16 +329,17 @@ class TestSession:
         assert np.array_equal(ra.key_bits, rb.key_bits)
 
     def test_default_noise_keys_identical(self):
-        out = run_pair(small_cfg())
+        # every default-noise block of small_cfg yields a 0-bit key
+        out = run_pair(keyed_cfg())
         ra, rb = out[Role.ALICE], out[Role.BOB]
+        assert ra.key_bits.size > 0
         assert np.array_equal(ra.key_bits, rb.key_bits)
         assert ra.report == rb.report
 
     def test_matches_in_process_distillation(self):
         for cfg, block_id in ((small_cfg(), 0), (small_cfg(), 1),
                               (small_cfg(), 4), (noiseless_cfg(), 2),
-                              (SystemConfig(f_cal=0.0,
-                                            block_size_pulses=100_000), 0)):
+                              (keyed_cfg(), 0)):
             self._check_against_in_process(cfg, block_id)
 
     def _check_against_in_process(self, cfg, block_id):
@@ -351,7 +363,7 @@ class TestSession:
             (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
         assert chained.report.qber == chained.qber_raw == qber
         # sample indices count among the kept pulses
-        kept = np.flatnonzero(link.sent["POSTSELECT_MASK"])
+        kept = link.sent["POSTSELECT_MASK"]
         assert np.array_equal(kept, frame.kept_indices)
         disclosed = frame.postselect_mask & ~reduced.postselect_mask
         assert np.array_equal(kept[link.sent["SAMPLE_INDICES"]],
@@ -540,15 +552,16 @@ class TestFaultInjection:
         (Role.BOB, MsgType.BASIS_ANNOUNCE,
          lambda f, sent, n_kept: replace(f, value=np.append(
              f.value, np.ones(-f.value.size % 8, dtype=np.uint8)))),
+        # all but the last of the pulses Alice's block kept
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
-        # as many pulses kept, but not the ones Alice's block kept
+         lambda f, sent, n_kept: replace(f, value=f.value[:-1])),
+        # as many pulses kept, but each one pulse later than Alice's block
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=np.roll(f.value, 1))),
+         lambda f, sent, n_kept: replace(f, value=f.value + 1)),
         # the pulses Alice's block kept, and the first one it did not
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=f.value | (
-             np.arange(f.value.size) == np.argmin(f.value)))),
+         lambda f, sent, n_kept: replace(f, value=np.union1d(
+             f.value, np.setdiff1d(np.arange(f.value.size + 1), f.value)[0]))),
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:-1], 10 ** 9))),
@@ -557,10 +570,11 @@ class TestFaultInjection:
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:1], f.value[:-1]))),
-        # index n_post, one past the last kept pulse (sent[0] is the mask)
+        # index n_post, one past the last kept pulse (sent[0] holds the
+        # kept pulses' positions)
         (Role.BOB, MsgType.SAMPLE_INDICES,
          lambda f, sent, n_kept: replace(f, value=np.append(
-             f.value[:-1], np.count_nonzero(sent[0].value)))),
+             f.value[:-1], sent[0].value.size))),
         (Role.ALICE, MsgType.SAMPLE_BITS,
          lambda f, sent, n_kept: replace(f, value=f.value[:8])),
         (Role.BOB, MsgType.QBER_REPORT,
@@ -760,7 +774,7 @@ class TestTcpTransport:
         assert np.array_equal(out[Role.ALICE].key_bits, out[Role.BOB].key_bits)
 
     def test_session_matches_in_process(self):
-        cfg = small_cfg()
+        cfg = keyed_cfg()
         for block_id in range(3):
             out = run_pair(cfg, transports=tcp_pair(), block_id=block_id)
             local = distill_block(cfg, block_id, mean_drift(cfg),
@@ -768,6 +782,7 @@ class TestTcpTransport:
             for role in (Role.ALICE, Role.BOB):
                 assert out[role].report == local.report, (block_id, role)
                 assert np.array_equal(out[role].key_bits, local.key_bits)
+            assert local.key_bits.size > 0, block_id
 
 
 class TestRoundTrips:
@@ -775,10 +790,11 @@ class TestRoundTrips:
     # Blocks 0-5 of small_cfg took 18-35 requests, the end marker
     # included; the one-parity-per-request search took 137-260.
     MAX_PARITY_REQUESTS = 70
-    # Bob sends the keep mask, then the bases of kept pulses only: blocks
-    # 0-5 of small_cfg took 13.7-13.9 KB from Bob, 11.3 KB of it the mask;
-    # announcing every pulse's basis took 24.7-24.8 KB.
-    MAX_BOB_BYTES = 16_000
+    # Bob sends the kept pulses' positions, then the bases of kept pulses
+    # only: blocks 0-5 of small_cfg took 10.7-12.9 KB from Bob, 8.4-10.2 KB
+    # of it the positions; with a keep mask (11.3 KB) they took 13.7-13.9 KB,
+    # and announcing every pulse's basis took 24.7-24.8 KB.
+    MAX_BOB_BYTES = 14_000
 
     def test_parity_requests_per_block_bounded(self):
         cfg = small_cfg()
@@ -802,11 +818,11 @@ class TestRoundTrips:
             bob = _TamperingTransport(sb, 5.0, MsgType.BASIS_ANNOUNCE, None)
             run_pair(cfg, block_id=block_id,
                      transports=(proto.StreamTransport(sa, 5.0), bob))
-            mask, basis = bob.sent[:2]
-            assert mask.msg_type == MsgType.POSTSELECT_MASK
+            kept, basis = bob.sent[:2]
+            assert kept.msg_type == MsgType.POSTSELECT_MASK
             assert basis.msg_type == MsgType.BASIS_ANNOUNCE
             n_post = reference_estimation(cfg, block_id)[1].kept_indices.size
-            assert np.count_nonzero(mask.value) == n_post
+            assert len(encode_frame(kept)) == 5 + 4 + 4 * n_post
             assert len(encode_frame(basis)) == 5 + math.ceil(n_post / 8)
             sent = sum(len(encode_frame(f)) for f in bob.sent)
             assert sent <= self.MAX_BOB_BYTES, block_id

@@ -183,7 +183,6 @@ class TestKeptPulses:
         assert batch.n_signal == frame_sizes(cfg)[1]
         assert np.all(np.diff(batch.position) > 0)
         assert 0 <= batch.position[0] and batch.position[-1] < batch.n_signal
-        assert np.count_nonzero(batch.keep_mask()) == batch.position.size
         assert (batch.alice_phase_index.size == batch.bob_quadrature.size
                 == batch.outcome_snu.size == batch.position.size)
 
