@@ -8,7 +8,7 @@ The model is simulated two ways.  prepare_and_measure and
 calibrate_shot_noise draw every pulse; they are the statistical reference.
 draw_signal_statistics and draw_kept_pulses draw only what a block's
 distillation reads: per-class sufficient statistics, the calibration
-estimate, and the pulses that pass post-selection.
+estimate, and each kept pulse's class, position and tail, Bob's bit.
 
 Quadrature convention: the vacuum quadrature variance is 1 shot-noise unit
 (SNU).  A coherent state of amplitude a*exp(i*theta) measured in quadrature
@@ -134,9 +134,9 @@ class KeptPulses:
 
     n_signal: int                   # signal pulses in the block
     position: np.ndarray            # int64, ascending, in [0, n_signal)
-    alice_phase_index: np.ndarray   # int8 in {0..3}
-    bob_quadrature: np.ndarray      # int8, 0 = Q, 1 = P
-    outcome_snu: np.ndarray         # float64, normalized by the shot noise
+    alice_phase_index: np.ndarray   # intp in {0..3}
+    bob_quadrature: np.ndarray      # intp, 0 = Q, 1 = P
+    bob_bit: np.ndarray             # uint8, 1 iff the outcome is positive
     variance_snu: float             # over all signal pulses, kept or not
 
 
@@ -319,35 +319,27 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     On raw outcomes the threshold is thr = x_th * sqrt(shot), so a pulse of
     a class is kept in its upper tail, x >= thr, or its lower one,
     x <= -thr.  The kept count of each (class, tail) is one multinomial
-    draw from the class count.  Each kept outcome is drawn by inverse CDF
-    inside its tail, in log form so that a deep tail stays finite.  The
-    kept pulses take a uniformly random set of positions.  Given the class
-    counts, they are independent of the block's variance_snu.
+    draw from the class count.  The kept pulses take their (class, tail)
+    labels in random order and a uniformly random set of positions.  A
+    tail is an outcome's sign, Bob's bit, and no more of it is drawn.
+    Given the class counts, they are independent of the block's
+    variance_snu.
     """
     n_sig = int(stats.counts.sum())
     thr = x_th_snu * math.sqrt(stats.shot_snu)
     mu = stats.table.reshape(8, 1)
-    # each tail as z <= edge of a standard normal: column 0 the upper tail,
-    # x = mu - sigma z, column 1 the lower one, x = mu + sigma z
-    log_tail = special.log_ndtr(np.hstack([mu - thr, -thr - mu])
-                                / stats.sigma)
-    p = np.exp(log_tail)
+    # P(kept in a tail): column 0 the upper tail, column 1 the lower one
+    p = special.ndtr(np.hstack([mu - thr, -thr - mu]) / stats.sigma)
     # per class: kept in the upper tail, kept in the lower one, not kept
     n_kept = rng.multinomial(stats.counts.ravel(), np.hstack(
         [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
-    # per kept pulse, in random order: 2 * class + tail
-    tail = rng.permutation(np.repeat(np.arange(16, dtype=np.int8),
-                                     n_kept[:, :2].ravel()))
-    # z = ndtri(u * P(tail)), with log(u) for u uniform in (0, 1] drawn as
-    # minus a standard exponential
-    z = special.ndtri_exp(log_tail.ravel()[tail]
-                          - rng.standard_exponential(tail.size))
-    x = mu.ravel()[tail // 2] + np.where(tail % 2, stats.sigma,
-                                         -stats.sigma) * z
-    position = np.sort(rng.choice(n_sig, tail.size, replace=False,
+    # per kept pulse, in random order: 2 * class + tail (0 upper, 1 lower)
+    label = rng.permutation(np.repeat(np.arange(16),
+                                      n_kept[:, :2].ravel()))
+    position = np.sort(rng.choice(n_sig, label.size, replace=False,
                                   shuffle=False))
-    return KeptPulses(n_sig, position, tail // 4, tail // 2 % 2,
-                      x / math.sqrt(stats.shot_snu),
+    return KeptPulses(n_sig, position, label >> 2, label >> 1 & 1,
+                      (1 - (label & 1)).astype(np.uint8),
                       stats.variance_snu)
 
 

@@ -4,8 +4,9 @@ The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
 wire.  It draws only what the chain reads: the pulses that pass
-post-selection (physics.KeptPulses), ~2.5 % of a default block, and the
-block's signal variance from per-class statistics.  run_chain() distills
+post-selection (physics.KeptPulses), ~2.5 % of a default block, each as
+its class, position and tail (Bob's bit), and the block's signal
+variance from per-class statistics.  run_chain() distills
 a block into a BlockResult, which distill_block() returns in process for
 the experiment runners and protocol.run_session() over the wire.
 
@@ -177,8 +178,7 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
                          n_post)
     alice_bits = (pp.sift_alice_bits(batch.alice_phase_index, quad)
                   if link.alice else None)
-    bob_bits = ((batch.outcome_snu > 0.0).astype(np.uint8)
-                if link.bob else None)
+    bob_bits = batch.bob_bit if link.bob else None
 
     # Error estimation on a disclosed pseudo-random subset of the kept bits.
     # With none kept, both ends know there is no sample, and 0.5, the error

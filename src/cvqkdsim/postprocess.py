@@ -12,6 +12,7 @@ Bit conventions (pinned for interoperability):
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -90,8 +91,7 @@ class KeySessionReport:
 def sift_alice_bits(phase_index: np.ndarray,
                     quadrature: np.ndarray) -> np.ndarray:
     """Alice's key bit per pulse given Bob's announced quadrature."""
-    return _ALICE_BIT_TABLE[np.asarray(quadrature, dtype=np.int8),
-                            np.asarray(phase_index, dtype=np.int8)]
+    return _ALICE_BIT_TABLE[quadrature, phase_index]
 
 
 def sift(batch: PulseBatch) -> SiftedFrame:
@@ -320,13 +320,16 @@ def secret_fraction(qber: float, alpha: float,
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance {transmittance!r} outside [0, 1]")
-    i_ab = 1.0 - binary_entropy(qber)
+    return 1.0 - binary_entropy(qber), _eve_holevo(alpha, transmittance)
+
+
+@functools.lru_cache(maxsize=16)
+def _eve_holevo(alpha: float, transmittance: float) -> float:
+    """secret_fraction's chi_E, computed once per config, not per block."""
     eve_modulus = math.sqrt(1.0 - transmittance) * alpha
     if eve_modulus == 0.0:
-        chi_e = 0.0
-    else:
-        chi_e = holevo_bound(CoherentStateEnsemble.four_state(eve_modulus))
-    return i_ab, chi_e
+        return 0.0
+    return holevo_bound(CoherentStateEnsemble.four_state(eve_modulus))
 
 
 def final_key_length(n_post_selected: int, i_ab: float, chi_e: float,
@@ -357,4 +360,8 @@ def read_key_file(path) -> np.ndarray:
         if version != KEY_FILE_VERSION:
             raise ValueError(f"unsupported key file version {version}")
         packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    return np.unpackbits(packed)[:nbits]
+    bits = np.unpackbits(packed)
+    # exactly the packed key, its padding bits zero, as in a wire bit field
+    if packed.size != -(-nbits // 8) or bits[nbits:].any():
+        raise ValueError(f"key file payload is not {nbits} zero-padded bits")
+    return bits[:nbits]

@@ -242,6 +242,19 @@ class TestRates:
             math.sqrt(1.0 - t) * alpha))
         assert chi_e == pytest.approx(want)
 
+    def test_chi_e_computed_once_per_config(self, monkeypatch):
+        from cvqkdsim.quantum import CoherentStateEnsemble, holevo_bound
+        alpha, t = 0.61, 10.0 ** -0.25
+        want = holevo_bound(CoherentStateEnsemble.four_state(
+            math.sqrt(1.0 - t) * alpha))
+        calls = []
+        monkeypatch.setattr(pp, "holevo_bound",
+                            lambda e: calls.append(e) or holevo_bound(e))
+        pp._eve_holevo.cache_clear()
+        chis = {pp.secret_fraction(q, alpha, t)[1] for q in (0.01, 0.02)}
+        assert chis == {want}
+        assert len(calls) == 1
+
     def test_lossless_channel_leaks_nothing_to_eve(self):
         _, chi_e = pp.secret_fraction(0.02, 0.68, 1.0)
         assert chi_e == 0.0
@@ -286,6 +299,19 @@ class TestKeyFile:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"not a key file at all")
+        with pytest.raises(ValueError):
+            pp.read_key_file(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:-5],                              # truncated
+        lambda raw: raw + b"\x00",                         # trailing byte
+        lambda raw: raw[:-1] + bytes([raw[-1] | 0x01]),    # padding set
+    ], ids=["truncated", "trailing-byte", "nonzero-padding"])
+    def test_rejects_damaged_payload(self, tmp_path, damage):
+        # 100 bits: 13 bytes, the last 4 bits of the last byte padding
+        path = tmp_path / "k.key"
+        pp.write_key_file(path, np.ones(100, dtype=np.uint8))
+        path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError):
             pp.read_key_file(path)
 

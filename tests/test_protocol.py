@@ -59,13 +59,14 @@ def mean_drift(cfg) -> DriftState:
 
 
 def signal_batch(kept) -> PulseBatch:
-    """A block's signal pulses as a PulseBatch: the kept pulses at their
-    positions, every other pulse with outcome 0, below any threshold > 0."""
+    """A block's signal pulses as a PulseBatch: every kept pulse at its
+    position, with the largest finite outcome of its bit's sign, beyond any
+    threshold; every other pulse with outcome 0, below any threshold > 0."""
     n = kept.n_signal
     phase, quad, x = np.zeros(n, np.int8), np.zeros(n, np.int8), np.zeros(n)
     phase[kept.position] = kept.alice_phase_index
     quad[kept.position] = kept.bob_quadrature
-    x[kept.position] = kept.outcome_snu
+    x[kept.position] = (2.0 * kept.bob_bit - 1.0) * np.finfo(float).max
     return PulseBatch(phase, quad, x)
 
 
@@ -353,7 +354,8 @@ class TestSession:
                 == local.variance_snu)
 
         # the chain's estimation step against the reference helpers; the
-        # threshold applied to the drawn outcomes keeps exactly the drawn set
+        # threshold applied to signal_batch's outcomes keeps exactly the
+        # drawn set
         link = _RecordingLink()
         batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
         chained = run_chain(cfg, block_id, batch, link)

@@ -63,14 +63,15 @@ def reference_exchange(cfg, block_id: int, drift) -> KeptPulses:
     x = batch.outcome_snu / math.sqrt(shot)
     kept = np.flatnonzero(np.abs(x) >= cfg.x_th_snu)
     return KeptPulses(n_sig, kept, batch.alice_phase_index[kept],
-                      batch.bob_quadrature[kept], x[kept], float(np.var(x)))
+                      batch.bob_quadrature[kept],
+                      (x[kept] > 0.0).astype(np.uint8), float(np.var(x)))
 
 
 def block_figures(cfg, batch: KeptPulses, block_id: int) -> dict:
     """What a block gives: kept count, the error rate over all kept bits,
     and the chain's report with the block's own error estimate."""
     alice = pp.sift_alice_bits(batch.alice_phase_index, batch.bob_quadrature)
-    bob = batch.outcome_snu > 0.0
+    bob = batch.bob_bit
     report = run_chain(cfg, block_id, batch, LocalLink()).report
     return {"kept": batch.position.size, "p_post": report.p_post,
             "qber": float(np.mean(alice != bob)),
@@ -99,18 +100,20 @@ def column(figures, side, name) -> np.ndarray:
     return np.array([f[name] for f in figures[side]])
 
 
-def test_kept_outcomes_agree_per_class(scenario):
-    cfg, sampled, reference, _ = scenario
+def test_kept_bits_agree_per_class(scenario):
+    # per (phase, quadrature) class, a 2 x 2 contingency of Bob's bits:
+    # sampled against reference, 0 against 1
+    _, sampled, reference, _ = scenario
     for phase in range(4):
         for quad in range(2):
-            def outcomes(batches):
-                return np.concatenate([
-                    b.outcome_snu[(b.alice_phase_index == phase)
-                                  & (b.bob_quadrature == quad)]
-                    for b in batches])
-            s, r = outcomes(sampled), outcomes(reference)
-            assert np.all(np.abs(s) >= cfg.x_th_snu)
-            assert stats.ks_2samp(s, r).pvalue > ALPHA, (phase, quad)
+            def bit_counts(batches):
+                return np.bincount(np.concatenate([
+                    b.bob_bit[(b.alice_phase_index == phase)
+                              & (b.bob_quadrature == quad)]
+                    for b in batches]), minlength=2)
+            table = np.array([bit_counts(sampled), bit_counts(reference)])
+            assert stats.chi2_contingency(table).pvalue > ALPHA, (
+                phase, quad, table)
 
 
 @pytest.mark.parametrize("name", ["kept", "p_post", "qber", "skr"])
@@ -184,7 +187,9 @@ class TestKeptPulses:
         assert np.all(np.diff(batch.position) > 0)
         assert 0 <= batch.position[0] and batch.position[-1] < batch.n_signal
         assert (batch.alice_phase_index.size == batch.bob_quadrature.size
-                == batch.outcome_snu.size == batch.position.size)
+                == batch.bob_bit.size == batch.position.size)
+        assert batch.bob_bit.dtype == np.uint8
+        assert set(np.unique(batch.bob_bit)) == {0, 1}
 
     def test_zero_threshold_keeps_every_pulse(self):
         cfg = SystemConfig(block_size_pulses=100_000, x_th_snu=0.0)
