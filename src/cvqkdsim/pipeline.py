@@ -3,12 +3,15 @@
 The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
-wire.  It draws only what the chain reads: the pulses that pass
-post-selection (physics.KeptPulses), ~2.5 % of a default block, each as
-its class, position and tail (Bob's bit), and the block's signal
-variance from per-class statistics.  run_chain() distills
-a block into a BlockResult, which distill_block() returns in process for
-the experiment runners and protocol.run_session() over the wire.
+wire.  The same seed fixes the disclosed error sample, Cascade's
+permutations and the Toeplitz seed, so each end derives them too, and
+each sizes the final key from values both ends hold.  A block draws only
+what the chain reads: the pulses that pass post-selection
+(physics.KeptPulses), ~2.5 % of a default block, each as its class,
+position and tail (Bob's bit), and the block's signal variance from
+per-class statistics.  run_chain() distills a block into a BlockResult,
+which distill_block() returns in process for the experiment runners and
+protocol.run_session() over the wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
@@ -24,7 +27,9 @@ to reconcile, yields a 0-bit key and SKR 0 on both paths.  The two paths
 differ in one behaviour: a block that Cascade leaves with residual errors
 yields no key and SKR 0 in process, while over the wire it fails
 KEY_CONFIRM and both ends abort with KEY_MISMATCH.  A malformed frame from
-the peer ends both ends in SessionFailed with matching AbortReasons.
+the peer ends both ends in SessionFailed with matching AbortReasons, and
+so does a frame that does not fit this end's own block, as SAMPLE_BITS
+does not when the two ends' configs draw samples of different sizes.
 """
 
 from __future__ import annotations
@@ -180,13 +185,14 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
                   if link.alice else None)
     bob_bits = batch.bob_bit if link.bob else None
 
-    # Error estimation on a disclosed pseudo-random subset of the kept bits.
-    # With none kept, both ends know there is no sample, and 0.5, the error
-    # rate that certifies no key, stands in for the estimate.
+    # Error estimation on a disclosed pseudo-random subset of the kept bits,
+    # which each end draws from the shared seed.  With none kept, there is
+    # no sample, and 0.5, the error rate that certifies no key, stands in
+    # for the estimate.
     if n_post:
-        sample = link.from_bob("SAMPLE_INDICES", lambda: pp.disclosure_sample(
-            n_post, cfg.sample_fraction, np.random.default_rng(
-                derive_seed(cfg, block_id, SEED_TAG_SAMPLE))), n_post)
+        rng = np.random.default_rng(derive_seed(cfg, block_id,
+                                                SEED_TAG_SAMPLE))
+        sample = pp.disclosure_sample(n_post, cfg.sample_fraction, rng)
         sample_bits = link.from_alice("SAMPLE_BITS",
                                       lambda: alice_bits[sample], sample.size)
         qber_raw = link.from_bob("QBER_REPORT", lambda: float(
@@ -211,15 +217,14 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     residual = (int(np.sum(corrected != bob_key))
                 if link.alice and link.bob else 0)
 
-    # Privacy amplification and key confirmation.
+    # Privacy amplification and key confirmation.  Each end sizes the key
+    # from values both hold (Alice's leak is the parities Bob served).
     i_ab, chi_e = pp.secret_fraction(qber, cfg.alpha,
                                      fiber_transmittance(cfg.fiber))
-    hash_seed, out_len = link.from_bob("HASH_SEED", lambda: (
-        derive_seed(cfg, block_id, SEED_TAG_HASH),
-        0 if residual else pp.final_key_length(
-            n_post, i_ab, chi_e, leak, disclosed)), n_kept)
+    out_len = 0 if residual else pp.final_key_length(
+        n_post, i_ab, chi_e, leak, disclosed)
     key = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
-                           hash_seed, out_len)
+                           derive_seed(cfg, block_id, SEED_TAG_HASH), out_len)
     digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
     bob_digest = link.from_bob("KEY_CONFIRM", lambda: digest)
     if link.from_alice("KEY_CONFIRM", lambda: digest) != bob_digest:

@@ -19,18 +19,20 @@ endpoints from the shared config seed, so no quantum data travels over
 this channel.
 
 Bob's frames come first: POSTSELECT_MASK 0x02, the kept pulses' positions
-among the signal pulses; BASIS_ANNOUNCE 0x01, their quadratures; and
-SAMPLE_INDICES 0x03, positions among the kept pulses.  Each index frame is
-a u32 count, then that many strictly ascending u32 indices.
+among the signal pulses as a u32 count, then that many strictly ascending
+u32 positions; and BASIS_ANNOUNCE 0x01, their quadratures.  No frame
+carries what the shared seed fixes: each end draws the disclosed error
+sample, Cascade's permutations and the Toeplitz seed, and sizes the final
+key, on its own.  Type bytes 0x03 and 0x08 are unassigned, so a frame of
+either is an unknown type.
 
-Bob sends these three frames back to back, and later HASH_SEED and
-KEY_CONFIRM.  Under Nagle's algorithm a later one waits until the peer
-acknowledges the one before, and the peer delays that ACK (~40 ms on
-Linux) because it has nothing to send back yet: a block over TCP could
-lose ~80 ms to waiting.  A TCP StreamTransport therefore sets TCP_NODELAY
-and every frame leaves when it is written; an AF_UNIX socket has no such
-delay.  A received frame must arrive whole within the transport's
-timeout, however its bytes trickle in.
+Bob sends his two opening frames back to back.  Under Nagle's algorithm
+the second waits until the peer acknowledges the first, and the peer
+delays that ACK (~40 ms on Linux) because it has nothing to send back
+yet.  A TCP StreamTransport therefore sets TCP_NODELAY and every frame
+leaves when it is written; an AF_UNIX socket has no such delay.  A
+received frame must arrive whole within the transport's timeout, however
+its bytes trickle in.
 
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
@@ -88,12 +90,10 @@ DEFAULT_TIMEOUT_S = 30.0
 class MsgType(enum.IntEnum):
     BASIS_ANNOUNCE = 0x01
     POSTSELECT_MASK = 0x02
-    SAMPLE_INDICES = 0x03
     SAMPLE_BITS = 0x04
     QBER_REPORT = 0x05
     PARITY_REQ = 0x06
     PARITY_RSP = 0x07
-    HASH_SEED = 0x08
     KEY_CONFIRM = 0x09
     ABORT = 0x0A
 
@@ -119,6 +119,7 @@ class SessionFailed(ProtocolError):
     def __init__(self, reason: AbortReason, detail: str = ""):
         super().__init__(f"session failed: {reason.name} {detail}".strip())
         self.reason = reason
+        self.detail = detail
 
 
 @dataclass
@@ -138,12 +139,9 @@ def _passes(ok):
     return lambda value, bound: value if ok(value, bound) else None
 
 
-def _struct_row(fmt: str, check, to_value=None):
-    """A fixed-size row: `to_value` of the one field `fmt` packs or,
-    without it, the tuple of its fields."""
+def _struct_row(fmt: str, check, to_value):
+    """A fixed-size row: `to_value` of the one field `fmt` packs."""
     s = struct.Struct(fmt)
-    if to_value is None:
-        return lambda v: s.pack(*v), s.unpack, s.size, check
     return s.pack, lambda p: to_value(s.unpack(p)[0]), s.size, check
 
 
@@ -194,8 +192,6 @@ _BITS_ROW = (
     lambda bits, n: (bits[:n] if bits.size == (n + 7) // 8 * 8
                      and not bits[n:].any() else None))
 
-_INDICES = (_encode_indices, _decode_indices, lambda n: 4 + 4 * n)
-
 # MsgType -> (value -> payload, payload -> value, size, check).  size is
 # the exact payload length of a fixed-size type, or for a variable-size one
 # the most bytes it can carry in a block of n pulses.  check(value, bound)
@@ -203,18 +199,14 @@ _INDICES = (_encode_indices, _decode_indices, lambda n: 4 + 4 * n)
 # fit the bound run_chain gives.
 _CODEC = {
     MsgType.BASIS_ANNOUNCE: _BITS_ROW,
-    # a block may keep no pulse, but a sample holds at least one
-    MsgType.POSTSELECT_MASK: (*_INDICES, _passes(_ascending_below)),
-    MsgType.SAMPLE_INDICES: (*_INDICES, _passes(
-        lambda idx, n_post: idx.size and _ascending_below(idx, n_post))),
+    MsgType.POSTSELECT_MASK: (_encode_indices, _decode_indices,
+                              lambda n: 4 + 4 * n, _passes(_ascending_below)),
     MsgType.SAMPLE_BITS: _BITS_ROW,
     MsgType.QBER_REPORT: _struct_row(
         ">d", _passes(lambda q, _: 0.0 <= q <= 1.0), float),
     MsgType.PARITY_REQ: (_encode_ranges, _decode_ranges,
                          lambda n: 12 + 8 * n, _passes(_ranges_fit)),
     MsgType.PARITY_RSP: _BITS_ROW,
-    MsgType.HASH_SEED: _struct_row(
-        ">QI", _passes(lambda v, n_kept: v[1] <= n_kept)),
     # a digest of any other length is refused at the header
     MsgType.KEY_CONFIRM: (bytes, bytes, 32, lambda digest, _: digest),
     MsgType.ABORT: _struct_row(">H", None, AbortReason),   # ends a session
@@ -392,7 +384,8 @@ class WireLink:
         except FrameDecodeError as exc:
             raise self.fail(AbortReason.DECODE_ERROR, str(exc))
         except SessionFailed as exc:
-            raise self.fail(exc.reason, str(exc), notify=exc.reason == AbortReason.TIMEOUT)
+            raise self.fail(exc.reason, exc.detail,
+                            notify=exc.reason == AbortReason.TIMEOUT)
         if frame.msg_type == MsgType.ABORT:
             raise self.fail(frame.value, "peer aborted", notify=False)
         if frame.msg_type != msg_type:

@@ -112,16 +112,18 @@ def run_pair_timed(cfg):
     return out, time.monotonic() - start
 
 
-def run_pair(cfg, transports=None, **kwargs):
-    """Drive both roles over a loopback pair; returns {role: result|exception}."""
+def run_pair(cfg, transports=None, bob_cfg=None, **kwargs):
+    """Drive both roles over a loopback pair, Bob on `bob_cfg` if given;
+    returns {role: result|exception}."""
     if transports is None:
         transports = loopback_pair()
     ta, tb = transports
+    cfgs = {Role.ALICE: cfg, Role.BOB: bob_cfg or cfg}
     out = {}
 
     def go(role, transport):
         try:
-            out[role] = run_session(role, transport, cfg, **kwargs)
+            out[role] = run_session(role, transport, cfgs[role], **kwargs)
         except SessionFailed as exc:
             out[role] = exc
         finally:
@@ -150,11 +152,8 @@ _frame_strategies = st.one_of(
               st.lists(st.integers(0, 1), min_size=8, max_size=64).map(
                   lambda xs: xs[:len(xs) - len(xs) % 8])
               .filter(lambda xs: len(xs) >= 8)),
-    # the two index messages share one layout
-    st.builds(lambda t, idx: Frame(t, np.array(sorted(set(idx)),
-                                               dtype=np.int64)),
-              st.sampled_from([MsgType.POSTSELECT_MASK,
-                               MsgType.SAMPLE_INDICES]),
+    st.builds(lambda idx: Frame(MsgType.POSTSELECT_MASK,
+                                np.array(sorted(set(idx)), dtype=np.int64)),
               st.lists(st.integers(0, 2 ** 32 - 1), min_size=0, max_size=32)),
     st.builds(lambda v: Frame(MsgType.QBER_REPORT, value=v),
               st.floats(min_value=0.0, max_value=0.5)),
@@ -166,8 +165,6 @@ _frame_strategies = st.one_of(
     st.builds(lambda bits: Frame(MsgType.PARITY_RSP,
                                  np.array(bits, dtype=np.uint8)),
               st.lists(st.integers(0, 1), max_size=64)),
-    st.builds(lambda s, n: Frame(MsgType.HASH_SEED, (s, n)),
-              st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 32 - 1)),
     st.builds(lambda d: Frame(MsgType.KEY_CONFIRM, bytes(d)),
               st.binary(min_size=32, max_size=32)),
     st.builds(lambda r: Frame(MsgType.ABORT, r),
@@ -184,8 +181,6 @@ _PINNED_FRAMES = [
     # a count, then the kept pulses' positions
     (Frame(MsgType.POSTSELECT_MASK, np.array([0, 8, 9])),
      "00000010 02 00000003 00000000 00000008 00000009"),
-    (Frame(MsgType.SAMPLE_INDICES, np.array([3, 258, 70000])),
-     "00000010 03 00000003 00000003 00000102 00011170"),
     (Frame(MsgType.SAMPLE_BITS,
            np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 1], dtype=np.uint8)),
      "00000002 04 f040"),
@@ -196,8 +191,6 @@ _PINNED_FRAMES = [
      " 00000002 00000005 00011170"),
     (Frame(MsgType.PARITY_RSP, np.array([1, 0, 1], dtype=np.uint8)),
      "00000001 07 a0"),
-    (Frame(MsgType.HASH_SEED, (0x0102030405060708, 0x0A0B0C0D)),
-     "0000000c 08 0102030405060708 0a0b0c0d"),
     (Frame(MsgType.KEY_CONFIRM, bytes(range(32))),
      "00000020 09 " + bytes(range(32)).hex()),
     (Frame(MsgType.ABORT, AbortReason.TIMEOUT), "00000002 0a 0003"),
@@ -210,10 +203,8 @@ _PERMS = pp.CascadePermutations(50, 4, 0)
 _CHECKS = [
     (MsgType.BASIS_ANNOUNCE, 10, np.ones(10, np.uint8), np.ones(17, np.uint8)),
     (MsgType.POSTSELECT_MASK, 16, np.array([0, 15]), np.array([0, 16])),
-    (MsgType.SAMPLE_INDICES, 100, np.array([3, 99]), np.array([3, 100])),
-    # a block may keep no pulse, but a sample holds at least one
+    # a block may keep no pulse
     (MsgType.POSTSELECT_MASK, 0, np.array([], np.int64), np.array([0])),
-    (MsgType.SAMPLE_INDICES, 100, np.array([0]), np.array([], np.int64)),
     (MsgType.SAMPLE_BITS, 8, np.ones(8, np.uint8), np.ones(9, np.uint8)),
     (MsgType.QBER_REPORT, None, 0.0, np.nextafter(0.0, -1.0)),
     (MsgType.QBER_REPORT, None, 1.0, np.nextafter(1.0, 2.0)),
@@ -223,7 +214,6 @@ _CHECKS = [
     (MsgType.PARITY_REQ, _PERMS, (3, np.array([0]), np.array([50])),
      (4, np.array([0]), np.array([50]))),
     (MsgType.PARITY_RSP, 3, np.ones(3, np.uint8), np.ones(9, np.uint8)),
-    (MsgType.HASH_SEED, 1000, (7, 1000), (7, 1001)),
     (MsgType.KEY_CONFIRM, None, bytes(32), bytes(33)),
 ]
 
@@ -268,8 +258,15 @@ class TestFraming:
         assert raw_type == 0x05
 
     def test_decode_rejects_unknown_type(self):
-        with pytest.raises(FrameDecodeError):
-            decode_frame(b"\x00\x00\x00\x00\x7f")
+        # 0x03 and 0x08 are unassigned, as each end derives its sample and
+        # its hash seed: a payload in the layout either type once had (one
+        # sample index; a u64 seed and a u32 key length) is refused too
+        for raw_type, payload in ((0x7F, ""), (0x03, "00000001 00000003"),
+                                  (0x08, "0102030405060708 0a0b0c0d")):
+            payload = bytes.fromhex(payload)
+            with pytest.raises(FrameDecodeError):
+                decode_frame(struct.pack(">IB", len(payload), raw_type)
+                             + payload)
 
     def test_decode_rejects_length_mismatch(self):
         with pytest.raises(FrameDecodeError):
@@ -364,13 +361,15 @@ class TestSession:
         assert chained.report.p_post == (
             (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
         assert chained.report.qber == chained.qber_raw == qber
-        # sample indices count among the kept pulses
+        # the sample each end draws counts among the kept pulses
         kept = link.sent["POSTSELECT_MASK"]
         assert np.array_equal(kept, frame.kept_indices)
+        sample = pp.disclosure_sample(
+            kept.size, cfg.sample_fraction, np.random.default_rng(
+                derive_seed(cfg, block_id, SEED_TAG_SAMPLE)))
         disclosed = frame.postselect_mask & ~reduced.postselect_mask
-        assert np.array_equal(kept[link.sent["SAMPLE_INDICES"]],
-                              np.flatnonzero(disclosed))
-        assert link.sent["SAMPLE_INDICES"].size == reduced.disclosed_count
+        assert np.array_equal(kept[sample], np.flatnonzero(disclosed))
+        assert sample.size == reduced.disclosed_count
 
     @pytest.mark.parametrize("cfg, block_id", [
         (small_cfg(), 0), (small_cfg(), 1), (small_cfg(), 2),
@@ -390,6 +389,20 @@ class TestSession:
         wire = paths[0].read_bytes()
         assert paths[1].read_bytes() == wire
         assert b"".join(link.frames) == wire
+
+    def test_peer_on_another_sample_fraction_fails_both_ends(self):
+        # Alice's own config keys block 0 at 397 bits; a Bob that draws a
+        # larger sample must not lend her his sample, his key length or his
+        # key
+        cfg = keyed_cfg()
+        start = time.monotonic()
+        out = run_pair(cfg, transports=loopback_pair(timeout_s=5.0),
+                       bob_cfg=replace(cfg, sample_fraction=0.05))
+        elapsed = time.monotonic() - start
+        for role in (Role.ALICE, Role.BOB):
+            assert isinstance(out[role], SessionFailed), role
+            assert out[role].reason == AbortReason.UNEXPECTED_MESSAGE, role
+        assert elapsed < 1.0   # far inside the 5 s receive timeout
 
     def test_blocks_differ_by_id(self):
         cfg = noiseless_cfg()
@@ -535,7 +548,7 @@ class TestFaultInjection:
         t = threading.Thread(target=bob)
         t.start()
         # consume Bob's opening frames, then answer out of order
-        for _ in range(3):
+        for _ in range(2):
             ta.recv_frame()
         ta.send_frame(Frame(MsgType.QBER_REPORT, 0.1))
         abort = ta.recv_frame()
@@ -564,19 +577,21 @@ class TestFaultInjection:
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=np.union1d(
              f.value, np.setdiff1d(np.arange(f.value.size + 1), f.value)[0]))),
-        (Role.BOB, MsgType.SAMPLE_INDICES,
+        # positions the kept-pulse check refuses before Alice compares
+        # them with her block
+        (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:-1], 10 ** 9))),
-        (Role.BOB, MsgType.SAMPLE_INDICES,
+        (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=f.value[::-1])),
-        (Role.BOB, MsgType.SAMPLE_INDICES,
+        (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:1], f.value[:-1]))),
-        # index n_post, one past the last kept pulse (sent[0] holds the
-        # kept pulses' positions)
-        (Role.BOB, MsgType.SAMPLE_INDICES,
+        # position n_signal, one past the last signal pulse
+        (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=np.append(
-             f.value[:-1], sent[0].value.size))),
+             f.value[:-1], small_cfg().block_size_pulses
+             - small_cfg().calibration_pulses))),
         (Role.ALICE, MsgType.SAMPLE_BITS,
          lambda f, sent, n_kept: replace(f, value=f.value[:8])),
         (Role.BOB, MsgType.QBER_REPORT,
@@ -599,14 +614,12 @@ class TestFaultInjection:
         (Role.BOB, MsgType.PARITY_RSP,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
-        (Role.BOB, MsgType.HASH_SEED,
-         lambda f, sent, n_kept: replace(f, value=(f.value[0], n_kept + 1))),
     ], ids=["basis-short", "basis-padded-1s", "mask-short", "mask-moved", "mask-extra",
             "index-1e9", "indices-unsorted", "index-repeated",
-            "index-past-kept", "sample-bits-8",
+            "index-past-signal", "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
             "parity-start-past-end", "parity-arrays-unequal",
-            "parity-rsp-count", "out-len-too-big"])
+            "parity-rsp-count"])
     def test_out_of_range_field_aborts_both_ends(self, sender, msg_type,
                                                  tamper):
         cfg = small_cfg()
@@ -684,11 +697,9 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("sender, msg_type, reason", [
         # the next frame arrives in the dropped one's place
-        (Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.UNEXPECTED_MESSAGE),
         (Role.BOB, MsgType.POSTSELECT_MASK, AbortReason.UNEXPECTED_MESSAGE),
-        (Role.BOB, MsgType.HASH_SEED, AbortReason.UNEXPECTED_MESSAGE),
         # both ends wait on each other
-        (Role.BOB, MsgType.SAMPLE_INDICES, AbortReason.TIMEOUT),
+        (Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.TIMEOUT),
         (Role.BOB, MsgType.QBER_REPORT, AbortReason.TIMEOUT),
         (Role.BOB, MsgType.PARITY_RSP, AbortReason.TIMEOUT),
         (Role.BOB, MsgType.KEY_CONFIRM, AbortReason.TIMEOUT),
@@ -716,6 +727,8 @@ class TestFaultInjection:
         with pytest.raises(SessionFailed) as exc_info:
             run_session(Role.BOB, tb, cfg)  # nobody answers
         assert exc_info.value.reason == AbortReason.TIMEOUT
+        # the transport's detail is passed on, not its whole message
+        assert str(exc_info.value).count("session failed") == 1
         ta.close()
         tb.close()
 
@@ -725,6 +738,7 @@ class TestFaultInjection:
         with pytest.raises(SessionFailed) as exc_info:
             run_session(Role.ALICE, tb, SystemConfig(block_size_pulses=5000))
         assert exc_info.value.reason == AbortReason.TRANSPORT_CLOSED
+        assert str(exc_info.value).count("session failed") == 1
         tb.close()
 
     def test_trickled_frame_times_out(self):
@@ -732,7 +746,7 @@ class TestFaultInjection:
         # the frame as a whole may not take longer than that
         sa, sb = socket.socketpair()
         receiver = proto.StreamTransport(sb, 0.3)
-        data = encode_frame(Frame(MsgType.SAMPLE_INDICES, np.arange(4)))
+        data = encode_frame(Frame(MsgType.POSTSELECT_MASK, np.arange(4)))
         assert len(data) == 25
         stop = threading.Event()
 
@@ -793,10 +807,11 @@ class TestRoundTrips:
     # included; the one-parity-per-request search took 137-260.
     MAX_PARITY_REQUESTS = 70
     # Bob sends the kept pulses' positions, then the bases of kept pulses
-    # only: blocks 0-5 of small_cfg took 10.7-12.9 KB from Bob, 8.4-10.2 KB
-    # of it the positions; with a keep mask (11.3 KB) they took 13.7-13.9 KB,
-    # and announcing every pulse's basis took 24.7-24.8 KB.
-    MAX_BOB_BYTES = 14_000
+    # only, and neither the sample nor the hash seed: blocks 0-5 of
+    # small_cfg took 9.0-10.8 KB from Bob, 8.4-10.2 KB of it the positions.
+    # Sending the sample and the hash seed too took 11.7-12.9 KB, a keep
+    # mask (11.3 KB) 13.7-13.9 KB, and every pulse's basis 24.7-24.8 KB.
+    MAX_BOB_BYTES = 11_000
 
     def test_parity_requests_per_block_bounded(self):
         cfg = small_cfg()
@@ -808,7 +823,7 @@ class TestRoundTrips:
             requests = [f for f in alice.sent
                         if f.msg_type == MsgType.PARITY_REQ]
             assert len(requests) <= self.MAX_PARITY_REQUESTS, block_id
-            # Bob sizes out_len from the parities he served
+            # each end sizes out_len from the parities Bob served
             served = sum(len(f.value[1]) for f in requests)
             assert out[Role.BOB].report.leak_bits == served > 0
             assert out[Role.ALICE].report == out[Role.BOB].report
