@@ -23,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from .classical import PRBS15_PERIOD, prbs15_sequence, simulate_ook_link
+from .config import ConfigError
 from .physics import (QUANTUM_CHANNEL_INDEX, advance_drift,
                       calibrate_shot_noise, prepare_and_measure)
 from .pipeline import (SEED_TAG_DRIFT, SEED_TAG_EYE, SEED_TAG_PULSES,
@@ -198,16 +199,19 @@ def exp_variance_sweep(cfg, time_scale: float = DEFAULT_TIME_SCALE) -> str:
     n_point = max(cfg.block_size_pulses, math.ceil(_count(
         f"pulses per point at time_scale {time_scale!r}",
         VARIANCE_POINT_SECONDS * cfg.rep_rate_hz / time_scale)))
+    try:   # a point is one block, which SystemConfig bounds
+        point_cfg = replace(cfg, block_size_pulses=n_point)
+    except ConfigError as exc:
+        raise ValueError(f"time_scale {time_scale!r}: {exc}") from None
     drift = cfg.drift.mean_state()
 
-    def point_variance(active_cfg) -> float:
-        return signal_variance(
-            replace(active_cfg, block_size_pulses=n_point), 0, drift)
+    def point_variance(enabled) -> float:
+        return signal_variance(point_cfg.with_wdm_enabled(enabled), 0, drift)
 
-    baseline = point_variance(cfg.with_wdm_enabled([]))
+    baseline = point_variance([])
     lines = [VARIANCE_HEADER]
     for ch in cfg.wdm:
-        v = point_variance(cfg.with_wdm_enabled([ch.index]))
+        v = point_variance([ch.index])
         rel = (v - baseline) / baseline
         lines.append(f"{ch.index},{v!r},{rel!r}")
     return "\n".join(lines) + "\n"

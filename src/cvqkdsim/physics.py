@@ -8,7 +8,8 @@ The model is simulated two ways.  prepare_and_measure and
 calibrate_shot_noise draw every pulse; they are the statistical reference.
 draw_signal_statistics and draw_kept_pulses draw only what a block's
 distillation reads: per-class sufficient statistics, the calibration
-estimate, and each kept pulse's class, position and tail, Bob's bit.
+estimate, and each kept pulse's class and tail (Bob's bit), in uint8, and
+its position, in int32.
 
 Quadrature convention: the vacuum quadrature variance is 1 shot-noise unit
 (SNU).  A coherent state of amplitude a*exp(i*theta) measured in quadrature
@@ -133,9 +134,9 @@ class KeptPulses:
     order: all that the distillation chain reads of a simulated block."""
 
     n_signal: int                   # signal pulses in the block
-    position: np.ndarray            # int64, ascending, in [0, n_signal)
-    alice_phase_index: np.ndarray   # intp in {0..3}
-    bob_quadrature: np.ndarray      # intp, 0 = Q, 1 = P
+    position: np.ndarray            # int32, ascending, in [0, n_signal)
+    alice_phase_index: np.ndarray   # uint8 in {0..3}
+    bob_quadrature: np.ndarray      # uint8, 0 = Q, 1 = P
     bob_bit: np.ndarray             # uint8, 1 iff the outcome is positive
     variance_snu: float             # over all signal pulses, kept or not
 
@@ -333,14 +334,16 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     # per class: kept in the upper tail, kept in the lower one, not kept
     n_kept = rng.multinomial(stats.counts.ravel(), np.hstack(
         [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
-    # per kept pulse, in random order: 2 * class + tail (0 upper, 1 lower)
-    label = rng.permutation(np.repeat(np.arange(16),
-                                      n_kept[:, :2].ravel()))
+    # per kept pulse, in random order: 2 * class + tail (0 upper, 1 lower),
+    # shuffled in int64, which is faster than a uint8 shuffle, then split
+    # in uint8
+    label = rng.permutation(np.repeat(np.arange(16), n_kept[:, :2].ravel()))
+    label = label.astype(np.uint8)
+    # n_sig < 2**31 (SystemConfig's bound), so int32 holds every position
     position = np.sort(rng.choice(n_sig, label.size, replace=False,
-                                  shuffle=False))
+                                  shuffle=False).astype(np.int32))
     return KeptPulses(n_sig, position, label >> 2, label >> 1 & 1,
-                      (1 - (label & 1)).astype(np.uint8),
-                      stats.variance_snu)
+                      1 - (label & 1), stats.variance_snu)
 
 
 def advance_drift(drift: DriftState, dt_s: float, params: DriftParams,

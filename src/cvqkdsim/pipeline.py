@@ -7,11 +7,11 @@ wire.  The same seed fixes the disclosed error sample, Cascade's
 permutations and the Toeplitz seed, so each end derives them too, and
 each sizes the final key from values both ends hold.  A block draws only
 what the chain reads: the pulses that pass post-selection
-(physics.KeptPulses), ~2.5 % of a default block, each as its class,
-position and tail (Bob's bit), and the block's signal variance from
-per-class statistics.  run_chain() distills a block into a BlockResult,
-which distill_block() returns in process for the experiment runners and
-protocol.run_session() over the wire.
+(physics.KeptPulses), ~2.5 % of a default block, each as its class and
+tail (Bob's bit) in one byte each and its position in an int32, and the
+block's signal variance from per-class statistics.  run_chain() distills a
+block into a BlockResult, which distill_block() returns in process for the
+experiment runners and protocol.run_session() over the wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
@@ -205,8 +205,10 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
 
     # Reverse reconciliation: Alice corrects her string toward Bob's, if the
     # sample left a bit to correct.
-    alice_key = np.delete(alice_bits, sample) if link.alice else None
-    bob_key = np.delete(bob_bits, sample) if link.bob else None
+    keep = np.ones(n_post, dtype=bool)
+    keep[sample] = False
+    alice_key = alice_bits[keep] if link.alice else None
+    bob_key = bob_bits[keep] if link.bob else None
     perms = pp.CascadePermutations(n_kept, cfg.cascade_passes, derive_seed(
         cfg, block_id, SEED_TAG_CASCADE))
     k1 = pp.cascade_block_size(max(qber, model_qber(cfg), 1e-3), n_kept)

@@ -49,9 +49,10 @@ DELTA_FIN_BITS = 100        # flat finite-size margin per block
 KEY_FILE_MAGIC = b"CVQK"
 KEY_FILE_VERSION = 1
 
-# Q-sign is +1 for phase indices {0, 3}; P-sign is +1 for {0, 1}.
-_ALICE_BIT_TABLE = np.array([[1, 0, 0, 1],   # quadrature Q
-                             [1, 1, 0, 0]],  # quadrature P
+# Q-sign is +1 for phase indices {0, 3}; P-sign is +1 for {0, 1}.  Flat:
+# the bit of (phase k, quadrature q) is entry 4q + k.
+_ALICE_BIT_TABLE = np.array([1, 0, 0, 1,    # quadrature Q
+                             1, 1, 0, 0],   # quadrature P
                             dtype=np.uint8)
 
 
@@ -91,7 +92,7 @@ class KeySessionReport:
 def sift_alice_bits(phase_index: np.ndarray,
                     quadrature: np.ndarray) -> np.ndarray:
     """Alice's key bit per pulse given Bob's announced quadrature."""
-    return _ALICE_BIT_TABLE[quadrature, phase_index]
+    return np.take(_ALICE_BIT_TABLE, (quadrature << 2) | phase_index)
 
 
 def sift(batch: PulseBatch) -> SiftedFrame:
@@ -189,7 +190,9 @@ class CascadePermutations:
 
 def _prefix_xor(bits: np.ndarray) -> np.ndarray:
     """Running parity c with a leading 0: bits[a:b] has parity c[b] ^ c[a]."""
-    return np.bitwise_xor.accumulate(np.append(np.uint8(0), bits))
+    c = np.zeros(bits.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(bits, out=c[1:])
+    return c
 
 
 class LocalParityOracle:
@@ -197,7 +200,9 @@ class LocalParityOracle:
 
     def __init__(self, bob_bits: np.ndarray, perms: CascadePermutations):
         bits = np.asarray(bob_bits, dtype=np.uint8)
-        self.prefix = [_prefix_xor(bits[perm]) for perm in perms.perm]
+        # pass 0's order is the identity, the string's own
+        self.prefix = [_prefix_xor(bits)] + [_prefix_xor(bits[perm])
+                                             for perm in perms.perm[1:]]
         self.query_count = 0
 
     def parities(self, pass_index: int, starts: np.ndarray,
@@ -224,7 +229,9 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     started, so finding the odd blocks reads no bit.  A flip toggles one
     block per pass, found through the pass's inverse permutation.  To
     bisect, only the odd blocks' bits are laid end to end under a running
-    parity; the rest of the string is not read.
+    parity; the rest of the string is not read.  Pass 0's order is the
+    identity, so it is read without a gather and has no inverse to build.
+    An array handed to the oracle is never changed afterwards.
 
     It stops once n parities are out, as no key can come of the string
     then, or once it has flipped more than n bits, which only an oracle
@@ -239,15 +246,16 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     sizes = [min(n, initial_block << p) for p in range(perms.passes)]
     starts = [np.arange(0, n, size) for size in sizes]
     ends = [np.append(s[1:], n) for s in starts]
-    bob_top, alice_top, inverse = [], [], []
+    bob_top, alice_top, inverse = [], [], [None]
     leak = flips = 0
     for p in range(perms.passes):
         bob_top.append(oracle.parities(p, starts[p], ends[p]))
         leak += starts[p].size
-        alice_top.append(np.bitwise_xor.reduceat(bits[perms.perm[p]],
-                                                 starts[p]))
-        inverse.append(np.empty(n, dtype=np.int32))
-        inverse[p][perms.perm[p]] = np.arange(n, dtype=np.int32)
+        alice_top.append(np.bitwise_xor.reduceat(
+            bits[perms.perm[p]] if p else bits, starts[p]))
+        if p:
+            inverse.append(np.empty(n, dtype=np.int32))
+            inverse[p][perms.perm[p]] = np.arange(n, dtype=np.int32)
         q = 0
         while q <= p:
             if leak >= n or flips > n:
@@ -260,22 +268,32 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
             # block i's bit at pass position x sits at c[x + shift[i]]
             length = b - a
             shift = np.cumsum(length) - length - a
-            c = _prefix_xor(bits[perms.perm[q][
-                np.arange(length.sum()) - np.repeat(shift, length)]])
-            while (act := np.flatnonzero(b - a > 1)).size:
+            x = np.arange(length.sum()) - np.repeat(shift, length)
+            c = _prefix_xor(bits[perms.perm[q][x] if q else x])
+            while (long := b - a > 1).any():
                 if leak >= n:
                     return bits, leak
+                if long.all():
+                    # every block halves: a and mid go to the oracle whole,
+                    # so a and b are rebound, not changed
+                    mid = (a + b) // 2
+                    left = (c[mid + shift] ^ c[a + shift]
+                            != oracle.parities(q, a, mid))
+                    leak += a.size
+                    a, b = np.where(left, a, mid), np.where(left, mid, b)
+                    continue
+                act = np.flatnonzero(long)
                 lo, mid = a[act], (a[act] + b[act]) // 2
                 s = shift[act]
                 left = c[mid + s] ^ c[lo + s] != oracle.parities(q, lo, mid)
                 leak += act.size
                 b[act[left]] = mid[left]
                 a[act[~left]] = mid[~left]
-            flipped = perms.perm[q][a]
+            flipped = perms.perm[q][a] if q else a
             bits[flipped] ^= 1
             for r in range(p + 1):
-                block = inverse[r][flipped] // sizes[r]
-                np.bitwise_xor.at(alice_top[r], block, 1)
+                pos = inverse[r][flipped] if r else flipped
+                np.bitwise_xor.at(alice_top[r], pos // sizes[r], 1)
             flips += odd.size
             q = 0
     return bits, leak
@@ -306,7 +324,9 @@ def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
     e = np.concatenate([diag[out_len:][::-1], diag[:out_len]])
     size = fft.next_fast_len(e.size, real=True)
     conv = fft.irfft(fft.rfft(e, size) * fft.rfft(x, size), size)
-    return (np.rint(conv[n - 1:n - 1 + out_len]).astype(np.int64) % 2).astype(np.uint8)
+    # each entry is a count of ones, at most n < 2**32, up to roundoff
+    count = np.rint(conv[n - 1:n - 1 + out_len]).astype(np.uint32)
+    return (count & 1).astype(np.uint8)
 
 
 def secret_fraction(qber: float, alpha: float,

@@ -110,6 +110,37 @@ class TestLeakAccounting:
             assert np.array_equal(pa, pb)
 
 
+class TestLocalParityOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 500), passes=st.integers(2, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_parities_match_definition(self, n, passes, seed):
+        # each pass's parity of [s, e) is the XOR of bits[perm[p]][s:e],
+        # pass 0's identity order included
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        perms = pp.CascadePermutations(n, passes, seed)
+        oracle = pp.LocalParityOracle(bits, perms)
+        for p in range(passes):
+            ends = rng.integers(1, n + 1, 20)
+            starts = rng.integers(0, ends)
+            want = [np.bitwise_xor.reduce(bits[perms.perm[p]][s:e])
+                    for s, e in zip(starts, ends)]
+            assert oracle.parities(p, starts, ends).tolist() == want
+
+
+class _KeepingOracle:
+    """Keeps each range array it is handed, and a copy of its values."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.handed = []
+
+    def parities(self, pass_index, starts, ends):
+        self.handed += [(starts, starts.copy()), (ends, ends.copy())]
+        return self.oracle.parities(pass_index, starts, ends)
+
+
 class TestCorrection:
     def test_hand_traced_two_errors(self):
         bob = np.zeros(8, dtype=np.uint8)
@@ -134,6 +165,18 @@ class TestCorrection:
             if not np.array_equal(corrected, bob):
                 failures += 1
         assert failures <= 1
+
+    def test_requests_never_modified_once_handed(self):
+        # the oracle may read a request after Alice has moved on, as a
+        # wire send of it does
+        rng = np.random.default_rng(5)
+        bob = rng.integers(0, 2, 3000, dtype=np.uint8)
+        alice = bob ^ (rng.random(3000) < 0.05).astype(np.uint8)
+        perms = pp.CascadePermutations(3000, 4, 5)
+        oracle = _KeepingOracle(pp.LocalParityOracle(bob, perms))
+        pp.cascade_reconcile(alice, oracle, 15, perms)
+        assert len(oracle.handed) > 20
+        assert all(np.array_equal(kept, copy) for kept, copy in oracle.handed)
 
     def test_bob_never_modified(self):
         rng = np.random.default_rng(3)

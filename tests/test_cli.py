@@ -139,6 +139,9 @@ class TestExitCodes:
          "127.0.0.1:65536"),
         (["run-link", "--role", "alice", "--connect", "127.0.0.1:70000"],
          "127.0.0.1:70000"),
+        # a variance point is one block: 2**31 or more signal pulses are
+        # too many to index
+        (["exp-variance", "--time-scale", "0.5"], "time_scale"),
     ])
     def test_non_finite_argument_is_an_error(self, argv, name, capsys):
         # rejected with the argument named; all but a toggle count before

@@ -212,14 +212,16 @@ class TestInvariants:
             SystemConfig(block_size_pulses=10)
 
     # a config that loads can run a block: the seed feeds a SeedSequence,
-    # and the calibration frame must leave at least one signal pulse
+    # and the calibration frame must leave at least one signal pulse and
+    # fewer than 2**31, which int32 and u32 positions can index
     @pytest.mark.parametrize("text, key", [
         ("seed = -1", "seed"),
         ("block_size_pulses = 1000", "block_size_pulses"),
         ("block_size_pulses = 1000\nf_cal = 0", "block_size_pulses"),
         ("f_cal = 0.9999999", "block_size_pulses"),
+        ("block_size_pulses = 5000000000", "block_size_pulses"),
     ], ids=["seed-negative", "block-1000", "block-1000-no-f_cal",
-            "f_cal-near-1"])
+            "f_cal-near-1", "signal-2**31-or-more"])
     def test_config_that_cannot_run_a_block_rejected(self, text, key):
         with pytest.raises(ConfigError) as exc_info:
             parse_config_text(text)
@@ -231,6 +233,12 @@ class TestInvariants:
         assert math.isfinite(
             signal_variance(cfg, 0, cfg.drift.mean_state()))
         assert SystemConfig(f_cal=0.999999).calibration_pulses == 999_999
+
+    def test_largest_block(self):
+        # f_cal = 0 leaves the 1000-pulse minimum calibration frame
+        SystemConfig(f_cal=0.0, block_size_pulses=2 ** 31 - 1 + 1000)
+        with pytest.raises(ConfigError):
+            SystemConfig(f_cal=0.0, block_size_pulses=2 ** 31 + 1000)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigError):

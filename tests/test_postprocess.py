@@ -23,11 +23,15 @@ def make_frame(alice, bob, abs_out=None):
 
 class TestSift:
     def test_bit_table(self):
-        # Q-quadrature sign is + for phase indices {0, 3}; P for {0, 1}
-        phases = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.int8)
-        quads = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int8)
-        got = pp.sift_alice_bits(phases, quads)
-        assert np.array_equal(got, [1, 0, 0, 1, 1, 1, 0, 0])
+        # Q-quadrature sign is + for phase indices {0, 3}; P for {0, 1}.
+        # The per-pulse reference passes int8, the sampler and the wire
+        # uint8.
+        for dtype in (np.int8, np.uint8, np.intp):
+            phases = np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=dtype)
+            quads = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=dtype)
+            got = pp.sift_alice_bits(phases, quads)
+            assert np.array_equal(got, [1, 0, 0, 1, 1, 1, 0, 0]), dtype
+            assert got.dtype == np.uint8
 
     def test_bit_table_matches_geometry(self):
         # the table must agree with sign(cos(theta - phi)) of the states

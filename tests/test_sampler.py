@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from cvqkdsim import experiments as ex
 from cvqkdsim import pipeline
@@ -65,6 +65,22 @@ def reference_exchange(cfg, block_id: int, drift) -> KeptPulses:
     return KeptPulses(n_sig, kept, batch.alice_phase_index[kept],
                       batch.bob_quadrature[kept],
                       (x[kept] > 0.0).astype(np.uint8), float(np.var(x)))
+
+
+def int64_draw(sig, x_th_snu: float, rng) -> KeptPulses:
+    """physics.draw_kept_pulses with its labels and positions left int64."""
+    n_sig = int(sig.counts.sum())
+    thr = x_th_snu * math.sqrt(sig.shot_snu)
+    mu = sig.table.reshape(8, 1)
+    p = special.ndtr(np.hstack([mu - thr, -thr - mu]) / sig.sigma)
+    n_kept = rng.multinomial(sig.counts.ravel(), np.hstack(
+        [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
+    label = rng.permutation(np.repeat(np.arange(16),
+                                      n_kept[:, :2].ravel()))
+    position = np.sort(rng.choice(n_sig, label.size, replace=False,
+                                  shuffle=False))
+    return KeptPulses(n_sig, position, label >> 2, label >> 1 & 1,
+                      (1 - (label & 1)).astype(np.uint8), sig.variance_snu)
 
 
 def block_figures(cfg, batch: KeptPulses, block_id: int) -> dict:
@@ -204,6 +220,28 @@ class TestKeptPulses:
                                             drift).variance_snu
                   for x in (0.0, 2.7, 40.0)}
         assert values == {signal_variance(cfg, 0, drift)}
+
+    @pytest.mark.parametrize("name", [*SCENARIOS, "low-threshold"])
+    def test_matches_int64_draw(self, name):
+        # the 1-byte labels and int32 positions hold the very values of the
+        # same draw made in int64, the form it had before it narrowed them
+        cfg, drift = SCENARIOS.get(name, (SystemConfig(x_th_snu=1.0), None))
+        drift = cfg.drift.mean_state() if drift is None else drift
+        n_cal, n_sig = frame_sizes(cfg)
+        for b in range(4):
+            got = simulate_quantum_exchange(cfg, b, drift)
+            rng = np.random.default_rng(derive_seed(cfg, b, SEED_TAG_PULSES))
+            want = int64_draw(draw_signal_statistics(n_sig, n_cal, cfg, drift,
+                                                     rng), cfg.x_th_snu, rng)
+            assert got.n_signal == want.n_signal
+            assert got.variance_snu == want.variance_snu
+            for field in ("position", "alice_phase_index", "bob_quadrature",
+                          "bob_bit"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field)), (b, field)
+            assert got.position.dtype == np.int32
+            assert (got.alice_phase_index.dtype == got.bob_quadrature.dtype
+                    == got.bob_bit.dtype == np.uint8)
 
     def test_variance_sweep_draws_no_kept_pulse(self, monkeypatch):
         def refuse(*args):
