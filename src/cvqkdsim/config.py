@@ -54,11 +54,11 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def default_wdm_channels() -> list[WdmChannelSpec]:
+def default_wdm_channels() -> tuple[WdmChannelSpec, ...]:
     """The seven classical channels of the 8-band grid, every band but the
     quantum one, each enabled at -4.5 dBm."""
-    return [WdmChannelSpec(i) for i in range(1, 9)
-            if i != QUANTUM_CHANNEL_INDEX]
+    return tuple(WdmChannelSpec(i) for i in range(1, 9)
+                 if i != QUANTUM_CHANNEL_INDEX)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class SystemConfig:
     block_size_pulses: int = 1_000_000
     seed: int = 12345
     fiber: FiberSpec = field(default_factory=FiberSpec)
-    wdm: list[WdmChannelSpec] = field(default_factory=default_wdm_channels)
+    wdm: tuple[WdmChannelSpec, ...] = field(
+        default_factory=default_wdm_channels)
     drift: DriftParams = field(default_factory=lambda: DriftParams(
         efficiency_mean=0.99,
         efficiency_sigma=2.0e-4,
@@ -85,6 +86,9 @@ class SystemConfig:
     force_sigma_snu: float | None = None
 
     def __post_init__(self):
+        # any sequence of channels is taken, and kept as a tuple, so that a
+        # config hashes (pipeline.model_qber caches on it)
+        object.__setattr__(self, "wdm", tuple(self.wdm))
         for key, _, value in _walk(self):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{value!r} is not finite", key=key)
@@ -129,7 +133,7 @@ class SystemConfig:
         return max(1000, int(round(self.f_cal * self.block_size_pulses)))
 
     @property
-    def classical_channels(self) -> list[WdmChannelSpec]:
+    def classical_channels(self) -> tuple[WdmChannelSpec, ...]:
         """`wdm`, under the name perfbench reads."""
         return self.wdm
 

@@ -8,8 +8,9 @@ The model is simulated two ways.  prepare_and_measure and
 calibrate_shot_noise draw every pulse; they are the statistical reference.
 draw_signal_statistics and draw_kept_pulses draw only what a block's
 distillation reads: per-class sufficient statistics, the calibration
-estimate, and each kept pulse's class and tail (Bob's bit), in uint8, and
-its position, in int32.
+estimate, and each kept pulse's class and tail (Bob's bit), in uint8.  A
+kept pulse's position, an int32, is drawn only when it is first read,
+which only a link that carries it to the peer does.
 
 Quadrature convention: the vacuum quadrature variance is 1 shot-noise unit
 (SNU).  A coherent state of amplitude a*exp(i*theta) measured in quadrature
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -134,11 +136,21 @@ class KeptPulses:
     order: all that the distillation chain reads of a simulated block."""
 
     n_signal: int                   # signal pulses in the block
-    position: np.ndarray            # int32, ascending, in [0, n_signal)
     alice_phase_index: np.ndarray   # uint8 in {0..3}
     bob_quadrature: np.ndarray      # uint8, 0 = Q, 1 = P
     bob_bit: np.ndarray             # uint8, 1 iff the outcome is positive
     variance_snu: float             # over all signal pulses, kept or not
+    # the block's stream where the labels left it, for `position`
+    rng: np.random.Generator
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """int32, ascending, in [0, n_signal): a uniformly random set, the
+        block's last draw, made on first read."""
+        # n_signal < 2**31 (SystemConfig's bound), so int32 holds them all
+        return np.sort(self.rng.choice(
+            self.n_signal, self.bob_bit.size, replace=False,
+            shuffle=False).astype(np.int32))
 
 
 @dataclass(frozen=True)
@@ -321,8 +333,9 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     a class is kept in its upper tail, x >= thr, or its lower one,
     x <= -thr.  The kept count of each (class, tail) is one multinomial
     draw from the class count.  The kept pulses take their (class, tail)
-    labels in random order and a uniformly random set of positions.  A
-    tail is an outcome's sign, Bob's bit, and no more of it is drawn.
+    labels in random order and a uniformly random set of positions, which
+    KeptPulses.position draws from `rng` when first read.  A tail is an
+    outcome's sign, Bob's bit, and no more of it is drawn.
     Given the class counts, they are independent of the block's
     variance_snu.
     """
@@ -339,11 +352,8 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     # in uint8
     label = rng.permutation(np.repeat(np.arange(16), n_kept[:, :2].ravel()))
     label = label.astype(np.uint8)
-    # n_sig < 2**31 (SystemConfig's bound), so int32 holds every position
-    position = np.sort(rng.choice(n_sig, label.size, replace=False,
-                                  shuffle=False).astype(np.int32))
-    return KeptPulses(n_sig, position, label >> 2, label >> 1 & 1,
-                      1 - (label & 1), stats.variance_snu)
+    return KeptPulses(n_sig, label >> 2, label >> 1 & 1, 1 - (label & 1),
+                      stats.variance_snu, rng)
 
 
 def advance_drift(drift: DriftState, dt_s: float, params: DriftParams,

@@ -8,8 +8,10 @@ permutations and the Toeplitz seed, so each end derives them too, and
 each sizes the final key from values both ends hold.  A block draws only
 what the chain reads: the pulses that pass post-selection
 (physics.KeptPulses), ~2.5 % of a default block, each as its class and
-tail (Bob's bit) in one byte each and its position in an int32, and the
-block's signal variance from per-class statistics.  run_chain() distills a
+tail (Bob's bit) in one byte each, and the block's signal variance from
+per-class statistics.  The kept pulses' positions are drawn only where a
+link carries them: Bob's end of the wire, and Alice's, which checks them
+against her own block; in process no end reads them.  run_chain() distills a
 block into a BlockResult, which distill_block() returns in process for the
 experiment runners and protocol.run_session() over the wire.
 
@@ -34,6 +36,7 @@ does not when the two ends' configs draw samples of different sizes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -90,10 +93,12 @@ class BlockResult:
     residual_errors: int
 
 
+@functools.lru_cache(maxsize=16)
 def model_qber(cfg) -> float:
     """The error rate the model expects of a kept pulse at the mean drift.
     BlockRunner's pooled estimate starts here, and Cascade's first block
-    size assumes no lower rate, however few errors a block's sample shows."""
+    size assumes no lower rate, however few errors a block's sample shows.
+    A config is immutable, so each is computed once."""
     table, sigma = signal_model(cfg, cfg.drift.mean_state())
     return pp.expected_qber(float(np.mean(np.abs(table))), sigma ** 2,
                             cfg.x_th_snu)
@@ -129,7 +134,8 @@ class LocalLink:
     alice = bob = True   # this end holds each role's data
 
     def from_bob(self, kind: str, make, bound=None):
-        return make()
+        # no end in process reads the kept positions, so none are drawn
+        return None if kind == "POSTSELECT_MASK" else make()
 
     from_alice = from_bob
 
@@ -175,7 +181,7 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
                          batch.n_signal)
     if not link.bob and not np.array_equal(kept, batch.position):
         raise link.fail("UNEXPECTED_MESSAGE", "kept pulses differ from block")
-    n_post = batch.position.size
+    n_post = batch.bob_bit.size
     p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.
@@ -198,7 +204,7 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
         qber_raw = link.from_bob("QBER_REPORT", lambda: float(
             np.mean(sample_bits != bob_bits[sample])))
     else:
-        sample, qber_raw = batch.position, 0.5
+        sample, qber_raw = np.empty(0, dtype=np.intp), 0.5
     qber = qber_raw if qber_used is None else qber_used
     disclosed = sample.size
     n_kept = n_post - disclosed

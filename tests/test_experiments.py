@@ -1,4 +1,6 @@
+import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +194,31 @@ class TestTimeScaleInvariance:
         m_slow = np.mean([float(r[1]) for r in csv_rows(slow)])
         assert len(csv_rows(slow)) == 2 * len(csv_rows(fast))
         assert abs(m_fast - m_slow) / m_slow < 0.2
+
+
+# sha256sum lines for the CSVs of the default config; CI checks the CLI's
+# files against the same lines, written as the CLI call in each comment
+PINNED_DIGESTS = Path(__file__).with_name("experiment_outputs.sha256")
+PINNED_RUNS = {
+    # exp-longrun --duration 3200
+    "longrun.csv": lambda cfg: ex.exp_longrun(cfg, 3200.0),
+    # exp-onoff --total 2400
+    "onoff.csv": lambda cfg: ex.exp_onoff(cfg, 600.0, 2400.0),
+    # exp-variance
+    "variance.csv": ex.exp_variance_sweep,
+    # exp-eye
+    "eye.csv": ex.exp_eye,
+}
+
+
+def test_outputs_match_pinned_digests():
+    # a change that alters an output on purpose updates the digest file
+    pinned = dict(reversed(line.split()) for line in
+                  PINNED_DIGESTS.read_text(encoding="utf-8").splitlines())
+    assert pinned.keys() == PINNED_RUNS.keys()
+    for name, run in PINNED_RUNS.items():
+        got = hashlib.sha256(run(SystemConfig()).encode()).hexdigest()
+        # NEP 19 lets a numpy release change what a Generator draws
+        assert got == pinned[name], (
+            f"{name} differs from {PINNED_DIGESTS.name} under numpy "
+            f"{np.__version__}")

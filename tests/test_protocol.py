@@ -648,9 +648,20 @@ class TestFaultInjection:
             while True:
                 oracle.parities(0, np.array([0]), np.array([perms.n]))
 
+        # Bob serves n_kept parities, each one request, and refuses the
+        # next: a count, where a wall-clock bound depends on machine speed
+        served = []
+        serve = pp.LocalParityOracle.parities
+
+        def counted(oracle, pass_index, starts, ends):
+            served.append(len(starts))
+            return serve(oracle, pass_index, starts, ends)
+
         monkeypatch.setattr(pp, "cascade_reconcile", ask_forever)
-        out, elapsed = run_pair_timed(small_cfg())
-        assert elapsed < 1.0
+        monkeypatch.setattr(pp.LocalParityOracle, "parities", counted)
+        cfg = small_cfg()
+        out, _ = run_pair_timed(cfg)
+        assert sum(served) == reference_estimation(cfg, 0)[3].kept_indices.size
         assert isinstance(out[Role.ALICE], SessionFailed)
         assert isinstance(out[Role.BOB], SessionFailed)
         assert (out[Role.ALICE].reason == out[Role.BOB].reason

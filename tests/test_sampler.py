@@ -62,9 +62,12 @@ def reference_exchange(cfg, block_id: int, drift) -> KeptPulses:
     batch = prepare_and_measure(n_sig, cfg, drift, rng)
     x = batch.outcome_snu / math.sqrt(shot)
     kept = np.flatnonzero(np.abs(x) >= cfg.x_th_snu)
-    return KeptPulses(n_sig, kept, batch.alice_phase_index[kept],
-                      batch.bob_quadrature[kept],
-                      (x[kept] > 0.0).astype(np.uint8), float(np.var(x)))
+    reference = KeptPulses(n_sig, batch.alice_phase_index[kept],
+                           batch.bob_quadrature[kept],
+                           (x[kept] > 0.0).astype(np.uint8), float(np.var(x)),
+                           rng=None)
+    reference.position = kept
+    return reference
 
 
 def int64_draw(sig, x_th_snu: float, rng) -> KeptPulses:
@@ -77,10 +80,12 @@ def int64_draw(sig, x_th_snu: float, rng) -> KeptPulses:
         [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
     label = rng.permutation(np.repeat(np.arange(16),
                                       n_kept[:, :2].ravel()))
-    position = np.sort(rng.choice(n_sig, label.size, replace=False,
-                                  shuffle=False))
-    return KeptPulses(n_sig, position, label >> 2, label >> 1 & 1,
-                      (1 - (label & 1)).astype(np.uint8), sig.variance_snu)
+    want = KeptPulses(n_sig, label >> 2, label >> 1 & 1,
+                      (1 - (label & 1)).astype(np.uint8), sig.variance_snu,
+                      rng=None)
+    want.position = np.sort(rng.choice(n_sig, label.size, replace=False,
+                                       shuffle=False))
+    return want
 
 
 def block_figures(cfg, batch: KeptPulses, block_id: int) -> dict:
@@ -242,6 +247,19 @@ class TestKeptPulses:
             assert got.position.dtype == np.int32
             assert (got.alice_phase_index.dtype == got.bob_quadrature.dtype
                     == got.bob_bit.dtype == np.uint8)
+
+    @pytest.mark.parametrize("x_th_snu", [2.7, 40.0], ids=["kept", "none"])
+    def test_in_process_chain_draws_no_position(self, monkeypatch, x_th_snu):
+        # only a link that carries the kept positions draws them
+        def refuse(batch):
+            raise AssertionError("kept positions drawn")
+
+        monkeypatch.setattr(KeptPulses, "position", property(refuse))
+        cfg = SystemConfig(block_size_pulses=100_000, x_th_snu=x_th_snu)
+        for b in range(3):
+            report = pipeline.distill_block(cfg, b,
+                                            cfg.drift.mean_state()).report
+            assert (report.p_post > 0) == (x_th_snu < 40.0)
 
     def test_variance_sweep_draws_no_kept_pulse(self, monkeypatch):
         def refuse(*args):
