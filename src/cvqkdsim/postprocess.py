@@ -8,6 +8,9 @@ Bit conventions (pinned for interoperability):
     k in {0, 3} and the P-quadrature sign is +1 for k in {0, 1};
     alice_bit = (sign + 1) / 2.
   * bob_bit = 1 iff the homodyne outcome is positive.
+
+The numerics need numpy and the standard library only: normal tails come
+from math.erfc, and the hash's convolution from numpy.fft.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
-from scipy import fft, special
 
 from .physics import PulseBatch
 from .quantum import CoherentStateEnsemble, binary_entropy, holevo_bound
@@ -147,20 +150,64 @@ def disclosure_sample(n: int, sample_fraction: float,
     return sample
 
 
+_SQRT1_2 = math.sqrt(0.5)
+_SQRT1_2_LO = -4.833646656726457e-17    # sqrt(1/2) - _SQRT1_2
+_ASYMPTOTIC_Z = 20.0
+_NORMAL_TAIL_Z = 37.0    # Q(z) is a normal float below this
+
+
+def _erfc_scaled(z: float) -> float:
+    """erfc(z / sqrt 2), 2 Q(z), for finite z.  The rounding of z / sqrt 2
+    to t, exact by Fraction, is taken back to first order; where erfc is
+    steep that rounding, not erfc, dominates math.erfc(t)'s error."""
+    t = z * _SQRT1_2
+    err = (float(Fraction(z) * Fraction(_SQRT1_2) - Fraction(t))
+           + z * _SQRT1_2_LO)
+    return math.erfc(t) - err * 2.0 / math.sqrt(math.pi) * math.exp(-t * t)
+
+
+def _log_scaled_tail(z: float) -> float:
+    """log Q(z) + z^2 / 2 for z >= _ASYMPTOTIC_Z, from the asymptotic series
+    Q(z) = phi(z) / z * (1 - 1/z^2 + 3/z^4 - 15/z^6 + ...), whose terms
+    fall below 1e-17 long before they start to grow (at k ~ z^2 / 2)."""
+    total = term = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) / (z * z)
+        total += term
+        k += 1
+    return math.log(total / (z * math.sqrt(2.0 * math.pi)))
+
+
 def expected_qber(m_snu: float, var_snu: float, x_th: float) -> float:
     """Sign-decision error probability between N(+m, var) and N(-m, var)
-    conditioned on |outcome| >= x_th: Q((x_th + m)/sigma) over
-    Q((x_th - m)/sigma) + Q((x_th + m)/sigma), from log tails so that the
-    ratio stays finite where both tails underflow."""
+    conditioned on |outcome| >= x_th: Q(a) / (Q(a) + Q(b)) with
+    a = (x_th + m)/sigma and b = (x_th - m)/sigma.
+
+    The tails come from math.erfc while the smaller one, Q(a), is a normal
+    float.  Past that (noiseless configs) the ratio is a logistic of
+    log Q(a) - log Q(b), with log Q(a) from the asymptotic series, so that
+    it stays finite and falls monotonically with x_th where both tails
+    underflow."""
     if var_snu <= 0.0:
         raise ValueError(f"variance must be > 0, got {var_snu!r}")
     if m_snu == 0.0:
         return 0.5
     m = abs(m_snu)
     sig = math.sqrt(var_snu)
-    log_wrong = special.log_ndtr(-(x_th + m) / sig)
-    log_right = special.log_ndtr(-(x_th - m) / sig)
-    return min(0.5, float(special.expit(log_wrong - log_right)))
+    a, b = (x_th + m) / sig, (x_th - m) / sig
+    if a < _NORMAL_TAIL_Z:
+        wrong, right = _erfc_scaled(a), _erfc_scaled(b)
+        return min(0.5, wrong / (wrong + right))
+    if b >= _ASYMPTOTIC_Z:
+        # a^2 - b^2 as (a - b)(a + b), which neither overflows nor cancels
+        log_ratio = (_log_scaled_tail(a) - _log_scaled_tail(b)
+                     - (a - b) * 0.5 * (a + b))
+    else:
+        log_ratio = (_log_scaled_tail(a) - 0.5 * a * a
+                     - math.log(0.5 * math.erfc(b * _SQRT1_2)))
+    ratio = math.exp(log_ratio)   # Q(a) <= Q(b), so this cannot overflow
+    return min(0.5, ratio / (1.0 + ratio))
 
 
 def cascade_block_size(qber: float, n: int) -> int:
@@ -299,15 +346,32 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     return bits, leak
 
 
+def _fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, a fast real-FFT length (what
+    scipy.fft.next_fast_len(n, real=True) gives): the least power-of-2
+    multiple >= n of each 3^i 5^j below the power of 2 >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
     """Binary Toeplitz hashing over GF(2).
 
     The (out_len + n - 1) diagonal bits (first column followed by the
     remainder of the first row) are drawn from a PCG64 generator seeded
-    with `seed`; the product is evaluated with a real FFT convolution.
+    with `seed`; the product is evaluated with a numpy real FFT
+    convolution.
 
-    The convolution is circular, at a fast length N >= out_len + n - 1,
-    not at the linear product's full out_len + 2n - 2.  That is exact: the
+    The convolution is circular, at the fast length N >= out_len + n - 1
+    that _fast_len gives, not at the linear product's full
+    out_len + 2n - 2.  That is exact at any N >= out_len + n - 1: the
     linear product ends at index out_len + 2n - 3, so every term past N
     wraps to an index <= n - 2, below the window [n - 1, n - 1 + out_len)
     that is read, which itself ends below N.
@@ -322,8 +386,8 @@ def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
         0, 2, size=out_len + n - 1, dtype=np.uint8)
     # T[i, j] = e[i - j + n - 1] with e = reversed first row ++ first column
     e = np.concatenate([diag[out_len:][::-1], diag[:out_len]])
-    size = fft.next_fast_len(e.size, real=True)
-    conv = fft.irfft(fft.rfft(e, size) * fft.rfft(x, size), size)
+    size = _fast_len(e.size)
+    conv = np.fft.irfft(np.fft.rfft(e, size) * np.fft.rfft(x, size), size)
     # each entry is a count of ones, at most n < 2**32, up to roundoff
     count = np.rint(conv[n - 1:n - 1 + out_len]).astype(np.uint32)
     return (count & 1).astype(np.uint8)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import chi2
 
 from cvqkdsim.config import SystemConfig
@@ -14,6 +15,7 @@ from cvqkdsim.physics import (
     FiberSpec,
     PulseBatch,
     WdmChannelSpec,
+    _ndtr,
     advance_drift,
     calibrate_shot_noise,
     effective_length_km,
@@ -32,6 +34,33 @@ def ideal_config(**kwargs) -> SystemConfig:
         drift=DriftParams(efficiency_mean=1.0),
         **kwargs)
     return base.with_wdm_enabled([])
+
+
+class TestNdtr:
+    def test_matches_scipy(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80_001),
+                            np.random.default_rng(3).uniform(-40, 40, 20_000)])
+        got, want = _ndtr(x), special.ndtr(x)
+        assert got.shape == x.shape
+        # within 2 ulp where erfc is flat
+        upper = x >= 0.0
+        assert np.all(np.abs(got - want)[upper]
+                      <= 2 * np.spacing(want[upper]))
+        # below, they differ by more, and not by this helper's fault: for
+        # -sqrt 2 < x < 0 scipy takes 0.5 + 0.5 erf(x / sqrt 2), which
+        # cancels (8 ulp off the exact value, where this helper is 4); and
+        # both round x / sqrt 2, to which erfc's relative condition number,
+        # ~x^2, adds up to ~x^2 / 2 ulp each (scipy is 1.8e3 ulp off the
+        # exact value at x = -37)
+        lower = (x < 0.0) & (want >= np.finfo(float).tiny)
+        assert np.all(np.abs(got - want)[lower]
+                      <= (12 + x[lower] ** 2) * np.spacing(want[lower]))
+        # from x ~ -37.5 both lie below the normal range (scipy's is 0)
+        assert np.all(got[want < np.finfo(float).tiny] < np.finfo(float).tiny)
+
+    def test_keeps_the_shape(self):
+        assert _ndtr(np.zeros((8, 2))).shape == (8, 2)
+        assert _ndtr(0.0) == 0.5
 
 
 class TestFiber:

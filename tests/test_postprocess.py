@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft
+from scipy import fft, special
 from scipy.stats import norm
 
 from cvqkdsim import postprocess as pp
@@ -150,6 +150,43 @@ class TestExpectedQber:
         with pytest.raises(ValueError):
             pp.expected_qber(1.0, 0.0, 1.0)
 
+    def test_matches_scipy_log_tails(self):
+        # scipy's log tails and logistic as the oracle, wherever
+        # a = (x_th + m) / sigma < 20
+        rng = np.random.default_rng(21)
+        for _ in range(5000):
+            sig = math.sqrt(rng.uniform(0.05, 4.0))
+            m = rng.uniform(0.01, 19.0) * sig
+            x_th = rng.uniform(0.0, 20.0 * sig - m)
+            want = special.expit(special.log_ndtr(-(x_th + m) / sig)
+                                 - special.log_ndtr(-(x_th - m) / sig))
+            assert pp.expected_qber(m, sig ** 2, x_th) == pytest.approx(
+                min(0.5, want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m, var", [
+        (0.76, 1.0), (0.76, 0.01), (0.01, 1e-6), (0.76, 1e-18)])
+    def test_far_tails_finite_and_monotone(self, m, var):
+        # from a = 20 out to both tails underflowing, as on a noiseless
+        # config (sigma = 1e-9, a ~ 3.5e9 at x_th = 2.7): finite, and never
+        # rising with the threshold
+        sig = math.sqrt(var)
+        x_th = np.concatenate([
+            np.linspace(max(0.0, 20.0 * sig - m), 60.0 * sig, 400),
+            np.geomspace(60.0 * sig, 1e10 * sig, 100)])
+        qs = [pp.expected_qber(m, var, float(x)) for x in x_th]
+        assert all(math.isfinite(q) and 0.0 <= q <= 0.5 for q in qs)
+        assert all(a >= b for a, b in zip(qs, qs[1:]))
+
+    @pytest.mark.parametrize("m, var", [(0.76, 1.0), (0.01, 1e-6)])
+    def test_no_jump_where_the_asymptotic_form_takes_over(self, m, var):
+        # at a = 37 the erfc ratio gives way to the log-space form; across
+        # a 2e-6 sigma step the value falls by ~4e-6 m/sigma, relative
+        sig = math.sqrt(var)
+        lo, hi = (pp.expected_qber(m, var, (37.0 + d) * sig - m)
+                  for d in (-1e-6, 1e-6))
+        assert lo > 0.0
+        assert lo * (1.0 - 1e-5 * m / sig) <= hi <= lo
+
 
 def explicit_toeplitz(x, seed, out):
     """The GF(2) product of x with the hash's Toeplitz matrix, built entry
@@ -166,6 +203,10 @@ def explicit_toeplitz(x, seed, out):
 
 
 class TestToeplitz:
+    def test_fast_len_matches_scipy(self):
+        want = [fft.next_fast_len(n, real=True) for n in range(1, 40_000)]
+        assert [pp._fast_len(n) for n in range(1, 40_000)] == want
+
     def test_pinned_vector(self):
         got = pp.toeplitz_hash(np.array([1, 0, 1], dtype=np.uint8), 7, 2)
         assert np.array_equal(got, [0, 1])
@@ -187,7 +228,7 @@ class TestToeplitz:
     def test_exact_without_padding_slack(self, n, out):
         # the circular length is out + n - 1 itself here, so the product's
         # wrapped tail lands just below the window that is read
-        assert fft.next_fast_len(out + n - 1, real=True) == out + n - 1
+        assert pp._fast_len(out + n - 1) == out + n - 1
         rng = np.random.default_rng(n * 1000 + out)
         for x in (np.ones(n, dtype=np.uint8),
                   rng.integers(0, 2, n).astype(np.uint8)):

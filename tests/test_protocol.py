@@ -98,12 +98,18 @@ class _RecordingLink(LocalLink):
     from_alice = from_bob
 
 
+# the receive timeout of the timed sessions below; a session that ends on
+# its own, not on a timeout, must end within half of it
+TIMEOUT_S = 5.0
+
+
 def run_pair_timed(cfg):
-    """run_pair over a loopback pair, and the seconds it took.  A watchdog
-    shuts both sockets down if the session is still running after 5 s, so
-    that a hang fails the test instead of stalling it."""
-    transports = loopback_pair(timeout_s=5.0)
-    watchdog = threading.Timer(5.0, lambda: [
+    """run_pair over a loopback pair with TIMEOUT_S receive timeouts, and
+    the seconds it took.  A watchdog shuts both sockets down if the session
+    is still running after TIMEOUT_S, so that a hang fails the test instead
+    of stalling it."""
+    transports = loopback_pair(timeout_s=TIMEOUT_S)
+    watchdog = threading.Timer(TIMEOUT_S, lambda: [
         t.sock.shutdown(socket.SHUT_RDWR) for t in transports])
     watchdog.start()
     start = time.monotonic()
@@ -396,13 +402,13 @@ class TestSession:
         # key
         cfg = keyed_cfg()
         start = time.monotonic()
-        out = run_pair(cfg, transports=loopback_pair(timeout_s=5.0),
+        out = run_pair(cfg, transports=loopback_pair(timeout_s=TIMEOUT_S),
                        bob_cfg=replace(cfg, sample_fraction=0.05))
         elapsed = time.monotonic() - start
         for role in (Role.ALICE, Role.BOB):
             assert isinstance(out[role], SessionFailed), role
             assert out[role].reason == AbortReason.UNEXPECTED_MESSAGE, role
-        assert elapsed < 1.0   # far inside the 5 s receive timeout
+        assert elapsed < TIMEOUT_S / 2
 
     def test_blocks_differ_by_id(self):
         cfg = noiseless_cfg()
@@ -432,7 +438,7 @@ class TestSession:
         assert batch.position.size == n_post
         cfg = replace(cfg, x_th_snu=x_th, sample_fraction=sample_fraction)
         out, elapsed = run_pair_timed(cfg)
-        assert elapsed < 1.0
+        assert elapsed < TIMEOUT_S / 2
         local = distill_block(cfg, 0, mean_drift(cfg))
         for result in (out[Role.ALICE], out[Role.BOB], local):
             assert result.report == local.report
@@ -510,16 +516,18 @@ class _OversizedHeaderTransport(proto.StreamTransport):
 
 class _DroppingTransport(proto.StreamTransport):
     """A peer that silently drops the first frame of one type, then goes
-    on with its session."""
+    on with its session; `dropped_at` is the monotonic time of the drop."""
 
     def __init__(self, sock, timeout_s, msg_type):
         super().__init__(sock, timeout_s)
         self.msg_type = msg_type
+        self.dropped_at = None
 
     def send_frame(self, frame):
         if frame.msg_type != self.msg_type:
             return super().send_frame(frame)
         self.msg_type = None
+        self.dropped_at = time.monotonic()
 
 
 class TestFaultInjection:
@@ -626,10 +634,10 @@ class TestFaultInjection:
         n_kept = reference_estimation(cfg, 0)[3].kept_indices.size
         sa, sb = socket.socketpair()
         socks = {Role.ALICE: sa, Role.BOB: sb}
-        tamperer = _TamperingTransport(socks[sender], 5.0, msg_type,
+        tamperer = _TamperingTransport(socks[sender], TIMEOUT_S, msg_type,
                                        lambda f, sent: tamper(f, sent, n_kept))
         transports = [tamperer if role == sender
-                      else proto.StreamTransport(socks[role], 5.0)
+                      else proto.StreamTransport(socks[role], TIMEOUT_S)
                       for role in (Role.ALICE, Role.BOB)]
         start = time.monotonic()
         out = run_pair(cfg, transports=transports)
@@ -640,7 +648,7 @@ class TestFaultInjection:
                 == AbortReason.UNEXPECTED_MESSAGE)
         # the receiver rejects the tampered frame itself, not a later one
         assert tamperer.received_after == [MsgType.ABORT]
-        assert elapsed < 1.0   # far inside the 5 s receive timeout
+        assert elapsed < TIMEOUT_S / 2
 
     def test_endless_parity_requests_abort_both_ends(self, monkeypatch):
         # an Alice that asks for the same parity again and again
@@ -677,7 +685,7 @@ class TestFaultInjection:
 
         monkeypatch.setattr(pp.LocalParityOracle, "parities", random_parities)
         out, elapsed = run_pair_timed(small_cfg())
-        assert elapsed < 1.0
+        assert elapsed < TIMEOUT_S / 2
         ra, rb = out[Role.ALICE], out[Role.BOB]
         if isinstance(ra, SessionFailed) or isinstance(rb, SessionFailed):
             assert ra.reason == rb.reason
@@ -692,9 +700,10 @@ class TestFaultInjection:
     def test_oversized_length_header_aborts_both_ends(self, sender, msg_type):
         sa, sb = socket.socketpair()
         socks = {Role.ALICE: sa, Role.BOB: sb}
-        transports = [_OversizedHeaderTransport(socks[role], 5.0, msg_type)
+        transports = [_OversizedHeaderTransport(socks[role], TIMEOUT_S,
+                                                msg_type)
                       if role == sender
-                      else proto.StreamTransport(socks[role], 5.0)
+                      else proto.StreamTransport(socks[role], TIMEOUT_S)
                       for role in (Role.ALICE, Role.BOB)]
         start = time.monotonic()
         out = run_pair(small_cfg(), transports=transports)
@@ -704,7 +713,7 @@ class TestFaultInjection:
         assert (out[Role.ALICE].reason == out[Role.BOB].reason
                 == AbortReason.DECODE_ERROR)
         # rejected from the header, without waiting for the payload
-        assert elapsed < 1.0   # far inside the 5 s receive timeout
+        assert elapsed < TIMEOUT_S / 2
 
     @pytest.mark.parametrize("sender, msg_type, reason", [
         # the next frame arrives in the dropped one's place
@@ -718,19 +727,21 @@ class TestFaultInjection:
         (Role.ALICE, MsgType.PARITY_REQ, AbortReason.TIMEOUT),
     ], ids=lambda v: v.name.lower())
     def test_dropped_frame_fails_both_ends(self, sender, msg_type, reason):
+        timeout_s = 0.2
         sa, sb = socket.socketpair()
         socks = {Role.ALICE: sa, Role.BOB: sb}
-        transports = [_DroppingTransport(socks[role], 0.2, msg_type)
-                      if role == sender
-                      else proto.StreamTransport(socks[role], 0.2)
+        dropper = _DroppingTransport(socks[sender], timeout_s, msg_type)
+        transports = [dropper if role == sender
+                      else proto.StreamTransport(socks[role], timeout_s)
                       for role in (Role.ALICE, Role.BOB)]
-        start = time.monotonic()
         out = run_pair(small_cfg(), transports=transports)
-        elapsed = time.monotonic() - start
+        since_drop = time.monotonic() - dropper.dropped_at
         assert isinstance(out[Role.ALICE], SessionFailed)
         assert isinstance(out[Role.BOB], SessionFailed)
         assert out[Role.ALICE].reason == out[Role.BOB].reason == reason
-        assert elapsed < 1.0
+        # each end waits at most one timeout once the frame is lost; a
+        # second wait would take the session past two
+        assert since_drop < 2 * timeout_s
 
     def test_timeout_fails_session(self):
         ta, tb = loopback_pair(timeout_s=0.2)

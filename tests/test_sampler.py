@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from cvqkdsim import experiments as ex
 from cvqkdsim import pipeline
@@ -22,6 +22,7 @@ from cvqkdsim.physics import (
     CalibrationError,
     DriftState,
     KeptPulses,
+    _ndtr,
     calibrate_shot_noise,
     draw_signal_statistics,
     prepare_and_measure,
@@ -75,7 +76,7 @@ def int64_draw(sig, x_th_snu: float, rng) -> KeptPulses:
     n_sig = int(sig.counts.sum())
     thr = x_th_snu * math.sqrt(sig.shot_snu)
     mu = sig.table.reshape(8, 1)
-    p = special.ndtr(np.hstack([mu - thr, -thr - mu]) / sig.sigma)
+    p = _ndtr(np.hstack([mu - thr, -thr - mu]) / sig.sigma)
     n_kept = rng.multinomial(sig.counts.ravel(), np.hstack(
         [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
     label = rng.permutation(np.repeat(np.arange(16),
