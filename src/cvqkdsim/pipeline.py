@@ -24,20 +24,19 @@ The transports differ only in the link run_chain is given:
     AbortReason name and return the SessionFailed to raise.
 
 A block's SKR is its final key bits over its duration, calibration frames
-included.  A block that keeps no pulse, or whose error sample leaves no bit
-to reconcile, yields a 0-bit key and SKR 0 on both paths.  The two paths
-differ in one behaviour: a block that Cascade leaves with residual errors
-yields no key and SKR 0 in process, while over the wire it fails
-KEY_CONFIRM and both ends abort with KEY_MISMATCH.  A malformed frame from
-the peer ends both ends in SessionFailed with matching AbortReasons, and
-so does a frame that does not fit this end's own block, as SAMPLE_BITS
-does not when the two ends' configs draw samples of different sizes.
+included.  A block yields a 0-bit key and SKR 0 on both paths, and the
+session goes on, if it keeps no pulse, if its error sample leaves no bit
+to reconcile, or if Cascade leaves the two strings unequal: the key
+confirmation tags, rows of the privacy-amplification product past the
+key's, then differ.  A malformed frame from the peer ends both ends in
+SessionFailed with matching AbortReasons, and so does a frame that does
+not fit this end's own block, as SAMPLE_BITS does not when the two ends'
+configs draw samples of different sizes.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -90,7 +89,8 @@ class BlockResult:
     variance_snu: float      # normalized signal variance, modulation included
     qber_raw: float          # this block's own sample estimate; 0.5
                              # if it kept no pulse
-    residual_errors: int
+    residual_errors: int     # bits Cascade left unequal, counted only by
+                             # an end that holds both strings
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,23 +220,27 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     k1 = pp.cascade_block_size(max(qber, model_qber(cfg), 1e-3), n_kept)
     corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
                        if n_kept else (alice_key, 0))
-    # Only an end holding both strings can count residual errors, and it
-    # keeps no key from such a block; over the wire, key confirmation fails.
+    # a diagnostic of an end that holds both strings; the tags decide
     residual = (int(np.sum(corrected != bob_key))
                 if link.alice and link.bob else 0)
 
     # Privacy amplification and key confirmation.  Each end sizes the key
-    # from values both hold (Alice's leak is the parities Bob served).
+    # from values both hold (Alice's leak is the parities Bob served) and
+    # hashes the string it holds; the tag rows of the same product confirm
+    # it.  Equal strings give equal tags, so an end that holds both hashes
+    # Alice's only if they differ.  Unequal tags leave the block no key.
     i_ab, chi_e = pp.secret_fraction(qber, cfg.alpha,
                                      fiber_transmittance(cfg.fiber))
-    out_len = 0 if residual else pp.final_key_length(
-        n_post, i_ab, chi_e, leak, disclosed)
-    key = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
-                           derive_seed(cfg, block_id, SEED_TAG_HASH), out_len)
-    digest = hashlib.sha256(np.packbits(key).tobytes()).digest()
-    bob_digest = link.from_bob("KEY_CONFIRM", lambda: digest)
-    if link.from_alice("KEY_CONFIRM", lambda: digest) != bob_digest:
-        raise link.fail("KEY_MISMATCH", "final keys differ")
+    out_len = pp.final_key_length(n_post, i_ab, chi_e, leak, disclosed)
+    hash_seed = derive_seed(cfg, block_id, SEED_TAG_HASH)
+    key, tag = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
+                                hash_seed, out_len)
+    bob_tag = link.from_bob("KEY_CONFIRM", lambda: tag, tag.size)
+    alice_tag = link.from_alice("KEY_CONFIRM", lambda: (pp.toeplitz_hash(
+        corrected, hash_seed, out_len)[1] if residual else tag),
+        tag.size)
+    if not np.array_equal(alice_tag, bob_tag):
+        key = key[:0]
 
     report = pp.KeySessionReport(
         p_post=p_post, qber=qber, leak_bits=leak, final_key_bits=int(key.size),

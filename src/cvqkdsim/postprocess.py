@@ -31,6 +31,8 @@ __all__ = [
     "KeySessionReport",
     "CascadePermutations",
     "LocalParityOracle",
+    "CONFIRM_TAG_BITS",
+    "PA_SECURITY_BITS",
     "DELTA_FIN_BITS",
     "KEY_FILE_MAGIC",
     "sift",
@@ -48,7 +50,11 @@ __all__ = [
     "read_key_file",
 ]
 
-DELTA_FIN_BITS = 100        # flat finite-size margin per block
+CONFIRM_TAG_BITS = 32       # key confirmation tag: rows past the key's
+PA_SECURITY_BITS = 34       # log2(1/eps_PA) of privacy amplification
+# finite-size margin per block: the published tag, and the leftover hash
+# lemma's 2 log2(1/eps_PA); 32 + 68 = 100 bits
+DELTA_FIN_BITS = CONFIRM_TAG_BITS + 2 * PA_SECURITY_BITS
 KEY_FILE_MAGIC = b"CVQK"
 KEY_FILE_VERSION = 1
 
@@ -361,36 +367,46 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def toeplitz_hash(bits: np.ndarray, seed: int, out_len: int) -> np.ndarray:
-    """Binary Toeplitz hashing over GF(2).
+def toeplitz_hash(bits: np.ndarray, seed: int,
+                  out_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binary Toeplitz hashing over GF(2): (key, tag), the first out_len
+    rows of the product and the CONFIRM_TAG_BITS rows after them.
 
-    The (out_len + n - 1) diagonal bits (first column followed by the
-    remainder of the first row) are drawn from a PCG64 generator seeded
-    with `seed`; the product is evaluated with a numpy real FFT
-    convolution.
+    The (out_len + n - 1) diagonal bits of the key rows (first column
+    followed by the remainder of the first row) are drawn from a PCG64
+    generator seeded with `seed`, and the tag rows' column bits after
+    them, so the key does not depend on the tag.  The (out_len + t) x n
+    matrix is one 2-universal hash, and the tag is CONFIRM_TAG_BITS of its
+    output that final_key_length charges.  The product is evaluated with a
+    numpy real FFT convolution; an empty string hashes to zeros.
 
-    The convolution is circular, at the fast length N >= out_len + n - 1
-    that _fast_len gives, not at the linear product's full
-    out_len + 2n - 2.  That is exact at any N >= out_len + n - 1: the
-    linear product ends at index out_len + 2n - 3, so every term past N
-    wraps to an index <= n - 2, below the window [n - 1, n - 1 + out_len)
-    that is read, which itself ends below N.
+    The convolution is circular, at the fast length N >= m + n - 1 that
+    _fast_len gives for the m = out_len + t rows, not at the linear
+    product's full m + 2n - 2.  That is exact at any N >= m + n - 1: the
+    linear product ends at index m + 2n - 3, so every term past N wraps to
+    an index <= n - 2, below the window [n - 1, n - 1 + m) that is read,
+    which itself ends below N.
     """
     x = np.asarray(bits, dtype=np.uint8)
     n = x.size
-    if out_len > n:
-        raise ValueError(f"out_len {out_len} exceeds input length {n}")
-    if out_len <= 0:
-        return np.zeros(0, dtype=np.uint8)
+    if not 0 <= out_len <= n:
+        raise ValueError(f"out_len {out_len} outside [0, {n}]")
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8), np.zeros(CONFIRM_TAG_BITS,
+                                                     dtype=np.uint8)
+    m = out_len + CONFIRM_TAG_BITS
     diag = np.random.Generator(np.random.PCG64(seed)).integers(
-        0, 2, size=out_len + n - 1, dtype=np.uint8)
+        0, 2, size=m + n - 1, dtype=np.uint8)
     # T[i, j] = e[i - j + n - 1] with e = reversed first row ++ first column
-    e = np.concatenate([diag[out_len:][::-1], diag[:out_len]])
+    row_end = out_len + n - 1
+    e = np.concatenate([diag[out_len:row_end][::-1], diag[:out_len],
+                        diag[row_end:]])
     size = _fast_len(e.size)
     conv = np.fft.irfft(np.fft.rfft(e, size) * np.fft.rfft(x, size), size)
     # each entry is a count of ones, at most n < 2**32, up to roundoff
-    count = np.rint(conv[n - 1:n - 1 + out_len]).astype(np.uint32)
-    return (count & 1).astype(np.uint8)
+    count = np.rint(conv[n - 1:n - 1 + m]).astype(np.uint32)
+    rows = (count & 1).astype(np.uint8)
+    return rows[:out_len], rows[out_len:]
 
 
 def secret_fraction(qber: float, alpha: float,
@@ -418,7 +434,14 @@ def _eve_holevo(alpha: float, transmittance: float) -> float:
 
 def final_key_length(n_post_selected: int, i_ab: float, chi_e: float,
                      leak_bits: int, disclosed_count: int) -> int:
-    """Secret bits extractable from one block, floored at zero."""
+    """Secret bits extractable from one block, floored at zero.
+
+    The key and the published confirmation tag are one toeplitz_hash
+    output of out_len + t bits, t = CONFIRM_TAG_BITS.  By the leftover hash
+    lemma that output is eps_PA-close to uniform given Eve's information
+    while out_len + t <= H_min - 2 log2(1/eps_PA), so DELTA_FIN_BITS
+    charges t + 2 PA_SECURITY_BITS against the entropy left once Eve's
+    Holevo bound, Cascade's leak and the disclosed sample are taken out."""
     budget = (n_post_selected * max(0.0, i_ab - chi_e)
               - leak_bits - disclosed_count - DELTA_FIN_BITS)
     return max(0, int(math.floor(budget)))

@@ -40,10 +40,16 @@ One request asks for all top-level parities of a pass, or for one
 bisection depth of all its odd blocks, so a block takes tens of round
 trips; an empty request ends Cascade.
 
+Key confirmation crosses as KEY_CONFIRM 0x09, Bob's and then Alice's:
+each end's CONFIRM_TAG_BITS = 32 tag bits, packed into 4 bytes, which are
+rows of the Toeplitz product past the key's.  No digest of the key is
+sent.  If the tags differ, both ends keep a 0-bit key and the session
+goes on, as it does in process.
+
 run_session() is pipeline.run_chain over a WireLink and returns its
 BlockResult, as distill_block() does in process.  Every protocol step,
-Cascade's parity exchange and key confirmation (Bob's KEY_CONFIRM, then
-Alice's) included, is a step of run_chain; a WireLink only carries values.
+Cascade's parity exchange and key confirmation included, is a step of
+run_chain; a WireLink only carries values.
 A malformed, out-of-range, out-of-order or missing frame ends both
 endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
@@ -65,6 +71,7 @@ import numpy as np
 
 from .physics import CalibrationError
 from .pipeline import BlockResult, run_chain, simulate_quantum_exchange
+from .postprocess import CONFIRM_TAG_BITS
 
 __all__ = [
     "MsgType",
@@ -102,7 +109,7 @@ class AbortReason(enum.IntEnum):
     UNEXPECTED_MESSAGE = 1
     DECODE_ERROR = 2
     TIMEOUT = 3
-    KEY_MISMATCH = 4
+    KEY_MISMATCH = 4        # reserved; no end sends it
     CALIBRATION_FAILED = 5
     TRANSPORT_CLOSED = 6
 
@@ -207,8 +214,8 @@ _CODEC = {
     MsgType.PARITY_REQ: (_encode_ranges, _decode_ranges,
                          lambda n: 12 + 8 * n, _passes(_ranges_fit)),
     MsgType.PARITY_RSP: _BITS_ROW,
-    # a digest of any other length is refused at the header
-    MsgType.KEY_CONFIRM: (bytes, bytes, 32, lambda digest, _: digest),
+    # a tag of any other length is refused at the header
+    MsgType.KEY_CONFIRM: (*_BITS_ROW[:2], CONFIRM_TAG_BITS // 8, _BITS_ROW[3]),
     MsgType.ABORT: _struct_row(">H", None, AbortReason),   # ends a session
 }
 
@@ -418,8 +425,9 @@ def run_session(role: Role, transport: StreamTransport, cfg,
     Both endpoints reconstruct the quantum exchange from the shared config
     seed, then run pipeline.run_chain over a WireLink and return its
     BlockResult.  Raises SessionFailed (after emitting ABORT) on any
-    protocol violation; on success both ends hold bit-identical keys,
-    checked via KEY_CONFIRM.
+    protocol violation.  On return both ends hold the same key, but for a
+    2**-32 chance that unequal strings give equal KEY_CONFIRM tags; where
+    the tags differ, that key has 0 bits.
     """
     link = WireLink(role, transport, cfg.block_size_pulses)
     try:

@@ -190,16 +190,28 @@ class TestExpectedQber:
 
 def explicit_toeplitz(x, seed, out):
     """The GF(2) product of x with the hash's Toeplitz matrix, built entry
-    by entry."""
-    n = x.size
-    diag = np.random.Generator(np.random.PCG64(seed)).integers(
-        0, 2, size=out + n - 1, dtype=np.uint8)
-    t = np.empty((out, n), dtype=np.uint8)
-    for i in range(out):
+    by entry: (key rows, tag rows)."""
+    n, t = x.size, pp.CONFIRM_TAG_BITS
+    draw = lambda size: np.random.Generator(np.random.PCG64(seed)).integers(
+        0, 2, size=size, dtype=np.uint8)
+    # the key rows' diagonal, drawn on its own; the tag rows' column bits
+    # follow it in the same stream, so they cannot move the key
+    diag = draw(out + n - 1)
+    column = np.concatenate([diag[:out], draw(out + n - 1 + t)[-t:]])
+    m = np.empty((out + t, n), dtype=np.uint8)
+    for i in range(out + t):
         for j in range(n):
-            # first column = diag[:out], rest of first row follows
-            t[i, j] = diag[i - j] if i >= j else diag[out + j - i - 1]
-    return (t @ x) % 2
+            # first column, then the rest of the first row: diag[out:]
+            m[i, j] = column[i - j] if i >= j else diag[out + j - i - 1]
+    rows = (m @ x) % 2
+    return rows[:out], rows[out:]
+
+
+def assert_hash_is(x, seed, out):
+    key, tag = pp.toeplitz_hash(x, seed, out)
+    want_key, want_tag = explicit_toeplitz(x, seed, out)
+    assert np.array_equal(key, want_key), (x.size, out, seed)
+    assert np.array_equal(tag, want_tag), (x.size, out, seed)
 
 
 class TestToeplitz:
@@ -208,51 +220,59 @@ class TestToeplitz:
         assert [pp._fast_len(n) for n in range(1, 40_000)] == want
 
     def test_pinned_vector(self):
-        got = pp.toeplitz_hash(np.array([1, 0, 1], dtype=np.uint8), 7, 2)
-        assert np.array_equal(got, [0, 1])
+        key, tag = pp.toeplitz_hash(np.array([1, 0, 1], dtype=np.uint8), 7, 2)
+        assert np.array_equal(key, [0, 1])
+        assert np.packbits(tag).tobytes().hex() == "3f887dc8"
 
     def test_matches_explicit_matrix(self):
+        # no key, a key as long as the string, and strings shorter than the
+        # tag among them
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(2, 64))
-            out = int(rng.integers(1, n + 1))
+        shapes = [(1, 0), (1, 1), (7, 0), (31, 31), (40, 0)] + [
+            (n, int(rng.integers(0, n + 1)))
+            for n in rng.integers(1, 64, 20).tolist()]
+        for n, out in shapes:
             seed = int(rng.integers(0, 2 ** 32))
-            x = rng.integers(0, 2, n).astype(np.uint8)
-            assert np.array_equal(pp.toeplitz_hash(x, seed, out),
-                                  explicit_toeplitz(x, seed, out))
+            assert_hash_is(rng.integers(0, 2, n).astype(np.uint8), seed, out)
 
     @pytest.mark.parametrize("n, out", [
         (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 5), (13, 13),
         (41, 41), (64, 1), (250, 1), (50, 15), (61, 60), (97, 32),
         (1000, 297)])
     def test_exact_without_padding_slack(self, n, out):
-        # the circular length is out + n - 1 itself here, so the product's
-        # wrapped tail lands just below the window that is read
-        assert pp._fast_len(out + n - 1) == out + n - 1
+        # an out-bit key of the shortest string of at least n bits whose
+        # circular length is the out + t + n - 1 rows and columns span
+        # itself, so the product's wrapped tail lands just below the
+        # window that is read; and of n bits, as given
+        span = out + pp.CONFIRM_TAG_BITS - 1
+        tight = pp._fast_len(span + n) - span
+        assert pp._fast_len(span + tight) == span + tight
         rng = np.random.default_rng(n * 1000 + out)
-        for x in (np.ones(n, dtype=np.uint8),
-                  rng.integers(0, 2, n).astype(np.uint8)):
-            for seed in (0, 1, 2024):
-                assert np.array_equal(pp.toeplitz_hash(x, seed, out),
-                                      explicit_toeplitz(x, seed, out))
+        for size in (tight, n):
+            for x in (np.ones(size, dtype=np.uint8),
+                      rng.integers(0, 2, size).astype(np.uint8)):
+                for seed in (0, 1, 2024):
+                    assert_hash_is(x, seed, out)
 
     def test_exact_at_full_block_size(self):
         # 882,000 bits are kept from a default 1e6-pulse block at
         # x_th_snu = 0 (9e5 signal pulses less the 2 % disclosed); the
-        # FFT product must still round to the exact GF(2) product there
-        n, out = 882_000, 441_000
+        # FFT product must still round to the exact GF(2) product there,
+        # in the key rows and the tag rows alike
+        n, out, t = 882_000, 441_000, pp.CONFIRM_TAG_BITS
         seed = 2024
         rng = np.random.default_rng(17)
         x = rng.integers(0, 2, n).astype(np.uint8)
-        got = pp.toeplitz_hash(x, seed, out)
+        got = np.concatenate(pp.toeplitz_hash(x, seed, out))
         diag = np.random.Generator(np.random.PCG64(seed)).integers(
-            0, 2, size=out + n - 1, dtype=np.uint8)
+            0, 2, size=out + n - 1 + t, dtype=np.uint8)
+        column = np.concatenate([diag[:out], diag[out + n - 1:]])
         x64 = x.astype(np.int64)
         rows = np.unique(np.concatenate(
-            [[0, out - 1], rng.integers(0, out, 254)]))
+            [[0, out - 1], rng.integers(0, out, 254), out + np.arange(t)]))
         for i in rows:
-            # row i: diag[i - j] for j <= i, then diag[out + j - i - 1]
-            row = np.concatenate([diag[i::-1], diag[out:out + n - i - 1]])
+            # row i: column[i - j] for j <= i, then diag[out + j - i - 1]
+            row = np.concatenate([column[i::-1], diag[out:out + n - i - 1]])
             assert got[i] == int(row @ x64) % 2, i
 
     @settings(max_examples=50, deadline=None)
@@ -264,17 +284,22 @@ class TestToeplitz:
         x = np.array(xs[:n], dtype=np.uint8)
         y = np.array(ys[:n], dtype=np.uint8)
         out = max(1, n // 2)
-        hx = pp.toeplitz_hash(x, seed, out)
-        hy = pp.toeplitz_hash(y, seed, out)
-        hxy = pp.toeplitz_hash(x ^ y, seed, out)
+        hx, hy, hxy = (np.concatenate(pp.toeplitz_hash(v, seed, out))
+                       for v in (x, y, x ^ y))
         assert np.array_equal(hxy, hx ^ hy)
 
     def test_output_length_and_bounds(self):
         x = np.ones(16, dtype=np.uint8)
-        assert pp.toeplitz_hash(x, 0, 0).size == 0
-        assert pp.toeplitz_hash(x, 0, 16).size == 16
-        with pytest.raises(ValueError):
-            pp.toeplitz_hash(x, 0, 17)
+        for out in (0, 16):
+            key, tag = pp.toeplitz_hash(x, 0, out)
+            assert (key.size, tag.size) == (out, pp.CONFIRM_TAG_BITS)
+        for out in (-1, 17):
+            with pytest.raises(ValueError):
+                pp.toeplitz_hash(x, 0, out)
+        # the product with an empty string is zero
+        key, tag = pp.toeplitz_hash(np.zeros(0, dtype=np.uint8), 5, 0)
+        assert key.size == 0
+        assert np.array_equal(tag, np.zeros(pp.CONFIRM_TAG_BITS))
 
 
 class TestRates:
@@ -303,6 +328,12 @@ class TestRates:
     def test_lossless_channel_leaks_nothing_to_eve(self):
         _, chi_e = pp.secret_fraction(0.02, 0.68, 1.0)
         assert chi_e == 0.0
+
+    def test_margin_is_the_tag_and_the_hash_security(self):
+        # the published tag costs its bits; 2 log2(1/eps_PA) is the
+        # leftover hash lemma's
+        assert pp.DELTA_FIN_BITS == (pp.CONFIRM_TAG_BITS
+                                     + 2 * pp.PA_SECURITY_BITS) == 100
 
     def test_final_key_length_floor(self):
         assert pp.final_key_length(1000, 0.9, 0.2, 100, 50) == int(

@@ -171,8 +171,10 @@ _frame_strategies = st.one_of(
     st.builds(lambda bits: Frame(MsgType.PARITY_RSP,
                                  np.array(bits, dtype=np.uint8)),
               st.lists(st.integers(0, 1), max_size=64)),
-    st.builds(lambda d: Frame(MsgType.KEY_CONFIRM, bytes(d)),
-              st.binary(min_size=32, max_size=32)),
+    st.builds(lambda bits: Frame(MsgType.KEY_CONFIRM,
+                                 np.array(bits, dtype=np.uint8)),
+              st.lists(st.integers(0, 1), min_size=pp.CONFIRM_TAG_BITS,
+                       max_size=pp.CONFIRM_TAG_BITS)),
     st.builds(lambda r: Frame(MsgType.ABORT, r),
               st.sampled_from([int(r) for r in AbortReason])),
 )
@@ -197,8 +199,10 @@ _PINNED_FRAMES = [
      " 00000002 00000005 00011170"),
     (Frame(MsgType.PARITY_RSP, np.array([1, 0, 1], dtype=np.uint8)),
      "00000001 07 a0"),
-    (Frame(MsgType.KEY_CONFIRM, bytes(range(32))),
-     "00000020 09 " + bytes(range(32)).hex()),
+    # the 32 tag bits, packed
+    (Frame(MsgType.KEY_CONFIRM, np.unpackbits(np.array(
+        [0x3f, 0x88, 0x7d, 0xc8], dtype=np.uint8))),
+     "00000004 09 3f887dc8"),
     (Frame(MsgType.ABORT, AbortReason.TIMEOUT), "00000002 0a 0003"),
 ]
 
@@ -220,7 +224,9 @@ _CHECKS = [
     (MsgType.PARITY_REQ, _PERMS, (3, np.array([0]), np.array([50])),
      (4, np.array([0]), np.array([50]))),
     (MsgType.PARITY_RSP, 3, np.ones(3, np.uint8), np.ones(9, np.uint8)),
-    (MsgType.KEY_CONFIRM, None, bytes(32), bytes(33)),
+    (MsgType.KEY_CONFIRM, pp.CONFIRM_TAG_BITS,
+     np.ones(pp.CONFIRM_TAG_BITS, np.uint8),
+     np.ones(pp.CONFIRM_TAG_BITS + 1, np.uint8)),
 ]
 
 
@@ -305,8 +311,10 @@ class TestFraming:
         assert received(b"\x00\x00\x00\x01\x07\x40") is None
 
     def test_key_confirm_digest_size_enforced(self):
-        with pytest.raises(ProtocolError):
-            encode_frame(Frame(MsgType.KEY_CONFIRM, b"short"))
+        # a tag is 4 bytes; a 32-byte SHA-256 digest is refused too
+        for tag in (np.ones(33, np.uint8), np.ones(256, np.uint8)):
+            with pytest.raises(ProtocolError):
+                encode_frame(Frame(MsgType.KEY_CONFIRM, tag))
 
     def test_each_check_takes_its_bound_and_refuses_past_it(self):
         # a type the chain receives cannot ship without a check here;
@@ -500,18 +508,19 @@ class _TamperingTransport(proto.StreamTransport):
 
 
 class _OversizedHeaderTransport(proto.StreamTransport):
-    """A peer that sends the first frame of one type as a bare header
-    claiming a 64 MiB payload, then goes on with its session."""
+    """A peer that sends the first frame of one type as `payload` under a
+    header claiming `length` bytes, then goes on with its session."""
 
-    def __init__(self, sock, timeout_s, msg_type):
+    def __init__(self, sock, timeout_s, msg_type, length, payload):
         super().__init__(sock, timeout_s)
         self.msg_type = msg_type
+        self.forged = struct.pack(">IB", length, msg_type) + payload
 
     def send_frame(self, frame):
         if frame.msg_type != self.msg_type:
             return super().send_frame(frame)
         self.msg_type = None
-        self.sock.sendall(struct.pack(">IB", 2 ** 26, frame.msg_type))
+        self.sock.sendall(self.forged)
 
 
 class _DroppingTransport(proto.StreamTransport):
@@ -676,7 +685,8 @@ class TestFaultInjection:
                 == AbortReason.UNEXPECTED_MESSAGE)
 
     def test_random_parity_answers_end_in_one_outcome(self, monkeypatch):
-        # a Bob whose parities come from no one string
+        # a Bob whose parities come from no one string: the tags differ,
+        # and both ends return a 0-bit key
         rng = np.random.default_rng(7)
 
         def random_parities(oracle, pass_index, starts, ends):
@@ -687,21 +697,49 @@ class TestFaultInjection:
         out, elapsed = run_pair_timed(small_cfg())
         assert elapsed < TIMEOUT_S / 2
         ra, rb = out[Role.ALICE], out[Role.BOB]
-        if isinstance(ra, SessionFailed) or isinstance(rb, SessionFailed):
-            assert ra.reason == rb.reason
-        else:
-            assert ra.key_bits.size == rb.key_bits.size == 0
-            assert ra.report == rb.report
+        assert ra.key_bits.size == rb.key_bits.size == 0
+        assert ra.report == rb.report
+        assert ra.report.skr_bits_per_s == 0.0
 
-    @pytest.mark.parametrize("sender, msg_type", [
-        (Role.ALICE, MsgType.SAMPLE_BITS),
-        (Role.BOB, MsgType.QBER_REPORT),
-    ], ids=["sample-bits", "qber-report"])
-    def test_oversized_length_header_aborts_both_ends(self, sender, msg_type):
+    def test_unreconciled_block_yields_no_key_on_every_path(self,
+                                                            monkeypatch):
+        # a Cascade that leaves one bit of Alice's string wrong: in
+        # process, over a socket pair and over TCP, the block keeps no key
+        # and the session goes on, where it keeps 352 bits otherwise
+        cfg = SystemConfig(seed=1)
+        clean = distill_block(cfg, 0, mean_drift(cfg))
+        assert clean.key_bits.size == 352
+        reconcile = pp.cascade_reconcile
+
+        def one_bit_wrong(alice_bits, oracle, initial_block, perms):
+            bits, leak = reconcile(alice_bits, oracle, initial_block, perms)
+            return bits ^ (np.arange(bits.size) == 0), leak
+
+        monkeypatch.setattr(pp, "cascade_reconcile", one_bit_wrong)
+        local = distill_block(cfg, 0, mean_drift(cfg))
+        assert local.residual_errors == 1
+        assert local.report == replace(clean.report, final_key_bits=0,
+                                       skr_bits_per_s=0.0)
+        for transports in (loopback_pair(timeout_s=TIMEOUT_S), tcp_pair()):
+            out = run_pair(cfg, transports=transports)
+            for role in (Role.ALICE, Role.BOB):
+                assert not isinstance(out[role], SessionFailed), out[role]
+                assert out[role].report == local.report, role
+                assert out[role].key_bits.size == 0, role
+
+    @pytest.mark.parametrize("sender, msg_type, length, payload", [
+        # a bare header claiming 64 MiB
+        (Role.ALICE, MsgType.SAMPLE_BITS, 2 ** 26, b""),
+        (Role.BOB, MsgType.QBER_REPORT, 2 ** 26, b""),
+        # a whole 32-byte SHA-256 digest where a 4-byte tag belongs
+        (Role.BOB, MsgType.KEY_CONFIRM, 32, bytes(range(32))),
+    ], ids=["sample-bits", "qber-report", "key-confirm-digest"])
+    def test_oversized_length_header_aborts_both_ends(self, sender, msg_type,
+                                                      length, payload):
         sa, sb = socket.socketpair()
         socks = {Role.ALICE: sa, Role.BOB: sb}
         transports = [_OversizedHeaderTransport(socks[role], TIMEOUT_S,
-                                                msg_type)
+                                                msg_type, length, payload)
                       if role == sender
                       else proto.StreamTransport(socks[role], TIMEOUT_S)
                       for role in (Role.ALICE, Role.BOB)]
