@@ -8,6 +8,7 @@ configuration errors, 2 on protocol failures.
 from __future__ import annotations
 
 import argparse
+import os
 import socket
 import sys
 import threading
@@ -94,6 +95,18 @@ def _emit(text: str, output_path) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(option: str, path) -> None:
+    """A ConfigError unless `path`, if given, can be written: its parent a
+    writable directory, and the path itself no directory."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK | os.X_OK)
+            or os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"{option} cannot be written: {path!r}")
+
+
 def _parse_endpoint(spec: str) -> tuple[str, int]:
     host, _, port = spec.rpartition(":")
     if not host or not port.isdigit() or int(port) > 65535:
@@ -123,6 +136,10 @@ def _run_link(cfg, args) -> int:
                           f"got {args.timeout!r}")
     if args.block_id < 0:
         raise ConfigError(f"--block-id must be >= 0, got {args.block_id}")
+    # a path that cannot be written fails here, not after the peer has
+    # spent a block on the session
+    _check_writable("--key-out", args.key_out)
+    _check_writable("--transcript", args.transcript)
     role = Role.ALICE if args.role == "alice" else Role.BOB
     try:
         transport = StreamTransport(_connect(args), args.timeout,
@@ -155,6 +172,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else SystemConfig()
+        _check_writable("--output", args.output)
         if args.command == "calibrate":
             estimate = ex.run_calibration(cfg, args.pulses)
             _emit(f"shot_noise_estimate_snu = {estimate!r}\n", args.output)

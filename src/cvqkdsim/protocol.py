@@ -12,7 +12,7 @@ check (a bit field cut to its bit count, any other value held to its
 bound) is the whole receive-side contract.  All integers on the wire are
 big-endian.  Packed bit fields put pulse 0 in the most significant bit of
 the first byte.  A received header is checked against its type and the
-block before any payload byte is read: a fixed-size type needs its exact
+block before its payload is awaited: a fixed-size type needs its exact
 size, and a variable-size one may carry no more than a block of its pulse
 count needs.  The quantum exchange itself is simulated locally on both
 endpoints from the shared config seed, so no quantum data travels over
@@ -30,9 +30,17 @@ Bob sends his two opening frames back to back.  Under Nagle's algorithm
 the second waits until the peer acknowledges the first, and the peer
 delays that ACK (~40 ms on Linux) because it has nothing to send back
 yet.  A TCP StreamTransport therefore sets TCP_NODELAY and every frame
-leaves when it is written; an AF_UNIX socket has no such delay.  A
-received frame must arrive whole within the transport's timeout, however
-its bytes trickle in.
+leaves when it is written; an AF_UNIX socket has no such delay.
+
+A StreamTransport receives into one buffer that it keeps for the life of
+its connection: a frame that has arrived whole costs one `recv_into` and
+one decode_frame.  Bytes read past a frame's end belong to the
+connection, not to the session that read them, and the next recv_frame
+takes them first.  The buffer grows only as bytes arrive, so a header
+that announces more than its peer sends holds no memory for the rest.  A received frame must arrive whole within
+the transport's timeout, however its bytes trickle in: only a read past a
+frame's first waits on what is left of that deadline, and the full
+timeout, which sendall shares, is set again after it.
 
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
@@ -92,6 +100,7 @@ __all__ = [
 MAX_PAYLOAD = 2 ** 32 - 1
 _HEADER = struct.Struct(">IB")   # payload length, message type
 DEFAULT_TIMEOUT_S = 30.0
+_RECV_BUFFER = 1 << 16   # a transport's receive buffer until a frame needs more
 
 
 class MsgType(enum.IntEnum):
@@ -171,11 +180,14 @@ def _encode_ranges(value) -> bytes:
             + _encode_indices(ends))
 
 
-def _decode_ranges(payload: bytes) -> tuple:
-    pass_index, count = struct.unpack(">II", payload[:8])
-    split = 8 + 4 * count
-    return (pass_index, _decode_indices(payload[4:split]),
-            _decode_indices(payload[split:]))
+def _decode_ranges(payload) -> tuple:
+    # u32 words: pass index, start count, starts, end count, ends
+    words = np.frombuffer(payload, dtype=">u4").astype(np.int64)
+    n = words.size
+    count = int(words[1]) if n > 1 else -1
+    if not 0 <= count <= n - 3 or words[2 + count] != n - 3 - count:
+        raise FrameDecodeError("index count mismatch")
+    return int(words[0]), words[2:2 + count], words[3 + count:]
 
 
 def _ascending_below(idx, bound) -> bool:
@@ -187,7 +199,7 @@ def _ranges_fit(value, perms) -> bool:
     """Whether `value`'s ranges lie in one pass of the permutations `perms`."""
     pass_index, starts, ends = value
     return (pass_index < perms.passes and starts.size == ends.size
-            and np.all(starts < ends) and np.all(ends <= perms.n))
+            and (starts < ends).all() and (ends <= perms.n).all())
 
 
 # a bit field, bounded by its bit count; it arrives padded with zeros to
@@ -203,7 +215,9 @@ _BITS_ROW = (
 # the exact payload length of a fixed-size type, or for a variable-size one
 # the most bytes it can carry in a block of n pulses.  check(value, bound)
 # returns a received value as run_chain takes it, or None if it does not
-# fit the bound run_chain gives.
+# fit the bound run_chain gives.  The payload StreamTransport decodes is a
+# view into its receive buffer, which the next read overwrites, so
+# payload -> value must copy what it keeps.
 _CODEC = {
     MsgType.BASIS_ANNOUNCE: _BITS_ROW,
     MsgType.POSTSELECT_MASK: (_encode_indices, _decode_indices,
@@ -219,14 +233,17 @@ _CODEC = {
     MsgType.ABORT: _struct_row(">H", None, AbortReason),   # ends a session
 }
 
+# a MsgType by its type byte and by its name, without an enum call per frame
+_BY_CODE = {t.value: t for t in MsgType}
+_BY_NAME = {t.name: t for t in MsgType}
+
 
 def _checked_type(raw_type: int, length: int,
                   n_pulses: int | None = None) -> MsgType:
     """The type a header names, if its payload length fits the type and,
     given a block's pulse count, the block."""
-    try:
-        t = MsgType(raw_type)
-    except ValueError:
+    t = _BY_CODE.get(raw_type)
+    if t is None:
         raise FrameDecodeError(f"unknown message type {raw_type:#04x}")
     size = _CODEC[t][2]
     if isinstance(size, int):
@@ -239,7 +256,7 @@ def _checked_type(raw_type: int, length: int,
 
 
 def encode_frame(frame: Frame) -> bytes:
-    t = MsgType(frame.msg_type)
+    t = _BY_CODE[frame.msg_type]
     encode, _, size, _ = _CODEC[t]
     payload = encode(frame.value)
     if isinstance(size, int) and len(payload) != size:
@@ -249,8 +266,8 @@ def encode_frame(frame: Frame) -> bytes:
     return _HEADER.pack(len(payload), t) + payload
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Decode one complete frame (header + payload)."""
+def decode_frame(data) -> Frame:
+    """Decode one complete frame (header + payload), bytes or a memoryview."""
     if len(data) < _HEADER.size:
         raise FrameDecodeError("truncated header")
     length, raw_type = _HEADER.unpack_from(data)
@@ -271,7 +288,14 @@ class StreamTransport:
 
     `timeout_s` bounds the wait for each whole received frame, and each
     send.  A TCP socket gets TCP_NODELAY, so that each frame leaves when
-    it is written (see the module docstring)."""
+    it is written (see the module docstring).
+
+    Received bytes land in one buffer that the transport keeps for the
+    life of the connection.  A frame costs one `recv_into` when it has
+    arrived whole, and more only while it has not; bytes read past its end
+    stay buffered for the next frame, whichever session reads it.  The
+    buffer grows only as bytes arrive, to at most twice what has arrived
+    and never past a frame whose header has passed its check."""
 
     def __init__(self, sock, timeout_s: float = DEFAULT_TIMEOUT_S,
                  transcript_path=None):
@@ -281,6 +305,9 @@ class StreamTransport:
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._transcript = open(transcript_path, "wb") if transcript_path else None
+        self._buf = bytearray(_RECV_BUFFER)
+        self._view = memoryview(self._buf)
+        self._start = self._end = 0   # the unread bytes are _buf[_start:_end]
 
     def send_frame(self, frame: Frame) -> None:
         data = encode_frame(frame)
@@ -288,40 +315,65 @@ class StreamTransport:
             self._transcript.write(data)
         self.sock.sendall(data)
 
-    def _recv_exact(self, n: int, deadline: float) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
+    def _read(self, n: int, deadline: float, nth: int) -> None:
+        """One read towards `n` unread bytes, the frame's `nth`: the first
+        waits the socket's full timeout, a later one only what is left
+        until `deadline`."""
+        size = len(self._buf)
+        if self._end == size or (self._start and self._start + n > size):
+            self._make_room(n)
+        if nth > 1:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise socket.timeout
             self.sock.settimeout(remaining)
-            chunk = self.sock.recv(n - len(buf))
-            if not chunk:
-                raise SessionFailed(AbortReason.TRANSPORT_CLOSED,
-                                    "peer closed the connection")
-            buf.extend(chunk)
-        return bytes(buf)
+        got = self.sock.recv_into(self._view[self._end:])
+        if not got:
+            raise SessionFailed(AbortReason.TRANSPORT_CLOSED,
+                                "peer closed the connection")
+        self._end += got
+
+    def _make_room(self, n: int) -> None:
+        """Move the unread bytes to the front of the buffer or, if they
+        fill it, into one twice as long, but no longer than `n` bytes: the
+        buffer grows only with bytes that have arrived."""
+        unread = bytes(self._view[self._start:self._end])
+        if not self._start:
+            self._buf = bytearray(min(n, 2 * len(self._buf)))
+            self._view = memoryview(self._buf)
+        self._buf[:len(unread)] = unread
+        self._start, self._end = 0, len(unread)
 
     def recv_frame(self, n_pulses: int | None = None) -> Frame:
         """The next frame, which must arrive whole within the timeout: a
         peer that trickles bytes cannot stretch the wait.  Its header is
-        checked before any payload byte is read: the type must be known
-        and the length fit the type and, given the block's pulse count
+        checked before the payload is awaited: the type must be known and
+        the length fit the type and, given the block's pulse count
         `n_pulses`, the block."""
         deadline = time.monotonic() + self.timeout_s
+        reads = 0
         try:
             try:
-                header = self._recv_exact(_HEADER.size, deadline)
-                length, raw_type = _HEADER.unpack(header)
+                while self._end - self._start < _HEADER.size:
+                    reads += 1
+                    self._read(_HEADER.size, deadline, reads)
+                length, raw_type = _HEADER.unpack_from(self._buf, self._start)
                 _checked_type(raw_type, length, n_pulses)
-                payload = self._recv_exact(length, deadline)
+                size = _HEADER.size + length
+                while self._end - self._start < size:
+                    reads += 1
+                    self._read(size, deadline, reads)
             finally:
-                self.sock.settimeout(self.timeout_s)   # sendall's timeout
+                if reads > 1:
+                    self.sock.settimeout(self.timeout_s)   # sendall's timeout
         except socket.timeout:
             raise SessionFailed(AbortReason.TIMEOUT, "receive timed out")
         except OSError as exc:
             raise SessionFailed(AbortReason.TRANSPORT_CLOSED, str(exc))
-        data = header + payload
+        data = self._view[self._start:self._start + size]
+        self._start += size
+        if self._start == self._end:
+            self._start = self._end = 0
         if self._transcript:
             self._transcript.write(data)
         return decode_frame(data)
@@ -401,10 +453,10 @@ class WireLink:
         return frame
 
     def from_alice(self, kind: str, make, bound=None):
-        return self._carry(self.alice, MsgType[kind], make, bound)
+        return self._carry(self.alice, _BY_NAME[kind], make, bound)
 
     def from_bob(self, kind: str, make, bound=None):
-        return self._carry(self.bob, MsgType[kind], make, bound)
+        return self._carry(self.bob, _BY_NAME[kind], make, bound)
 
     def _carry(self, sending: bool, t: MsgType, make, bound):
         if sending:

@@ -67,6 +67,15 @@ class TestExitCodes:
         assert exc_info.value.code == 0
         assert "--role" in capsys.readouterr().out
 
+    def test_unwritable_output_fails_before_the_run(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # a 24-hour run must not end in a path it cannot write
+        monkeypatch.setattr(cli.ex, "exp_longrun",
+                            lambda *args: pytest.fail("the run started"))
+        assert cli.main(["exp-longrun", "--output",
+                         str(tmp_path / "no" / "longrun.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: --output")
+
     def test_impossible_allocation_is_an_error(self, capsys):
         # 10**15 pulses need 909 TiB, more than the 128 TiB a 64-bit Linux
         # process can address, so the allocation fails without taking memory
@@ -273,6 +282,30 @@ class TestRunLink:
         assert np.array_equal(a, b)
         assert (tmp_path / "alice.txt").read_text() == \
             (tmp_path / "bob.txt").read_text()
+
+    @pytest.mark.parametrize("option", ["--key-out", "--transcript",
+                                        "--output"])
+    @pytest.mark.parametrize("where", ["missing-parent", "a-directory"])
+    @pytest.mark.parametrize("role, endpoint", [
+        ("bob", ["--listen", "127.0.0.1:0"]),
+        ("alice", ["--connect", "127.0.0.1:9"])])
+    def test_unwritable_path_fails_before_any_socket(
+            self, option, where, role, endpoint, tmp_path, monkeypatch,
+            capsys):
+        # an end that could not keep its key or record must not run the
+        # block its peer then keeps alone
+        def no_socket(*args, **kwargs):
+            pytest.fail("a socket was opened")
+
+        monkeypatch.setattr(socket, "create_server", no_socket)
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        path = (tmp_path / "no" / "such" / "file" if where == "missing-parent"
+                else tmp_path)
+        assert cli.main(["run-link", "--role", role, *endpoint,
+                         option, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_listen_times_out_without_peer(self, capsys):
         # no peer ever connects: --timeout bounds the wait in accept()

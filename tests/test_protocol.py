@@ -1,9 +1,11 @@
+import hashlib
 import math
 import socket
 import struct
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -859,6 +861,250 @@ class TestTcpTransport:
                 assert out[role].report == local.report, (block_id, role)
                 assert np.array_equal(out[role].key_bits, local.key_bits)
             assert local.key_bits.size > 0, block_id
+
+
+class _CountingSocket:
+    """A socket that counts its reads, the bytes they return and its
+    settimeout calls, and passes everything else through."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.reads = self.bytes_read = self.timeouts = 0
+
+    def recv_into(self, buf, *args):
+        self.reads += 1
+        got = self._sock.recv_into(buf, *args)
+        self.bytes_read += got
+        return got
+
+    def recv(self, *args):
+        self.reads += 1
+        data = self._sock.recv(*args)
+        self.bytes_read += len(data)
+        return data
+
+    def settimeout(self, value):
+        self.timeouts += 1
+        self._sock.settimeout(value)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _EventLog(proto.StreamTransport):
+    """A transport that logs (direction, frame bytes) for each frame it
+    sends or receives, in the order it does so."""
+
+    def __init__(self, sock, timeout_s, transcript_path=None):
+        super().__init__(sock, timeout_s, transcript_path)
+        self.events = []
+
+    def send_frame(self, frame):
+        super().send_frame(frame)
+        self.events.append(("sent", encode_frame(frame)))
+
+    def recv_frame(self, n_pulses=None):
+        frame = super().recv_frame(n_pulses)
+        self.events.append(("received", encode_frame(frame)))
+        return frame
+
+
+def _transcript_frames(data: bytes) -> list:
+    """The frames of a transcript, each as its bytes."""
+    frames, i = [], 0
+    while i < len(data):
+        end = i + 5 + int.from_bytes(data[i:i + 4], "big")
+        frames.append(data[i:end])
+        i = end
+    return frames
+
+
+# sha256sum lines for the transcripts of run_session blocks 0-2 on
+# SystemConfig(), which both ends record alike; CI checks run-link's
+# transcripts against block 0's line
+PINNED_TRANSCRIPTS = Path(__file__).with_name("transcript_outputs.sha256")
+
+
+class TestReceivePath:
+    # default blocks 0-2 over a socket pair: Alice received 53/85/61 frames
+    # in 54/86/62 reads, with 2 settimeout calls (the positions frame's
+    # second read and the reset after it), and Bob 52/84/60 in as many
+    # reads, with none.  Reading header and payload apart took 2 reads and
+    # 3 settimeout calls per frame.
+    MAX_EXTRA_READS = 4
+
+    def test_two_frames_in_one_write_come_back_in_order(self):
+        sa, sb = socket.socketpair()
+        counted = _CountingSocket(sb)
+        receiver = proto.StreamTransport(counted, TIMEOUT_S)
+        frames = [Frame(MsgType.QBER_REPORT, 0.25),
+                  Frame(MsgType.PARITY_RSP, np.array([1, 0, 1], np.uint8))]
+        sa.sendall(b"".join(encode_frame(f) for f in frames))
+        got = [receiver.recv_frame(), receiver.recv_frame()]
+        assert [encode_frame(f) for f in got] == [encode_frame(f)
+                                                   for f in frames]
+        # the second frame was already buffered by the first read
+        assert counted.reads == 1
+        receiver.close()
+        sa.close()
+
+    def test_header_cut_at_the_buffers_end_is_read_on(self):
+        # a 65533-byte POSTSELECT_MASK and 3 bytes of the next header fill
+        # the first buffer to its last byte; the header's other 2 bytes
+        # need room that the buffer must make before it reads again
+        sa, sb = socket.socketpair()
+        receiver = proto.StreamTransport(sb, TIMEOUT_S)
+        frames = [Frame(MsgType.POSTSELECT_MASK, np.arange(16381)),
+                  Frame(MsgType.QBER_REPORT, 0.25)]
+        data = [encode_frame(f) for f in frames]
+        assert len(data[0]) + 3 == proto._RECV_BUFFER
+        sa.sendall(b"".join(data))
+        got = [receiver.recv_frame(), receiver.recv_frame()]
+        assert [encode_frame(f) for f in got] == data
+        receiver.close()
+        sa.close()
+
+    def test_received_values_outlive_the_next_read(self):
+        # each decoded value is a copy: the next frame, read into the same
+        # bytes of the buffer, leaves it as it was
+        sa, sb = socket.socketpair()
+        receiver = proto.StreamTransport(sb, TIMEOUT_S)
+        overwrite = encode_frame(Frame(MsgType.POSTSELECT_MASK,
+                                       np.full(16, 2 ** 32 - 1)))
+        for frame, _ in _PINNED_FRAMES:
+            sa.sendall(encode_frame(frame))
+            got = receiver.recv_frame()
+            sa.sendall(overwrite)
+            receiver.recv_frame()
+            assert encode_frame(got) == encode_frame(frame), frame.msg_type
+        receiver.close()
+        sa.close()
+
+    @pytest.mark.parametrize("sent", [0, 100_000])
+    def test_buffer_grows_only_with_bytes_that_arrive(self, sent):
+        # a PARITY_REQ header at a default block's bound (~8 MB) passes its
+        # check; a peer that then sends little or nothing cannot make the
+        # receiver hold the 8 MB it announced
+        sa, sb = socket.socketpair()
+        receiver = proto.StreamTransport(sb, 0.3)
+        n_pulses = SystemConfig().block_size_pulses
+        length = 12 + 8 * n_pulses
+        sa.sendall(struct.pack(">IB", length, MsgType.PARITY_REQ)
+                   + bytes(sent))
+        with pytest.raises(SessionFailed) as exc:
+            receiver.recv_frame(n_pulses)
+        assert exc.value.reason is AbortReason.TIMEOUT
+        assert len(receiver._buf) <= max(proto._RECV_BUFFER, 2 * sent)
+        receiver.close()
+        sa.close()
+
+    def test_frame_in_three_byte_pieces_arrives_whole(self):
+        sa, sb = socket.socketpair()
+        counted = _CountingSocket(sb)
+        receiver = proto.StreamTransport(counted, TIMEOUT_S)
+        frame = Frame(MsgType.POSTSELECT_MASK, np.arange(0, 40, 3))
+        data = encode_frame(frame)
+
+        def trickle():
+            for i in range(0, len(data), 3):
+                sa.sendall(data[i:i + 3])
+                time.sleep(0.005)
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        try:
+            got = receiver.recv_frame()
+        finally:
+            t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert encode_frame(got) == data
+        assert 1 < counted.reads <= math.ceil(len(data) / 3)
+        # the later reads waited only what was left of the frame's
+        # deadline; sendall's timeout is the full one again
+        assert receiver.sock.gettimeout() == TIMEOUT_S
+        receiver.close()
+        sa.close()
+
+    def test_oversized_header_refused_within_one_buffer(self):
+        # a POSTSELECT_MASK header one position past what the block can
+        # keep, ~4 buffers' worth, and all of that payload behind it: a
+        # receiver that awaited the payload before the check would read it
+        sa, sb = socket.socketpair()
+        counted = _CountingSocket(sb)
+        receiver = proto.StreamTransport(counted, TIMEOUT_S)
+        n_pulses = proto._RECV_BUFFER
+        body = bytes(4 + 4 * (n_pulses + 1))
+        header = struct.pack(">IB", 4 + 4 * (n_pulses + 1),
+                             MsgType.POSTSELECT_MASK)
+
+        def flood():
+            try:
+                sa.sendall(header + body)
+            except OSError:
+                pass   # the receiver hung up first
+
+        t = threading.Thread(target=flood)
+        t.start()
+        try:
+            with pytest.raises(FrameDecodeError):
+                receiver.recv_frame(n_pulses)
+            assert 0 < counted.bytes_read <= proto._RECV_BUFFER
+            assert len(receiver._buf) == proto._RECV_BUFFER
+        finally:
+            receiver.close()
+            t.join(timeout=5.0)
+            sa.close()
+        assert not t.is_alive()
+
+    def test_transcripts_follow_each_ends_event_order(self, tmp_path):
+        paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
+        sa, sb = socket.socketpair()
+        ends = (_EventLog(sa, TIMEOUT_S, paths[0]),
+                _EventLog(sb, TIMEOUT_S, paths[1]))
+        out = run_pair(SystemConfig(), transports=ends)
+        assert np.array_equal(out[Role.ALICE].key_bits,
+                              out[Role.BOB].key_bits)
+        for end, path in zip(ends, paths):
+            assert (_transcript_frames(path.read_bytes())
+                    == [data for _, data in end.events])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # one end sends what the other receives
+        flip = {"sent": "received", "received": "sent"}
+        assert ends[0].events == [(flip[d], data) for d, data in ends[1].events]
+
+    def test_transcripts_match_pinned_digests(self, tmp_path):
+        # a change to the wire on purpose updates the digest file
+        pinned = dict(reversed(line.split()) for line in
+                      PINNED_TRANSCRIPTS.read_text(encoding="utf-8")
+                      .splitlines())
+        assert list(pinned) == [f"block{b}.bin" for b in range(3)]
+        for b in range(3):
+            paths = (tmp_path / f"alice{b}.bin", tmp_path / f"bob{b}.bin")
+            run_pair(SystemConfig(), block_id=b,
+                     transports=loopback_pair(transcripts=paths))
+            for path in paths:
+                got = hashlib.sha256(path.read_bytes()).hexdigest()
+                assert got == pinned[f"block{b}.bin"], path.name
+
+    def test_reads_and_timeouts_per_session(self):
+        # one read per received frame, but for the extra reads of Bob's
+        # POSTSELECT_MASK (~100 KB, past the first buffer); settimeout only
+        # for a read past a frame's first, and once after it
+        sa, sb = socket.socketpair()
+        socks = (_CountingSocket(sa), _CountingSocket(sb))
+        ends = [_EventLog(s, TIMEOUT_S) for s in socks]
+        for s in socks:
+            s.timeouts = 0   # the constructor's own call
+        out = run_pair(SystemConfig(), transports=ends)
+        assert np.array_equal(out[Role.ALICE].key_bits,
+                              out[Role.BOB].key_bits)
+        received = [sum(d == "received" for d, _ in e.events) for e in ends]
+        assert received[0] > 50 and received[1] > 50
+        alice, bob = socks
+        assert alice.reads <= received[0] + self.MAX_EXTRA_READS
+        assert bob.reads <= received[1] + self.MAX_EXTRA_READS
+        for s in socks:
+            assert s.timeouts <= 2 * self.MAX_EXTRA_READS
 
 
 class TestRoundTrips:
