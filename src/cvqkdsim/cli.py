@@ -134,8 +134,10 @@ def _run_link(cfg, args) -> int:
         raise ConfigError(f"--timeout must be > 0 and at most "
                           f"{threading.TIMEOUT_MAX:.0f} s, "
                           f"got {args.timeout!r}")
-    if args.block_id < 0:
-        raise ConfigError(f"--block-id must be >= 0, got {args.block_id}")
+    # a HELLO carries the block id as a u64
+    if not 0 <= args.block_id < 2 ** 64:
+        raise ConfigError(f"--block-id must be >= 0 and below 2**64, "
+                          f"got {args.block_id}")
     # a path that cannot be written fails here, not after the peer has
     # spent a block on the session
     _check_writable("--key-out", args.key_out)

@@ -9,11 +9,11 @@ each sizes the final key from values both ends hold.  A block draws only
 what the chain reads: the pulses that pass post-selection
 (physics.KeptPulses), ~2.5 % of a default block, each as its class and
 tail (Bob's bit) in one byte each, and the block's signal variance from
-per-class statistics.  The kept pulses' positions are drawn only where a
-link carries them: Bob's end of the wire, and Alice's, which checks them
-against her own block; in process no end reads them.  run_chain() distills a
-block into a BlockResult, which distill_block() returns in process for the
-experiment runners and protocol.run_session() over the wire.
+per-class statistics.  The kept pulses' positions are drawn only at Bob's
+end of the wire, which sends them; no other end reads them.  run_chain()
+distills a block into a BlockResult, which distill_block() returns in
+process for the experiment runners and protocol.run_session() over the
+wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
@@ -30,8 +30,8 @@ to reconcile, or if Cascade leaves the two strings unequal: the key
 confirmation tags, rows of the privacy-amplification product past the
 key's, then differ.  A malformed frame from the peer ends both ends in
 SessionFailed with matching AbortReasons, and so does a frame that does
-not fit this end's own block, as SAMPLE_BITS does not when the two ends'
-configs draw samples of different sizes.
+not fit this end's own block.  A peer on another config never reaches the
+chain: run_session's handshake refuses it first.
 """
 
 from __future__ import annotations
@@ -177,11 +177,12 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     arithmetic; Cascade still corrects the real errors.
     """
     # Bob announces the kept pulses first; from here on, indices count them.
-    kept = link.from_bob("POSTSELECT_MASK", lambda: batch.position,
-                         batch.n_signal)
-    if not link.bob and not np.array_equal(kept, batch.position):
-        raise link.fail("UNEXPECTED_MESSAGE", "kept pulses differ from block")
+    # Alice's check holds them to her count, order and range, but never to
+    # her block's own: a wire session's handshake has checked that both
+    # ends simulate the same block.
     n_post = batch.bob_bit.size
+    link.from_bob("POSTSELECT_MASK", lambda: batch.position,
+                  (batch.n_signal, n_post))
     p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.

@@ -18,19 +18,32 @@ count needs.  The quantum exchange itself is simulated locally on both
 endpoints from the shared config seed, so no quantum data travels over
 this channel.
 
-Bob's frames come first: POSTSELECT_MASK 0x02, the kept pulses' positions
-among the signal pulses as a u32 count, then that many strictly ascending
-u32 positions; and BASIS_ANNOUNCE 0x01, their quadratures.  No frame
-carries what the shared seed fixes: each end draws the disclosed error
-sample, Cascade's permutations and the Toeplitz seed, and sizes the final
-key, on its own.  Type bytes 0x03 and 0x08 are unassigned, so a frame of
-either is an unknown type.
+Each session opens with a HELLO 0x0B from each end, Alice's first: a u16
+protocol version, the u64 block id, the SHA-256 of dump_config(cfg) and
+a stream fingerprint, the SHA-256 of one small fixed-seed draw of each
+numpy Generator method a block makes (NEP 19 lets a numpy release change
+what one draws).  Bob checks Alice's before he sends his own, and Alice
+checks his before anything else; any difference ends both ends in
+CONFIG_MISMATCH at the first frame.  So two ends that go on simulate the
+same block, and no later frame is checked against the receiver's own copy
+of it.
 
-Bob sends his two opening frames back to back.  Under Nagle's algorithm
-the second waits until the peer acknowledges the first, and the peer
-delays that ACK (~40 ms on Linux) because it has nothing to send back
-yet.  A TCP StreamTransport therefore sets TCP_NODELAY and every frame
-leaves when it is written; an AF_UNIX socket has no such delay.
+Bob's frames come next: POSTSELECT_MASK 0x02, the kept pulses' positions
+among the signal pulses as a u32 count, then that many strictly ascending
+u32 positions; and BASIS_ANNOUNCE 0x01, their quadratures.  Alice never
+reads the positions: she checks only that they ascend, lie below the
+block's signal count and number as many as her block keeps, so she does
+not draw them.  No frame carries what the shared seed fixes: each end
+draws the disclosed error sample, Cascade's permutations and the Toeplitz
+seed, and sizes the final key, on its own.  Type bytes 0x03 and 0x08 are
+unassigned, so a frame of either is an unknown type.
+
+Bob sends his HELLO and his two opening frames back to back.  Under
+Nagle's algorithm each frame after the first waits until the peer
+acknowledges the one before, and the peer delays that ACK (~40 ms on
+Linux) because it has nothing to send back yet.  A TCP StreamTransport
+therefore sets TCP_NODELAY and every frame leaves when it is written; an
+AF_UNIX socket has no such delay.
 
 A StreamTransport receives into one buffer that it keeps for the life of
 its connection: a frame that has arrived whole costs one `recv_into` and
@@ -54,10 +67,11 @@ rows of the Toeplitz product past the key's.  No digest of the key is
 sent.  If the tags differ, both ends keep a 0-bit key and the session
 goes on, as it does in process.
 
-run_session() is pipeline.run_chain over a WireLink and returns its
-BlockResult, as distill_block() does in process.  Every protocol step,
-Cascade's parity exchange and key confirmation included, is a step of
-run_chain; a WireLink only carries values.
+run_session() is the handshake, then pipeline.run_chain over a WireLink,
+and returns run_chain's BlockResult, as distill_block() does in process.
+Every protocol step after the handshake, Cascade's parity exchange and
+key confirmation included, is a step of run_chain; a WireLink only
+carries values.
 A malformed, out-of-range, out-of-order or missing frame ends both
 endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
@@ -70,13 +84,17 @@ expires, which for `run-link` is 30 s by default.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 import socket
 import struct
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .config import dump_config
 from .physics import CalibrationError
 from .pipeline import BlockResult, run_chain, simulate_quantum_exchange
 from .postprocess import CONFIRM_TAG_BITS
@@ -85,6 +103,7 @@ __all__ = [
     "MsgType",
     "AbortReason",
     "Frame",
+    "Hello",
     "ProtocolError",
     "FrameDecodeError",
     "SessionFailed",
@@ -94,12 +113,14 @@ __all__ = [
     "loopback_pair",
     "encode_frame",
     "decode_frame",
+    "stream_fingerprint",
     "run_session",
 ]
 
 MAX_PAYLOAD = 2 ** 32 - 1
 _HEADER = struct.Struct(">IB")   # payload length, message type
 DEFAULT_TIMEOUT_S = 30.0
+PROTOCOL_VERSION = 1
 _RECV_BUFFER = 1 << 16   # a transport's receive buffer until a frame needs more
 
 
@@ -112,6 +133,7 @@ class MsgType(enum.IntEnum):
     PARITY_RSP = 0x07
     KEY_CONFIRM = 0x09
     ABORT = 0x0A
+    HELLO = 0x0B
 
 
 class AbortReason(enum.IntEnum):
@@ -121,6 +143,7 @@ class AbortReason(enum.IntEnum):
     KEY_MISMATCH = 4        # reserved; no end sends it
     CALIBRATION_FAILED = 5
     TRANSPORT_CLOSED = 6
+    CONFIG_MISMATCH = 7
 
 
 class ProtocolError(RuntimeError):
@@ -190,9 +213,12 @@ def _decode_ranges(payload) -> tuple:
     return int(words[0]), words[2:2 + count], words[3 + count:]
 
 
-def _ascending_below(idx, bound) -> bool:
-    """Whether `idx` ascends strictly, each index below `bound`."""
-    return not idx.size or (idx[-1] < bound and np.all(np.diff(idx) > 0))
+def _kept_positions_fit(idx, bound) -> bool:
+    """Whether `idx` holds `n_post` strictly ascending positions, each below
+    `n_signal`, for `bound` = (n_signal, n_post)."""
+    n_signal, n_post = bound
+    return idx.size == n_post and (
+        not n_post or (idx[-1] < n_signal and np.all(np.diff(idx) > 0)))
 
 
 def _ranges_fit(value, perms) -> bool:
@@ -200,6 +226,76 @@ def _ranges_fit(value, perms) -> bool:
     pass_index, starts, ends = value
     return (pass_index < perms.passes and starts.size == ends.size
             and (starts < ends).all() and (ends <= perms.n).all())
+
+
+class Hello(NamedTuple):
+    """What a HELLO carries; the two ends' must be equal."""
+
+    version: int
+    block_id: int
+    config_digest: bytes        # SHA-256 of dump_config(cfg)
+    stream_fingerprint: bytes   # stream_fingerprint()
+
+
+_HELLO = struct.Struct(">HQ32s32s")
+
+
+def _encode_hello(hello) -> bytes:
+    # the digests are joined as they are: one of another length makes a
+    # payload that the row's size refuses, where a struct would cut or pad it
+    return struct.pack(">HQ", *hello[:2]) + b"".join(hello[2:])
+
+
+# One small draw of each numpy Generator method a block makes, in the form
+# it makes it; NEP 19 lets a numpy release change any of these streams.
+_STREAM_DRAWS = {
+    "multinomial": lambda rng: rng.multinomial([900, 40],
+                                               [[0.1, 0.2, 0.7]] * 2),
+    "chisquare": lambda rng: rng.chisquare(999.0, 4),
+    "standard_normal": lambda rng: rng.standard_normal(4),
+    # shapes below and above 1 take different algorithms
+    "standard_gamma": lambda rng: rng.standard_gamma([0.5, 2.0, 500.0]),
+    "permutation": lambda rng: rng.permutation(64),
+    # Bob's kept positions, unshuffled; a disclosure sample, shuffled
+    "choice": lambda rng: np.hstack([
+        rng.choice(20_000, 500, replace=False, shuffle=False),
+        rng.choice(20_000, 100, replace=False)]),
+    "integers": lambda rng: rng.integers(0, 2, 64, dtype=np.uint8),
+    # pipeline.derive_seed, which seeds every stream of a block
+    "SeedSequence": lambda rng: np.random.SeedSequence(
+        (1, 2, 3)).generate_state(1, dtype=np.uint64),
+}
+
+
+@functools.cache
+def stream_fingerprint() -> bytes:
+    """SHA-256 of every `_STREAM_DRAWS` draw, each from a generator seeded
+    0, its values as little-endian 8-byte words: two numpy releases whose
+    block streams agree give equal fingerprints.  Computed once per
+    process."""
+    import hashlib   # ~3 ms to import, which only a session pays
+
+    h = hashlib.sha256()
+    for name, draw in _STREAM_DRAWS.items():
+        values = np.asarray(draw(np.random.default_rng(0)))
+        h.update(name.encode())
+        h.update(values.astype("<f8" if values.dtype.kind == "f"
+                               else "<i8").tobytes())
+    return h.digest()
+
+
+@functools.lru_cache(maxsize=16)
+def _config_digest(cfg) -> bytes:
+    """SHA-256 of dump_config(cfg), once per config: a dump takes ~0.5 ms."""
+    import hashlib   # ~3 ms to import, which only a session pays
+
+    return hashlib.sha256(dump_config(cfg).encode()).digest()
+
+
+def _hello(cfg, block_id: int) -> Hello:
+    """This end's HELLO for block `block_id` on `cfg`."""
+    return Hello(PROTOCOL_VERSION, block_id, _config_digest(cfg),
+                 stream_fingerprint())
 
 
 # a bit field, bounded by its bit count; it arrives padded with zeros to
@@ -221,7 +317,8 @@ _BITS_ROW = (
 _CODEC = {
     MsgType.BASIS_ANNOUNCE: _BITS_ROW,
     MsgType.POSTSELECT_MASK: (_encode_indices, _decode_indices,
-                              lambda n: 4 + 4 * n, _passes(_ascending_below)),
+                              lambda n: 4 + 4 * n,
+                              _passes(_kept_positions_fit)),
     MsgType.SAMPLE_BITS: _BITS_ROW,
     MsgType.QBER_REPORT: _struct_row(
         ">d", _passes(lambda q, _: 0.0 <= q <= 1.0), float),
@@ -231,6 +328,9 @@ _CODEC = {
     # a tag of any other length is refused at the header
     MsgType.KEY_CONFIRM: (*_BITS_ROW[:2], CONFIRM_TAG_BITS // 8, _BITS_ROW[3]),
     MsgType.ABORT: _struct_row(">H", None, AbortReason),   # ends a session
+    # the peer's must equal this end's own
+    MsgType.HELLO: (_encode_hello, lambda p: Hello(*_HELLO.unpack(p)),
+                    _HELLO.size, _passes(operator.eq)),
 }
 
 # a MsgType by its type byte and by its name, without an enum call per frame
@@ -452,6 +552,21 @@ class WireLink:
                             f"expected {msg_type.name}, got {frame.msg_type.name}")
         return frame
 
+    def handshake(self, hello: Hello) -> None:
+        """Alice's HELLO, then Bob's: each end checks the peer's against
+        its own before it sends anything more, and any difference ends
+        both ends in CONFIG_MISMATCH."""
+        if self.alice:
+            self.send(Frame(MsgType.HELLO, hello))
+        peer = self.expect(MsgType.HELLO).value
+        if _CODEC[MsgType.HELLO][3](peer, hello) is None:
+            differ = [name for name, own, theirs
+                      in zip(Hello._fields, hello, peer) if own != theirs]
+            raise self.fail(AbortReason.CONFIG_MISMATCH,
+                            f"HELLO differs in {', '.join(differ)}")
+        if self.bob:
+            self.send(Frame(MsgType.HELLO, hello))
+
     def from_alice(self, kind: str, make, bound=None):
         return self._carry(self.alice, _BY_NAME[kind], make, bound)
 
@@ -474,14 +589,17 @@ def run_session(role: Role, transport: StreamTransport, cfg,
                 block_id: int = 0) -> BlockResult:
     """Drive one key-distillation block end to end over `transport`.
 
-    Both endpoints reconstruct the quantum exchange from the shared config
-    seed, then run pipeline.run_chain over a WireLink and return its
-    BlockResult.  Raises SessionFailed (after emitting ABORT) on any
-    protocol violation.  On return both ends hold the same key, but for a
+    The two ends exchange HELLOs, then each reconstructs the quantum
+    exchange from the shared config seed, runs pipeline.run_chain over a
+    WireLink and returns its BlockResult.  Raises SessionFailed (after
+    emitting ABORT) on any protocol violation, and with CONFIG_MISMATCH if
+    the peer is on another config, block, protocol version or numpy
+    stream.  On return both ends hold the same key, but for a
     2**-32 chance that unequal strings give equal KEY_CONFIRM tags; where
     the tags differ, that key has 0 bits.
     """
     link = WireLink(role, transport, cfg.block_size_pulses)
+    link.handshake(_hello(cfg, block_id))
     try:
         batch = simulate_quantum_exchange(cfg, block_id,
                                           cfg.drift.mean_state())

@@ -156,6 +156,9 @@ class TestExitCodes:
         # a variance point is one block: 2**31 or more signal pulses are
         # too many to index
         (["exp-variance", "--time-scale", "0.5"], "time_scale"),
+        # a block id past the u64 a HELLO carries
+        (["run-link", "--role", "bob", "--listen", "127.0.0.1:0",
+          "--block-id", str(2 ** 64)], "--block-id"),
     ])
     def test_non_finite_argument_is_an_error(self, argv, name, capsys):
         # rejected with the argument named; all but a toggle count before

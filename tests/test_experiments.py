@@ -8,6 +8,7 @@ import pytest
 from cvqkdsim import experiments as ex
 from cvqkdsim.config import SystemConfig
 from cvqkdsim.physics import DriftParams
+from cvqkdsim.protocol import stream_fingerprint
 
 
 def fast_cfg(**kwargs) -> SystemConfig:
@@ -218,7 +219,9 @@ def test_outputs_match_pinned_digests():
     assert pinned.keys() == PINNED_RUNS.keys()
     for name, run in PINNED_RUNS.items():
         got = hashlib.sha256(run(SystemConfig()).encode()).hexdigest()
-        # NEP 19 lets a numpy release change what a Generator draws
+        # NEP 19 lets a numpy release change what a Generator draws, and
+        # with it the stream fingerprint
         assert got == pinned[name], (
             f"{name} differs from {PINNED_DIGESTS.name} under numpy "
-            f"{np.__version__}")
+            f"{np.__version__}, stream fingerprint "
+            f"{stream_fingerprint().hex()}")

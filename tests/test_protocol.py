@@ -4,7 +4,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqkdsim import config
 from cvqkdsim import postprocess as pp
 from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
-from cvqkdsim.physics import DriftState, PulseBatch
+from cvqkdsim.physics import DriftState, KeptPulses, PulseBatch
 from cvqkdsim.pipeline import (
     SEED_TAG_SAMPLE,
     LocalLink,
@@ -120,18 +121,21 @@ def run_pair_timed(cfg):
     return out, time.monotonic() - start
 
 
-def run_pair(cfg, transports=None, bob_cfg=None, **kwargs):
-    """Drive both roles over a loopback pair, Bob on `bob_cfg` if given;
-    returns {role: result|exception}."""
+def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
+             bob_block_id=None):
+    """Drive both roles over a loopback pair, Bob on `bob_cfg` and block
+    `bob_block_id` if given; returns {role: result|exception}."""
     if transports is None:
         transports = loopback_pair()
     ta, tb = transports
-    cfgs = {Role.ALICE: cfg, Role.BOB: bob_cfg or cfg}
+    args = {Role.ALICE: (cfg, block_id),
+            Role.BOB: (bob_cfg or cfg,
+                       block_id if bob_block_id is None else bob_block_id)}
     out = {}
 
     def go(role, transport):
         try:
-            out[role] = run_session(role, transport, cfgs[role], **kwargs)
+            out[role] = run_session(role, transport, *args[role])
         except SessionFailed as exc:
             out[role] = exc
         finally:
@@ -179,6 +183,10 @@ _frame_strategies = st.one_of(
                        max_size=pp.CONFIRM_TAG_BITS)),
     st.builds(lambda r: Frame(MsgType.ABORT, r),
               st.sampled_from([int(r) for r in AbortReason])),
+    st.builds(lambda *values: Frame(MsgType.HELLO, proto.Hello(*values)),
+              st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 64 - 1),
+              st.binary(min_size=32, max_size=32),
+              st.binary(min_size=32, max_size=32)),
 )
 
 
@@ -206,17 +214,26 @@ _PINNED_FRAMES = [
         [0x3f, 0x88, 0x7d, 0xc8], dtype=np.uint8))),
      "00000004 09 3f887dc8"),
     (Frame(MsgType.ABORT, AbortReason.TIMEOUT), "00000002 0a 0003"),
+    # version 1, block 7, then the config digest and the stream fingerprint
+    (Frame(MsgType.HELLO, proto.Hello(1, 7, bytes(range(32)),
+                                      bytes(range(32, 64)))),
+     "0000004a 0b 0001 0000000000000007 " + bytes(range(64)).hex()),
 ]
 
-# (type, the bound run_chain gives it, a value at that bound, one just
-# past it), for every type the chain receives.  A bit field arrives
+# (type, the bound the receiver gives it, a value at that bound, one just
+# past it), for every type a session receives.  A bit field arrives
 # padded to whole bytes, so the first bit count past a bound of 10 is 17.
+# The kept positions' bound is (signal pulses, pulses kept).
 _PERMS = pp.CascadePermutations(50, 4, 0)
+_OWN_HELLO = proto._hello(SystemConfig(), 0)
 _CHECKS = [
     (MsgType.BASIS_ANNOUNCE, 10, np.ones(10, np.uint8), np.ones(17, np.uint8)),
-    (MsgType.POSTSELECT_MASK, 16, np.array([0, 15]), np.array([0, 16])),
+    (MsgType.POSTSELECT_MASK, (16, 2), np.array([0, 15]), np.array([0, 16])),
+    (MsgType.POSTSELECT_MASK, (16, 2), np.array([0, 15]),
+     np.array([0, 1, 15])),
     # a block may keep no pulse
-    (MsgType.POSTSELECT_MASK, 0, np.array([], np.int64), np.array([0])),
+    (MsgType.POSTSELECT_MASK, (16, 0), np.array([], np.int64),
+     np.array([0])),
     (MsgType.SAMPLE_BITS, 8, np.ones(8, np.uint8), np.ones(9, np.uint8)),
     (MsgType.QBER_REPORT, None, 0.0, np.nextafter(0.0, -1.0)),
     (MsgType.QBER_REPORT, None, 1.0, np.nextafter(1.0, 2.0)),
@@ -229,6 +246,11 @@ _CHECKS = [
     (MsgType.KEY_CONFIRM, pp.CONFIRM_TAG_BITS,
      np.ones(pp.CONFIRM_TAG_BITS, np.uint8),
      np.ones(pp.CONFIRM_TAG_BITS + 1, np.uint8)),
+    # this end's own HELLO is the bound; a 33-byte digest is refused at
+    # the header, another block at the check
+    (MsgType.HELLO, _OWN_HELLO, _OWN_HELLO,
+     _OWN_HELLO._replace(config_digest=_OWN_HELLO.config_digest + b"\0")),
+    (MsgType.HELLO, _OWN_HELLO, _OWN_HELLO, _OWN_HELLO._replace(block_id=1)),
 ]
 
 
@@ -319,7 +341,7 @@ class TestFraming:
                 encode_frame(Frame(MsgType.KEY_CONFIRM, tag))
 
     def test_each_check_takes_its_bound_and_refuses_past_it(self):
-        # a type the chain receives cannot ship without a check here;
+        # a type a session receives cannot ship without a check here;
         # ABORT ends a session and is never checked
         assert ({t for t, *_ in _CHECKS}
                 == set(proto._CODEC) - {MsgType.ABORT})
@@ -395,6 +417,7 @@ class TestSession:
                                                    tmp_path):
         # every protocol step runs in run_chain, so the in-process link
         # passes exactly the frames the wire carries, in the same order
+        # but for the two HELLOs that open a session
         paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
         run_pair(cfg, transports=loopback_pair(transcripts=paths),
                  block_id=block_id)
@@ -404,7 +427,9 @@ class TestSession:
                   link)
         wire = paths[0].read_bytes()
         assert paths[1].read_bytes() == wire
-        assert b"".join(link.frames) == wire
+        hello = encode_frame(Frame(MsgType.HELLO,
+                                   proto._hello(cfg, block_id)))
+        assert 2 * hello + b"".join(link.frames) == wire
 
     def test_peer_on_another_sample_fraction_fails_both_ends(self):
         # Alice's own config keys block 0 at 397 bits; a Bob that draws a
@@ -417,8 +442,37 @@ class TestSession:
         elapsed = time.monotonic() - start
         for role in (Role.ALICE, Role.BOB):
             assert isinstance(out[role], SessionFailed), role
-            assert out[role].reason == AbortReason.UNEXPECTED_MESSAGE, role
+            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
         assert elapsed < TIMEOUT_S / 2
+
+    def test_alice_draws_no_kept_position(self, monkeypatch):
+        # drawing the positions takes ~0.7 ms of a default block; only Bob,
+        # who sends them, reads them, so Alice's block may not have them
+        cfg = keyed_cfg()
+        alice_cfg = replace(cfg)   # equal, but Alice's own object
+        simulate = proto.simulate_quantum_exchange
+
+        class NoPositions(KeptPulses):
+            @property
+            def position(self):
+                raise AssertionError("Alice read a kept position")
+
+        def simulate_for(end_cfg, block_id, drift):
+            batch = simulate(end_cfg, block_id, drift)
+            if end_cfg is not alice_cfg:
+                return batch
+            return NoPositions(*(getattr(batch, f.name)
+                                 for f in fields(batch)))
+
+        monkeypatch.setattr(proto, "simulate_quantum_exchange", simulate_for)
+        out = run_pair(alice_cfg, bob_cfg=cfg,
+                       transports=loopback_pair(timeout_s=TIMEOUT_S))
+        local = distill_block(cfg, 0, mean_drift(cfg))
+        assert local.key_bits.size > 0
+        for role in (Role.ALICE, Role.BOB):
+            assert not isinstance(out[role], BaseException), out[role]
+            assert out[role].report == local.report, role
+            assert np.array_equal(out[role].key_bits, local.key_bits), role
 
     def test_blocks_differ_by_id(self):
         cfg = noiseless_cfg()
@@ -566,8 +620,10 @@ class TestFaultInjection:
 
         t = threading.Thread(target=bob)
         t.start()
-        # consume Bob's opening frames, then answer out of order
-        for _ in range(2):
+        # open the session, consume Bob's HELLO and opening frames, then
+        # answer out of order
+        ta.send_frame(Frame(MsgType.HELLO, proto._hello(cfg, 0)))
+        for _ in range(3):
             ta.recv_frame()
         ta.send_frame(Frame(MsgType.QBER_REPORT, 0.1))
         abort = ta.recv_frame()
@@ -586,18 +642,14 @@ class TestFaultInjection:
         (Role.BOB, MsgType.BASIS_ANNOUNCE,
          lambda f, sent, n_kept: replace(f, value=np.append(
              f.value, np.ones(-f.value.size % 8, dtype=np.uint8)))),
-        # all but the last of the pulses Alice's block kept
+        # one pulse fewer than Alice's block keeps
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=f.value[:-1])),
-        # as many pulses kept, but each one pulse later than Alice's block
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=f.value + 1)),
-        # the pulses Alice's block kept, and the first one it did not
+        # one pulse more: those Alice's block kept, and the first it did not
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(f, value=np.union1d(
              f.value, np.setdiff1d(np.arange(f.value.size + 1), f.value)[0]))),
-        # positions the kept-pulse check refuses before Alice compares
-        # them with her block
+        # as many positions, but not ascending or not below n_signal
         (Role.BOB, MsgType.POSTSELECT_MASK,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value[:-1], 10 ** 9))),
@@ -633,7 +685,7 @@ class TestFaultInjection:
         (Role.BOB, MsgType.PARITY_RSP,
          lambda f, sent, n_kept: replace(
              f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
-    ], ids=["basis-short", "basis-padded-1s", "mask-short", "mask-moved", "mask-extra",
+    ], ids=["basis-short", "basis-padded-1s", "mask-short", "mask-extra",
             "index-1e9", "indices-unsorted", "index-repeated",
             "index-past-signal", "sample-bits-8",
             "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
@@ -660,6 +712,28 @@ class TestFaultInjection:
         # the receiver rejects the tampered frame itself, not a later one
         assert tamperer.received_after == [MsgType.ABORT]
         assert elapsed < TIMEOUT_S / 2
+
+    def test_moved_kept_positions_leave_the_keys_as_they_are(self):
+        # as many well-formed positions as Alice's block keeps, each one
+        # pulse earlier: Alice checks their number and order, never reads
+        # them, and both ends return the untampered block's key
+        cfg = keyed_cfg()
+        sa, sb = socket.socketpair()
+        bob = _TamperingTransport(
+            sb, TIMEOUT_S, MsgType.POSTSELECT_MASK,
+            lambda f, sent: replace(f, value=f.value - 1))
+        out = run_pair(cfg, transports=(
+            proto.StreamTransport(sa, TIMEOUT_S), bob))
+        moved = next(f.value for f in bob.sent
+                     if f.msg_type == MsgType.POSTSELECT_MASK)
+        local = distill_block(cfg, 0, mean_drift(cfg))
+        assert moved.tolist() == (simulate_quantum_exchange(
+            cfg, 0, mean_drift(cfg)).position - 1).tolist()
+        assert local.key_bits.size > 0
+        for role in (Role.ALICE, Role.BOB):
+            assert not isinstance(out[role], SessionFailed), out[role]
+            assert out[role].report == local.report, role
+            assert np.array_equal(out[role].key_bits, local.key_bits), role
 
     def test_endless_parity_requests_abort_both_ends(self, monkeypatch):
         # an Alice that asks for the same parity again and again
@@ -757,8 +831,10 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("sender, msg_type, reason", [
         # the next frame arrives in the dropped one's place
+        (Role.BOB, MsgType.HELLO, AbortReason.UNEXPECTED_MESSAGE),
         (Role.BOB, MsgType.POSTSELECT_MASK, AbortReason.UNEXPECTED_MESSAGE),
         # both ends wait on each other
+        (Role.ALICE, MsgType.HELLO, AbortReason.TIMEOUT),
         (Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.TIMEOUT),
         (Role.BOB, MsgType.QBER_REPORT, AbortReason.TIMEOUT),
         (Role.BOB, MsgType.PARITY_RSP, AbortReason.TIMEOUT),
@@ -926,11 +1002,12 @@ PINNED_TRANSCRIPTS = Path(__file__).with_name("transcript_outputs.sha256")
 
 
 class TestReceivePath:
-    # default blocks 0-2 over a socket pair: Alice received 53/85/61 frames
-    # in 54/86/62 reads, with 2 settimeout calls (the positions frame's
-    # second read and the reset after it), and Bob 52/84/60 in as many
-    # reads, with none.  Reading header and payload apart took 2 reads and
-    # 3 settimeout calls per frame.
+    # default blocks 0-2 over a socket pair: Alice received 54/86/62 frames,
+    # Bob's HELLO among them, in 55/87/63 reads, with 2 settimeout calls
+    # (the positions frame's second read and the reset after it), and Bob
+    # 53/85/61, Alice's HELLO among them, in as many reads, with none.
+    # Reading header and payload apart took 2 reads and 3 settimeout calls
+    # per frame.
     MAX_EXTRA_READS = 4
 
     def test_two_frames_in_one_write_come_back_in_order(self):
@@ -1071,6 +1148,10 @@ class TestReceivePath:
         # one end sends what the other receives
         flip = {"sent": "received", "received": "sent"}
         assert ends[0].events == [(flip[d], data) for d, data in ends[1].events]
+        # two HELLOs open the session, Alice's first, and no other follows
+        assert [(d, data[4]) for d, data in ends[0].events[:2]] == [
+            ("sent", MsgType.HELLO), ("received", MsgType.HELLO)]
+        assert sum(data[4] == MsgType.HELLO for _, data in ends[0].events) == 2
 
     def test_transcripts_match_pinned_digests(self, tmp_path):
         # a change to the wire on purpose updates the digest file
@@ -1084,7 +1165,11 @@ class TestReceivePath:
                      transports=loopback_pair(transcripts=paths))
             for path in paths:
                 got = hashlib.sha256(path.read_bytes()).hexdigest()
-                assert got == pinned[f"block{b}.bin"], path.name
+                # a HELLO carries the stream fingerprint, which a numpy
+                # release that draws otherwise changes (NEP 19)
+                assert got == pinned[f"block{b}.bin"], (
+                    f"{path.name} under numpy {np.__version__}, stream "
+                    f"fingerprint {proto.stream_fingerprint().hex()}")
 
     def test_reads_and_timeouts_per_session(self):
         # one read per received frame, but for the extra reads of Bob's
@@ -1141,11 +1226,106 @@ class TestRoundTrips:
             bob = _TamperingTransport(sb, 5.0, MsgType.BASIS_ANNOUNCE, None)
             run_pair(cfg, block_id=block_id,
                      transports=(proto.StreamTransport(sa, 5.0), bob))
-            kept, basis = bob.sent[:2]
+            hello, kept, basis = bob.sent[:3]
+            assert hello.msg_type == MsgType.HELLO
+            assert len(encode_frame(hello)) == 5 + 74
             assert kept.msg_type == MsgType.POSTSELECT_MASK
             assert basis.msg_type == MsgType.BASIS_ANNOUNCE
             n_post = reference_estimation(cfg, block_id)[1].kept_indices.size
             assert len(encode_frame(kept)) == 5 + 4 + 4 * n_post
             assert len(encode_frame(basis)) == 5 + math.ceil(n_post / 8)
-            sent = sum(len(encode_frame(f)) for f in bob.sent)
+            # the chain's frames, after the HELLO
+            sent = sum(len(encode_frame(f)) for f in bob.sent[1:])
             assert sent <= self.MAX_BOB_BYTES, block_id
+
+
+# what stream_fingerprint() gives under numpy 2.4.6; a numpy release whose
+# block streams differ gives another, and so fails every pinned digest
+PINNED_FINGERPRINT = ("b464cf7503362a0826bfdbb9d9af4fe9"
+                      "88d1f208198a3f9aab9f1354e55cb00c")
+
+
+def _changed(cfg, key, hint, value):
+    """`cfg` with `key` changed as little as its type allows: a flag
+    flipped, an integer one up, a float one ulp up, an unset float set."""
+    if value is None:
+        new = 1.0
+    elif hint is bool:
+        new = not value
+    elif hint is int:
+        new = value + 1
+    else:
+        new = math.nextafter(value, math.inf)
+    return config._replace(cfg, {key: new})
+
+
+class TestHandshake:
+    def _refused_at_first_frame(self, cfg, **kwargs):
+        """Both ends end in CONFIG_MISMATCH after Alice's HELLO and Bob's
+        ABORT, within half the receive timeout."""
+        sa, sb = socket.socketpair()
+        ends = (_EventLog(sa, TIMEOUT_S), _EventLog(sb, TIMEOUT_S))
+        start = time.monotonic()
+        out = run_pair(cfg, transports=ends, **kwargs)
+        elapsed = time.monotonic() - start
+        for role in (Role.ALICE, Role.BOB):
+            assert isinstance(out[role], SessionFailed), (role, out[role])
+            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
+        assert [(d, data[4]) for d, data in ends[0].events] == [
+            ("sent", MsgType.HELLO), ("received", MsgType.ABORT)]
+        assert [(d, data[4]) for d, data in ends[1].events] == [
+            ("received", MsgType.HELLO), ("sent", MsgType.ABORT)]
+        assert elapsed < TIMEOUT_S / 2
+        return out
+
+    def test_each_config_key_on_one_end_fails_both(self):
+        # a key that no block reads (qber_smoothing), or a change that moves
+        # no derived value (an f_cal one ulp up), is refused all the same
+        cfg = keyed_cfg()
+        keys = []
+        for key, hint, value in config._walk(cfg):
+            bob_cfg = _changed(cfg, key, hint, value)
+            assert bob_cfg != cfg, key
+            out = self._refused_at_first_frame(cfg, bob_cfg=bob_cfg)
+            assert "config_digest" in str(out[Role.BOB]), key
+            keys.append(key)
+        assert "rep_rate_hz" in keys and "qber_smoothing" in keys
+
+    def test_another_block_id_fails_both(self):
+        out = self._refused_at_first_frame(keyed_cfg(), bob_block_id=1)
+        assert "block_id" in str(out[Role.BOB])
+
+    def test_alice_refuses_another_hello_from_bob(self):
+        # a Bob that takes Alice's HELLO but sends another block's
+        cfg = keyed_cfg()
+        sa, sb = socket.socketpair()
+        bob = _TamperingTransport(sb, TIMEOUT_S, MsgType.HELLO, lambda f, sent:
+                                  replace(f, value=f.value._replace(
+                                      block_id=1)))
+        out = run_pair(cfg, transports=(
+            proto.StreamTransport(sa, TIMEOUT_S), bob))
+        for role in (Role.ALICE, Role.BOB):
+            assert isinstance(out[role], SessionFailed), role
+            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
+        assert bob.received_after == [MsgType.ABORT]
+
+
+class TestStreamFingerprint:
+    def test_covers_each_generator_method_a_block_uses(self, monkeypatch):
+        assert set(proto._STREAM_DRAWS) == {
+            "multinomial", "chisquare", "standard_normal", "standard_gamma",
+            "permutation", "choice", "integers", "SeedSequence"}
+        fingerprint = proto.stream_fingerprint()
+        assert proto.stream_fingerprint.__wrapped__() == fingerprint
+        for name, draw in list(proto._STREAM_DRAWS.items()):
+            # a numpy release whose one stream moves
+            monkeypatch.setitem(proto._STREAM_DRAWS, name,
+                                lambda rng, draw=draw: draw(rng) + 1)
+            assert proto.stream_fingerprint.__wrapped__() != fingerprint, name
+            monkeypatch.setitem(proto._STREAM_DRAWS, name, draw)
+
+    def test_fingerprint_is_pinned(self):
+        got = proto.stream_fingerprint().hex()
+        assert got == PINNED_FINGERPRINT, (
+            f"numpy {np.__version__} draws other streams than the pinned "
+            f"ones: stream fingerprint {got}")
