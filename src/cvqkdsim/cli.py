@@ -151,7 +151,7 @@ def _run_link(cfg, args) -> int:
         finally:
             transport.close()
     except SessionFailed as exc:
-        print(f"session failed: {exc.reason.name}", file=sys.stderr)
+        print(exc, file=sys.stderr)   # "session failed: REASON detail"
         return EXIT_PROTOCOL
     if args.key_out:
         pp.write_key_file(args.key_out, result.key_bits)

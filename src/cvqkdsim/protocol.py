@@ -50,10 +50,11 @@ its connection: a frame that has arrived whole costs one `recv_into` and
 one decode_frame.  Bytes read past a frame's end belong to the
 connection, not to the session that read them, and the next recv_frame
 takes them first.  The buffer grows only as bytes arrive, so a header
-that announces more than its peer sends holds no memory for the rest.  A received frame must arrive whole within
-the transport's timeout, however its bytes trickle in: only a read past a
-frame's first waits on what is left of that deadline, and the full
-timeout, which sendall shares, is set again after it.
+that announces more than its peer sends holds no memory for the rest.  A
+received frame must arrive whole within the transport's timeout, however
+its bytes trickle in: only a read past a frame's first waits on what is
+left of that deadline, and the full timeout, which sendall shares, is set
+again after it.
 
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
@@ -596,8 +597,12 @@ def run_session(role: Role, transport: StreamTransport, cfg,
     the peer is on another config, block, protocol version or numpy
     stream.  On return both ends hold the same key, but for a
     2**-32 chance that unequal strings give equal KEY_CONFIRM tags; where
-    the tags differ, that key has 0 bits.
+    the tags differ, that key has 0 bits.  Raises ValueError, before any
+    frame is sent, for a block id that a HELLO's u64 cannot carry.
     """
+    if not 0 <= block_id < 2 ** 64:
+        raise ValueError(f"block_id must be >= 0 and below 2**64, "
+                         f"got {block_id}")
     link = WireLink(role, transport, cfg.block_size_pulses)
     link.handshake(_hello(cfg, block_id))
     try:

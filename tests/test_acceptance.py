@@ -2,8 +2,6 @@
 PASS/FAIL line (also visible as the pytest verdict for that test)."""
 
 import math
-import socket
-import threading
 import time
 from dataclasses import replace
 
@@ -22,6 +20,8 @@ from cvqkdsim.quantum import (
     binary_entropy,
     holevo_bound,
 )
+
+from peers import peer_pair, run_pair, unknown_type
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -93,49 +93,17 @@ def test_criterion_4_shot_noise_calibration():
                    f"[{lo:.6f}, {hi:.6f}] and within 1% of truth")
 
 
-class _Corrupting(proto.StreamTransport):
-    def __init__(self, sock):
-        super().__init__(sock, 10.0)
-        self.armed = True
-
-    def send_frame(self, frame):
-        data = proto.encode_frame(frame)
-        if self.armed and frame.msg_type != proto.MsgType.ABORT:
-            data = data[:4] + b"\x7f" + data[5:]
-            self.armed = False
-        self.sock.sendall(data)
-
-
-def _run_pair(cfg, transports):
-    ta, tb = transports
-    out = {}
-
-    def go(role, transport):
-        try:
-            out[role] = proto.run_session(role, transport, cfg)
-        except proto.SessionFailed as exc:
-            out[role] = exc
-        finally:
-            transport.close()
-
-    t = threading.Thread(target=go, args=(proto.Role.BOB, tb))
-    t.start()
-    go(proto.Role.ALICE, ta)
-    t.join()
-    return out
-
-
 def test_criterion_5_protocol_correctness():
     cfg = SystemConfig(block_size_pulses=20_000, force_sigma_snu=1e-9)
-    out = _run_pair(cfg, proto.loopback_pair())
+    out = run_pair(cfg)
     ra, rb = out[proto.Role.ALICE], out[proto.Role.BOB]
     clean = (ra.report.qber == 0.0 and rb.report.qber == 0.0
              and ra.key_bits.size > 0
              and np.array_equal(ra.key_bits, rb.key_bits))
 
-    sa, sb = socket.socketpair()
-    out = _run_pair(SystemConfig(block_size_pulses=20_000),
-                    (_Corrupting(sa), proto.StreamTransport(sb, 10.0)))
+    # Alice's first frame, her HELLO, goes out under an unknown type
+    out = run_pair(SystemConfig(block_size_pulses=20_000), peer_pair(
+        10.0, proto.Role.ALICE, proto.MsgType.HELLO, unknown_type))
     faulted = (isinstance(out[proto.Role.ALICE], proto.SessionFailed)
                and isinstance(out[proto.Role.BOB], proto.SessionFailed)
                and out[proto.Role.ALICE].reason == out[proto.Role.BOB].reason
@@ -223,7 +191,7 @@ def test_criterion_9_determinism(tmp_path):
     for run in range(2):
         pa = tmp_path / f"a{run}.bin"
         pb = tmp_path / f"b{run}.bin"
-        _run_pair(link_cfg, proto.loopback_pair(transcripts=(pa, pb)))
+        run_pair(link_cfg, proto.loopback_pair(transcripts=(pa, pb)))
         transcripts.append((pa.read_bytes(), pb.read_bytes()))
     wire_ok = (transcripts[0] == transcripts[1]
                and len(transcripts[0][0]) > 0)

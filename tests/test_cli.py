@@ -247,37 +247,45 @@ class TestSubcommands:
         assert "# relative_difference = " in out
 
 
+def run_link_pair(capsys, alice, bob):
+    """Exit codes of a run-link Bob listening on a free loopback port and a
+    run-link Alice connecting to it, and all that both wrote to stderr.
+    `alice` and `bob` are each (options before run-link, options after it).
+    Alice may connect before Bob listens: she retries while refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    codes, err = {}, ""
+
+    def run(role, before, after):
+        end = "--listen" if role == "bob" else "--connect"
+        return cli.main([*before, "run-link", "--role", role,
+                         end, f"127.0.0.1:{port}", *after])
+
+    t = threading.Thread(target=lambda: codes.update(bob=run("bob", *bob)),
+                         daemon=True)
+    t.start()
+    deadline = time.monotonic() + 30.0
+    while True:
+        codes["alice"] = run("alice", *alice)
+        tried = capsys.readouterr().err
+        err += tried
+        if not (codes["alice"] == 1 and "refused" in tried
+                and time.monotonic() < deadline):
+            break
+        time.sleep(0.05)
+    t.join(timeout=60.0)
+    assert not t.is_alive()
+    return codes, err + capsys.readouterr().err
+
+
 class TestRunLink:
     def test_two_endpoint_session(self, fast_config_file, tmp_path, capsys):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        codes = {}
-
-        def serve():
-            codes["bob"] = cli.main(
-                ["--config", fast_config_file, "run-link", "--role", "bob",
-                 "--listen", f"127.0.0.1:{port}",
-                 "--key-out", str(tmp_path / "bob.key"),
-                 "--output", str(tmp_path / "bob.txt")])
-
-        t = threading.Thread(target=serve, daemon=True)
-        t.start()
-        # Alice may connect before Bob listens: retry while she is refused
-        deadline = time.monotonic() + 30.0
-        while True:
-            codes["alice"] = cli.main(
-                ["--config", fast_config_file, "run-link", "--role", "alice",
-                 "--connect", f"127.0.0.1:{port}",
-                 "--key-out", str(tmp_path / "alice.key"),
-                 "--output", str(tmp_path / "alice.txt")])
-            refused = "refused" in capsys.readouterr().err
-            if not (codes["alice"] == 1 and refused
-                    and time.monotonic() < deadline):
-                break
-            time.sleep(0.05)
-        t.join(timeout=60.0)
-        assert not t.is_alive()
+        codes, _ = run_link_pair(capsys, *(
+            (["--config", fast_config_file],
+             ["--key-out", str(tmp_path / f"{role}.key"),
+              "--output", str(tmp_path / f"{role}.txt")])
+            for role in ("alice", "bob")))
         assert codes == {"alice": 0, "bob": 0}
         from cvqkdsim.postprocess import read_key_file
         a = read_key_file(tmp_path / "alice.key")
@@ -285,6 +293,21 @@ class TestRunLink:
         assert np.array_equal(a, b)
         assert (tmp_path / "alice.txt").read_text() == \
             (tmp_path / "bob.txt").read_text()
+
+    def test_failed_session_says_why(self, fast_config_file, tmp_path,
+                                     capsys):
+        # Bob refuses Alice's HELLO and names the field that differs;
+        # Alice hears only his ABORT
+        seed7 = tmp_path / "seed7.cfg"
+        seed7.write_text("block_size_pulses = 100000\nseed = 7\n",
+                         encoding="utf-8")
+        codes, err = run_link_pair(
+            capsys, (["--config", fast_config_file], ["--timeout", "10"]),
+            (["--config", str(seed7)], ["--timeout", "10"]))
+        assert codes == {"alice": 2, "bob": 2}
+        assert ("session failed: CONFIG_MISMATCH HELLO differs in "
+                "config_digest") in err
+        assert "session failed: CONFIG_MISMATCH peer aborted" in err
 
     @pytest.mark.parametrize("option", ["--key-out", "--transcript",
                                         "--output"])

@@ -39,6 +39,9 @@ from cvqkdsim.protocol import (
     run_session,
 )
 
+from peers import (Peer, peer_pair, run_pair, tcp_pair, transcript_frames,
+                   unknown_type)
+
 
 def small_cfg(**kwargs) -> SystemConfig:
     # a generous sampling fraction keeps the per-block error estimate
@@ -119,43 +122,6 @@ def run_pair_timed(cfg):
     out = run_pair(cfg, transports=transports)
     watchdog.cancel()
     return out, time.monotonic() - start
-
-
-def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
-             bob_block_id=None):
-    """Drive both roles over a loopback pair, Bob on `bob_cfg` and block
-    `bob_block_id` if given; returns {role: result|exception}."""
-    if transports is None:
-        transports = loopback_pair()
-    ta, tb = transports
-    args = {Role.ALICE: (cfg, block_id),
-            Role.BOB: (bob_cfg or cfg,
-                       block_id if bob_block_id is None else bob_block_id)}
-    out = {}
-
-    def go(role, transport):
-        try:
-            out[role] = run_session(role, transport, *args[role])
-        except SessionFailed as exc:
-            out[role] = exc
-        finally:
-            transport.close()
-
-    t = threading.Thread(target=go, args=(Role.BOB, tb))
-    t.start()
-    go(Role.ALICE, ta)
-    t.join()
-    return out
-
-
-def tcp_pair(timeout_s: float = 5.0):
-    """(Alice end, Bob end) over one loopback TCP connection, built as
-    run-link builds it: Bob listens and Alice connects."""
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        alice = socket.create_connection(server.getsockname()[:2])
-        bob, _ = server.accept()
-    return (proto.StreamTransport(alice, timeout_s),
-            proto.StreamTransport(bob, timeout_s))
 
 
 _frame_strategies = st.one_of(
@@ -522,168 +488,79 @@ class TestSession:
         assert len(captures[0][0]) > 0
 
 
-class _CorruptingTransport(proto.StreamTransport):
-    """Flips the type byte of the first outgoing frame to an unknown value."""
-
-    def __init__(self, sock, timeout_s):
-        super().__init__(sock, timeout_s)
-        self.armed = True
-
-    def send_frame(self, frame):
-        data = encode_frame(frame)
-        if self.armed and frame.msg_type != MsgType.ABORT:
-            data = data[:4] + b"\x7f" + data[5:]
-            self.armed = False
-        self.sock.sendall(data)
-
-
-class _TamperingTransport(proto.StreamTransport):
-    """A peer that sends the first frame of one type as `tamper(frame,
-    sent)` rewrites it; `sent` lists the frames it sent before.  It keeps
-    the types of the frames it receives after that one.  With `tamper`
-    None it only records."""
-
-    def __init__(self, sock, timeout_s, msg_type, tamper):
-        super().__init__(sock, timeout_s)
-        self.msg_type = msg_type
-        self.tamper = tamper
-        self.sent = []
-        self.received_after = []
-
-    def send_frame(self, frame):
-        if frame.msg_type == self.msg_type and self.tamper is not None:
-            frame, self.tamper = self.tamper(frame, self.sent), None
-        self.sent.append(frame)
-        super().send_frame(frame)
-
-    def recv_frame(self, n_pulses=None):
-        frame = super().recv_frame(n_pulses)
-        if self.tamper is None:
-            self.received_after.append(frame.msg_type)
-        return frame
-
-
-class _OversizedHeaderTransport(proto.StreamTransport):
-    """A peer that sends the first frame of one type as `payload` under a
-    header claiming `length` bytes, then goes on with its session."""
-
-    def __init__(self, sock, timeout_s, msg_type, length, payload):
-        super().__init__(sock, timeout_s)
-        self.msg_type = msg_type
-        self.forged = struct.pack(">IB", length, msg_type) + payload
-
-    def send_frame(self, frame):
-        if frame.msg_type != self.msg_type:
-            return super().send_frame(frame)
-        self.msg_type = None
-        self.sock.sendall(self.forged)
-
-
-class _DroppingTransport(proto.StreamTransport):
-    """A peer that silently drops the first frame of one type, then goes
-    on with its session; `dropped_at` is the monotonic time of the drop."""
-
-    def __init__(self, sock, timeout_s, msg_type):
-        super().__init__(sock, timeout_s)
-        self.msg_type = msg_type
-        self.dropped_at = None
-
-    def send_frame(self, frame):
-        if frame.msg_type != self.msg_type:
-            return super().send_frame(frame)
-        self.msg_type = None
-        self.dropped_at = time.monotonic()
-
-
 class TestFaultInjection:
     def test_corrupted_frame_fails_both_ends_matching_reason(self):
-        import socket
-        sa, sb = socket.socketpair()
-        ta = _CorruptingTransport(sa, 5.0)
-        tb = proto.StreamTransport(sb, 5.0)
-        out = run_pair(small_cfg(), transports=(ta, tb))
+        # Alice's first frame, her HELLO, goes out under an unknown type
+        out = run_pair(small_cfg(), transports=peer_pair(
+            5.0, Role.ALICE, MsgType.HELLO, unknown_type))
         assert isinstance(out[Role.ALICE], SessionFailed)
         assert isinstance(out[Role.BOB], SessionFailed)
         assert out[Role.BOB].reason == AbortReason.DECODE_ERROR
         assert out[Role.ALICE].reason == out[Role.BOB].reason
 
     def test_unexpected_message_aborts_peer(self):
-        ta, tb = loopback_pair(timeout_s=5.0)
-        cfg = small_cfg()
-        result = {}
-
-        def bob():
-            try:
-                run_session(Role.BOB, tb, cfg)
-            except SessionFailed as exc:
-                result["bob"] = exc
-
-        t = threading.Thread(target=bob)
-        t.start()
-        # open the session, consume Bob's HELLO and opening frames, then
-        # answer out of order
-        ta.send_frame(Frame(MsgType.HELLO, proto._hello(cfg, 0)))
-        for _ in range(3):
-            ta.recv_frame()
-        ta.send_frame(Frame(MsgType.QBER_REPORT, 0.1))
-        abort = ta.recv_frame()
-        t.join()
-        ta.close()
-        tb.close()
+        # Alice answers Bob's HELLO and opening frames out of order: a
+        # QBER_REPORT in place of her SAMPLE_BITS
+        alice, bob = peer_pair(5.0, Role.ALICE, MsgType.SAMPLE_BITS,
+                               lambda f: encode_frame(
+                                   Frame(MsgType.QBER_REPORT, 0.1)))
+        out = run_pair(small_cfg(), transports=(alice, bob))
+        assert alice.received_after == [MsgType.ABORT]
+        abort = decode_frame(alice.events[-1][1])
         assert abort.msg_type == MsgType.ABORT
         assert abort.value == AbortReason.UNEXPECTED_MESSAGE
-        assert result["bob"].reason == AbortReason.UNEXPECTED_MESSAGE
+        assert out[Role.BOB].reason == AbortReason.UNEXPECTED_MESSAGE
 
     @pytest.mark.parametrize("sender, msg_type, tamper", [
         (Role.BOB, MsgType.BASIS_ANNOUNCE,
-         lambda f, sent, n_kept: replace(f, value=f.value[:-8])),
+         lambda f, n_kept: replace(f, value=f.value[:-8])),
         # the right bases, with the padding of the partial last byte set to
         # 1s (block 0 keeps 2319 pulses, so 1 padding bit)
         (Role.BOB, MsgType.BASIS_ANNOUNCE,
-         lambda f, sent, n_kept: replace(f, value=np.append(
+         lambda f, n_kept: replace(f, value=np.append(
              f.value, np.ones(-f.value.size % 8, dtype=np.uint8)))),
         # one pulse fewer than Alice's block keeps
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=f.value[:-1])),
+         lambda f, n_kept: replace(f, value=f.value[:-1])),
         # one pulse more: those Alice's block kept, and the first it did not
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=np.union1d(
+         lambda f, n_kept: replace(f, value=np.union1d(
              f.value, np.setdiff1d(np.arange(f.value.size + 1), f.value)[0]))),
         # as many positions, but not ascending or not below n_signal
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=np.append(f.value[:-1], 10 ** 9))),
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=f.value[::-1])),
+         lambda f, n_kept: replace(f, value=f.value[::-1])),
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=np.append(f.value[:1], f.value[:-1]))),
         # position n_signal, one past the last signal pulse
         (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, sent, n_kept: replace(f, value=np.append(
+         lambda f, n_kept: replace(f, value=np.append(
              f.value[:-1], small_cfg().block_size_pulses
              - small_cfg().calibration_pulses))),
         (Role.ALICE, MsgType.SAMPLE_BITS,
-         lambda f, sent, n_kept: replace(f, value=f.value[:8])),
+         lambda f, n_kept: replace(f, value=f.value[:8])),
         (Role.BOB, MsgType.QBER_REPORT,
-         lambda f, sent, n_kept: replace(f, value=math.nan)),
+         lambda f, n_kept: replace(f, value=math.nan)),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=(50, f.value[1], f.value[2]))),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=(f.value[0], f.value[1], f.value[1]))),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(f, value=(
+         lambda f, n_kept: replace(f, value=(
              f.value[0], f.value[1], np.append(f.value[2][:-1], n_kept + 1)))),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=(f.value[0], f.value[2], f.value[1]))),
         (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=(f.value[0], f.value[1], f.value[2][:-1]))),
         (Role.BOB, MsgType.PARITY_RSP,
-         lambda f, sent, n_kept: replace(
+         lambda f, n_kept: replace(
              f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
     ], ids=["basis-short", "basis-padded-1s", "mask-short", "mask-extra",
             "index-1e9", "indices-unsorted", "index-repeated",
@@ -695,13 +572,9 @@ class TestFaultInjection:
                                                  tamper):
         cfg = small_cfg()
         n_kept = reference_estimation(cfg, 0)[3].kept_indices.size
-        sa, sb = socket.socketpair()
-        socks = {Role.ALICE: sa, Role.BOB: sb}
-        tamperer = _TamperingTransport(socks[sender], TIMEOUT_S, msg_type,
-                                       lambda f, sent: tamper(f, sent, n_kept))
-        transports = [tamperer if role == sender
-                      else proto.StreamTransport(socks[role], TIMEOUT_S)
-                      for role in (Role.ALICE, Role.BOB)]
+        transports = peer_pair(TIMEOUT_S, sender, msg_type,
+                               lambda f: encode_frame(tamper(f, n_kept)))
+        tamperer = dict(zip(Role, transports))[sender]
         start = time.monotonic()
         out = run_pair(cfg, transports=transports)
         elapsed = time.monotonic() - start
@@ -718,12 +591,10 @@ class TestFaultInjection:
         # pulse earlier: Alice checks their number and order, never reads
         # them, and both ends return the untampered block's key
         cfg = keyed_cfg()
-        sa, sb = socket.socketpair()
-        bob = _TamperingTransport(
-            sb, TIMEOUT_S, MsgType.POSTSELECT_MASK,
-            lambda f, sent: replace(f, value=f.value - 1))
-        out = run_pair(cfg, transports=(
-            proto.StreamTransport(sa, TIMEOUT_S), bob))
+        alice, bob = peer_pair(
+            TIMEOUT_S, Role.BOB, MsgType.POSTSELECT_MASK,
+            lambda f: encode_frame(replace(f, value=f.value - 1)))
+        out = run_pair(cfg, transports=(alice, bob))
         moved = next(f.value for f in bob.sent
                      if f.msg_type == MsgType.POSTSELECT_MASK)
         local = distill_block(cfg, 0, mean_drift(cfg))
@@ -812,13 +683,8 @@ class TestFaultInjection:
     ], ids=["sample-bits", "qber-report", "key-confirm-digest"])
     def test_oversized_length_header_aborts_both_ends(self, sender, msg_type,
                                                       length, payload):
-        sa, sb = socket.socketpair()
-        socks = {Role.ALICE: sa, Role.BOB: sb}
-        transports = [_OversizedHeaderTransport(socks[role], TIMEOUT_S,
-                                                msg_type, length, payload)
-                      if role == sender
-                      else proto.StreamTransport(socks[role], TIMEOUT_S)
-                      for role in (Role.ALICE, Role.BOB)]
+        forged = struct.pack(">IB", length, msg_type) + payload
+        transports = peer_pair(TIMEOUT_S, sender, msg_type, lambda f: forged)
         start = time.monotonic()
         out = run_pair(small_cfg(), transports=transports)
         elapsed = time.monotonic() - start
@@ -844,14 +710,10 @@ class TestFaultInjection:
     ], ids=lambda v: v.name.lower())
     def test_dropped_frame_fails_both_ends(self, sender, msg_type, reason):
         timeout_s = 0.2
-        sa, sb = socket.socketpair()
-        socks = {Role.ALICE: sa, Role.BOB: sb}
-        dropper = _DroppingTransport(socks[sender], timeout_s, msg_type)
-        transports = [dropper if role == sender
-                      else proto.StreamTransport(socks[role], timeout_s)
-                      for role in (Role.ALICE, Role.BOB)]
+        transports = peer_pair(timeout_s, sender, msg_type, lambda f: b"")
+        dropper = dict(zip(Role, transports))[sender]
         out = run_pair(small_cfg(), transports=transports)
-        since_drop = time.monotonic() - dropper.dropped_at
+        since_drop = time.monotonic() - dropper.fault_at
         assert isinstance(out[Role.ALICE], SessionFailed)
         assert isinstance(out[Role.BOB], SessionFailed)
         assert out[Role.ALICE].reason == out[Role.BOB].reason == reason
@@ -965,34 +827,6 @@ class _CountingSocket:
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
-
-
-class _EventLog(proto.StreamTransport):
-    """A transport that logs (direction, frame bytes) for each frame it
-    sends or receives, in the order it does so."""
-
-    def __init__(self, sock, timeout_s, transcript_path=None):
-        super().__init__(sock, timeout_s, transcript_path)
-        self.events = []
-
-    def send_frame(self, frame):
-        super().send_frame(frame)
-        self.events.append(("sent", encode_frame(frame)))
-
-    def recv_frame(self, n_pulses=None):
-        frame = super().recv_frame(n_pulses)
-        self.events.append(("received", encode_frame(frame)))
-        return frame
-
-
-def _transcript_frames(data: bytes) -> list:
-    """The frames of a transcript, each as its bytes."""
-    frames, i = [], 0
-    while i < len(data):
-        end = i + 5 + int.from_bytes(data[i:i + 4], "big")
-        frames.append(data[i:end])
-        i = end
-    return frames
 
 
 # sha256sum lines for the transcripts of run_session blocks 0-2 on
@@ -1135,14 +969,12 @@ class TestReceivePath:
 
     def test_transcripts_follow_each_ends_event_order(self, tmp_path):
         paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
-        sa, sb = socket.socketpair()
-        ends = (_EventLog(sa, TIMEOUT_S, paths[0]),
-                _EventLog(sb, TIMEOUT_S, paths[1]))
+        ends = peer_pair(TIMEOUT_S, transcripts=paths)
         out = run_pair(SystemConfig(), transports=ends)
         assert np.array_equal(out[Role.ALICE].key_bits,
                               out[Role.BOB].key_bits)
         for end, path in zip(ends, paths):
-            assert (_transcript_frames(path.read_bytes())
+            assert (transcript_frames(path.read_bytes())
                     == [data for _, data in end.events])
         assert paths[0].read_bytes() == paths[1].read_bytes()
         # one end sends what the other receives
@@ -1177,7 +1009,7 @@ class TestReceivePath:
         # for a read past a frame's first, and once after it
         sa, sb = socket.socketpair()
         socks = (_CountingSocket(sa), _CountingSocket(sb))
-        ends = [_EventLog(s, TIMEOUT_S) for s in socks]
+        ends = [Peer(s, TIMEOUT_S) for s in socks]
         for s in socks:
             s.timeouts = 0   # the constructor's own call
         out = run_pair(SystemConfig(), transports=ends)
@@ -1207,10 +1039,8 @@ class TestRoundTrips:
     def test_parity_requests_per_block_bounded(self):
         cfg = small_cfg()
         for block_id in range(6):
-            sa, sb = socket.socketpair()
-            alice = _TamperingTransport(sa, 5.0, MsgType.PARITY_REQ, None)
-            out = run_pair(cfg, block_id=block_id,
-                           transports=(alice, proto.StreamTransport(sb, 5.0)))
+            alice, bob = peer_pair(5.0)
+            out = run_pair(cfg, block_id=block_id, transports=(alice, bob))
             requests = [f for f in alice.sent
                         if f.msg_type == MsgType.PARITY_REQ]
             assert len(requests) <= self.MAX_PARITY_REQUESTS, block_id
@@ -1222,10 +1052,8 @@ class TestRoundTrips:
     def test_bases_of_kept_pulses_only(self):
         cfg = small_cfg()
         for block_id in range(6):
-            sa, sb = socket.socketpair()
-            bob = _TamperingTransport(sb, 5.0, MsgType.BASIS_ANNOUNCE, None)
-            run_pair(cfg, block_id=block_id,
-                     transports=(proto.StreamTransport(sa, 5.0), bob))
+            alice, bob = peer_pair(5.0)
+            run_pair(cfg, block_id=block_id, transports=(alice, bob))
             hello, kept, basis = bob.sent[:3]
             assert hello.msg_type == MsgType.HELLO
             assert len(encode_frame(hello)) == 5 + 74
@@ -1263,8 +1091,7 @@ class TestHandshake:
     def _refused_at_first_frame(self, cfg, **kwargs):
         """Both ends end in CONFIG_MISMATCH after Alice's HELLO and Bob's
         ABORT, within half the receive timeout."""
-        sa, sb = socket.socketpair()
-        ends = (_EventLog(sa, TIMEOUT_S), _EventLog(sb, TIMEOUT_S))
+        ends = peer_pair(TIMEOUT_S)
         start = time.monotonic()
         out = run_pair(cfg, transports=ends, **kwargs)
         elapsed = time.monotonic() - start
@@ -1298,16 +1125,26 @@ class TestHandshake:
     def test_alice_refuses_another_hello_from_bob(self):
         # a Bob that takes Alice's HELLO but sends another block's
         cfg = keyed_cfg()
-        sa, sb = socket.socketpair()
-        bob = _TamperingTransport(sb, TIMEOUT_S, MsgType.HELLO, lambda f, sent:
-                                  replace(f, value=f.value._replace(
-                                      block_id=1)))
-        out = run_pair(cfg, transports=(
-            proto.StreamTransport(sa, TIMEOUT_S), bob))
+        alice, bob = peer_pair(
+            TIMEOUT_S, Role.BOB, MsgType.HELLO, lambda f: encode_frame(
+                replace(f, value=f.value._replace(block_id=1))))
+        out = run_pair(cfg, transports=(alice, bob))
         for role in (Role.ALICE, Role.BOB):
             assert isinstance(out[role], SessionFailed), role
             assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
         assert bob.received_after == [MsgType.ABORT]
+
+    @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
+    def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):
+        for role in Role:
+            ends = loopback_pair(timeout_s=0.5)
+            with pytest.raises(ValueError, match=r"below 2\*\*64"):
+                run_session(role, ends[0], keyed_cfg(), block_id=block_id)
+            ends[1].sock.setblocking(False)
+            with pytest.raises(BlockingIOError):   # no byte was sent
+                ends[1].sock.recv(1)
+            for end in ends:
+                end.close()
 
 
 class TestStreamFingerprint:
