@@ -4,16 +4,16 @@ The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
 wire.  The same seed fixes the disclosed error sample, Cascade's
-permutations and the Toeplitz seed, so each end derives them too, and
-each sizes the final key from values both ends hold.  A block draws only
-what the chain reads: the pulses that pass post-selection
-(physics.KeptPulses), ~2.5 % of a default block, each as its class and
-tail (Bob's bit) in one byte each, and the block's signal variance from
-per-class statistics.  The kept pulses' positions are drawn only at Bob's
-end of the wire, which sends them; no other end reads them.  run_chain()
-distills a block into a BlockResult, which distill_block() returns in
-process for the experiment runners and protocol.run_session() over the
-wire.
+permutations and the privacy-amplification hash's a and b, so each end
+derives them too, and each sizes the final key from values both ends
+hold.  A block draws only what the chain reads: the pulses that pass
+post-selection (physics.KeptPulses), ~2.5 % of a default block, each as
+its class and tail (Bob's bit) in one byte each, and the block's signal
+variance from per-class statistics.  The kept pulses' positions are
+drawn only at Bob's end of the wire, which sends them; no other end reads
+them.  run_chain() distills a block into a BlockResult, which
+distill_block() returns in process for the experiment runners and
+protocol.run_session() over the wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
@@ -27,11 +27,12 @@ A block's SKR is its final key bits over its duration, calibration frames
 included.  A block yields a 0-bit key and SKR 0 on both paths, and the
 session goes on, if it keeps no pulse, if its error sample leaves no bit
 to reconcile, or if Cascade leaves the two strings unequal: the key
-confirmation tags, rows of the privacy-amplification product past the
-key's, then differ.  A malformed frame from the peer ends both ends in
-SessionFailed with matching AbortReasons, and so does a frame that does
-not fit this end's own block.  A peer on another config never reaches the
-chain: run_session's handshake refuses it first.
+confirmation tags, the last 32 bits of the privacy-amplification hash
+whose first bits are the key, then differ.  A malformed frame from the
+peer ends both ends in SessionFailed with matching AbortReasons, and so
+does a frame that does not fit this end's own block.  A peer on another
+config never reaches the chain: run_session's handshake refuses it
+first.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ __all__ = [
 SEED_TAG_PULSES = 0     # a block's pulses, or a calibration frame
 SEED_TAG_SAMPLE = 1     # the disclosed error sample
 SEED_TAG_CASCADE = 2    # Cascade's permutations
-SEED_TAG_HASH = 3       # the Toeplitz seed
+SEED_TAG_HASH = 3       # the hash's a and b, drawn raw from PCG64
 SEED_TAG_DRIFT = 4      # an experiment's drift walk
 SEED_TAG_EYE = 5        # a classical channel's eye-diagram noise
 
@@ -227,9 +228,11 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
 
     # Privacy amplification and key confirmation.  Each end sizes the key
     # from values both hold (Alice's leak is the parities Bob served) and
-    # hashes the string it holds; the tag rows of the same product confirm
-    # it.  Equal strings give equal tags, so an end that holds both hashes
-    # Alice's only if they differ.  Unequal tags leave the block no key.
+    # hashes the string it holds; the last 32 bits of the same output
+    # confirm it.  Equal strings give equal tags, so an end that holds both
+    # hashes Alice's only if they differ; unequal ones give equal tags with
+    # probability 2^-32, the hash being strongly universal.  Unequal tags
+    # leave the block no key.
     i_ab, chi_e = pp.secret_fraction(qber, cfg.alpha,
                                      fiber_transmittance(cfg.fiber))
     out_len = pp.final_key_length(n_post, i_ab, chi_e, leak, disclosed)

@@ -1,6 +1,7 @@
 """Key distillation: sifting, post-selection, error estimation, Cascade
-reverse reconciliation, Toeplitz privacy amplification and the key-length
-arithmetic under a collective beam-splitter-attack bound.
+reverse reconciliation, privacy amplification by a strongly universal
+multiply-add-shift hash, and the key-length arithmetic under a collective
+beam-splitter-attack bound.
 
 Bit conventions (pinned for interoperability):
   * Alice's bit for a pulse depends on Bob's announced quadrature: with the
@@ -10,7 +11,7 @@ Bit conventions (pinned for interoperability):
   * bob_bit = 1 iff the homodyne outcome is positive.
 
 The numerics need numpy and the standard library only: normal tails come
-from math.erfc, and the hash's convolution from numpy.fft.
+from math.erfc, and the hash is one product of Python integers.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
     "read_key_file",
 ]
 
-CONFIRM_TAG_BITS = 32       # key confirmation tag: rows past the key's
+CONFIRM_TAG_BITS = 32       # key confirmation tag: the hash's last bits
 PA_SECURITY_BITS = 34       # log2(1/eps_PA) of privacy amplification
 # finite-size margin per block: the published tag, and the leftover hash
 # lemma's 2 log2(1/eps_PA); 32 + 68 = 100 bits
@@ -352,40 +353,37 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     return bits, leak
 
 
-def _fast_len(n: int) -> int:
-    """The least 5-smooth integer >= n, a fast real-FFT length (what
-    scipy.fft.next_fast_len(n, real=True) gives): the least power-of-2
-    multiple >= n of each 3^i 5^j below the power of 2 >= n."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+def _multiply_shift(x, a, b, w: int, ell: int):
+    """Dietzfelbinger's multiply-add-shift hash of a w-bit x to ell bits:
+    ((a x + b) mod 2^wbar) >> (wbar - ell), the top ell bits of the low
+    wbar = w + ell - 1 bits of a x + b, for a, b in [0, 2^wbar).  Works
+    on Python ints and on numpy integer arrays alike."""
+    return ((a * x + b) & ((1 << (w + ell - 1)) - 1)) >> (w - 1)
 
 
 def toeplitz_hash(bits: np.ndarray, seed: int,
                   out_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Binary Toeplitz hashing over GF(2): (key, tag), the first out_len
-    rows of the product and the CONFIRM_TAG_BITS rows after them.
+    """Privacy amplification: (key, tag), the first out_len and the last
+    CONFIRM_TAG_BITS bits of one ell = out_len + t bit output of the
+    multiply-add-shift family (Dietzfelbinger, STACS 1996; Thorup, "High
+    speed hashing for integers and strings", 2015).  The name is kept
+    from the Toeplitz product it replaced.
 
-    The (out_len + n - 1) diagonal bits of the key rows (first column
-    followed by the remainder of the first row) are drawn from a PCG64
-    generator seeded with `seed`, and the tag rows' column bits after
-    them, so the key does not depend on the tag.  The (out_len + t) x n
-    matrix is one 2-universal hash, and the tag is CONFIRM_TAG_BITS of its
-    output that final_key_length charges.  The product is evaluated with a
-    numpy real FFT convolution; an empty string hashes to zeros.
+    The n bits, packed MSB-first and zero-padded to w = 8 ceil(n / 8), are
+    read as one big-endian integer x.  With wbar = w + ell - 1, a and b
+    are two wbar-bit integers drawn from PCG64(seed)'s raw stream, 2 wbar
+    bits in all (Toeplitz drew n + ell - 1): ceil(wbar / 64) 64-bit words
+    each, a's first, word 0 least significant, cut to their low wbar bits.
+    The output is _multiply_shift(x, a, b, w, ell), MSB first.
 
-    The convolution is circular, at the fast length N >= m + n - 1 that
-    _fast_len gives for the m = out_len + t rows, not at the linear
-    product's full m + 2n - 2.  That is exact at any N >= m + n - 1: the
-    linear product ends at index m + 2n - 3, so every term past N wraps to
-    an index <= n - 2, below the window [n - 1, n - 1 + m) that is read,
-    which itself ends below N.
+    At wbar >= w + ell - 1 the family is strongly universal: for any
+    x != x' of w bits, the pair of outputs is uniform on all 2^(2 ell)
+    pairs over (a, b).  b makes h(x) uniform; with x - x' = 2^s u, u odd
+    and s < w, a (x - x') mod 2^wbar is uniform on the multiples of 2^s,
+    which leaves h(x') uniform given h(x) while wbar - ell >= s.  So it is
+    a universal hash for the leftover hash lemma, and any t output bits,
+    the tag, agree for unequal strings with probability 2^-t.  Exact
+    integer arithmetic; an empty string hashes to zeros.
     """
     x = np.asarray(bits, dtype=np.uint8)
     n = x.size
@@ -394,18 +392,19 @@ def toeplitz_hash(bits: np.ndarray, seed: int,
     if n == 0:
         return np.zeros(0, dtype=np.uint8), np.zeros(CONFIRM_TAG_BITS,
                                                      dtype=np.uint8)
-    m = out_len + CONFIRM_TAG_BITS
-    diag = np.random.Generator(np.random.PCG64(seed)).integers(
-        0, 2, size=m + n - 1, dtype=np.uint8)
-    # T[i, j] = e[i - j + n - 1] with e = reversed first row ++ first column
-    row_end = out_len + n - 1
-    e = np.concatenate([diag[out_len:row_end][::-1], diag[:out_len],
-                        diag[row_end:]])
-    size = _fast_len(e.size)
-    conv = np.fft.irfft(np.fft.rfft(e, size) * np.fft.rfft(x, size), size)
-    # each entry is a count of ones, at most n < 2**32, up to roundoff
-    count = np.rint(conv[n - 1:n - 1 + m]).astype(np.uint32)
-    rows = (count & 1).astype(np.uint8)
+    ell = out_len + CONFIRM_TAG_BITS
+    w = -(-n // 8) * 8
+    wbar = w + ell - 1
+    words = -(-wbar // 64)
+    raw = np.random.PCG64(seed).random_raw(2 * words).astype("<u8")
+    mask = (1 << wbar) - 1
+    a, b = (int.from_bytes(half.tobytes(), "little") & mask
+            for half in (raw[:words], raw[words:]))
+    h = _multiply_shift(int.from_bytes(np.packbits(x).tobytes(), "big"),
+                        a, b, w, ell)
+    out = np.frombuffer((h << (-ell % 8)).to_bytes(-(-ell // 8), "big"),
+                        dtype=np.uint8)
+    rows = np.unpackbits(out, count=ell)
     return rows[:out_len], rows[out_len:]
 
 
@@ -437,9 +436,10 @@ def final_key_length(n_post_selected: int, i_ab: float, chi_e: float,
     """Secret bits extractable from one block, floored at zero.
 
     The key and the published confirmation tag are one toeplitz_hash
-    output of out_len + t bits, t = CONFIRM_TAG_BITS.  By the leftover hash
-    lemma that output is eps_PA-close to uniform given Eve's information
-    while out_len + t <= H_min - 2 log2(1/eps_PA), so DELTA_FIN_BITS
+    output of out_len + t bits, t = CONFIRM_TAG_BITS, from a strongly, and
+    so 2-, universal family.  By the leftover hash lemma that output is
+    eps_PA-close to uniform given Eve's information while
+    out_len + t <= H_min - 2 log2(1/eps_PA), so DELTA_FIN_BITS
     charges t + 2 PA_SECURITY_BITS against the entropy left once Eve's
     Holevo bound, Cascade's leak and the disclosed sample are taken out."""
     budget = (n_post_selected * max(0.0, i_ab - chi_e)

@@ -34,9 +34,10 @@ u32 positions; and BASIS_ANNOUNCE 0x01, their quadratures.  Alice never
 reads the positions: she checks only that they ascend, lie below the
 block's signal count and number as many as her block keeps, so she does
 not draw them.  No frame carries what the shared seed fixes: each end
-draws the disclosed error sample, Cascade's permutations and the Toeplitz
-seed, and sizes the final key, on its own.  Type bytes 0x03 and 0x08 are
-unassigned, so a frame of either is an unknown type.
+draws the disclosed error sample, Cascade's permutations and the
+privacy-amplification hash's a and b, and sizes the final key, on its
+own.  Type bytes 0x03 and 0x08 are unassigned, so a frame of either is an
+unknown type.
 
 Bob sends his HELLO and his two opening frames back to back.  Under
 Nagle's algorithm each frame after the first waits until the peer
@@ -64,9 +65,10 @@ trips; an empty request ends Cascade.
 
 Key confirmation crosses as KEY_CONFIRM 0x09, Bob's and then Alice's:
 each end's CONFIRM_TAG_BITS = 32 tag bits, packed into 4 bytes, which are
-rows of the Toeplitz product past the key's.  No digest of the key is
-sent.  If the tags differ, both ends keep a 0-bit key and the session
-goes on, as it does in process.
+the last bits of the strongly universal hash whose first bits are the
+key; unequal strings give equal tags with probability 2^-32.  No digest
+of the key is sent.  If the tags differ, both ends keep a 0-bit key and
+the session goes on, as it does in process.
 
 run_session() is the handshake, then pipeline.run_chain over a WireLink,
 and returns run_chain's BlockResult, as distill_block() does in process.
@@ -121,7 +123,7 @@ __all__ = [
 MAX_PAYLOAD = 2 ** 32 - 1
 _HEADER = struct.Struct(">IB")   # payload length, message type
 DEFAULT_TIMEOUT_S = 30.0
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2   # 2: the multiply-add-shift hash
 _RECV_BUFFER = 1 << 16   # a transport's receive buffer until a frame needs more
 
 
@@ -249,6 +251,8 @@ def _encode_hello(hello) -> bytes:
 
 # One small draw of each numpy Generator method a block makes, in the form
 # it makes it; NEP 19 lets a numpy release change any of these streams.
+# The hash's PCG64.random_raw words need no entry: NEP 19 keeps a bit
+# generator's own stream fixed.
 _STREAM_DRAWS = {
     "multinomial": lambda rng: rng.multinomial([900, 40],
                                                [[0.1, 0.2, 0.7]] * 2),
@@ -261,7 +265,6 @@ _STREAM_DRAWS = {
     "choice": lambda rng: np.hstack([
         rng.choice(20_000, 500, replace=False, shuffle=False),
         rng.choice(20_000, 100, replace=False)]),
-    "integers": lambda rng: rng.integers(0, 2, 64, dtype=np.uint8),
     # pipeline.derive_seed, which seeds every stream of a block
     "SeedSequence": lambda rng: np.random.SeedSequence(
         (1, 2, 3)).generate_state(1, dtype=np.uint64),

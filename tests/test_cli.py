@@ -174,7 +174,8 @@ class TestImport:
         "cvqkdsim.cli"])
     def test_import_loads_no_scipy(self, module):
         # scipy.special and scipy.fft cost ~0.35 s of every run's start-up;
-        # math.erfc and numpy.fft do the package's part of their work
+        # math.erfc does the package's part of their work, and privacy
+        # amplification needs no FFT
         proc = run_python("-c", f"import sys, {module}; print(sorted("
                           "m for m in sys.modules if m.startswith('scipy')))")
         assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft, special
+from scipy import special
 from scipy.stats import norm
 
 from cvqkdsim import postprocess as pp
@@ -188,67 +188,99 @@ class TestExpectedQber:
         assert lo * (1.0 - 1e-5 * m / sig) <= hi <= lo
 
 
-def explicit_toeplitz(x, seed, out):
-    """The GF(2) product of x with the hash's Toeplitz matrix, built entry
-    by entry: (key rows, tag rows)."""
-    n, t = x.size, pp.CONFIRM_TAG_BITS
-    draw = lambda size: np.random.Generator(np.random.PCG64(seed)).integers(
-        0, 2, size=size, dtype=np.uint8)
-    # the key rows' diagonal, drawn on its own; the tag rows' column bits
-    # follow it in the same stream, so they cannot move the key
-    diag = draw(out + n - 1)
-    column = np.concatenate([diag[:out], draw(out + n - 1 + t)[-t:]])
-    m = np.empty((out + t, n), dtype=np.uint8)
-    for i in range(out + t):
-        for j in range(n):
-            # first column, then the rest of the first row: diag[out:]
-            m[i, j] = column[i - j] if i >= j else diag[out + j - i - 1]
-    rows = (m @ x) % 2
-    return rows[:out], rows[out:]
+def bitwise_hash(x, seed, out):
+    """The multiply-add-shift hash of the bits x, bit by bit: x and the
+    seed words assembled one bit at a time, a x + b by shift-and-add over
+    x's bits, and each output bit read on its own: (key, tag)."""
+    ell = out + pp.CONFIRM_TAG_BITS
+    w = -(-len(x) // 8) * 8
+    wbar = w + ell - 1
+    words = -(-wbar // 64)
+    gen = np.random.PCG64(seed)
+
+    def draw():
+        # words drawn one at a time, word 0 least significant, cut to wbar
+        value = 0
+        for i in range(words):
+            word = int(gen.random_raw())
+            for j in range(64):
+                if 64 * i + j < wbar and word >> j & 1:
+                    value |= 1 << (64 * i + j)
+        return value
+
+    a, b = draw(), draw()
+    xi = 0
+    for bit in list(x) + [0] * (w - len(x)):   # MSB first, zero-padded
+        xi = 2 * xi + int(bit)
+    acc = b
+    for i in range(w):
+        if xi >> i & 1:
+            acc += a << i
+    bits = [acc >> (wbar - 1 - k) & 1 for k in range(ell)]
+    return np.array(bits[:out]), np.array(bits[out:])
 
 
 def assert_hash_is(x, seed, out):
     key, tag = pp.toeplitz_hash(x, seed, out)
-    want_key, want_tag = explicit_toeplitz(x, seed, out)
+    want_key, want_tag = bitwise_hash(x, seed, out)
     assert np.array_equal(key, want_key), (x.size, out, seed)
     assert np.array_equal(tag, want_tag), (x.size, out, seed)
 
 
-class TestToeplitz:
-    def test_fast_len_matches_scipy(self):
-        want = [fft.next_fast_len(n, real=True) for n in range(1, 40_000)]
-        assert [pp._fast_len(n) for n in range(1, 40_000)] == want
+def pair_counts(w, ell, wbar):
+    """For each x != x' of w bits, how often each pair of ell-bit outputs
+    of ((a x + b) mod 2^wbar) >> (wbar - ell) occurs over all a, b."""
+    seeds = np.arange(1 << (2 * wbar), dtype=np.int64)
+    a, b = seeds >> wbar, seeds & ((1 << wbar) - 1)
+    x = np.arange(1 << w, dtype=np.int64)[:, None]
+    # the hash's own formula, told the width whose wbar this is
+    h = pp._multiply_shift(x, a, b, wbar - ell + 1, ell)
+    xs, ys = np.nonzero(~np.eye(1 << w, dtype=bool))
+    joint = (h[xs] << ell) | h[ys]
+    offsets = np.arange(xs.size)[:, None] << (2 * ell)
+    return np.bincount((joint + offsets).ravel(),
+                       minlength=xs.size << (2 * ell)).reshape(xs.size, -1)
 
+
+class TestToeplitz:
     def test_pinned_vector(self):
         key, tag = pp.toeplitz_hash(np.array([1, 0, 1], dtype=np.uint8), 7, 2)
-        assert np.array_equal(key, [0, 1])
-        assert np.packbits(tag).tobytes().hex() == "3f887dc8"
+        assert np.array_equal(key, [1, 1])
+        assert np.packbits(tag).tobytes().hex() == "e7bcea02"
 
-    def test_matches_explicit_matrix(self):
-        # no key, a key as long as the string, and strings shorter than the
-        # tag among them
+    @pytest.mark.parametrize("w, ell", [(1, 1), (1, 5), (2, 3), (3, 3),
+                                        (4, 2), (5, 1), (3, 4), (2, 4)])
+    def test_strongly_universal(self, w, ell):
+        # every pair x != x' takes every pair of outputs equally often over
+        # all (a, b) of wbar = w + ell - 1 bits, exhaustively
+        counts = pair_counts(w, ell, w + ell - 1)
+        assert (counts == 1 << (2 * (w + ell - 1) - 2 * ell)).all()
+
+    def test_one_bit_narrower_is_not(self):
+        # at wbar = w + ell - 2 some pair of inputs collides more often
+        counts = pair_counts(4, 3, 5)
+        assert not (counts == counts[0, 0]).all()
+
+    def test_matches_bitwise_reference(self):
+        # every n <= 64, with no key, a key as long as the string, and
+        # strings shorter than the tag among them
         rng = np.random.default_rng(13)
-        shapes = [(1, 0), (1, 1), (7, 0), (31, 31), (40, 0)] + [
-            (n, int(rng.integers(0, n + 1)))
-            for n in rng.integers(1, 64, 20).tolist()]
-        for n, out in shapes:
-            seed = int(rng.integers(0, 2 ** 32))
-            assert_hash_is(rng.integers(0, 2, n).astype(np.uint8), seed, out)
+        for n in range(1, 65):
+            for out in sorted({0, int(rng.integers(0, n + 1)), n}):
+                seed = int(rng.integers(0, 2 ** 63))
+                assert_hash_is(rng.integers(0, 2, n).astype(np.uint8),
+                               seed, out)
 
     @pytest.mark.parametrize("n, out", [
         (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 5), (13, 13),
         (41, 41), (64, 1), (250, 1), (50, 15), (61, 60), (97, 32),
         (1000, 297)])
     def test_exact_without_padding_slack(self, n, out):
-        # an out-bit key of the shortest string of at least n bits whose
-        # circular length is the out + t + n - 1 rows and columns span
-        # itself, so the product's wrapped tail lands just below the
-        # window that is read; and of n bits, as given
-        span = out + pp.CONFIRM_TAG_BITS - 1
-        tight = pp._fast_len(span + n) - span
-        assert pp._fast_len(span + tight) == span + tight
+        # an out-bit key of n bits, which packing pads with up to 7 zero
+        # bits, and of the string that fills its last byte, whose packing
+        # pads none; all ones, and random
         rng = np.random.default_rng(n * 1000 + out)
-        for size in (tight, n):
+        for size in (n, -(-n // 8) * 8):
             for x in (np.ones(size, dtype=np.uint8),
                       rng.integers(0, 2, size).astype(np.uint8)):
                 for seed in (0, 1, 2024):
@@ -256,37 +288,28 @@ class TestToeplitz:
 
     def test_exact_at_full_block_size(self):
         # 882,000 bits are kept from a default 1e6-pulse block at
-        # x_th_snu = 0 (9e5 signal pulses less the 2 % disclosed); the
-        # FFT product must still round to the exact GF(2) product there,
-        # in the key rows and the tag rows alike
+        # x_th_snu = 0 (9e5 signal pulses less the 2 % disclosed); packing
+        # and unpacking must still put each bit where the integer formula
+        # does, in the key bits and the tag bits alike
         n, out, t = 882_000, 441_000, pp.CONFIRM_TAG_BITS
         seed = 2024
         rng = np.random.default_rng(17)
         x = rng.integers(0, 2, n).astype(np.uint8)
         got = np.concatenate(pp.toeplitz_hash(x, seed, out))
-        diag = np.random.Generator(np.random.PCG64(seed)).integers(
-            0, 2, size=out + n - 1 + t, dtype=np.uint8)
-        column = np.concatenate([diag[:out], diag[out + n - 1:]])
-        x64 = x.astype(np.int64)
+        ell, w = out + t, n   # n is a whole number of bytes
+        wbar = w + ell - 1
+        words = -(-wbar // 64)
+        raw = [f"{v:016x}" for v in
+               np.random.PCG64(seed).random_raw(2 * words).tolist()]
+        low = (1 << wbar) - 1
+        a, b = (int("".join(reversed(half)), 16) & low
+                for half in (raw[:words], raw[words:]))
+        xi = int("".join(map(str, x.tolist())), 2)
+        h = (a * xi + b) & low
         rows = np.unique(np.concatenate(
             [[0, out - 1], rng.integers(0, out, 254), out + np.arange(t)]))
-        for i in rows:
-            # row i: column[i - j] for j <= i, then diag[out + j - i - 1]
-            row = np.concatenate([column[i::-1], diag[out:out + n - i - 1]])
-            assert got[i] == int(row @ x64) % 2, i
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 31),
-           st.lists(st.integers(0, 1), min_size=2, max_size=128),
-           st.lists(st.integers(0, 1), min_size=2, max_size=128))
-    def test_gf2_linearity(self, seed, xs, ys):
-        n = min(len(xs), len(ys))
-        x = np.array(xs[:n], dtype=np.uint8)
-        y = np.array(ys[:n], dtype=np.uint8)
-        out = max(1, n // 2)
-        hx, hy, hxy = (np.concatenate(pp.toeplitz_hash(v, seed, out))
-                       for v in (x, y, x ^ y))
-        assert np.array_equal(hxy, hx ^ hy)
+        for i in rows.tolist():
+            assert got[i] == h >> (wbar - 1 - i) & 1, i
 
     def test_output_length_and_bounds(self):
         x = np.ones(16, dtype=np.uint8)
@@ -296,7 +319,7 @@ class TestToeplitz:
         for out in (-1, 17):
             with pytest.raises(ValueError):
                 pp.toeplitz_hash(x, 0, out)
-        # the product with an empty string is zero
+        # an empty string hashes to zeros
         key, tag = pp.toeplitz_hash(np.zeros(0, dtype=np.uint8), 5, 0)
         assert key.size == 0
         assert np.array_equal(tag, np.zeros(pp.CONFIRM_TAG_BITS))
