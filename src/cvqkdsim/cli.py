@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--connect", metavar="HOST:PORT")
     p.add_argument("--block-id", type=int, default=0)
     p.add_argument("--timeout", type=float, default=30.0,
-                   help="seconds to wait for the peer and for each frame")
+                   help="seconds to wait for the peer and for the block")
     p.add_argument("--key-out", metavar="PATH",
                    help="write the final key as a binary key file")
     p.add_argument("--transcript", metavar="PATH",

@@ -51,11 +51,12 @@ its connection: a frame that has arrived whole costs one `recv_into` and
 one decode_frame.  Bytes read past a frame's end belong to the
 connection, not to the session that read them, and the next recv_frame
 takes them first.  The buffer grows only as bytes arrive, so a header
-that announces more than its peer sends holds no memory for the rest.  A
-received frame must arrive whole within the transport's timeout, however
-its bytes trickle in: only a read past a frame's first waits on what is
-left of that deadline, and the full timeout, which sendall shares, is set
-again after it.
+that announces more than its peer sends holds no memory for the rest.
+The socket's timeout, set once, bounds each read and send.  A block has
+one deadline, the timeout after its session starts: a frame not whole
+after a read that ends past it, or whole only past it, ends the session
+in TIMEOUT unless it is the peer's ABORT.  A peer that stalls or trickles
+its frames holds a block for about two timeouts, and never past three.
 
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
@@ -80,8 +81,8 @@ endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
 Alice has already returned her key while Bob fails, with TRANSPORT_CLOSED
 once she hangs up or TIMEOUT if she does not.  A lost frame that leaves
-both ends waiting on each other ends only when the receive timeout
-expires, which for `run-link` is 30 s by default.
+both ends waiting on each other ends at the block's deadline, which for
+`run-link` is 30 s after the session starts by default.
 """
 
 from __future__ import annotations
@@ -390,9 +391,9 @@ class StreamTransport:
     """Blocking framed I/O over a socket, with an optional transcript file
     recording every frame in endpoint event order.
 
-    `timeout_s` bounds the wait for each whole received frame, and each
-    send.  A TCP socket gets TCP_NODELAY, so that each frame leaves when
-    it is written (see the module docstring).
+    `timeout_s` is the socket's timeout, set once here: it bounds each
+    read and send.  A TCP socket gets TCP_NODELAY, so that each frame
+    leaves when it is written (see the module docstring).
 
     Received bytes land in one buffer that the transport keeps for the
     life of the connection.  A frame costs one `recv_into` when it has
@@ -419,23 +420,20 @@ class StreamTransport:
             self._transcript.write(data)
         self.sock.sendall(data)
 
-    def _read(self, n: int, deadline: float, nth: int) -> None:
-        """One read towards `n` unread bytes, the frame's `nth`: the first
-        waits the socket's full timeout, a later one only what is left
-        until `deadline`."""
+    def _read(self, n: int, deadline: float) -> None:
+        """One read towards `n` unread bytes, which waits at most the
+        socket's timeout; TIMEOUT if they are still short after
+        `deadline`."""
         size = len(self._buf)
         if self._end == size or (self._start and self._start + n > size):
             self._make_room(n)
-        if nth > 1:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout
-            self.sock.settimeout(remaining)
         got = self.sock.recv_into(self._view[self._end:])
         if not got:
             raise SessionFailed(AbortReason.TRANSPORT_CLOSED,
                                 "peer closed the connection")
         self._end += got
+        if self._end - self._start < n and time.monotonic() > deadline:
+            raise socket.timeout
 
     def _make_room(self, n: int) -> None:
         """Move the unread bytes to the front of the buffer or, if they
@@ -448,28 +446,24 @@ class StreamTransport:
         self._buf[:len(unread)] = unread
         self._start, self._end = 0, len(unread)
 
-    def recv_frame(self, n_pulses: int | None = None) -> Frame:
-        """The next frame, which must arrive whole within the timeout: a
-        peer that trickles bytes cannot stretch the wait.  Its header is
+    def recv_frame(self, n_pulses: int | None = None,
+                   deadline: float | None = None) -> Frame:
+        """The next frame, whole by the monotonic `deadline` (one timeout
+        from now by default) however its bytes trickle in; one not yet
+        buffered gets a read before the deadline is checked.  Its header is
         checked before the payload is awaited: the type must be known and
         the length fit the type and, given the block's pulse count
         `n_pulses`, the block."""
-        deadline = time.monotonic() + self.timeout_s
-        reads = 0
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout_s
         try:
-            try:
-                while self._end - self._start < _HEADER.size:
-                    reads += 1
-                    self._read(_HEADER.size, deadline, reads)
-                length, raw_type = _HEADER.unpack_from(self._buf, self._start)
-                _checked_type(raw_type, length, n_pulses)
-                size = _HEADER.size + length
-                while self._end - self._start < size:
-                    reads += 1
-                    self._read(size, deadline, reads)
-            finally:
-                if reads > 1:
-                    self.sock.settimeout(self.timeout_s)   # sendall's timeout
+            while self._end - self._start < _HEADER.size:
+                self._read(_HEADER.size, deadline)
+            length, raw_type = _HEADER.unpack_from(self._buf, self._start)
+            _checked_type(raw_type, length, n_pulses)
+            size = _HEADER.size + length
+            while self._end - self._start < size:
+                self._read(size, deadline)
         except socket.timeout:
             raise SessionFailed(AbortReason.TIMEOUT, "receive timed out")
         except OSError as exc:
@@ -514,6 +508,7 @@ class WireLink:
         self.bob = role == Role.BOB
         self.transport = transport
         self.n_pulses = n_pulses   # bounds what the peer's headers may claim
+        self.deadline = time.monotonic() + transport.timeout_s   # the block's
 
     def fail(self, reason: AbortReason | str, detail: str = "",
              notify: bool = True) -> SessionFailed:
@@ -543,7 +538,7 @@ class WireLink:
 
     def expect(self, msg_type: MsgType) -> Frame:
         try:
-            frame = self.transport.recv_frame(self.n_pulses)
+            frame = self.transport.recv_frame(self.n_pulses, self.deadline)
         except FrameDecodeError as exc:
             raise self.fail(AbortReason.DECODE_ERROR, str(exc))
         except SessionFailed as exc:
@@ -551,6 +546,8 @@ class WireLink:
                             notify=exc.reason == AbortReason.TIMEOUT)
         if frame.msg_type == MsgType.ABORT:
             raise self.fail(frame.value, "peer aborted", notify=False)
+        if time.monotonic() > self.deadline:
+            raise self.fail(AbortReason.TIMEOUT, "block timed out")
         if frame.msg_type != msg_type:
             raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
                             f"expected {msg_type.name}, got {frame.msg_type.name}")
@@ -596,12 +593,13 @@ def run_session(role: Role, transport: StreamTransport, cfg,
     The two ends exchange HELLOs, then each reconstructs the quantum
     exchange from the shared config seed, runs pipeline.run_chain over a
     WireLink and returns its BlockResult.  Raises SessionFailed (after
-    emitting ABORT) on any protocol violation, and with CONFIG_MISMATCH if
+    emitting ABORT) on any protocol violation, with CONFIG_MISMATCH if
     the peer is on another config, block, protocol version or numpy
-    stream.  On return both ends hold the same key, but for a
-    2**-32 chance that unequal strings give equal KEY_CONFIRM tags; where
-    the tags differ, that key has 0 bits.  Raises ValueError, before any
-    frame is sent, for a block id that a HELLO's u64 cannot carry.
+    stream, and with TIMEOUT if the peer's frames outlast the transport's
+    timeout.  On return both ends hold the same key, but for a 2**-32
+    chance that unequal strings give equal KEY_CONFIRM tags; where the
+    tags differ, that key has 0 bits.  Raises ValueError, before any frame
+    is sent, for a block id that a HELLO's u64 cannot carry.
     """
     if not 0 <= block_id < 2 ** 64:
         raise ValueError(f"block_id must be >= 0 and below 2**64, "

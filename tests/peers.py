@@ -44,8 +44,8 @@ class Peer(proto.StreamTransport):
         self.sock.sendall(data)
         self.events.append(("sent", data))
 
-    def recv_frame(self, n_pulses=None):
-        frame = super().recv_frame(n_pulses)
+    def recv_frame(self, n_pulses=None, deadline=None):
+        frame = super().recv_frame(n_pulses, deadline)
         self.events.append(("received", encode_frame(frame)))
         if self.fault_at is not None:
             self.received_after.append(frame.msg_type)

@@ -111,16 +111,10 @@ TIMEOUT_S = 5.0
 
 def run_pair_timed(cfg):
     """run_pair over a loopback pair with TIMEOUT_S receive timeouts, and
-    the seconds it took.  A watchdog shuts both sockets down if the session
-    is still running after TIMEOUT_S, so that a hang fails the test instead
-    of stalling it."""
-    transports = loopback_pair(timeout_s=TIMEOUT_S)
-    watchdog = threading.Timer(TIMEOUT_S, lambda: [
-        t.sock.shutdown(socket.SHUT_RDWR) for t in transports])
-    watchdog.start()
+    the seconds it took.  A session that hangs still ends within about two
+    timeouts, at its block's deadline."""
     start = time.monotonic()
-    out = run_pair(cfg, transports=transports)
-    watchdog.cancel()
+    out = run_pair(cfg, transports=loopback_pair(timeout_s=TIMEOUT_S))
     return out, time.monotonic() - start
 
 
@@ -240,24 +234,13 @@ class TestFraming:
         data = encode_frame(frame)
         assert encode_frame(decode_frame(data)) == data
 
-    def test_pinned_basis_announce(self):
+    def test_pinned_frames(self):
         # one frame per MsgType, with the bytes the layout fixes
         assert [f.msg_type for f, _ in _PINNED_FRAMES] == list(MsgType)
         for frame, data in _PINNED_FRAMES:
             data = bytes.fromhex(data)
             assert encode_frame(frame) == data, frame.msg_type.name
             assert encode_frame(decode_frame(data)) == data
-
-    def test_abort_frame_is_seven_bytes(self):
-        data = encode_frame(Frame(MsgType.ABORT, AbortReason.TIMEOUT))
-        assert len(data) == 7
-        assert data == b"\x00\x00\x00\x02\x0a\x00\x03"
-
-    def test_header_is_big_endian(self):
-        data = encode_frame(Frame(MsgType.QBER_REPORT, 0.25))
-        length, raw_type = struct.unpack(">IB", data[:5])
-        assert length == 8
-        assert raw_type == 0x05
 
     def test_decode_rejects_unknown_type(self):
         # 0x03 and 0x08 are unassigned, as each end derives its sample and
@@ -815,12 +798,6 @@ class _CountingSocket:
         self.bytes_read += got
         return got
 
-    def recv(self, *args):
-        self.reads += 1
-        data = self._sock.recv(*args)
-        self.bytes_read += len(data)
-        return data
-
     def settimeout(self, value):
         self.timeouts += 1
         self._sock.settimeout(value)
@@ -837,11 +814,10 @@ PINNED_TRANSCRIPTS = Path(__file__).with_name("transcript_outputs.sha256")
 
 class TestReceivePath:
     # default blocks 0-2 over a socket pair: Alice received 54/86/62 frames,
-    # Bob's HELLO among them, in 55/87/63 reads, with 2 settimeout calls
-    # (the positions frame's second read and the reset after it), and Bob
-    # 53/85/61, Alice's HELLO among them, in as many reads, with none.
-    # Reading header and payload apart took 2 reads and 3 settimeout calls
-    # per frame.
+    # Bob's HELLO among them, in 55/87/63 reads, and Bob 53/85/61, Alice's
+    # HELLO among them, in as many reads; neither end called settimeout
+    # after its transport was made.  Reading header and payload apart took
+    # 2 reads and 3 settimeout calls per frame.
     MAX_EXTRA_READS = 4
 
     def test_two_frames_in_one_write_come_back_in_order(self):
@@ -1022,6 +998,66 @@ class TestReceivePath:
         assert bob.reads <= received[1] + self.MAX_EXTRA_READS
         for s in socks:
             assert s.timeouts <= 2 * self.MAX_EXTRA_READS
+
+
+class TestDeadline:
+    # a block has one deadline, one timeout after its session starts; the
+    # socket's own timeout is set once and bounds each read
+
+    @pytest.mark.parametrize("staller", list(Role), ids=lambda r: r.value)
+    def test_stalling_peer_cannot_hold_a_block(self, staller):
+        # each frame half a timeout late keeps every wait inside the
+        # timeout; with a deadline per frame, block 1 ran to its keys after
+        # ~43 timeouts
+        timeout_s = 0.5
+
+        class Stalling(Peer):
+            def send_frame(self, frame):
+                time.sleep(timeout_s / 2)
+                super().send_frame(frame)
+
+        ends = dict((role, (Stalling if role is staller else Peer)(
+            sock, timeout_s)) for role, sock in zip(Role, socket.socketpair()))
+        start = time.monotonic()
+        out = run_pair(SystemConfig(), transports=tuple(ends.values()),
+                       block_id=1)
+        elapsed = (time.monotonic() - start) / timeout_s
+        for role in Role:
+            assert isinstance(out[role], SessionFailed), role
+            assert out[role].reason == AbortReason.TIMEOUT, role
+        assert elapsed < 2
+        # the other end passed its deadline first, and told the staller
+        assert ends[staller].events[-1] == ("received", encode_frame(
+            Frame(MsgType.ABORT, AbortReason.TIMEOUT)))
+
+    def test_socket_timeout_is_set_once(self):
+        # by the constructor: neither a frame that takes many reads nor a
+        # session sets it again
+        socks = [_CountingSocket(s) for s in socket.socketpair()]
+        ends = [Peer(s, TIMEOUT_S) for s in socks]
+        for s in socks:
+            s.timeouts = 0   # the constructor's own call
+        data = encode_frame(Frame(MsgType.POSTSELECT_MASK,
+                                  np.arange(0, 40, 3)))
+
+        def trickle():
+            for i in range(0, len(data), 3):
+                socks[0].sendall(data[i:i + 3])
+                time.sleep(0.005)
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        try:
+            got = ends[1].recv_frame()
+        finally:
+            t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert encode_frame(got) == data
+        assert socks[1].reads > 1
+        out = run_pair(SystemConfig(), transports=ends)
+        assert np.array_equal(out[Role.ALICE].key_bits,
+                              out[Role.BOB].key_bits)
+        assert [s.timeouts for s in socks] == [0, 0]
 
 
 class TestRoundTrips:
