@@ -14,7 +14,7 @@ from .physics import (
     wdm_excess_noise,
 )
 from .pipeline import distill_block, simulate_quantum_exchange
-from .protocol import Role, SessionFailed, loopback_pair, run_session
+from .protocol import Role, SessionFailed, run_session
 from .quantum import CoherentStateEnsemble, binary_entropy, holevo_bound
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Role",
     "SessionFailed",
     "run_session",
-    "loopback_pair",
 ]
 
 __version__ = "0.1.0"

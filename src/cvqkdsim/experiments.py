@@ -163,7 +163,9 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     represented time, starting with them on.
 
     The appended '# ...' lines carry the paired statistic: mean SKR with
-    the channels on, with them off, and the relative difference.
+    the channels on, with them off, and the relative difference.  The mean
+    of a phase that ran no block is nan, and so is the difference unless
+    both phases ran.
     """
     _check_positive("interval_s", interval_s, allow_zero=False)
     _check_positive("total_s", total_s, allow_zero=True)
@@ -177,9 +179,10 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
 
     skr_on = [s for active, s in skr if active is cfg_on]
     skr_off = [s for active, s in skr if active is cfg_off]
-    mean_on = float(np.mean(skr_on)) if skr_on else 0.0
-    mean_off = float(np.mean(skr_off)) if skr_off else 0.0
-    rel = abs(mean_on - mean_off) / mean_off if mean_off > 0.0 else 0.0
+    # the run starts on, so with no on block there is no off block either
+    mean_on = float(np.mean(skr_on)) if skr_on else math.nan
+    mean_off = float(np.mean(skr_off)) if skr_off else math.nan
+    rel = abs(mean_on - mean_off) / mean_off if mean_off != 0.0 else 0.0
     lines.append(f"# mean_skr_on = {mean_on!r}")
     lines.append(f"# mean_skr_off = {mean_off!r}")
     lines.append(f"# relative_difference = {rel!r}")

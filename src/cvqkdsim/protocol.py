@@ -57,6 +57,8 @@ one deadline, the timeout after its session starts: a frame not whole
 after a read that ends past it, or whole only past it, ends the session
 in TIMEOUT unless it is the peer's ABORT.  A peer that stalls or trickles
 its frames holds a block for about two timeouts, and never past three.
+A send that times out, to a peer that reads nothing, ends the session in
+TIMEOUT at once, with no further read and no ABORT, which could not leave.
 
 Cascade crosses as PARITY_REQ 0x06 (a pass index, then count-prefixed
 u32 start and end arrays) and PARITY_RSP 0x07 (a packed bit per range).
@@ -114,7 +116,6 @@ __all__ = [
     "Role",
     "StreamTransport",
     "WireLink",
-    "loopback_pair",
     "encode_frame",
     "decode_frame",
     "stream_fingerprint",
@@ -483,15 +484,6 @@ class StreamTransport:
         self.sock.close()
 
 
-def loopback_pair(timeout_s: float = DEFAULT_TIMEOUT_S,
-                  transcripts: tuple | None = None):
-    """In-process transport pair (Alice end, Bob end)."""
-    a, b = socket.socketpair()
-    ta = StreamTransport(a, timeout_s, transcripts[0] if transcripts else None)
-    tb = StreamTransport(b, timeout_s, transcripts[1] if transcripts else None)
-    return ta, tb
-
-
 class Role(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
@@ -525,6 +517,10 @@ class WireLink:
     def send(self, frame: Frame) -> None:
         try:
             self.transport.send_frame(frame)
+        except socket.timeout:
+            # a stalled peer, not a closed one: any read or ABORT waits again
+            raise self.fail(AbortReason.TIMEOUT, "send timed out",
+                            notify=False)
         except OSError:
             # the peer hung up; an ABORT it sent first says why
             try:

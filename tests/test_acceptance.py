@@ -21,7 +21,7 @@ from cvqkdsim.quantum import (
     holevo_bound,
 )
 
-from peers import peer_pair, run_pair, unknown_type
+from peers import both_failed, peer_pair, run_pair, unknown_type
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -104,11 +104,8 @@ def test_criterion_5_protocol_correctness():
     # Alice's first frame, her HELLO, goes out under an unknown type
     out = run_pair(SystemConfig(block_size_pulses=20_000), peer_pair(
         10.0, proto.Role.ALICE, proto.MsgType.HELLO, unknown_type))
-    faulted = (isinstance(out[proto.Role.ALICE], proto.SessionFailed)
-               and isinstance(out[proto.Role.BOB], proto.SessionFailed)
-               and out[proto.Role.ALICE].reason == out[proto.Role.BOB].reason
-               == proto.AbortReason.DECODE_ERROR)
-    verdict(5, clean and faulted,
+    both_failed(out, proto.AbortReason.DECODE_ERROR)
+    verdict(5, clean,
             "noiseless loopback keys identical with qber 0; corrupted frame "
             "fails both endpoints with reason DECODE_ERROR")
 
@@ -191,7 +188,7 @@ def test_criterion_9_determinism(tmp_path):
     for run in range(2):
         pa = tmp_path / f"a{run}.bin"
         pb = tmp_path / f"b{run}.bin"
-        run_pair(link_cfg, proto.loopback_pair(transcripts=(pa, pb)))
+        run_pair(link_cfg, peer_pair(transcripts=(pa, pb)))
         transcripts.append((pa.read_bytes(), pb.read_bytes()))
     wire_ok = (transcripts[0] == transcripts[1]
                and len(transcripts[0][0]) > 0)

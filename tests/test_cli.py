@@ -295,20 +295,41 @@ class TestRunLink:
         assert (tmp_path / "alice.txt").read_text() == \
             (tmp_path / "bob.txt").read_text()
 
-    def test_failed_session_says_why(self, fast_config_file, tmp_path,
+    @pytest.mark.parametrize("bob_line, bob_args, field", [
+        ("seed = 7", [], "config_digest"),
+        ("sample_fraction = 0.05", [], "config_digest"),
+        # both ends once finished with the same key and different SKRs
+        ("rep_rate_hz = 2e7", [], "config_digest"),
+        ("", ["--block-id", "1"], "block_id"),
+    ], ids=["seed-7", "sample-fraction-0.05", "rep-rate-2e7", "block-id-1"])
+    def test_failed_session_says_why(self, bob_line, bob_args, field,
+                                     fast_config_file, tmp_path, monkeypatch,
                                      capsys):
         # Bob refuses Alice's HELLO and names the field that differs;
-        # Alice hears only his ABORT
-        seed7 = tmp_path / "seed7.cfg"
-        seed7.write_text("block_size_pulses = 100000\nseed = 7\n",
-                         encoding="utf-8")
+        # Alice hears only his ABORT, and both end well inside --timeout
+        failed, run_session = {}, cli.run_session
+
+        def recorded(role, *args, **kwargs):
+            try:
+                return run_session(role, *args, **kwargs)
+            except cli.SessionFailed as exc:
+                failed[role.value] = str(exc)
+                raise
+
+        monkeypatch.setattr(cli, "run_session", recorded)
+        bob_cfg = tmp_path / "bob.cfg"
+        bob_cfg.write_text(f"block_size_pulses = 100000\n{bob_line}\n",
+                           encoding="utf-8")
+        start = time.monotonic()
         codes, err = run_link_pair(
             capsys, (["--config", fast_config_file], ["--timeout", "10"]),
-            (["--config", str(seed7)], ["--timeout", "10"]))
+            (["--config", str(bob_cfg)], ["--timeout", "10", *bob_args]))
+        assert time.monotonic() - start < 10 / 2
         assert codes == {"alice": 2, "bob": 2}
-        assert ("session failed: CONFIG_MISMATCH HELLO differs in "
-                "config_digest") in err
-        assert "session failed: CONFIG_MISMATCH peer aborted" in err
+        assert failed == {
+            "bob": f"session failed: CONFIG_MISMATCH HELLO differs in {field}",
+            "alice": "session failed: CONFIG_MISMATCH peer aborted"}
+        assert all(line in err for line in failed.values())
 
     @pytest.mark.parametrize("option", ["--key-out", "--transcript",
                                         "--output"])

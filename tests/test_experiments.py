@@ -99,6 +99,16 @@ class TestOnOff:
         assert tail[1].startswith("# mean_skr_off = ")
         assert tail[2].startswith("# relative_difference = ")
 
+    @pytest.mark.parametrize("total_s", [300.0, 0.0])
+    def test_phase_without_blocks_has_no_mean(self, total_s):
+        # 600 s intervals: over 300 s every block runs on, over 0 s none
+        # runs, and a phase without blocks compares with nothing
+        tail = ex.exp_onoff(fast_cfg(), 600.0, total_s).splitlines()[-3:]
+        mean_on, mean_off, rel = (float(line.split(" = ")[1])
+                                  for line in tail)
+        assert mean_on > 0.0 if total_s else np.isnan(mean_on)
+        assert np.isnan(mean_off) and np.isnan(rel)
+
     def test_zero_coefficient_small_difference(self):
         # without scattering the on and off populations share the same
         # distribution, so the paired means differ only by estimator noise

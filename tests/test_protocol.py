@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import socket
@@ -35,12 +36,11 @@ from cvqkdsim.protocol import (
     SessionFailed,
     decode_frame,
     encode_frame,
-    loopback_pair,
     run_session,
 )
 
-from peers import (Peer, peer_pair, run_pair, tcp_pair, transcript_frames,
-                   unknown_type)
+from peers import (TIMEOUT_S, Peer, both_failed, peer_pair, run_pair,
+                   run_pair_timed, tcp_pair, transcript_frames, unknown_type)
 
 
 def small_cfg(**kwargs) -> SystemConfig:
@@ -102,20 +102,6 @@ class _RecordingLink(LocalLink):
         return value
 
     from_alice = from_bob
-
-
-# the receive timeout of the timed sessions below; a session that ends on
-# its own, not on a timeout, must end within half of it
-TIMEOUT_S = 5.0
-
-
-def run_pair_timed(cfg):
-    """run_pair over a loopback pair with TIMEOUT_S receive timeouts, and
-    the seconds it took.  A session that hangs still ends within about two
-    timeouts, at its block's deadline."""
-    start = time.monotonic()
-    out = run_pair(cfg, transports=loopback_pair(timeout_s=TIMEOUT_S))
-    return out, time.monotonic() - start
 
 
 _frame_strategies = st.one_of(
@@ -368,7 +354,7 @@ class TestSession:
         # passes exactly the frames the wire carries, in the same order
         # but for the two HELLOs that open a session
         paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
-        run_pair(cfg, transports=loopback_pair(transcripts=paths),
+        run_pair(cfg, transports=peer_pair(transcripts=paths),
                  block_id=block_id)
         link = _RecordingLink()
         run_chain(cfg, block_id,
@@ -385,13 +371,9 @@ class TestSession:
         # larger sample must not lend her his sample, his key length or his
         # key
         cfg = keyed_cfg()
-        start = time.monotonic()
-        out = run_pair(cfg, transports=loopback_pair(timeout_s=TIMEOUT_S),
-                       bob_cfg=replace(cfg, sample_fraction=0.05))
-        elapsed = time.monotonic() - start
-        for role in (Role.ALICE, Role.BOB):
-            assert isinstance(out[role], SessionFailed), role
-            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
+        out, elapsed = run_pair_timed(
+            cfg, bob_cfg=replace(cfg, sample_fraction=0.05))
+        both_failed(out, AbortReason.CONFIG_MISMATCH)
         assert elapsed < TIMEOUT_S / 2
 
     def test_alice_draws_no_kept_position(self, monkeypatch):
@@ -414,8 +396,7 @@ class TestSession:
                                  for f in fields(batch)))
 
         monkeypatch.setattr(proto, "simulate_quantum_exchange", simulate_for)
-        out = run_pair(alice_cfg, bob_cfg=cfg,
-                       transports=loopback_pair(timeout_s=TIMEOUT_S))
+        out = run_pair(alice_cfg, bob_cfg=cfg)
         local = distill_block(cfg, 0, mean_drift(cfg))
         assert local.key_bits.size > 0
         for role in (Role.ALICE, Role.BOB):
@@ -465,109 +446,174 @@ class TestSession:
         for run in range(2):
             pa = tmp_path / f"alice{run}.bin"
             pb = tmp_path / f"bob{run}.bin"
-            run_pair(cfg, transports=loopback_pair(transcripts=(pa, pb)))
+            run_pair(cfg, transports=peer_pair(transcripts=(pa, pb)))
             captures.append((pa.read_bytes(), pb.read_bytes()))
         assert captures[0] == captures[1]
         assert len(captures[0][0]) > 0
 
 
-class TestFaultInjection:
-    def test_corrupted_frame_fails_both_ends_matching_reason(self):
-        # Alice's first frame, her HELLO, goes out under an unknown type
-        out = run_pair(small_cfg(), transports=peer_pair(
-            5.0, Role.ALICE, MsgType.HELLO, unknown_type))
-        assert isinstance(out[Role.ALICE], SessionFailed)
-        assert isinstance(out[Role.BOB], SessionFailed)
-        assert out[Role.BOB].reason == AbortReason.DECODE_ERROR
-        assert out[Role.ALICE].reason == out[Role.BOB].reason
+def _value(change):
+    """A rewrite that sends `change(value)` under the frame's own type."""
+    return lambda f: encode_frame(replace(f, value=change(f.value)))
 
-    def test_unexpected_message_aborts_peer(self):
+
+def _header(length, payload=b""):
+    """A rewrite that sends a header claiming `length` payload bytes under
+    the frame's own type, then `payload`."""
+    return lambda f: struct.pack(">IB", length, f.msg_type) + payload
+
+
+def _dropped(sender, msg_type, reason):
+    """The row that drops `sender`'s first `msg_type` frame."""
+    return (f"{sender.value}-{msg_type.name}-{reason.name}".lower(),
+            sender, msg_type, lambda f: b"", reason)
+
+
+_N_SIGNAL = small_cfg().block_size_pulses - small_cfg().calibration_pulses
+_UNEXPECTED = AbortReason.UNEXPECTED_MESSAGE
+_MISMATCH = AbortReason.CONFIG_MISMATCH
+
+# Every single-frame fault of a session on small_cfg block 0, by the test
+# that runs it.  A row is (id, sender, msg_type, rewrite, reason[, detail]):
+# the sender's first msg_type frame goes on the wire as rewrite(frame), and
+# b"" drops it; fails_both_ends is the rule every row holds to.
+FAULTS = {
+    "test_corrupted_frame_fails_both_ends_matching_reason": [
+        # Alice's first frame, her HELLO, goes out under an unknown type
+        ("hello-unknown-type", Role.ALICE, MsgType.HELLO, unknown_type,
+         AbortReason.DECODE_ERROR)],
+    "test_unexpected_message_aborts_peer": [
         # Alice answers Bob's HELLO and opening frames out of order: a
         # QBER_REPORT in place of her SAMPLE_BITS
-        alice, bob = peer_pair(5.0, Role.ALICE, MsgType.SAMPLE_BITS,
-                               lambda f: encode_frame(
-                                   Frame(MsgType.QBER_REPORT, 0.1)))
-        out = run_pair(small_cfg(), transports=(alice, bob))
-        assert alice.received_after == [MsgType.ABORT]
-        abort = decode_frame(alice.events[-1][1])
-        assert abort.msg_type == MsgType.ABORT
-        assert abort.value == AbortReason.UNEXPECTED_MESSAGE
-        assert out[Role.BOB].reason == AbortReason.UNEXPECTED_MESSAGE
-
-    @pytest.mark.parametrize("sender, msg_type, tamper", [
-        (Role.BOB, MsgType.BASIS_ANNOUNCE,
-         lambda f, n_kept: replace(f, value=f.value[:-8])),
+        ("qber-report-for-sample-bits", Role.ALICE, MsgType.SAMPLE_BITS,
+         lambda f: encode_frame(Frame(MsgType.QBER_REPORT, 0.1)),
+         _UNEXPECTED)],
+    "test_out_of_range_field_aborts_both_ends": [
+        ("basis-short", Role.BOB, MsgType.BASIS_ANNOUNCE,
+         _value(lambda v: v[:-8]), _UNEXPECTED),
         # the right bases, with the padding of the partial last byte set to
         # 1s (block 0 keeps 2319 pulses, so 1 padding bit)
-        (Role.BOB, MsgType.BASIS_ANNOUNCE,
-         lambda f, n_kept: replace(f, value=np.append(
-             f.value, np.ones(-f.value.size % 8, dtype=np.uint8)))),
+        ("basis-padded-1s", Role.BOB, MsgType.BASIS_ANNOUNCE, _value(
+            lambda v: np.append(v, np.ones(-v.size % 8, np.uint8))),
+         _UNEXPECTED),
         # one pulse fewer than Alice's block keeps
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, n_kept: replace(f, value=f.value[:-1])),
+        ("mask-short", Role.BOB, MsgType.POSTSELECT_MASK,
+         _value(lambda v: v[:-1]), _UNEXPECTED),
         # one pulse more: those Alice's block kept, and the first it did not
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, n_kept: replace(f, value=np.union1d(
-             f.value, np.setdiff1d(np.arange(f.value.size + 1), f.value)[0]))),
+        ("mask-extra", Role.BOB, MsgType.POSTSELECT_MASK, _value(
+            lambda v: np.union1d(v, np.setdiff1d(np.arange(v.size + 1),
+                                                 v)[0])), _UNEXPECTED),
         # as many positions, but not ascending or not below n_signal
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, n_kept: replace(
-             f, value=np.append(f.value[:-1], 10 ** 9))),
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, n_kept: replace(f, value=f.value[::-1])),
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, n_kept: replace(
-             f, value=np.append(f.value[:1], f.value[:-1]))),
+        ("index-1e9", Role.BOB, MsgType.POSTSELECT_MASK,
+         _value(lambda v: np.append(v[:-1], 10 ** 9)), _UNEXPECTED),
+        ("indices-unsorted", Role.BOB, MsgType.POSTSELECT_MASK,
+         _value(lambda v: v[::-1]), _UNEXPECTED),
+        ("index-repeated", Role.BOB, MsgType.POSTSELECT_MASK,
+         _value(lambda v: np.append(v[:1], v[:-1])), _UNEXPECTED),
         # position n_signal, one past the last signal pulse
-        (Role.BOB, MsgType.POSTSELECT_MASK,
-         lambda f, n_kept: replace(f, value=np.append(
-             f.value[:-1], small_cfg().block_size_pulses
-             - small_cfg().calibration_pulses))),
-        (Role.ALICE, MsgType.SAMPLE_BITS,
-         lambda f, n_kept: replace(f, value=f.value[:8])),
-        (Role.BOB, MsgType.QBER_REPORT,
-         lambda f, n_kept: replace(f, value=math.nan)),
-        (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, n_kept: replace(
-             f, value=(50, f.value[1], f.value[2]))),
-        (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, n_kept: replace(
-             f, value=(f.value[0], f.value[1], f.value[1]))),
-        (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, n_kept: replace(f, value=(
-             f.value[0], f.value[1], np.append(f.value[2][:-1], n_kept + 1)))),
-        (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, n_kept: replace(
-             f, value=(f.value[0], f.value[2], f.value[1]))),
-        (Role.ALICE, MsgType.PARITY_REQ,
-         lambda f, n_kept: replace(
-             f, value=(f.value[0], f.value[1], f.value[2][:-1]))),
-        (Role.BOB, MsgType.PARITY_RSP,
-         lambda f, n_kept: replace(
-             f, value=np.append(f.value, np.zeros(8, dtype=np.uint8)))),
-    ], ids=["basis-short", "basis-padded-1s", "mask-short", "mask-extra",
-            "index-1e9", "indices-unsorted", "index-repeated",
-            "index-past-signal", "sample-bits-8",
-            "qber-nan", "parity-pass-50", "parity-empty", "parity-end-past-n",
-            "parity-start-past-end", "parity-arrays-unequal",
-            "parity-rsp-count"])
-    def test_out_of_range_field_aborts_both_ends(self, sender, msg_type,
-                                                 tamper):
-        cfg = small_cfg()
-        n_kept = reference_estimation(cfg, 0)[3].kept_indices.size
-        transports = peer_pair(TIMEOUT_S, sender, msg_type,
-                               lambda f: encode_frame(tamper(f, n_kept)))
-        tamperer = dict(zip(Role, transports))[sender]
-        start = time.monotonic()
-        out = run_pair(cfg, transports=transports)
-        elapsed = time.monotonic() - start
-        assert isinstance(out[Role.ALICE], SessionFailed)
-        assert isinstance(out[Role.BOB], SessionFailed)
-        assert (out[Role.ALICE].reason == out[Role.BOB].reason
-                == AbortReason.UNEXPECTED_MESSAGE)
-        # the receiver rejects the tampered frame itself, not a later one
-        assert tamperer.received_after == [MsgType.ABORT]
+        ("index-past-signal", Role.BOB, MsgType.POSTSELECT_MASK,
+         _value(lambda v: np.append(v[:-1], _N_SIGNAL)), _UNEXPECTED),
+        ("sample-bits-8", Role.ALICE, MsgType.SAMPLE_BITS,
+         _value(lambda v: v[:8]), _UNEXPECTED),
+        ("qber-nan", Role.BOB, MsgType.QBER_REPORT,
+         _value(lambda v: math.nan), _UNEXPECTED),
+        # (pass, starts, ends): the first request asks for pass 0's
+        # top-level parities, whose last range ends at the kept bit count
+        ("parity-pass-50", Role.ALICE, MsgType.PARITY_REQ,
+         _value(lambda v: (50, v[1], v[2])), _UNEXPECTED),
+        ("parity-empty", Role.ALICE, MsgType.PARITY_REQ,
+         _value(lambda v: (v[0], v[1], v[1])), _UNEXPECTED),
+        ("parity-end-past-n", Role.ALICE, MsgType.PARITY_REQ, _value(
+            lambda v: (v[0], v[1], np.append(v[2][:-1], v[2][-1] + 1))),
+         _UNEXPECTED),
+        ("parity-start-past-end", Role.ALICE, MsgType.PARITY_REQ,
+         _value(lambda v: (v[0], v[2], v[1])), _UNEXPECTED),
+        ("parity-arrays-unequal", Role.ALICE, MsgType.PARITY_REQ,
+         _value(lambda v: (v[0], v[1], v[2][:-1])), _UNEXPECTED),
+        ("parity-rsp-count", Role.BOB, MsgType.PARITY_RSP,
+         _value(lambda v: np.append(v, np.zeros(8, np.uint8))), _UNEXPECTED)],
+    "test_oversized_length_header_aborts_both_ends": [
+        # a bare header claiming 64 MiB
+        ("sample-bits", Role.ALICE, MsgType.SAMPLE_BITS, _header(2 ** 26),
+         AbortReason.DECODE_ERROR),
+        ("qber-report", Role.BOB, MsgType.QBER_REPORT, _header(2 ** 26),
+         AbortReason.DECODE_ERROR),
+        # a whole 32-byte SHA-256 digest where a 4-byte tag belongs
+        ("key-confirm-digest", Role.BOB, MsgType.KEY_CONFIRM,
+         _header(32, bytes(range(32))), AbortReason.DECODE_ERROR)],
+    "test_dropped_frame_fails_both_ends": [
+        # the next frame arrives in the dropped one's place
+        _dropped(Role.BOB, MsgType.HELLO, _UNEXPECTED),
+        _dropped(Role.BOB, MsgType.POSTSELECT_MASK, _UNEXPECTED),
+        # both ends wait on each other
+        _dropped(Role.ALICE, MsgType.HELLO, AbortReason.TIMEOUT),
+        _dropped(Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.TIMEOUT),
+        _dropped(Role.BOB, MsgType.QBER_REPORT, AbortReason.TIMEOUT),
+        _dropped(Role.BOB, MsgType.PARITY_RSP, AbortReason.TIMEOUT),
+        _dropped(Role.BOB, MsgType.KEY_CONFIRM, AbortReason.TIMEOUT),
+        _dropped(Role.ALICE, MsgType.SAMPLE_BITS, AbortReason.TIMEOUT),
+        _dropped(Role.ALICE, MsgType.PARITY_REQ, AbortReason.TIMEOUT)],
+    "test_another_protocol_version_fails_both": [
+        # an Alice whose HELLO differs only in its version: a parent peer
+        # on the Toeplitz hash, whose tags would never match
+        ("version-1", Role.ALICE, MsgType.HELLO,
+         _value(lambda h: h._replace(version=1)), _MISMATCH, "version")],
+    "test_alice_refuses_another_hello_from_bob": [
+        # a Bob that takes Alice's HELLO but sends another block's
+        ("block-id-1", Role.BOB, MsgType.HELLO,
+         _value(lambda h: h._replace(block_id=1)), _MISMATCH, "block_id")],
+}
+
+
+def fails_both_ends(sender, msg_type, rewrite, reason, detail=None):
+    """The rule of a FAULTS row: both ends raise SessionFailed with
+    `reason`, and the other end's names `detail` if given.  A TIMEOUT row,
+    where both ends wait on each other, runs at a 0.2 s timeout and ends
+    within two timeouts of the fault: each end waits at most one once the
+    frame is lost.  Any other row ends within half of TIMEOUT_S, and the
+    sender receives nothing after the fault but the peer's ABORT, which
+    gave it its reason: the peer refused the faulty frame itself, not a
+    later one."""
+    timing_out = reason == AbortReason.TIMEOUT
+    timeout_s = 0.2 if timing_out else TIMEOUT_S
+    ends = dict(zip(Role, peer_pair(timeout_s, sender, msg_type, rewrite)))
+    out, elapsed = run_pair_timed(small_cfg(), transports=ends.values())
+    faulty = ends[sender]
+    both_failed(out, reason)
+    if timing_out:
+        assert time.monotonic() - faulty.fault_at < 2 * timeout_s
+    else:
         assert elapsed < TIMEOUT_S / 2
+        assert faulty.received_after == [MsgType.ABORT]
+    if detail:
+        (other,) = set(Role) - {sender}
+        assert detail in str(out[other])
+
+
+def fault_test(name: str):
+    """The test `name`: fails_both_ends on each of its FAULTS rows, by row
+    id if it has more than one."""
+    rows = FAULTS[name]
+    if len(rows) == 1:
+        return lambda self: fails_both_ends(*rows[0][1:])
+
+    @pytest.mark.parametrize("fault", rows, ids=[row[0] for row in rows])
+    def test(self, fault):
+        fails_both_ends(*fault[1:])
+    return test
+
+
+class TestFaultInjection:
+    test_corrupted_frame_fails_both_ends_matching_reason = fault_test(
+        "test_corrupted_frame_fails_both_ends_matching_reason")
+    test_unexpected_message_aborts_peer = fault_test(
+        "test_unexpected_message_aborts_peer")
+    test_out_of_range_field_aborts_both_ends = fault_test(
+        "test_out_of_range_field_aborts_both_ends")
+    test_oversized_length_header_aborts_both_ends = fault_test(
+        "test_oversized_length_header_aborts_both_ends")
+    test_dropped_frame_fails_both_ends = fault_test(
+        "test_dropped_frame_fails_both_ends")
 
     def test_moved_kept_positions_leave_the_keys_as_they_are(self):
         # as many well-formed positions as Alice's block keeps, each one
@@ -607,12 +653,9 @@ class TestFaultInjection:
         monkeypatch.setattr(pp, "cascade_reconcile", ask_forever)
         monkeypatch.setattr(pp.LocalParityOracle, "parities", counted)
         cfg = small_cfg()
-        out, _ = run_pair_timed(cfg)
+        out = run_pair(cfg)
         assert sum(served) == reference_estimation(cfg, 0)[3].kept_indices.size
-        assert isinstance(out[Role.ALICE], SessionFailed)
-        assert isinstance(out[Role.BOB], SessionFailed)
-        assert (out[Role.ALICE].reason == out[Role.BOB].reason
-                == AbortReason.UNEXPECTED_MESSAGE)
+        both_failed(out, AbortReason.UNEXPECTED_MESSAGE)
 
     def test_random_parity_answers_end_in_one_outcome(self, monkeypatch):
         # a Bob whose parities come from no one string: the tags differ,
@@ -650,62 +693,15 @@ class TestFaultInjection:
         assert local.residual_errors == 1
         assert local.report == replace(clean.report, final_key_bits=0,
                                        skr_bits_per_s=0.0)
-        for transports in (loopback_pair(timeout_s=TIMEOUT_S), tcp_pair()):
+        for transports in (peer_pair(), tcp_pair()):
             out = run_pair(cfg, transports=transports)
             for role in (Role.ALICE, Role.BOB):
                 assert not isinstance(out[role], SessionFailed), out[role]
                 assert out[role].report == local.report, role
                 assert out[role].key_bits.size == 0, role
 
-    @pytest.mark.parametrize("sender, msg_type, length, payload", [
-        # a bare header claiming 64 MiB
-        (Role.ALICE, MsgType.SAMPLE_BITS, 2 ** 26, b""),
-        (Role.BOB, MsgType.QBER_REPORT, 2 ** 26, b""),
-        # a whole 32-byte SHA-256 digest where a 4-byte tag belongs
-        (Role.BOB, MsgType.KEY_CONFIRM, 32, bytes(range(32))),
-    ], ids=["sample-bits", "qber-report", "key-confirm-digest"])
-    def test_oversized_length_header_aborts_both_ends(self, sender, msg_type,
-                                                      length, payload):
-        forged = struct.pack(">IB", length, msg_type) + payload
-        transports = peer_pair(TIMEOUT_S, sender, msg_type, lambda f: forged)
-        start = time.monotonic()
-        out = run_pair(small_cfg(), transports=transports)
-        elapsed = time.monotonic() - start
-        assert isinstance(out[Role.ALICE], SessionFailed)
-        assert isinstance(out[Role.BOB], SessionFailed)
-        assert (out[Role.ALICE].reason == out[Role.BOB].reason
-                == AbortReason.DECODE_ERROR)
-        # rejected from the header, without waiting for the payload
-        assert elapsed < TIMEOUT_S / 2
-
-    @pytest.mark.parametrize("sender, msg_type, reason", [
-        # the next frame arrives in the dropped one's place
-        (Role.BOB, MsgType.HELLO, AbortReason.UNEXPECTED_MESSAGE),
-        (Role.BOB, MsgType.POSTSELECT_MASK, AbortReason.UNEXPECTED_MESSAGE),
-        # both ends wait on each other
-        (Role.ALICE, MsgType.HELLO, AbortReason.TIMEOUT),
-        (Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.TIMEOUT),
-        (Role.BOB, MsgType.QBER_REPORT, AbortReason.TIMEOUT),
-        (Role.BOB, MsgType.PARITY_RSP, AbortReason.TIMEOUT),
-        (Role.BOB, MsgType.KEY_CONFIRM, AbortReason.TIMEOUT),
-        (Role.ALICE, MsgType.SAMPLE_BITS, AbortReason.TIMEOUT),
-        (Role.ALICE, MsgType.PARITY_REQ, AbortReason.TIMEOUT),
-    ], ids=lambda v: v.name.lower())
-    def test_dropped_frame_fails_both_ends(self, sender, msg_type, reason):
-        timeout_s = 0.2
-        transports = peer_pair(timeout_s, sender, msg_type, lambda f: b"")
-        dropper = dict(zip(Role, transports))[sender]
-        out = run_pair(small_cfg(), transports=transports)
-        since_drop = time.monotonic() - dropper.fault_at
-        assert isinstance(out[Role.ALICE], SessionFailed)
-        assert isinstance(out[Role.BOB], SessionFailed)
-        assert out[Role.ALICE].reason == out[Role.BOB].reason == reason
-        # each end waits at most one timeout once the frame is lost; a
-        # second wait would take the session past two
-        assert since_drop < 2 * timeout_s
-
     def test_timeout_fails_session(self):
-        ta, tb = loopback_pair(timeout_s=0.2)
+        ta, tb = peer_pair(0.2)
         cfg = SystemConfig(block_size_pulses=5000)
         with pytest.raises(SessionFailed) as exc_info:
             run_session(Role.BOB, tb, cfg)  # nobody answers
@@ -716,7 +712,7 @@ class TestFaultInjection:
         tb.close()
 
     def test_closed_peer_fails_session(self):
-        ta, tb = loopback_pair(timeout_s=5.0)
+        ta, tb = peer_pair()
         ta.close()
         with pytest.raises(SessionFailed) as exc_info:
             run_session(Role.ALICE, tb, SystemConfig(block_size_pulses=5000))
@@ -727,35 +723,32 @@ class TestFaultInjection:
     def test_trickled_frame_times_out(self):
         # one byte every 0.2 s keeps each recv inside a 0.3 s timeout, but
         # the frame as a whole may not take longer than that
-        sa, sb = socket.socketpair()
-        receiver = proto.StreamTransport(sb, 0.3)
         data = encode_frame(Frame(MsgType.POSTSELECT_MASK, np.arange(4)))
         assert len(data) == 25
         stop = threading.Event()
+        with receiving_pair(0.3) as (sa, receiver):
+            def trickle():
+                for byte in data:
+                    sa.sendall(bytes([byte]))
+                    if stop.wait(0.2):
+                        return
 
-        def trickle():
-            for byte in data:
-                sa.sendall(bytes([byte]))
-                if stop.wait(0.2):
-                    return
-
-        t = threading.Thread(target=trickle)
-        t.start()
-        start = time.monotonic()
-        try:
-            with pytest.raises(SessionFailed) as exc_info:
-                receiver.recv_frame()
-            elapsed = time.monotonic() - start
-        finally:
-            stop.set()
-            t.join(timeout=5.0)
+            t = threading.Thread(target=trickle)
+            t.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(SessionFailed) as exc_info:
+                    receiver.recv_frame()
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+                t.join(timeout=5.0)
         assert not t.is_alive()
         assert exc_info.value.reason == AbortReason.TIMEOUT
         assert 0.3 <= elapsed < 0.8
-        # sendall shares the socket's timeout: it is the full one again
-        assert receiver.sock.gettimeout() == 0.3
-        receiver.close()
-        sa.close()
+        # the socket keeps the timeout its constructor set, which sendall
+        # shares: no read re-arms it
+        assert receiver.sock.timeouts == 0
 
 
 class TestTcpTransport:
@@ -766,7 +759,7 @@ class TestTcpTransport:
         for end in ends:
             assert end.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             end.close()
-        ta, tb = loopback_pair(timeout_s=5.0)
+        ta, tb = peer_pair()
         assert ta.sock.family == tb.sock.family == socket.AF_UNIX
         out = run_pair(noiseless_cfg(), transports=(ta, tb))
         assert out[Role.ALICE].key_bits.size > 0
@@ -806,6 +799,20 @@ class _CountingSocket:
         return getattr(self._sock, name)
 
 
+@contextlib.contextmanager
+def receiving_pair(timeout_s=TIMEOUT_S):
+    """(a socket, a StreamTransport that receives what it sends, counting
+    its socket calls after the constructor), both closed on exit."""
+    sa, sb = socket.socketpair()
+    receiver = proto.StreamTransport(sb, timeout_s)
+    receiver.sock = _CountingSocket(sb)
+    try:
+        yield sa, receiver
+    finally:
+        receiver.close()
+        sa.close()
+
+
 # sha256sum lines for the transcripts of run_session blocks 0-2 on
 # SystemConfig(), which both ends record alike; CI checks run-link's
 # transcripts against block 0's line
@@ -817,131 +824,107 @@ class TestReceivePath:
     # Bob's HELLO among them, in 55/87/63 reads, and Bob 53/85/61, Alice's
     # HELLO among them, in as many reads; neither end called settimeout
     # after its transport was made.  Reading header and payload apart took
-    # 2 reads and 3 settimeout calls per frame.
+    # 2 reads per frame.
     MAX_EXTRA_READS = 4
 
     def test_two_frames_in_one_write_come_back_in_order(self):
-        sa, sb = socket.socketpair()
-        counted = _CountingSocket(sb)
-        receiver = proto.StreamTransport(counted, TIMEOUT_S)
         frames = [Frame(MsgType.QBER_REPORT, 0.25),
                   Frame(MsgType.PARITY_RSP, np.array([1, 0, 1], np.uint8))]
-        sa.sendall(b"".join(encode_frame(f) for f in frames))
-        got = [receiver.recv_frame(), receiver.recv_frame()]
+        with receiving_pair() as (sa, receiver):
+            sa.sendall(b"".join(encode_frame(f) for f in frames))
+            got = [receiver.recv_frame(), receiver.recv_frame()]
         assert [encode_frame(f) for f in got] == [encode_frame(f)
                                                    for f in frames]
         # the second frame was already buffered by the first read
-        assert counted.reads == 1
-        receiver.close()
-        sa.close()
+        assert receiver.sock.reads == 1
 
     def test_header_cut_at_the_buffers_end_is_read_on(self):
         # a 65533-byte POSTSELECT_MASK and 3 bytes of the next header fill
         # the first buffer to its last byte; the header's other 2 bytes
         # need room that the buffer must make before it reads again
-        sa, sb = socket.socketpair()
-        receiver = proto.StreamTransport(sb, TIMEOUT_S)
         frames = [Frame(MsgType.POSTSELECT_MASK, np.arange(16381)),
                   Frame(MsgType.QBER_REPORT, 0.25)]
         data = [encode_frame(f) for f in frames]
         assert len(data[0]) + 3 == proto._RECV_BUFFER
-        sa.sendall(b"".join(data))
-        got = [receiver.recv_frame(), receiver.recv_frame()]
+        with receiving_pair() as (sa, receiver):
+            sa.sendall(b"".join(data))
+            got = [receiver.recv_frame(), receiver.recv_frame()]
         assert [encode_frame(f) for f in got] == data
-        receiver.close()
-        sa.close()
 
     def test_received_values_outlive_the_next_read(self):
         # each decoded value is a copy: the next frame, read into the same
         # bytes of the buffer, leaves it as it was
-        sa, sb = socket.socketpair()
-        receiver = proto.StreamTransport(sb, TIMEOUT_S)
         overwrite = encode_frame(Frame(MsgType.POSTSELECT_MASK,
                                        np.full(16, 2 ** 32 - 1)))
-        for frame, _ in _PINNED_FRAMES:
-            sa.sendall(encode_frame(frame))
-            got = receiver.recv_frame()
-            sa.sendall(overwrite)
-            receiver.recv_frame()
-            assert encode_frame(got) == encode_frame(frame), frame.msg_type
-        receiver.close()
-        sa.close()
+        with receiving_pair() as (sa, receiver):
+            for frame, _ in _PINNED_FRAMES:
+                sa.sendall(encode_frame(frame))
+                got = receiver.recv_frame()
+                sa.sendall(overwrite)
+                receiver.recv_frame()
+                assert encode_frame(got) == encode_frame(frame), frame.msg_type
 
     @pytest.mark.parametrize("sent", [0, 100_000])
     def test_buffer_grows_only_with_bytes_that_arrive(self, sent):
         # a PARITY_REQ header at a default block's bound (~8 MB) passes its
         # check; a peer that then sends little or nothing cannot make the
         # receiver hold the 8 MB it announced
-        sa, sb = socket.socketpair()
-        receiver = proto.StreamTransport(sb, 0.3)
         n_pulses = SystemConfig().block_size_pulses
         length = 12 + 8 * n_pulses
-        sa.sendall(struct.pack(">IB", length, MsgType.PARITY_REQ)
-                   + bytes(sent))
-        with pytest.raises(SessionFailed) as exc:
-            receiver.recv_frame(n_pulses)
+        with receiving_pair(0.3) as (sa, receiver):
+            sa.sendall(struct.pack(">IB", length, MsgType.PARITY_REQ)
+                       + bytes(sent))
+            with pytest.raises(SessionFailed) as exc:
+                receiver.recv_frame(n_pulses)
         assert exc.value.reason is AbortReason.TIMEOUT
         assert len(receiver._buf) <= max(proto._RECV_BUFFER, 2 * sent)
-        receiver.close()
-        sa.close()
 
     def test_frame_in_three_byte_pieces_arrives_whole(self):
-        sa, sb = socket.socketpair()
-        counted = _CountingSocket(sb)
-        receiver = proto.StreamTransport(counted, TIMEOUT_S)
-        frame = Frame(MsgType.POSTSELECT_MASK, np.arange(0, 40, 3))
-        data = encode_frame(frame)
+        data = encode_frame(Frame(MsgType.POSTSELECT_MASK,
+                                  np.arange(0, 40, 3)))
+        with receiving_pair() as (sa, receiver):
+            def trickle():
+                for i in range(0, len(data), 3):
+                    sa.sendall(data[i:i + 3])
+                    time.sleep(0.005)
 
-        def trickle():
-            for i in range(0, len(data), 3):
-                sa.sendall(data[i:i + 3])
-                time.sleep(0.005)
-
-        t = threading.Thread(target=trickle)
-        t.start()
-        try:
-            got = receiver.recv_frame()
-        finally:
-            t.join(timeout=5.0)
+            t = threading.Thread(target=trickle)
+            t.start()
+            try:
+                got = receiver.recv_frame()
+            finally:
+                t.join(timeout=5.0)
         assert not t.is_alive()
         assert encode_frame(got) == data
-        assert 1 < counted.reads <= math.ceil(len(data) / 3)
-        # the later reads waited only what was left of the frame's
-        # deadline; sendall's timeout is the full one again
-        assert receiver.sock.gettimeout() == TIMEOUT_S
-        receiver.close()
-        sa.close()
+        assert 1 < receiver.sock.reads <= math.ceil(len(data) / 3)
+        # each read waits at most the socket's timeout, which the
+        # constructor set once; the frame's deadline is checked, not armed
+        assert receiver.sock.timeouts == 0
 
     def test_oversized_header_refused_within_one_buffer(self):
         # a POSTSELECT_MASK header one position past what the block can
         # keep, ~4 buffers' worth, and all of that payload behind it: a
         # receiver that awaited the payload before the check would read it
-        sa, sb = socket.socketpair()
-        counted = _CountingSocket(sb)
-        receiver = proto.StreamTransport(counted, TIMEOUT_S)
         n_pulses = proto._RECV_BUFFER
         body = bytes(4 + 4 * (n_pulses + 1))
         header = struct.pack(">IB", 4 + 4 * (n_pulses + 1),
                              MsgType.POSTSELECT_MASK)
+        with receiving_pair() as (sa, receiver):
+            def flood():
+                try:
+                    sa.sendall(header + body)
+                except OSError:
+                    pass   # the receiver hung up first
 
-        def flood():
-            try:
-                sa.sendall(header + body)
-            except OSError:
-                pass   # the receiver hung up first
-
-        t = threading.Thread(target=flood)
-        t.start()
-        try:
+            t = threading.Thread(target=flood)
+            t.start()
             with pytest.raises(FrameDecodeError):
                 receiver.recv_frame(n_pulses)
-            assert 0 < counted.bytes_read <= proto._RECV_BUFFER
-            assert len(receiver._buf) == proto._RECV_BUFFER
-        finally:
-            receiver.close()
-            t.join(timeout=5.0)
-            sa.close()
+        # the receiver hung up, which ends the flood
+        t.join(timeout=5.0)
         assert not t.is_alive()
+        assert 0 < receiver.sock.bytes_read <= proto._RECV_BUFFER
+        assert len(receiver._buf) == proto._RECV_BUFFER
 
     def test_transcripts_follow_each_ends_event_order(self, tmp_path):
         paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
@@ -970,7 +953,7 @@ class TestReceivePath:
         for b in range(3):
             paths = (tmp_path / f"alice{b}.bin", tmp_path / f"bob{b}.bin")
             run_pair(SystemConfig(), block_id=b,
-                     transports=loopback_pair(transcripts=paths))
+                     transports=peer_pair(transcripts=paths))
             for path in paths:
                 got = hashlib.sha256(path.read_bytes()).hexdigest()
                 # a HELLO carries the stream fingerprint, which a numpy
@@ -981,23 +964,20 @@ class TestReceivePath:
 
     def test_reads_and_timeouts_per_session(self):
         # one read per received frame, but for the extra reads of Bob's
-        # POSTSELECT_MASK (~100 KB, past the first buffer); settimeout only
-        # for a read past a frame's first, and once after it
-        sa, sb = socket.socketpair()
-        socks = (_CountingSocket(sa), _CountingSocket(sb))
-        ends = [Peer(s, TIMEOUT_S) for s in socks]
-        for s in socks:
-            s.timeouts = 0   # the constructor's own call
+        # POSTSELECT_MASK (~100 KB, past the first buffer), and no
+        # settimeout after the constructor's
+        ends = peer_pair()
+        for end in ends:
+            end.sock = _CountingSocket(end.sock)
         out = run_pair(SystemConfig(), transports=ends)
         assert np.array_equal(out[Role.ALICE].key_bits,
                               out[Role.BOB].key_bits)
         received = [sum(d == "received" for d, _ in e.events) for e in ends]
         assert received[0] > 50 and received[1] > 50
-        alice, bob = socks
+        alice, bob = (end.sock for end in ends)
         assert alice.reads <= received[0] + self.MAX_EXTRA_READS
         assert bob.reads <= received[1] + self.MAX_EXTRA_READS
-        for s in socks:
-            assert s.timeouts <= 2 * self.MAX_EXTRA_READS
+        assert [alice.timeouts, bob.timeouts] == [0, 0]
 
 
 class TestDeadline:
@@ -1018,46 +998,37 @@ class TestDeadline:
 
         ends = dict((role, (Stalling if role is staller else Peer)(
             sock, timeout_s)) for role, sock in zip(Role, socket.socketpair()))
-        start = time.monotonic()
-        out = run_pair(SystemConfig(), transports=tuple(ends.values()),
-                       block_id=1)
-        elapsed = (time.monotonic() - start) / timeout_s
-        for role in Role:
-            assert isinstance(out[role], SessionFailed), role
-            assert out[role].reason == AbortReason.TIMEOUT, role
-        assert elapsed < 2
+        out, elapsed = run_pair_timed(SystemConfig(),
+                                      transports=ends.values(), block_id=1)
+        both_failed(out, AbortReason.TIMEOUT)
+        assert elapsed < 2 * timeout_s
         # the other end passed its deadline first, and told the staller
         assert ends[staller].events[-1] == ("received", encode_frame(
             Frame(MsgType.ABORT, AbortReason.TIMEOUT)))
 
-    def test_socket_timeout_is_set_once(self):
-        # by the constructor: neither a frame that takes many reads nor a
-        # session sets it again
-        socks = [_CountingSocket(s) for s in socket.socketpair()]
-        ends = [Peer(s, TIMEOUT_S) for s in socks]
-        for s in socks:
-            s.timeouts = 0   # the constructor's own call
-        data = encode_frame(Frame(MsgType.POSTSELECT_MASK,
-                                  np.arange(0, 40, 3)))
-
-        def trickle():
-            for i in range(0, len(data), 3):
-                socks[0].sendall(data[i:i + 3])
-                time.sleep(0.005)
-
-        t = threading.Thread(target=trickle)
-        t.start()
+    def test_send_that_times_out_ends_in_timeout(self):
+        # an Alice that sends her HELLO and then reads nothing: Bob's
+        # ~100 KB POSTSELECT_MASK cannot pass 4 KB buffers.  A stalled
+        # peer is not a closed one, and Bob neither reads nor sends again
+        timeout_s = 0.5
+        alice, bob = peer_pair(timeout_s)
+        for end in (alice, bob):
+            for buffer in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                end.sock.setsockopt(socket.SOL_SOCKET, buffer, 4096)
+        alice.send_frame(Frame(MsgType.HELLO, proto._hello(SystemConfig(), 0)))
+        start = time.monotonic()
         try:
-            got = ends[1].recv_frame()
+            with pytest.raises(SessionFailed) as exc_info:
+                run_session(Role.BOB, bob, SystemConfig())
+            elapsed = time.monotonic() - start
         finally:
-            t.join(timeout=5.0)
-        assert not t.is_alive()
-        assert encode_frame(got) == data
-        assert socks[1].reads > 1
-        out = run_pair(SystemConfig(), transports=ends)
-        assert np.array_equal(out[Role.ALICE].key_bits,
-                              out[Role.BOB].key_bits)
-        assert [s.timeouts for s in socks] == [0, 0]
+            alice.close()
+            bob.close()
+        assert exc_info.value.reason == AbortReason.TIMEOUT
+        # one timeout in sendall, and no second wait
+        assert elapsed < 1.5 * timeout_s
+        assert [(d, data[4]) for d, data in bob.events] == [
+            ("received", MsgType.HELLO), ("sent", MsgType.HELLO)]
 
 
 class TestRoundTrips:
@@ -1127,13 +1098,9 @@ class TestHandshake:
     def _refused_at_first_frame(self, cfg, **kwargs):
         """Both ends end in CONFIG_MISMATCH after Alice's HELLO and Bob's
         ABORT, within half the receive timeout."""
-        ends = peer_pair(TIMEOUT_S)
-        start = time.monotonic()
-        out = run_pair(cfg, transports=ends, **kwargs)
-        elapsed = time.monotonic() - start
-        for role in (Role.ALICE, Role.BOB):
-            assert isinstance(out[role], SessionFailed), (role, out[role])
-            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
+        ends = peer_pair()
+        out, elapsed = run_pair_timed(cfg, transports=ends, **kwargs)
+        both_failed(out, AbortReason.CONFIG_MISMATCH)
         assert [(d, data[4]) for d, data in ends[0].events] == [
             ("sent", MsgType.HELLO), ("received", MsgType.ABORT)]
         assert [(d, data[4]) for d, data in ends[1].events] == [
@@ -1158,38 +1125,15 @@ class TestHandshake:
         out = self._refused_at_first_frame(keyed_cfg(), bob_block_id=1)
         assert "block_id" in str(out[Role.BOB])
 
-    def test_another_protocol_version_fails_both(self):
-        # an Alice whose HELLO differs only in its version: a parent peer
-        # on the Toeplitz hash, whose tags would never match
-        cfg = keyed_cfg()
-        alice, bob = peer_pair(
-            TIMEOUT_S, Role.ALICE, MsgType.HELLO, lambda f: encode_frame(
-                replace(f, value=f.value._replace(
-                    version=1))))
-        out = run_pair(cfg, transports=(alice, bob))
-        for role in (Role.ALICE, Role.BOB):
-            assert isinstance(out[role], SessionFailed), role
-            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
-        assert "version" in str(out[Role.BOB])
-        assert [data[4] for _, data in bob.events] == [
-            MsgType.HELLO, MsgType.ABORT]
-
-    def test_alice_refuses_another_hello_from_bob(self):
-        # a Bob that takes Alice's HELLO but sends another block's
-        cfg = keyed_cfg()
-        alice, bob = peer_pair(
-            TIMEOUT_S, Role.BOB, MsgType.HELLO, lambda f: encode_frame(
-                replace(f, value=f.value._replace(block_id=1))))
-        out = run_pair(cfg, transports=(alice, bob))
-        for role in (Role.ALICE, Role.BOB):
-            assert isinstance(out[role], SessionFailed), role
-            assert out[role].reason == AbortReason.CONFIG_MISMATCH, role
-        assert bob.received_after == [MsgType.ABORT]
+    test_another_protocol_version_fails_both = fault_test(
+        "test_another_protocol_version_fails_both")
+    test_alice_refuses_another_hello_from_bob = fault_test(
+        "test_alice_refuses_another_hello_from_bob")
 
     @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
     def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):
         for role in Role:
-            ends = loopback_pair(timeout_s=0.5)
+            ends = peer_pair(0.5)
             with pytest.raises(ValueError, match=r"below 2\*\*64"):
                 run_session(role, ends[0], keyed_cfg(), block_id=block_id)
             ends[1].sock.setblocking(False)
