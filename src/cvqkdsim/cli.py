@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     # glibc's malloc maps each array above its threshold, 128 KB at first,
     # from fresh pages, a fault per 4 KB, until it frees one such mapping
     # and raises the threshold to that size.  A block's largest arrays, such
-    # as Cascade's int64 permutations of ~25 k kept bits, are 0.1-0.5 MB, so
+    # as Cascade's index arrays over ~25 k kept bits, are 0.1-0.5 MB, so
     # one 4 MB array, freed at once, takes a 24-hour exp-longrun (864
     # blocks) from ~107 minor faults a block to 0.2 (~92 k in all).
     np.empty(1 << 19)

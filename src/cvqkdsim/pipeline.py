@@ -3,17 +3,18 @@
 The quantum exchange of a block is reproducible from (config seed,
 block id) alone, which is what lets the two protocol endpoints in
 protocol.py reconstruct the same physics without quantum data on the
-wire.  The same seed fixes the disclosed error sample, Cascade's
-permutations and the privacy-amplification hash's a and b, so each end
-derives them too, and each sizes the final key from values both ends
-hold.  A block draws only what the chain reads: the pulses that pass
-post-selection (physics.KeptPulses), ~2.5 % of a default block, each as
-its class and tail (Bob's bit) in one byte each, and the block's signal
-variance from per-class statistics.  The kept pulses' positions are
-drawn only at Bob's end of the wire, which sends them; no other end reads
-them.  run_chain() distills a block into a BlockResult, which
-distill_block() returns in process for the experiment runners and
-protocol.run_session() over the wire.
+wire.  The same seed and block id fix the disclosed error sample and
+the privacy-amplification hash's a and b.  The config seed alone fixes
+Cascade's permutations, drawn once per config and cut to each block's
+kept bits.  So each end derives them too, and each sizes the final key
+from values both ends hold.  A block draws only what the chain reads:
+the pulses that pass post-selection (physics.KeptPulses), ~2.5 % of a
+default block, each as its class and tail (Bob's bit) in one byte each,
+and the block's signal variance from per-class statistics.  The kept
+pulses' positions are drawn only at Bob's end of the wire, which sends
+them; no other end reads them.  run_chain() distills a block into a
+BlockResult, which distill_block() returns in process for the experiment
+runners and protocol.run_session() over the wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
@@ -60,6 +61,7 @@ __all__ = [
     "BlockResult",
     "LocalLink",
     "derive_seed",
+    "config_seed",
     "model_qber",
     "signal_variance",
     "simulate_quantum_exchange",
@@ -68,10 +70,11 @@ __all__ = [
 ]
 
 
-# derive_seed's tags, one per random stream; a new stream takes the next
+# seed tags, one per random stream, for derive_seed (per block) or
+# config_seed (per config); a new stream takes the next
 SEED_TAG_PULSES = 0     # a block's pulses, or a calibration frame
 SEED_TAG_SAMPLE = 1     # the disclosed error sample
-SEED_TAG_CASCADE = 2    # Cascade's permutations
+SEED_TAG_CASCADE = 2    # Cascade's permutations, by config_seed
 SEED_TAG_HASH = 3       # the hash's a and b, drawn raw from PCG64
 SEED_TAG_DRIFT = 4      # an experiment's drift walk
 SEED_TAG_EYE = 5        # a classical channel's eye-diagram noise
@@ -80,6 +83,15 @@ SEED_TAG_EYE = 5        # a classical channel's eye-diagram noise
 def derive_seed(cfg, block_id: int, tag: int) -> int:
     """Deterministic per-block sub-seed shared by both endpoints."""
     ss = np.random.SeedSequence((cfg.seed, block_id, tag))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def config_seed(cfg, tag: int) -> int:
+    """Deterministic sub-seed that the config alone fixes, shared by every
+    block.  The tag is a spawn key: SeedSequence((cfg.seed, tag)) would
+    be derive_seed's entropy for block `tag`'s pulses, since numpy pads
+    entropy with zeros."""
+    ss = np.random.SeedSequence(cfg.seed, spawn_key=(tag,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -217,8 +229,8 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     keep[sample] = False
     alice_key = alice_bits[keep] if link.alice else None
     bob_key = bob_bits[keep] if link.bob else None
-    perms = pp.CascadePermutations(n_kept, cfg.cascade_passes, derive_seed(
-        cfg, block_id, SEED_TAG_CASCADE))
+    perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
+                                   config_seed(cfg, SEED_TAG_CASCADE))
     k1 = pp.cascade_block_size(max(qber, model_qber(cfg), 1e-3), n_kept)
     corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
                        if n_kept else (alice_key, 0))

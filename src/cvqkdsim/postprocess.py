@@ -225,21 +225,42 @@ def cascade_block_size(qber: float, n: int) -> int:
 
 
 class CascadePermutations:
-    """Per-pass shuffles shared by both endpoints, derived from a seed.
+    """Per-pass shuffles shared by both endpoints, fixed by a seed.
 
-    Pass 0 uses the identity; later passes use seeded permutations.  A
-    block in pass p is a half-open range [start, end) of `perm[p]`, the
-    order in which that pass reads the string.
+    Pass 0 uses the identity.  Pass p >= 1 cuts the p-th permutation of
+    _permutation_draw(seed, passes, m), m the least power of two >= n, to
+    its entries below n, in order: the cut of a uniform permutation of
+    range(m) is a uniform permutation of range(n).  The draw is made once
+    per (seed, passes, m), so blocks of one config whose sizes share m
+    share it; each block's errors are fresh and independent of these
+    public orders (Martinez-Mateo et al., "Demystifying the information
+    reconciliation protocol Cascade", QIC 15 (2015)).  A block in pass p
+    is a half-open range [start, end) of `perm[p]`, the order in which
+    that pass reads the string.
     """
 
     def __init__(self, n: int, passes: int, seed: int):
         if passes < 2:
             raise ValueError(f"cascade needs >= 2 passes, got {passes}")
-        rng = np.random.default_rng(seed)
         self.n = n
         self.passes = passes
-        self.perm = [np.arange(n)] + [rng.permutation(n)
-                                      for _ in range(1, passes)]
+        m = 1 << max(n - 1, 0).bit_length()
+        self.perm = [np.arange(n)] + [np.compress(p < n, p) for p in
+                                      _permutation_draw(seed, passes, m)]
+
+
+@functools.lru_cache(maxsize=4)
+def _permutation_draw(seed: int, passes: int,
+                      m: int) -> tuple[np.ndarray, ...]:
+    """passes - 1 permutations of range(m) as read-only int32 arrays, drawn
+    from default_rng(seed).  A default block's entry, m = 32768, is 384 KB;
+    one of 1e8 pulses ~48 MB, hence the few entries."""
+    rng = np.random.default_rng(seed)
+    draw = tuple(rng.permutation(m).astype(np.int32)
+                 for _ in range(1, passes))
+    for perm in draw:
+        perm.flags.writeable = False
+    return draw
 
 
 def _prefix_xor(bits: np.ndarray) -> np.ndarray:
@@ -284,7 +305,9 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     block per pass, found through the pass's inverse permutation.  To
     bisect, only the odd blocks' bits are laid end to end under a running
     parity; the rest of the string is not read.  Pass 0's order is the
-    identity, so it is read without a gather and has no inverse to build.
+    identity, so it is read without a gather and has no inverse to build;
+    a later pass's inverse is built at the first flip that needs it, and
+    a block corrected before that pass starts builds none.
     An array handed to the oracle is never changed afterwards.
 
     It stops once n parities are out, as no key can come of the string
@@ -300,16 +323,14 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     sizes = [min(n, initial_block << p) for p in range(perms.passes)]
     starts = [np.arange(0, n, size) for size in sizes]
     ends = [np.append(s[1:], n) for s in starts]
-    bob_top, alice_top, inverse = [], [], [None]
+    bob_top, alice_top = [], []
+    inverse = [None] * perms.passes
     leak = flips = 0
     for p in range(perms.passes):
         bob_top.append(oracle.parities(p, starts[p], ends[p]))
         leak += starts[p].size
         alice_top.append(np.bitwise_xor.reduceat(
             bits[perms.perm[p]] if p else bits, starts[p]))
-        if p:
-            inverse.append(np.empty(n, dtype=np.int32))
-            inverse[p][perms.perm[p]] = np.arange(n, dtype=np.int32)
         q = 0
         while q <= p:
             if leak >= n or flips > n:
@@ -346,6 +367,9 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
             flipped = perms.perm[q][a] if q else a
             bits[flipped] ^= 1
             for r in range(p + 1):
+                if r and inverse[r] is None:
+                    inverse[r] = np.empty(n, dtype=np.int32)
+                    inverse[r][perms.perm[r]] = np.arange(n, dtype=np.int32)
                 pos = inverse[r][flipped] if r else flipped
                 np.bitwise_xor.at(alice_top[r], pos // sizes[r], 1)
             flips += odd.size

@@ -34,10 +34,10 @@ u32 positions; and BASIS_ANNOUNCE 0x01, their quadratures.  Alice never
 reads the positions: she checks only that they ascend, lie below the
 block's signal count and number as many as her block keeps, so she does
 not draw them.  No frame carries what the shared seed fixes: each end
-draws the disclosed error sample, Cascade's permutations and the
-privacy-amplification hash's a and b, and sizes the final key, on its
-own.  Type bytes 0x03 and 0x08 are unassigned, so a frame of either is an
-unknown type.
+draws the disclosed error sample and the privacy-amplification hash's a
+and b from the block's seed, and Cascade's permutations from the config
+seed alone, and sizes the final key, on its own.  Type bytes 0x03 and
+0x08 are unassigned, so a frame of either is an unknown type.
 
 Bob sends his HELLO and his two opening frames back to back.  Under
 Nagle's algorithm each frame after the first waits until the peer
@@ -125,7 +125,10 @@ __all__ = [
 MAX_PAYLOAD = 2 ** 32 - 1
 _HEADER = struct.Struct(">IB")   # payload length, message type
 DEFAULT_TIMEOUT_S = 30.0
-PROTOCOL_VERSION = 2   # 2: the multiply-add-shift hash
+# 2: the multiply-add-shift hash.  3: Cascade's permutations fixed per
+# config, not per block, so a version-2 peer reads other orders and its
+# tags would never match
+PROTOCOL_VERSION = 3
 _RECV_BUFFER = 1 << 16   # a transport's receive buffer until a frame needs more
 
 

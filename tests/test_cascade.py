@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqkdsim import pipeline
 from cvqkdsim import postprocess as pp
+from cvqkdsim.config import SystemConfig
 
 
 def reference_cascade(alice_bits, oracle, initial_block, perms):
@@ -108,6 +110,57 @@ class TestLeakAccounting:
         b = pp.CascadePermutations(100, 4, seed=7)
         for pa, pb in zip(a.perm, b.perm):
             assert np.array_equal(pa, pb)
+
+
+class TestPermutationsPerConfig:
+    @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025])
+    def test_cut_is_the_draw_below_n(self, n):
+        perms = pp.CascadePermutations(n, 4, seed=11)
+        m = 1 << max(n - 1, 0).bit_length()
+        assert m >= n and m // 2 < max(n, 1)   # least power of two >= n
+        draw = pp._permutation_draw(11, 4, m)
+        assert len(draw) == len(perms.perm) - 1 == 3
+        for cut, full in zip(perms.perm[1:], draw):
+            assert sorted(full.tolist()) == list(range(m))
+            assert sorted(cut.tolist()) == list(range(n))
+            assert cut.tolist() == [v for v in full.tolist() if v < n]
+
+    def test_one_draw_for_many_blocks(self):
+        # default blocks keep 22-25 k bits, all cut from one 2^15 draw
+        cfg = SystemConfig()
+        pp._permutation_draw.cache_clear()
+        for block_id in range(20):
+            pipeline.distill_block(cfg, block_id, cfg.drift.mean_state())
+        info = pp._permutation_draw.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
+    def test_draws_are_read_only_and_few(self):
+        pp._permutation_draw.cache_clear()
+        for seed in range(10):
+            for n in (100, 1000):
+                pp.CascadePermutations(n, 4, seed)
+                info = pp._permutation_draw.cache_info()
+                assert info.currsize <= info.maxsize <= 4
+        for perm in pp._permutation_draw(9, 4, 1024):
+            assert not perm.flags.writeable
+            with pytest.raises(ValueError):
+                perm[0] = 1
+
+    @pytest.mark.parametrize("seed", [12345, 1])
+    def test_config_seed_is_no_block_seed(self, seed):
+        cfg = SystemConfig(seed=seed)
+        tags = [v for k, v in vars(pipeline).items()
+                if k.startswith("SEED_TAG_")]
+        block_seeds = {pipeline.derive_seed(cfg, b, tag)
+                       for b in range(1000) for tag in tags}
+        assert (pipeline.config_seed(cfg, pipeline.SEED_TAG_CASCADE)
+                not in block_seeds)
+        # numpy pads entropy with zeros, so a plain (seed, tag) entropy is
+        # block `tag`'s pulse stream
+        plain = np.random.SeedSequence((seed, pipeline.SEED_TAG_CASCADE))
+        assert (int(plain.generate_state(1, dtype=np.uint64)[0])
+                == pipeline.derive_seed(cfg, pipeline.SEED_TAG_CASCADE,
+                                        pipeline.SEED_TAG_PULSES))
 
 
 class TestLocalParityOracle:

@@ -555,9 +555,10 @@ FAULTS = {
         _dropped(Role.ALICE, MsgType.PARITY_REQ, AbortReason.TIMEOUT)],
     "test_another_protocol_version_fails_both": [
         # an Alice whose HELLO differs only in its version: a parent peer
-        # on the Toeplitz hash, whose tags would never match
+        # on per-block Cascade permutations, whose tags would never match
         ("version-1", Role.ALICE, MsgType.HELLO,
-         _value(lambda h: h._replace(version=1)), _MISMATCH, "version")],
+         _value(lambda h: h._replace(version=proto.PROTOCOL_VERSION - 1)),
+         _MISMATCH, "version")],
     "test_alice_refuses_another_hello_from_bob": [
         # a Bob that takes Alice's HELLO but sends another block's
         ("block-id-1", Role.BOB, MsgType.HELLO,
@@ -678,10 +679,10 @@ class TestFaultInjection:
                                                             monkeypatch):
         # a Cascade that leaves one bit of Alice's string wrong: in
         # process, over a socket pair and over TCP, the block keeps no key
-        # and the session goes on, where it keeps 352 bits otherwise
+        # and the session goes on, where it keeps 350 bits otherwise
         cfg = SystemConfig(seed=1)
         clean = distill_block(cfg, 0, mean_drift(cfg))
-        assert clean.key_bits.size == 352
+        assert clean.key_bits.size == 350
         reconcile = pp.cascade_reconcile
 
         def one_bit_wrong(alice_bits, oracle, initial_block, perms):
@@ -820,8 +821,8 @@ PINNED_TRANSCRIPTS = Path(__file__).with_name("transcript_outputs.sha256")
 
 
 class TestReceivePath:
-    # default blocks 0-2 over a socket pair: Alice received 54/86/62 frames,
-    # Bob's HELLO among them, in 55/87/63 reads, and Bob 53/85/61, Alice's
+    # default blocks 0-2 over a socket pair: Alice received 61/59/67 frames,
+    # Bob's HELLO among them, in 62/60/68 reads, and Bob 60/58/66, Alice's
     # HELLO among them, in as many reads; neither end called settimeout
     # after its transport was made.  Reading header and payload apart took
     # 2 reads per frame.
