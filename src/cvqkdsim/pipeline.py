@@ -215,8 +215,8 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
         sample = pp.disclosure_sample(n_post, cfg.sample_fraction, rng)
         sample_bits = link.from_alice("SAMPLE_BITS",
                                       lambda: alice_bits[sample], sample.size)
-        qber_raw = link.from_bob("QBER_REPORT", lambda: float(
-            np.mean(sample_bits != bob_bits[sample])))
+        qber_raw = link.from_bob("QBER_REPORT", lambda: int(np.count_nonzero(
+            sample_bits != bob_bits[sample])) / sample.size)
     else:
         sample, qber_raw = np.empty(0, dtype=np.intp), 0.5
     qber = qber_raw if qber_used is None else qber_used
@@ -235,7 +235,7 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
                        if n_kept else (alice_key, 0))
     # a diagnostic of an end that holds both strings; the tags decide
-    residual = (int(np.sum(corrected != bob_key))
+    residual = (int(np.count_nonzero(corrected != bob_key))
                 if link.alice and link.bob else 0)
 
     # Privacy amplification and key confirmation.  Each end sizes the key

@@ -264,9 +264,11 @@ def _permutation_draw(seed: int, passes: int,
 
 
 def _prefix_xor(bits: np.ndarray) -> np.ndarray:
-    """Running parity c with a leading 0: bits[a:b] has parity c[b] ^ c[a]."""
+    """Running parity c with a leading 0: bits[a:b] has parity c[b] ^ c[a].
+    Every string the chain builds is 0/1, so the uint8 bytes may be read
+    and written as booleans, whose xor-accumulate runs ~2x faster."""
     c = np.zeros(bits.size + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate(bits, out=c[1:])
+    np.bitwise_xor.accumulate(bits.view(bool), out=c[1:].view(bool))
     return c
 
 
@@ -275,8 +277,9 @@ class LocalParityOracle:
 
     def __init__(self, bob_bits: np.ndarray, perms: CascadePermutations):
         bits = np.asarray(bob_bits, dtype=np.uint8)
-        # pass 0's order is the identity, the string's own
-        self.prefix = [_prefix_xor(bits)] + [_prefix_xor(bits[perm])
+        # pass 0's order is the identity, the string's own; a gather
+        # through an int32 order is ~2x faster by take than by indexing
+        self.prefix = [_prefix_xor(bits)] + [_prefix_xor(bits.take(perm))
                                              for perm in perms.perm[1:]]
         self.query_count = 0
 
@@ -330,7 +333,7 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
         bob_top.append(oracle.parities(p, starts[p], ends[p]))
         leak += starts[p].size
         alice_top.append(np.bitwise_xor.reduceat(
-            bits[perms.perm[p]] if p else bits, starts[p]))
+            bits.take(perms.perm[p]) if p else bits, starts[p]))
         q = 0
         while q <= p:
             if leak >= n or flips > n:
@@ -344,26 +347,30 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
             length = b - a
             shift = np.cumsum(length) - length - a
             x = np.arange(length.sum()) - np.repeat(shift, length)
-            c = _prefix_xor(bits[perms.perm[q][x] if q else x])
-            while (long := b - a > 1).any():
+            c = _prefix_xor(bits.take(perms.perm[q][x] if q else x))
+            # one count_nonzero stands for any() and all(); leak adds
+            # sizes, which are Python ints, and never a count, which is a
+            # numpy int that would reach the reports
+            while long_count := np.count_nonzero(long := b - a > 1):
                 if leak >= n:
                     return bits, leak
-                if long.all():
+                if long_count == long.size:
                     # every block halves: a and mid go to the oracle whole,
                     # so a and b are rebound, not changed
-                    mid = (a + b) // 2
+                    mid = (a + b) >> 1
                     left = (c[mid + shift] ^ c[a + shift]
                             != oracle.parities(q, a, mid))
                     leak += a.size
                     a, b = np.where(left, a, mid), np.where(left, mid, b)
                     continue
                 act = np.flatnonzero(long)
-                lo, mid = a[act], (a[act] + b[act]) // 2
+                lo, hi = a[act], b[act]
+                mid = (lo + hi) >> 1
                 s = shift[act]
                 left = c[mid + s] ^ c[lo + s] != oracle.parities(q, lo, mid)
                 leak += act.size
-                b[act[left]] = mid[left]
-                a[act[~left]] = mid[~left]
+                a[act] = np.where(left, lo, mid)
+                b[act] = np.where(left, mid, hi)
             flipped = perms.perm[q][a] if q else a
             bits[flipped] ^= 1
             for r in range(p + 1):
@@ -371,7 +378,10 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
                     inverse[r] = np.empty(n, dtype=np.int32)
                     inverse[r][perms.perm[r]] = np.arange(n, dtype=np.int32)
                 pos = inverse[r][flipped] if r else flipped
-                np.bitwise_xor.at(alice_top[r], pos // sizes[r], 1)
+                # each flip toggles its block: the parity of its count
+                alice_top[r] ^= (np.bincount(
+                    pos // sizes[r], minlength=alice_top[r].size)
+                    & 1).astype(np.uint8)
             flips += odd.size
             q = 0
     return bits, leak

@@ -233,7 +233,8 @@ def _ranges_fit(value, perms) -> bool:
     """Whether `value`'s ranges lie in one pass of the permutations `perms`."""
     pass_index, starts, ends = value
     return (pass_index < perms.passes and starts.size == ends.size
-            and (starts < ends).all() and (ends <= perms.n).all())
+            and not np.count_nonzero(starts >= ends)
+            and not np.count_nonzero(ends > perms.n))
 
 
 class Hello(NamedTuple):
@@ -314,7 +315,7 @@ _BITS_ROW = (
     lambda payload: np.unpackbits(np.frombuffer(payload, dtype=np.uint8)),
     lambda n: (n + 7) // 8,
     lambda bits, n: (bits[:n] if bits.size == (n + 7) // 8 * 8
-                     and not bits[n:].any() else None))
+                     and not np.count_nonzero(bits[n:]) else None))
 
 # MsgType -> (value -> payload, payload -> value, size, check).  size is
 # the exact payload length of a fixed-size type, or for a variable-size one

@@ -111,6 +111,23 @@ class TestLeakAccounting:
         for pa, pb in zip(a.perm, b.perm):
             assert np.array_equal(pa, pb)
 
+    def test_leak_is_a_python_int(self):
+        # on each way out: all passes done, n parities out, and more than
+        # n flips, which only an oracle that is no one string's can cause
+        rng = np.random.default_rng(6)
+        bob = rng.integers(0, 2, 3000, dtype=np.uint8)
+        noisy = bob ^ (rng.random(3000) < 0.05).astype(np.uint8)
+        shuffled = pp.CascadePermutations(3000, 4, 6)
+        for alice, oracle, k1, perms, capped in (
+                (noisy, pp.LocalParityOracle(bob, shuffled), 15, shuffled,
+                 False),
+                (noisy, _RandomOracle(6, limit=30_000), 15, shuffled, True),
+                (np.zeros(9, dtype=np.uint8), _Contradicting(), 4,
+                 _identity_perms(9, 4), False)):
+            _, leak = pp.cascade_reconcile(alice, oracle, k1, perms)
+            assert type(leak) is int
+            assert (leak >= perms.n) == capped
+
 
 class TestPermutationsPerConfig:
     @pytest.mark.parametrize("n", [0, 1, 2, 1023, 1024, 1025])
@@ -180,6 +197,46 @@ class TestLocalParityOracle:
             want = [np.bitwise_xor.reduce(bits[perms.perm[p]][s:e])
                     for s, e in zip(starts, ends)]
             assert oracle.parities(p, starts, ends).tolist() == want
+
+
+class TestRunningParity:
+    """The contract _prefix_xor's boolean accumulate relies on: 0/1 bytes
+    in, a uint8 running parity out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.lists(st.integers(0, 1), max_size=3000),
+           data=st.data())
+    def test_ranges_have_their_parity(self, bits, data):
+        bits = np.array(bits, dtype=np.uint8)
+        c = pp._prefix_xor(bits)
+        assert c.dtype == np.uint8 and c.size == bits.size + 1
+        assert c[0] == 0
+        assert np.array_equal(c[1:], np.cumsum(bits) % 2)
+        for _ in range(20):
+            a = data.draw(st.integers(0, bits.size))
+            b = data.draw(st.integers(a, bits.size))
+            assert c[b] ^ c[a] == bits[a:b].sum() % 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3000), passes=st.integers(2, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_oracle_same_for_int32_and_intp_orders(self, n, passes, seed):
+        # the cached draws are int32; an intp order must serve the same
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, n, dtype=np.uint8)
+        perms = pp.CascadePermutations(n, passes, seed)
+        assert all(p.dtype == np.int32 for p in perms.perm[1:])
+        wide = pp.CascadePermutations(n, passes, seed)
+        wide.perm = [p.astype(np.intp) for p in perms.perm]
+        narrow_oracle = pp.LocalParityOracle(bits, perms)
+        wide_oracle = pp.LocalParityOracle(bits, wide)
+        for p in range(passes):
+            ends = rng.integers(1, n + 1, 50)
+            starts = rng.integers(0, ends)
+            narrow = narrow_oracle.parities(p, starts, ends)
+            assert narrow.dtype == np.uint8
+            assert np.array_equal(narrow,
+                                  wide_oracle.parities(p, starts, ends))
 
 
 class _KeepingOracle:

@@ -1,11 +1,12 @@
 import contextlib
 import hashlib
+import json
 import math
 import socket
 import struct
 import threading
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,23 @@ class TestSession:
         assert ra.key_bits.size > 0
         assert np.array_equal(ra.key_bits, rb.key_bits)
         assert ra.report == rb.report
+
+    def test_report_counts_are_python_ints(self):
+        # a numpy scalar in a report prints as np.int64(...) and does not
+        # serialise to JSON; both ends and the in-process chain must agree
+        cfg = keyed_cfg()
+        out = run_pair(cfg)
+        local = distill_block(cfg, 0, mean_drift(cfg))
+        for result in (out[Role.ALICE], out[Role.BOB], local):
+            report = result.report
+            assert report.final_key_bits > 0
+            assert type(report.leak_bits) is int
+            assert type(report.final_key_bits) is int
+            for name in ("p_post", "qber", "skr_bits_per_s"):
+                assert type(getattr(report, name)) is float, name
+            assert type(result.qber_raw) is float
+            assert type(result.residual_errors) is int
+            json.dumps(asdict(report))
 
     def test_matches_in_process_distillation(self):
         for cfg, block_id in ((small_cfg(), 0), (small_cfg(), 1),
