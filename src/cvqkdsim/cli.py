@@ -19,8 +19,8 @@ from . import experiments as ex
 from . import postprocess as pp
 from .config import ConfigError, SystemConfig, dump_config, load_config
 from .physics import CalibrationError
-from .protocol import (AbortReason, Role, SessionFailed, StreamTransport,
-                       run_session)
+from .protocol import (DEFAULT_TIMEOUT_S, AbortReason, Role, SessionFailed,
+                       StreamTransport, run_session)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--listen", metavar="HOST:PORT")
     group.add_argument("--connect", metavar="HOST:PORT")
     p.add_argument("--block-id", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=30.0,
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
                    help="seconds to wait for the peer and for the block")
     p.add_argument("--key-out", metavar="PATH",
                    help="write the final key as a binary key file")

@@ -165,7 +165,8 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     The appended '# ...' lines carry the paired statistic: mean SKR with
     the channels on, with them off, and the relative difference.  The mean
     of a phase that ran no block is nan, and so is the difference unless
-    both phases ran.
+    both phases ran.  An off phase that kept no key differs from an on
+    phase that did by inf, and from one that did not by 0.
     """
     _check_positive("interval_s", interval_s, allow_zero=False)
     _check_positive("total_s", total_s, allow_zero=True)
@@ -182,7 +183,10 @@ def exp_onoff(cfg, interval_s: float = 600.0, total_s: float = 7800.0,
     # the run starts on, so with no on block there is no off block either
     mean_on = float(np.mean(skr_on)) if skr_on else math.nan
     mean_off = float(np.mean(skr_off)) if skr_off else math.nan
-    rel = abs(mean_on - mean_off) / mean_off if mean_off != 0.0 else 0.0
+    if mean_off != 0.0:
+        rel = abs(mean_on - mean_off) / mean_off
+    else:
+        rel = math.inf if mean_on else 0.0
     lines.append(f"# mean_skr_on = {mean_on!r}")
     lines.append(f"# mean_skr_off = {mean_off!r}")
     lines.append(f"# relative_difference = {rel!r}")

@@ -65,30 +65,31 @@ def unknown_type(frame) -> bytes:
 
 
 def peer_pair(timeout_s=TIMEOUT_S, sender=None, msg_type=None, rewrite=None,
-              transcripts=(None, None)):
-    """(Alice end, Bob end): two Peers over one socket pair, `sender`'s
-    rewriting the first `msg_type` frame it sends."""
+              transcripts=(None, None), socks=None):
+    """(Alice end, Bob end): two Peers over `socks` (one socket pair by
+    default), `sender`'s rewriting the first `msg_type` frame it sends."""
     return tuple(
         Peer(sock, timeout_s, msg_type if role == sender else None, rewrite,
              path)
-        for role, sock, path in zip(Role, socket.socketpair(), transcripts))
+        for role, sock, path in zip(Role, socks or socket.socketpair(),
+                                    transcripts))
 
 
-def tcp_pair(timeout_s: float = TIMEOUT_S):
-    """(Alice end, Bob end) over one loopback TCP connection, built as
+def tcp_pair(timeout_s=TIMEOUT_S, *fault):
+    """peer_pair's two Peers over one loopback TCP connection, built as
     run-link builds it: Bob listens and Alice connects."""
     with socket.create_server(("127.0.0.1", 0)) as server:
         alice = socket.create_connection(server.getsockname()[:2])
         bob, _ = server.accept()
-    return (proto.StreamTransport(alice, timeout_s),
-            proto.StreamTransport(bob, timeout_s))
+    return peer_pair(timeout_s, *fault, socks=(alice, bob))
 
 
 def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
              bob_block_id=None):
     """Drive both roles over `transports` (a peer_pair by default), Bob on
     `bob_cfg` and block `bob_block_id` if given; returns
-    {role: result|exception}."""
+    {role: result|SessionFailed}.  An end that raised anything else, in
+    either thread, fails the call, which names it."""
     ta, tb = transports or peer_pair()
     args = {Role.ALICE: (cfg, block_id),
             Role.BOB: (bob_cfg or cfg,
@@ -98,7 +99,7 @@ def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
     def go(role, transport):
         try:
             out[role] = proto.run_session(role, transport, *args[role])
-        except SessionFailed as exc:
+        except Exception as exc:
             out[role] = exc
         finally:
             transport.close()
@@ -107,14 +108,11 @@ def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
     t.start()
     go(Role.ALICE, ta)
     t.join()
+    crashed = {role: exc for role, exc in out.items()
+               if isinstance(exc, Exception)
+               and not isinstance(exc, SessionFailed)}
+    assert not crashed, crashed
     return out
-
-
-def run_pair_timed(*args, **kwargs):
-    """run_pair(*args, **kwargs), and the seconds it took."""
-    start = time.monotonic()
-    out = run_pair(*args, **kwargs)
-    return out, time.monotonic() - start
 
 
 def both_failed(out, reason: AbortReason) -> None:
@@ -122,13 +120,3 @@ def both_failed(out, reason: AbortReason) -> None:
     for role in Role:
         assert isinstance(out[role], SessionFailed), (role, out[role])
         assert out[role].reason == reason, (role, out[role])
-
-
-def transcript_frames(data: bytes) -> list:
-    """The frames of a transcript, each as its bytes."""
-    frames, i = [], 0
-    while i < len(data):
-        end = i + 5 + int.from_bytes(data[i:i + 4], "big")
-        frames.append(data[i:end])
-        i = end
-    return frames

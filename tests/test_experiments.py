@@ -109,6 +109,25 @@ class TestOnOff:
         assert mean_on > 0.0 if total_s else np.isnan(mean_on)
         assert np.isnan(mean_off) and np.isnan(rel)
 
+    @pytest.mark.parametrize("keyless, rel", [
+        ({1 << 5}, float("inf")), ({1 << 5, 0xFF}, 0.0)], ids=["off", "both"])
+    def test_phase_without_key(self, monkeypatch, keyless, rel):
+        # blocks on the masks in `keyless` keep no key: an off phase without
+        # key is no match for an on phase with one, but one for another
+        run_block = ex.BlockRunner.run_block
+
+        def run(runner, block_id, cfg):
+            res = run_block(runner, block_id, cfg)
+            if ex.wdm_state_mask(cfg) not in keyless:
+                return res
+            return replace(res, report=replace(
+                res.report, final_key_bits=0, skr_bits_per_s=0.0))
+
+        monkeypatch.setattr(ex.BlockRunner, "run_block", run)
+        tail = ex.exp_onoff(fast_cfg(), 40.0, 160.0).splitlines()[-3:]
+        assert tail[1] == "# mean_skr_off = 0.0"
+        assert tail[2] == f"# relative_difference = {rel!r}"
+
     def test_zero_coefficient_small_difference(self):
         # without scattering the on and off populations share the same
         # distribution, so the paired means differ only by estimator noise

@@ -8,6 +8,7 @@ import threading
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cvqkdsim.config import SystemConfig
 from cvqkdsim.physics import DriftState, KeptPulses, PulseBatch
 from cvqkdsim.pipeline import (
     SEED_TAG_SAMPLE,
+    BlockResult,
     LocalLink,
     derive_seed,
     distill_block,
@@ -40,8 +42,8 @@ from cvqkdsim.protocol import (
     run_session,
 )
 
-from peers import (TIMEOUT_S, Peer, both_failed, peer_pair, run_pair,
-                   run_pair_timed, tcp_pair, transcript_frames, unknown_type)
+from peers import (TIMEOUT_S, Peer, both_failed, peer_pair, run_pair, tcp_pair,
+                   unknown_type)
 
 
 def small_cfg(**kwargs) -> SystemConfig:
@@ -90,15 +92,14 @@ def reference_estimation(cfg, block_id: int):
 
 
 class _RecordingLink(LocalLink):
-    """A LocalLink that keeps the last value of each kind one role sends
-    the other, and every value it passes encoded as a wire frame."""
+    """A LocalLink that keeps every value it passes encoded as a wire
+    frame."""
 
     def __init__(self):
-        self.sent = {}
         self.frames = []
 
     def from_bob(self, kind, make, bound=None):
-        self.sent[kind] = value = make()
+        value = make()
         self.frames.append(encode_frame(Frame(MsgType[kind], value)))
         return value
 
@@ -291,185 +292,6 @@ class TestFraming:
             assert _received(msg_type, past, bound) is None, msg_type.name
 
 
-class TestSession:
-    def test_noiseless_keys_identical_and_qber_zero(self):
-        out = run_pair(noiseless_cfg())
-        ra, rb = out[Role.ALICE], out[Role.BOB]
-        assert ra.report.qber == 0.0
-        assert rb.report.qber == 0.0
-        assert ra.key_bits.size > 0
-        assert np.array_equal(ra.key_bits, rb.key_bits)
-
-    def test_default_noise_keys_identical(self):
-        # every default-noise block of small_cfg yields a 0-bit key
-        out = run_pair(keyed_cfg())
-        ra, rb = out[Role.ALICE], out[Role.BOB]
-        assert ra.key_bits.size > 0
-        assert np.array_equal(ra.key_bits, rb.key_bits)
-        assert ra.report == rb.report
-
-    def test_report_counts_are_python_ints(self):
-        # a numpy scalar in a report prints as np.int64(...) and does not
-        # serialise to JSON; both ends and the in-process chain must agree
-        cfg = keyed_cfg()
-        out = run_pair(cfg)
-        local = distill_block(cfg, 0, mean_drift(cfg))
-        for result in (out[Role.ALICE], out[Role.BOB], local):
-            report = result.report
-            assert report.final_key_bits > 0
-            assert type(report.leak_bits) is int
-            assert type(report.final_key_bits) is int
-            for name in ("p_post", "qber", "skr_bits_per_s"):
-                assert type(getattr(report, name)) is float, name
-            assert type(result.qber_raw) is float
-            assert type(result.residual_errors) is int
-            json.dumps(asdict(report))
-
-    def test_matches_in_process_distillation(self):
-        for cfg, block_id in ((small_cfg(), 0), (small_cfg(), 1),
-                              (small_cfg(), 4), (noiseless_cfg(), 2),
-                              (keyed_cfg(), 0)):
-            self._check_against_in_process(cfg, block_id)
-
-    def _check_against_in_process(self, cfg, block_id):
-        out = run_pair(cfg, block_id=block_id)
-        local = distill_block(cfg, block_id, mean_drift(cfg))
-        assert out[Role.ALICE].report == out[Role.BOB].report == local.report
-        assert np.array_equal(out[Role.ALICE].key_bits, local.key_bits)
-        assert local.report.skr_bits_per_s == (
-            local.key_bits.size * cfg.rep_rate_hz / cfg.block_size_pulses)
-        assert (out[Role.ALICE].variance_snu == out[Role.BOB].variance_snu
-                == local.variance_snu)
-
-        # the chain's estimation step against the reference helpers; the
-        # threshold applied to signal_batch's outcomes keeps exactly the
-        # drawn set
-        link = _RecordingLink()
-        batch = simulate_quantum_exchange(cfg, block_id, mean_drift(cfg))
-        chained = run_chain(cfg, block_id, batch, link)
-        n_sig, frame, qber, reduced = reference_estimation(cfg, block_id)
-        assert chained.report == local.report
-        assert chained.report.p_post == (
-            (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
-        assert chained.report.qber == chained.qber_raw == qber
-        # the sample each end draws counts among the kept pulses
-        kept = link.sent["POSTSELECT_MASK"]
-        assert np.array_equal(kept, frame.kept_indices)
-        sample = pp.disclosure_sample(
-            kept.size, cfg.sample_fraction, np.random.default_rng(
-                derive_seed(cfg, block_id, SEED_TAG_SAMPLE)))
-        disclosed = frame.postselect_mask & ~reduced.postselect_mask
-        assert np.array_equal(kept[sample], np.flatnonzero(disclosed))
-        assert sample.size == reduced.disclosed_count
-
-    @pytest.mark.parametrize("cfg, block_id", [
-        (small_cfg(), 0), (small_cfg(), 1), (small_cfg(), 2),
-        (noiseless_cfg(), 0), (SystemConfig(seed=1), 0)],
-        ids=["small-0", "small-1", "small-2", "noiseless-0", "seed1-0"])
-    def test_both_transports_carry_the_same_frames(self, cfg, block_id,
-                                                   tmp_path):
-        # every protocol step runs in run_chain, so the in-process link
-        # passes exactly the frames the wire carries, in the same order
-        # but for the two HELLOs that open a session
-        paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
-        run_pair(cfg, transports=peer_pair(transcripts=paths),
-                 block_id=block_id)
-        link = _RecordingLink()
-        run_chain(cfg, block_id,
-                  simulate_quantum_exchange(cfg, block_id, mean_drift(cfg)),
-                  link)
-        wire = paths[0].read_bytes()
-        assert paths[1].read_bytes() == wire
-        hello = encode_frame(Frame(MsgType.HELLO,
-                                   proto._hello(cfg, block_id)))
-        assert 2 * hello + b"".join(link.frames) == wire
-
-    def test_peer_on_another_sample_fraction_fails_both_ends(self):
-        # Alice's own config keys block 0 at 397 bits; a Bob that draws a
-        # larger sample must not lend her his sample, his key length or his
-        # key
-        cfg = keyed_cfg()
-        out, elapsed = run_pair_timed(
-            cfg, bob_cfg=replace(cfg, sample_fraction=0.05))
-        both_failed(out, AbortReason.CONFIG_MISMATCH)
-        assert elapsed < TIMEOUT_S / 2
-
-    def test_alice_draws_no_kept_position(self, monkeypatch):
-        # drawing the positions takes ~0.7 ms of a default block; only Bob,
-        # who sends them, reads them, so Alice's block may not have them
-        cfg = keyed_cfg()
-        alice_cfg = replace(cfg)   # equal, but Alice's own object
-        simulate = proto.simulate_quantum_exchange
-
-        class NoPositions(KeptPulses):
-            @property
-            def position(self):
-                raise AssertionError("Alice read a kept position")
-
-        def simulate_for(end_cfg, block_id, drift):
-            batch = simulate(end_cfg, block_id, drift)
-            if end_cfg is not alice_cfg:
-                return batch
-            return NoPositions(*(getattr(batch, f.name)
-                                 for f in fields(batch)))
-
-        monkeypatch.setattr(proto, "simulate_quantum_exchange", simulate_for)
-        out = run_pair(alice_cfg, bob_cfg=cfg)
-        local = distill_block(cfg, 0, mean_drift(cfg))
-        assert local.key_bits.size > 0
-        for role in (Role.ALICE, Role.BOB):
-            assert not isinstance(out[role], BaseException), out[role]
-            assert out[role].report == local.report, role
-            assert np.array_equal(out[role].key_bits, local.key_bits), role
-
-    def test_blocks_differ_by_id(self):
-        cfg = noiseless_cfg()
-        a = run_pair(cfg, block_id=0)[Role.ALICE]
-        b = run_pair(cfg, block_id=1)[Role.ALICE]
-        assert a.key_bits.size > 0
-        assert b.key_bits.size > 0
-        assert not np.array_equal(a.key_bits, b.key_bits)
-
-    @pytest.mark.parametrize("n_post, sample_fraction", [
-        (0, 0.2), (1, 0.2), (2, 0.2), (2, 0.9)])
-    def test_too_few_kept_pulses_yield_no_key(self, n_post, sample_fraction):
-        # with one kept pulse, or a sample that takes all of them, no bit
-        # is left for Cascade; with none, there is nothing to sample
-        # only the kept pulses are simulated, so the threshold that keeps
-        # n_post of block 0 is found by scanning it upward
-        cfg = small_cfg()
-
-        def kept_at(x_th):
-            return simulate_quantum_exchange(
-                replace(cfg, x_th_snu=x_th), 0, mean_drift(cfg))
-
-        x_th = 40.0 if n_post == 0 else next(
-            x for x in np.arange(4.0, 8.0, 0.01)
-            if kept_at(x).position.size == n_post)
-        batch = kept_at(x_th)
-        assert batch.position.size == n_post
-        cfg = replace(cfg, x_th_snu=x_th, sample_fraction=sample_fraction)
-        out, elapsed = run_pair_timed(cfg)
-        assert elapsed < TIMEOUT_S / 2
-        local = distill_block(cfg, 0, mean_drift(cfg))
-        for result in (out[Role.ALICE], out[Role.BOB], local):
-            assert result.report == local.report
-            assert result.key_bits.size == 0
-        assert local.report.p_post == n_post / batch.n_signal
-        assert local.report.skr_bits_per_s == 0.0
-
-    def test_transcripts_deterministic(self, tmp_path):
-        cfg = small_cfg()
-        captures = []
-        for run in range(2):
-            pa = tmp_path / f"alice{run}.bin"
-            pb = tmp_path / f"bob{run}.bin"
-            run_pair(cfg, transports=peer_pair(transcripts=(pa, pb)))
-            captures.append((pa.read_bytes(), pb.read_bytes()))
-        assert captures[0] == captures[1]
-        assert len(captures[0][0]) > 0
-
-
 def _value(change):
     """A rewrite that sends `change(value)` under the frame's own type."""
     return lambda f: encode_frame(replace(f, value=change(f.value)))
@@ -481,84 +303,149 @@ def _header(length, payload=b""):
     return lambda f: struct.pack(">IB", length, f.msg_type) + payload
 
 
+def _changed(cfg, key, hint, value):
+    """`cfg` with `key` changed as little as its type allows: a flag
+    flipped, an integer one up, a float one ulp up, an unset float set."""
+    if value is None:
+        new = 1.0
+    elif hint is bool:
+        new = not value
+    elif hint is int:
+        new = value + 1
+    else:
+        new = math.nextafter(value, math.inf)
+    return config._replace(cfg, {key: new})
+
+
+AGREES = "agrees"
+
+
+class Session(NamedTuple):
+    """A two-end session over `pair` (peer_pair or tcp_pair), Bob on
+    `bob_cfg` and `bob_block_id` where given, and its outcome: AGREES, or
+    (reason[, detail]).  A `fault` (sender, msg_type, rewrite) sends the
+    sender's first msg_type frame as rewrite(frame); b"" drops it."""
+    id: str
+    cfg: SystemConfig
+    block_id: int = 0
+    outcome: object = AGREES
+    fault: tuple = ()
+    bob_cfg: SystemConfig | None = None
+    bob_block_id: int | None = None
+    pair: object = peer_pair
+
+
+def _fault(row_id, sender, msg_type, rewrite, *outcome):
+    """The row of a single-frame fault on small_cfg block 0."""
+    return Session(row_id, small_cfg(), outcome=outcome,
+                   fault=(sender, msg_type, rewrite))
+
+
 def _dropped(sender, msg_type, reason):
     """The row that drops `sender`'s first `msg_type` frame."""
-    return (f"{sender.value}-{msg_type.name}-{reason.name}".lower(),
-            sender, msg_type, lambda f: b"", reason)
+    return _fault(f"{sender.value}-{msg_type.name}-{reason.name}".lower(),
+                  sender, msg_type, lambda f: b"", reason)
 
 
 _N_SIGNAL = small_cfg().block_size_pulses - small_cfg().calibration_pulses
 _UNEXPECTED = AbortReason.UNEXPECTED_MESSAGE
 _MISMATCH = AbortReason.CONFIG_MISMATCH
+_SMALL = [Session(f"small-{b}", small_cfg(), b) for b in range(6)]
+_KEYED = [Session(f"keyed-{b}", keyed_cfg(), b) for b in range(3)]
+_DEFAULT = [Session(f"default-{b}", SystemConfig(), b) for b in range(3)]
+_NOISELESS = [Session(f"noiseless-{b}", noiseless_cfg(), b) for b in range(3)]
+# how many pulses small_cfg block 0 keeps at each threshold
+_KEEPS = {40.0: 0, 4.84: 1, 4.72: 2}
 
-# Every single-frame fault of a session on small_cfg block 0, by the test
-# that runs it.  A row is (id, sender, msg_type, rewrite, reason[, detail]):
-# the sender's first msg_type frame goes on the wire as rewrite(frame), and
-# b"" drops it; fails_both_ends is the rule every row holds to.
-FAULTS = {
+# Every two-end session of the suite, by the test that runs it: a test
+# that takes `row` runs once per row, one that takes `rows` gets them all.
+# ends_as_expected is the rule every row holds to.
+SESSIONS = {
+    "test_noiseless_keys_identical_and_qber_zero": _NOISELESS[:1],
+    "test_default_noise_keys_identical": _KEYED[:1],
+    "test_report_counts_are_python_ints": _KEYED[1:2],
+    "test_matches_in_process_distillation": [
+        _SMALL[0], _SMALL[1], _SMALL[4], _NOISELESS[2], _KEYED[0]],
+    "test_both_transports_carry_the_same_frames": [
+        *_SMALL[:3], _NOISELESS[0], Session("seed1-0", SystemConfig(seed=1))],
+    # Alice's own config keys block 0 at 397 bits; a Bob that draws a
+    # larger sample must not lend her his sample, his key length or his key
+    "test_peer_on_another_sample_fraction_fails_both_ends": [Session(
+        "sample-fraction", keyed_cfg(), outcome=(_MISMATCH, "config_digest"),
+        bob_cfg=replace(keyed_cfg(), sample_fraction=0.05))],
+    # two equal configs, so that each end's can be told apart
+    "test_alice_draws_no_kept_position": [
+        _KEYED[0]._replace(bob_cfg=keyed_cfg())],
+    "test_blocks_differ_by_id": _NOISELESS[:2],
+    "test_too_few_kept_pulses_yield_no_key": [
+        Session(f"{_KEEPS[x_th]}-{fraction}", replace(
+            small_cfg(), x_th_snu=x_th, sample_fraction=fraction))
+        for x_th, fraction in ((40.0, 0.2), (4.84, 0.2), (4.72, 0.2),
+                               (4.72, 0.9))],
+    "test_transcripts_deterministic": _SMALL[:1],
     "test_corrupted_frame_fails_both_ends_matching_reason": [
         # Alice's first frame, her HELLO, goes out under an unknown type
-        ("hello-unknown-type", Role.ALICE, MsgType.HELLO, unknown_type,
-         AbortReason.DECODE_ERROR)],
+        _fault("hello-unknown-type", Role.ALICE, MsgType.HELLO, unknown_type,
+               AbortReason.DECODE_ERROR)],
     "test_unexpected_message_aborts_peer": [
         # Alice answers Bob's HELLO and opening frames out of order: a
         # QBER_REPORT in place of her SAMPLE_BITS
-        ("qber-report-for-sample-bits", Role.ALICE, MsgType.SAMPLE_BITS,
-         lambda f: encode_frame(Frame(MsgType.QBER_REPORT, 0.1)),
-         _UNEXPECTED)],
+        _fault("qber-report-for-sample-bits", Role.ALICE, MsgType.SAMPLE_BITS,
+               lambda f: encode_frame(Frame(MsgType.QBER_REPORT, 0.1)),
+               _UNEXPECTED)],
     "test_out_of_range_field_aborts_both_ends": [
-        ("basis-short", Role.BOB, MsgType.BASIS_ANNOUNCE,
-         _value(lambda v: v[:-8]), _UNEXPECTED),
+        _fault("basis-short", Role.BOB, MsgType.BASIS_ANNOUNCE,
+               _value(lambda v: v[:-8]), _UNEXPECTED),
         # the right bases, with the padding of the partial last byte set to
         # 1s (block 0 keeps 2319 pulses, so 1 padding bit)
-        ("basis-padded-1s", Role.BOB, MsgType.BASIS_ANNOUNCE, _value(
+        _fault("basis-padded-1s", Role.BOB, MsgType.BASIS_ANNOUNCE, _value(
             lambda v: np.append(v, np.ones(-v.size % 8, np.uint8))),
-         _UNEXPECTED),
+            _UNEXPECTED),
         # one pulse fewer than Alice's block keeps
-        ("mask-short", Role.BOB, MsgType.POSTSELECT_MASK,
-         _value(lambda v: v[:-1]), _UNEXPECTED),
+        _fault("mask-short", Role.BOB, MsgType.POSTSELECT_MASK,
+               _value(lambda v: v[:-1]), _UNEXPECTED),
         # one pulse more: those Alice's block kept, and the first it did not
-        ("mask-extra", Role.BOB, MsgType.POSTSELECT_MASK, _value(
+        _fault("mask-extra", Role.BOB, MsgType.POSTSELECT_MASK, _value(
             lambda v: np.union1d(v, np.setdiff1d(np.arange(v.size + 1),
                                                  v)[0])), _UNEXPECTED),
         # as many positions, but not ascending or not below n_signal
-        ("index-1e9", Role.BOB, MsgType.POSTSELECT_MASK,
-         _value(lambda v: np.append(v[:-1], 10 ** 9)), _UNEXPECTED),
-        ("indices-unsorted", Role.BOB, MsgType.POSTSELECT_MASK,
-         _value(lambda v: v[::-1]), _UNEXPECTED),
-        ("index-repeated", Role.BOB, MsgType.POSTSELECT_MASK,
-         _value(lambda v: np.append(v[:1], v[:-1])), _UNEXPECTED),
+        _fault("index-1e9", Role.BOB, MsgType.POSTSELECT_MASK,
+               _value(lambda v: np.append(v[:-1], 10 ** 9)), _UNEXPECTED),
+        _fault("indices-unsorted", Role.BOB, MsgType.POSTSELECT_MASK,
+               _value(lambda v: v[::-1]), _UNEXPECTED),
+        _fault("index-repeated", Role.BOB, MsgType.POSTSELECT_MASK,
+               _value(lambda v: np.append(v[:1], v[:-1])), _UNEXPECTED),
         # position n_signal, one past the last signal pulse
-        ("index-past-signal", Role.BOB, MsgType.POSTSELECT_MASK,
-         _value(lambda v: np.append(v[:-1], _N_SIGNAL)), _UNEXPECTED),
-        ("sample-bits-8", Role.ALICE, MsgType.SAMPLE_BITS,
-         _value(lambda v: v[:8]), _UNEXPECTED),
-        ("qber-nan", Role.BOB, MsgType.QBER_REPORT,
-         _value(lambda v: math.nan), _UNEXPECTED),
+        _fault("index-past-signal", Role.BOB, MsgType.POSTSELECT_MASK,
+               _value(lambda v: np.append(v[:-1], _N_SIGNAL)), _UNEXPECTED),
+        _fault("sample-bits-8", Role.ALICE, MsgType.SAMPLE_BITS,
+               _value(lambda v: v[:8]), _UNEXPECTED),
+        _fault("qber-nan", Role.BOB, MsgType.QBER_REPORT,
+               _value(lambda v: math.nan), _UNEXPECTED),
         # (pass, starts, ends): the first request asks for pass 0's
         # top-level parities, whose last range ends at the kept bit count
-        ("parity-pass-50", Role.ALICE, MsgType.PARITY_REQ,
-         _value(lambda v: (50, v[1], v[2])), _UNEXPECTED),
-        ("parity-empty", Role.ALICE, MsgType.PARITY_REQ,
-         _value(lambda v: (v[0], v[1], v[1])), _UNEXPECTED),
-        ("parity-end-past-n", Role.ALICE, MsgType.PARITY_REQ, _value(
+        _fault("parity-pass-50", Role.ALICE, MsgType.PARITY_REQ,
+               _value(lambda v: (50, v[1], v[2])), _UNEXPECTED),
+        _fault("parity-empty", Role.ALICE, MsgType.PARITY_REQ,
+               _value(lambda v: (v[0], v[1], v[1])), _UNEXPECTED),
+        _fault("parity-end-past-n", Role.ALICE, MsgType.PARITY_REQ, _value(
             lambda v: (v[0], v[1], np.append(v[2][:-1], v[2][-1] + 1))),
-         _UNEXPECTED),
-        ("parity-start-past-end", Role.ALICE, MsgType.PARITY_REQ,
-         _value(lambda v: (v[0], v[2], v[1])), _UNEXPECTED),
-        ("parity-arrays-unequal", Role.ALICE, MsgType.PARITY_REQ,
-         _value(lambda v: (v[0], v[1], v[2][:-1])), _UNEXPECTED),
-        ("parity-rsp-count", Role.BOB, MsgType.PARITY_RSP,
-         _value(lambda v: np.append(v, np.zeros(8, np.uint8))), _UNEXPECTED)],
+            _UNEXPECTED),
+        _fault("parity-start-past-end", Role.ALICE, MsgType.PARITY_REQ,
+               _value(lambda v: (v[0], v[2], v[1])), _UNEXPECTED),
+        _fault("parity-arrays-unequal", Role.ALICE, MsgType.PARITY_REQ,
+               _value(lambda v: (v[0], v[1], v[2][:-1])), _UNEXPECTED),
+        _fault("parity-rsp-count", Role.BOB, MsgType.PARITY_RSP, _value(
+            lambda v: np.append(v, np.zeros(8, np.uint8))), _UNEXPECTED)],
     "test_oversized_length_header_aborts_both_ends": [
         # a bare header claiming 64 MiB
-        ("sample-bits", Role.ALICE, MsgType.SAMPLE_BITS, _header(2 ** 26),
-         AbortReason.DECODE_ERROR),
-        ("qber-report", Role.BOB, MsgType.QBER_REPORT, _header(2 ** 26),
-         AbortReason.DECODE_ERROR),
+        _fault("sample-bits", Role.ALICE, MsgType.SAMPLE_BITS,
+               _header(2 ** 26), AbortReason.DECODE_ERROR),
+        _fault("qber-report", Role.BOB, MsgType.QBER_REPORT,
+               _header(2 ** 26), AbortReason.DECODE_ERROR),
         # a whole 32-byte SHA-256 digest where a 4-byte tag belongs
-        ("key-confirm-digest", Role.BOB, MsgType.KEY_CONFIRM,
-         _header(32, bytes(range(32))), AbortReason.DECODE_ERROR)],
+        _fault("key-confirm-digest", Role.BOB, MsgType.KEY_CONFIRM,
+               _header(32, bytes(range(32))), AbortReason.DECODE_ERROR)],
     "test_dropped_frame_fails_both_ends": [
         # the next frame arrives in the dropped one's place
         _dropped(Role.BOB, MsgType.HELLO, _UNEXPECTED),
@@ -571,90 +458,262 @@ FAULTS = {
         _dropped(Role.BOB, MsgType.KEY_CONFIRM, AbortReason.TIMEOUT),
         _dropped(Role.ALICE, MsgType.SAMPLE_BITS, AbortReason.TIMEOUT),
         _dropped(Role.ALICE, MsgType.PARITY_REQ, AbortReason.TIMEOUT)],
+    # a zero-variance calibration frame: each end finds it alike
+    "test_degenerate_calibration_fails_both_ends": [Session(
+        "sigma-0", small_cfg(force_sigma_snu=0.0),
+        outcome=(AbortReason.CALIBRATION_FAILED,))],
+    # as many well-formed positions as Alice's block keeps, each one pulse
+    # earlier: Alice checks their number and order and never reads them
+    "test_moved_kept_positions_leave_the_keys_as_they_are": [Session(
+        "mask-minus-1", keyed_cfg(), fault=(
+            Role.BOB, MsgType.POSTSELECT_MASK, _value(lambda v: v - 1)))],
+    "test_endless_parity_requests_abort_both_ends": [
+        _SMALL[0]._replace(outcome=(_UNEXPECTED,))],
+    "test_random_parity_answers_end_in_one_outcome": _SMALL[:1],
+    "test_unreconciled_block_yields_no_key_on_every_path": [
+        Session("seed1-0", SystemConfig(seed=1)),
+        Session("seed1-0-tcp", SystemConfig(seed=1), pair=tcp_pair)],
+    "test_nodelay_on_tcp_only": _NOISELESS[:1],
+    "test_session_matches_in_process": [
+        row._replace(id=f"{row.id}-tcp", pair=tcp_pair) for row in _KEYED],
+    "test_transcripts_follow_each_ends_event_order": _DEFAULT[:1],
+    "test_transcripts_match_pinned_digests": _DEFAULT,
+    "test_reads_and_timeouts_per_session": _DEFAULT[:1],
+    "test_stalling_peer_cannot_hold_a_block": [
+        _DEFAULT[1]._replace(outcome=(AbortReason.TIMEOUT,))],
+    "test_parity_requests_per_block_bounded": _SMALL,
+    "test_bases_of_kept_pulses_only": _SMALL,
+    # a key that no block reads (qber_smoothing), or a change that moves no
+    # derived value (an f_cal one ulp up), is refused all the same
+    "test_each_config_key_on_one_end_fails_both": [
+        Session(key, keyed_cfg(), outcome=(_MISMATCH, "config_digest"),
+                bob_cfg=_changed(keyed_cfg(), key, hint, value))
+        for key, hint, value in config._walk(keyed_cfg())],
+    "test_another_block_id_fails_both": [Session(
+        "block-1", keyed_cfg(), outcome=(_MISMATCH, "block_id"),
+        bob_block_id=1)],
     "test_another_protocol_version_fails_both": [
         # an Alice whose HELLO differs only in its version: a parent peer
         # on per-block Cascade permutations, whose tags would never match
-        ("version-1", Role.ALICE, MsgType.HELLO,
-         _value(lambda h: h._replace(version=proto.PROTOCOL_VERSION - 1)),
-         _MISMATCH, "version")],
+        _fault("version-1", Role.ALICE, MsgType.HELLO, _value(
+            lambda h: h._replace(version=proto.PROTOCOL_VERSION - 1)),
+            _MISMATCH, "version")],
     "test_alice_refuses_another_hello_from_bob": [
         # a Bob that takes Alice's HELLO but sends another block's
-        ("block-id-1", Role.BOB, MsgType.HELLO,
-         _value(lambda h: h._replace(block_id=1)), _MISMATCH, "block_id")],
+        _fault("block-id-1", Role.BOB, MsgType.HELLO,
+               _value(lambda h: h._replace(block_id=1)), _MISMATCH,
+               "block_id")],
 }
 
+_FLIP = {"sent": "received", "received": "sent"}
+# Alice's events when each end refuses the other's HELLO
+_REFUSED = {
+    Role.BOB: [("sent", MsgType.HELLO), ("received", MsgType.ABORT)],
+    Role.ALICE: [("sent", MsgType.HELLO), ("received", MsgType.HELLO),
+                 ("sent", MsgType.ABORT)]}
 
-def fails_both_ends(sender, msg_type, rewrite, reason, detail=None):
-    """The rule of a FAULTS row: both ends raise SessionFailed with
-    `reason`, and the other end's names `detail` if given.  A TIMEOUT row,
-    where both ends wait on each other, runs at a 0.2 s timeout and ends
-    within two timeouts of the fault: each end waits at most one once the
-    frame is lost.  Any other row ends within half of TIMEOUT_S, and the
-    sender receives nothing after the fault but the peer's ABORT, which
-    gave it its reason: the peer refused the faulty frame itself, not a
-    later one."""
-    timing_out = reason == AbortReason.TIMEOUT
-    timeout_s = 0.2 if timing_out else TIMEOUT_S
-    ends = dict(zip(Role, peer_pair(timeout_s, sender, msg_type, rewrite)))
-    out, elapsed = run_pair_timed(small_cfg(), transports=ends.values())
-    faulty = ends[sender]
-    both_failed(out, reason)
-    if timing_out:
-        assert time.monotonic() - faulty.fault_at < 2 * timeout_s
+
+def ends_as_expected(row: Session, ends=None):
+    """The rule of every SESSIONS row, run over `ends` (row.pair's by
+    default): each end returns a BlockResult or raises SessionFailed, and
+    receives the first frames the other sent.  AGREES: both return what
+    distill_block does at the mean drift, its counts Python ints and its
+    rates floats, over the frames the in-process chain passes.  (reason[,
+    detail]): both raise SessionFailed with `reason`, and an end that
+    refused the peer's HELLO names `detail`.  Returns (the result both ends
+    agree on, or None; the ends)."""
+    agrees = row.outcome == AGREES
+    reason, *detail = (None,) if agrees else row.outcome
+    timeout_s = 0.2 if reason is AbortReason.TIMEOUT else TIMEOUT_S
+    alice, bob = ends = tuple(ends or row.pair(timeout_s, *row.fault))
+    start = time.monotonic()
+    out = run_pair(row.cfg, ends, row.bob_cfg, row.block_id, row.bob_block_id)
+    done = time.monotonic()
+    if agrees:
+        for role in Role:
+            assert isinstance(out[role], BlockResult), (role, out[role])
     else:
-        assert elapsed < TIMEOUT_S / 2
-        assert faulty.received_after == [MsgType.ABORT]
-    if detail:
-        (other,) = set(Role) - {sender}
-        assert detail in str(out[other])
+        both_failed(out, reason)
+    for end, other in (ends, ends[::-1]):
+        got = [data for d, data in end.events if d == "received"]
+        sent = [data for d, data in other.events if d == "sent"]
+        assert got == sent[:len(got)]
+    if not agrees:
+        faulty = [end for end in ends if end.fault_at is not None]
+        if reason is AbortReason.TIMEOUT:
+            # both ends wait on each other, and each at most one timeout
+            # once a frame is lost
+            since = faulty[0].fault_at if faulty else start
+            assert done - since < 2 * alice.timeout_s
+        else:
+            assert done - start < TIMEOUT_S / 2
+            # the peer refused the faulty frame itself, not a later one
+            for end in faulty:
+                assert end.received_after == [MsgType.ABORT]
+        if reason is AbortReason.CONFIG_MISMATCH:
+            # refused at the handshake: Alice's events, and Bob's as Alice
+            # saw them, are the HELLOs until one end's ABORT
+            kinds = [[(d, data[4]) for d, data in alice.events],
+                     [(_FLIP[d], data[4]) for d, data in bob.events]]
+            assert kinds[0] == kinds[1] in _REFUSED.values(), kinds
+            refuser = next(r for r in Role if _REFUSED[r] == kinds[0])
+            assert all(d in str(out[refuser]) for d in detail), out[refuser]
+        return None, ends
+    assert done - start < TIMEOUT_S / 2
+    cfg, block_id = row.cfg, row.block_id
+    local = distill_block(cfg, block_id, mean_drift(cfg))
+    assert local.report.skr_bits_per_s == (
+        local.key_bits.size * cfg.rep_rate_hz / cfg.block_size_pulses)
+    for end, result in [("in process", local), *out.items()]:
+        assert result.report == local.report, end
+        assert np.array_equal(result.key_bits, local.key_bits), end
+        assert result.variance_snu == local.variance_snu, end
+        # a numpy scalar in a report does not serialise to JSON
+        report = result.report
+        assert {type(report.leak_bits), type(report.final_key_bits),
+                type(result.residual_errors)} == {int}
+        assert {type(report.p_post), type(report.qber), type(result.qber_raw),
+                type(report.skr_bits_per_s)} == {float}
+        json.dumps(asdict(report))
+    assert alice.events == [(_FLIP[d], data) for d, data in bob.events]
+    if not row.fault:
+        # every protocol step runs in run_chain, so the in-process link
+        # passes exactly the frames the wire carries, in the same order
+        link = _RecordingLink()
+        chained = run_chain(cfg, block_id, simulate_quantum_exchange(
+            cfg, block_id, mean_drift(cfg)), link)
+        assert chained.report == local.report
+        hello = encode_frame(Frame(MsgType.HELLO, proto._hello(cfg, block_id)))
+        assert [data for _, data in alice.events] == [hello, hello,
+                                                      *link.frames]
+        assert [d for d, _ in alice.events[:2]] == ["sent", "received"]
+    return local, ends
 
 
-def fault_test(name: str):
-    """The test `name`: fails_both_ends on each of its FAULTS rows, by row
-    id if it has more than one."""
-    rows = FAULTS[name]
-    if len(rows) == 1:
-        return lambda self: fails_both_ends(*rows[0][1:])
+def pytest_generate_tests(metafunc):
+    """A test that takes `row` runs on each of its SESSIONS rows, by row id
+    if it has more than one."""
+    rows = SESSIONS.get(metafunc.definition.originalname, ())
+    if "row" in metafunc.fixturenames and len(rows) > 1:
+        metafunc.parametrize("row", rows, ids=lambda row: row.id)
 
-    @pytest.mark.parametrize("fault", rows, ids=[row[0] for row in rows])
-    def test(self, fault):
-        fails_both_ends(*fault[1:])
-    return test
+
+@pytest.fixture
+def row(request):
+    """The test's one SESSIONS row."""
+    (row,) = SESSIONS[request.node.originalname]
+    return row
+
+
+@pytest.fixture
+def rows(request):
+    """The test's SESSIONS rows."""
+    return SESSIONS[request.node.originalname]
+
+
+def session_test(self, row):
+    """A test that is its SESSIONS rows: ends_as_expected on each."""
+    ends_as_expected(row)
+
+
+class TestSession:
+    def test_noiseless_keys_identical_and_qber_zero(self, row):
+        result = ends_as_expected(row)[0]
+        assert result.report.qber == 0.0
+        assert result.key_bits.size > 0
+
+    def test_default_noise_keys_identical(self, row):
+        # every default-noise block of small_cfg yields a 0-bit key
+        assert ends_as_expected(row)[0].key_bits.size > 0
+
+    def test_report_counts_are_python_ints(self, row):
+        # ends_as_expected checks the types of every agreeing row; this
+        # one keys, so no count is a 0 that a shortcut returned
+        assert ends_as_expected(row)[0].report.final_key_bits > 0
+
+    def test_matches_in_process_distillation(self, rows):
+        for row in rows:
+            local, _ = ends_as_expected(row)
+            # the chain's estimation step against the reference helpers;
+            # the threshold applied to signal_batch's outcomes keeps exactly
+            # the drawn set, whose positions Bob sends
+            cfg, block_id = row.cfg, row.block_id
+            n_sig, frame, qber, reduced = reference_estimation(cfg, block_id)
+            assert local.report.p_post == (
+                (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
+            assert local.report.qber == local.qber_raw == qber
+            kept = simulate_quantum_exchange(
+                cfg, block_id, mean_drift(cfg)).position
+            assert np.array_equal(kept, frame.kept_indices)
+            # the sample each end draws counts among the kept pulses
+            sample = pp.disclosure_sample(
+                kept.size, cfg.sample_fraction, np.random.default_rng(
+                    derive_seed(cfg, block_id, SEED_TAG_SAMPLE)))
+            disclosed = frame.postselect_mask & ~reduced.postselect_mask
+            assert np.array_equal(kept[sample], np.flatnonzero(disclosed))
+            assert sample.size == reduced.disclosed_count
+
+    test_both_transports_carry_the_same_frames = session_test
+    test_peer_on_another_sample_fraction_fails_both_ends = session_test
+
+    def test_alice_draws_no_kept_position(self, row, monkeypatch):
+        # drawing the positions takes ~0.7 ms of a default block; only Bob,
+        # who sends them, reads them, so Alice's block may not have them
+        simulate = proto.simulate_quantum_exchange
+
+        class NoPositions(KeptPulses):
+            @property
+            def position(self):
+                raise AssertionError("Alice read a kept position")
+
+        def simulate_for(end_cfg, block_id, drift):
+            batch = simulate(end_cfg, block_id, drift)
+            if end_cfg is not row.cfg:
+                return batch
+            return NoPositions(*(getattr(batch, f.name)
+                                 for f in fields(batch)))
+
+        monkeypatch.setattr(proto, "simulate_quantum_exchange", simulate_for)
+        assert ends_as_expected(row)[0].key_bits.size > 0
+
+    def test_blocks_differ_by_id(self, rows):
+        a, b = (ends_as_expected(row)[0].key_bits for row in rows)
+        assert a.size > 0
+        assert b.size > 0
+        assert not np.array_equal(a, b)
+
+    def test_too_few_kept_pulses_yield_no_key(self, row):
+        # with one kept pulse, or a sample that takes all of them, no bit
+        # is left for Cascade; with none, there is nothing to sample
+        report = ends_as_expected(row)[0].report
+        assert report.final_key_bits == 0
+        assert report.skr_bits_per_s == 0.0
+        assert report.p_post == _KEEPS[row.cfg.x_th_snu] / _N_SIGNAL
+
+    def test_transcripts_deterministic(self, row):
+        # a transcript records its end's events
+        events = [[end.events for end in ends_as_expected(row)[1]]
+                  for _ in range(2)]
+        assert events[0] == events[1]
 
 
 class TestFaultInjection:
-    test_corrupted_frame_fails_both_ends_matching_reason = fault_test(
-        "test_corrupted_frame_fails_both_ends_matching_reason")
-    test_unexpected_message_aborts_peer = fault_test(
-        "test_unexpected_message_aborts_peer")
-    test_out_of_range_field_aborts_both_ends = fault_test(
-        "test_out_of_range_field_aborts_both_ends")
-    test_oversized_length_header_aborts_both_ends = fault_test(
-        "test_oversized_length_header_aborts_both_ends")
-    test_dropped_frame_fails_both_ends = fault_test(
-        "test_dropped_frame_fails_both_ends")
+    test_corrupted_frame_fails_both_ends_matching_reason = session_test
+    test_unexpected_message_aborts_peer = session_test
+    test_out_of_range_field_aborts_both_ends = session_test
+    test_oversized_length_header_aborts_both_ends = session_test
+    test_dropped_frame_fails_both_ends = session_test
+    test_degenerate_calibration_fails_both_ends = session_test
 
-    def test_moved_kept_positions_leave_the_keys_as_they_are(self):
-        # as many well-formed positions as Alice's block keeps, each one
-        # pulse earlier: Alice checks their number and order, never reads
-        # them, and both ends return the untampered block's key
-        cfg = keyed_cfg()
-        alice, bob = peer_pair(
-            TIMEOUT_S, Role.BOB, MsgType.POSTSELECT_MASK,
-            lambda f: encode_frame(replace(f, value=f.value - 1)))
-        out = run_pair(cfg, transports=(alice, bob))
+    def test_moved_kept_positions_leave_the_keys_as_they_are(self, row):
+        result, (_, bob) = ends_as_expected(row)
         moved = next(f.value for f in bob.sent
                      if f.msg_type == MsgType.POSTSELECT_MASK)
-        local = distill_block(cfg, 0, mean_drift(cfg))
         assert moved.tolist() == (simulate_quantum_exchange(
-            cfg, 0, mean_drift(cfg)).position - 1).tolist()
-        assert local.key_bits.size > 0
-        for role in (Role.ALICE, Role.BOB):
-            assert not isinstance(out[role], SessionFailed), out[role]
-            assert out[role].report == local.report, role
-            assert np.array_equal(out[role].key_bits, local.key_bits), role
+            row.cfg, 0, mean_drift(row.cfg)).position - 1).tolist()
+        assert result.key_bits.size > 0
 
-    def test_endless_parity_requests_abort_both_ends(self, monkeypatch):
+    def test_endless_parity_requests_abort_both_ends(self, row, monkeypatch):
         # an Alice that asks for the same parity again and again
         def ask_forever(alice_bits, oracle, initial_block, perms):
             while True:
@@ -671,34 +730,28 @@ class TestFaultInjection:
 
         monkeypatch.setattr(pp, "cascade_reconcile", ask_forever)
         monkeypatch.setattr(pp.LocalParityOracle, "parities", counted)
-        cfg = small_cfg()
-        out = run_pair(cfg)
-        assert sum(served) == reference_estimation(cfg, 0)[3].kept_indices.size
-        both_failed(out, AbortReason.UNEXPECTED_MESSAGE)
+        ends_as_expected(row)
+        assert sum(served) == reference_estimation(
+            row.cfg, 0)[3].kept_indices.size
 
-    def test_random_parity_answers_end_in_one_outcome(self, monkeypatch):
-        # a Bob whose parities come from no one string: the tags differ,
-        # and both ends return a 0-bit key
-        rng = np.random.default_rng(7)
-
+    def test_random_parity_answers_end_in_one_outcome(self, row, monkeypatch):
+        # a Bob whose parities are drawn from each request, so that they
+        # come from no one string: the tags differ, and both ends, as the
+        # chain in process, return a 0-bit key
         def random_parities(oracle, pass_index, starts, ends):
             oracle.query_count += len(starts)
+            rng = np.random.default_rng([pass_index, *starts, *ends])
             return rng.integers(0, 2, len(starts), dtype=np.uint8)
 
         monkeypatch.setattr(pp.LocalParityOracle, "parities", random_parities)
-        out, elapsed = run_pair_timed(small_cfg())
-        assert elapsed < TIMEOUT_S / 2
-        ra, rb = out[Role.ALICE], out[Role.BOB]
-        assert ra.key_bits.size == rb.key_bits.size == 0
-        assert ra.report == rb.report
-        assert ra.report.skr_bits_per_s == 0.0
+        assert ends_as_expected(row)[0].report.final_key_bits == 0
 
-    def test_unreconciled_block_yields_no_key_on_every_path(self,
+    def test_unreconciled_block_yields_no_key_on_every_path(self, rows,
                                                             monkeypatch):
         # a Cascade that leaves one bit of Alice's string wrong: in
         # process, over a socket pair and over TCP, the block keeps no key
         # and the session goes on, where it keeps 350 bits otherwise
-        cfg = SystemConfig(seed=1)
+        cfg = rows[0].cfg
         clean = distill_block(cfg, 0, mean_drift(cfg))
         assert clean.key_bits.size == 350
         reconcile = pp.cascade_reconcile
@@ -712,12 +765,8 @@ class TestFaultInjection:
         assert local.residual_errors == 1
         assert local.report == replace(clean.report, final_key_bits=0,
                                        skr_bits_per_s=0.0)
-        for transports in (peer_pair(), tcp_pair()):
-            out = run_pair(cfg, transports=transports)
-            for role in (Role.ALICE, Role.BOB):
-                assert not isinstance(out[role], SessionFailed), out[role]
-                assert out[role].report == local.report, role
-                assert out[role].key_bits.size == 0, role
+        for row in rows:
+            ends_as_expected(row)
 
     def test_timeout_fails_session(self):
         ta, tb = peer_pair(0.2)
@@ -771,29 +820,21 @@ class TestFaultInjection:
 
 
 class TestTcpTransport:
-    def test_nodelay_on_tcp_only(self):
+    def test_nodelay_on_tcp_only(self, row):
         # Bob's back-to-back frames would otherwise wait on the peer's
         # delayed ACK; AF_UNIX has no Nagle and no TCP options to set
         ends = tcp_pair()
         for end in ends:
             assert end.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             end.close()
-        ta, tb = peer_pair()
-        assert ta.sock.family == tb.sock.family == socket.AF_UNIX
-        out = run_pair(noiseless_cfg(), transports=(ta, tb))
-        assert out[Role.ALICE].key_bits.size > 0
-        assert np.array_equal(out[Role.ALICE].key_bits, out[Role.BOB].key_bits)
+        result, ends = ends_as_expected(row)
+        assert [end.sock.family for end in ends] == [socket.AF_UNIX] * 2
+        assert result.key_bits.size > 0
 
-    def test_session_matches_in_process(self):
-        cfg = keyed_cfg()
-        for block_id in range(3):
-            out = run_pair(cfg, transports=tcp_pair(), block_id=block_id)
-            local = distill_block(cfg, block_id, mean_drift(cfg),
-                                  qber_used=None)
-            for role in (Role.ALICE, Role.BOB):
-                assert out[role].report == local.report, (block_id, role)
-                assert np.array_equal(out[role].key_bits, local.key_bits)
-            assert local.key_bits.size > 0, block_id
+    def test_session_matches_in_process(self, rows):
+        for row in rows:
+            result, _ = ends_as_expected(row)
+            assert result.key_bits.size > 0, row.id
 
 
 class _CountingSocket:
@@ -945,52 +986,38 @@ class TestReceivePath:
         assert 0 < receiver.sock.bytes_read <= proto._RECV_BUFFER
         assert len(receiver._buf) == proto._RECV_BUFFER
 
-    def test_transcripts_follow_each_ends_event_order(self, tmp_path):
+    def test_transcripts_follow_each_ends_event_order(self, row, tmp_path):
+        # ends_as_expected checks the events; the files record them
         paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
-        ends = peer_pair(TIMEOUT_S, transcripts=paths)
-        out = run_pair(SystemConfig(), transports=ends)
-        assert np.array_equal(out[Role.ALICE].key_bits,
-                              out[Role.BOB].key_bits)
+        _, ends = ends_as_expected(row, peer_pair(transcripts=paths))
         for end, path in zip(ends, paths):
-            assert (transcript_frames(path.read_bytes())
-                    == [data for _, data in end.events])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        # one end sends what the other receives
-        flip = {"sent": "received", "received": "sent"}
-        assert ends[0].events == [(flip[d], data) for d, data in ends[1].events]
-        # two HELLOs open the session, Alice's first, and no other follows
-        assert [(d, data[4]) for d, data in ends[0].events[:2]] == [
-            ("sent", MsgType.HELLO), ("received", MsgType.HELLO)]
-        assert sum(data[4] == MsgType.HELLO for _, data in ends[0].events) == 2
+            assert path.read_bytes() == b"".join(d for _, d in end.events)
 
-    def test_transcripts_match_pinned_digests(self, tmp_path):
-        # a change to the wire on purpose updates the digest file
+    def test_transcripts_match_pinned_digests(self, rows):
+        # a change to the wire on purpose updates the digest file; a
+        # transcript records its end's events
         pinned = dict(reversed(line.split()) for line in
                       PINNED_TRANSCRIPTS.read_text(encoding="utf-8")
                       .splitlines())
         assert list(pinned) == [f"block{b}.bin" for b in range(3)]
-        for b in range(3):
-            paths = (tmp_path / f"alice{b}.bin", tmp_path / f"bob{b}.bin")
-            run_pair(SystemConfig(), block_id=b,
-                     transports=peer_pair(transcripts=paths))
-            for path in paths:
-                got = hashlib.sha256(path.read_bytes()).hexdigest()
+        for row in rows:
+            for end in ends_as_expected(row)[1]:
+                got = hashlib.sha256(b"".join(
+                    data for _, data in end.events)).hexdigest()
                 # a HELLO carries the stream fingerprint, which a numpy
                 # release that draws otherwise changes (NEP 19)
-                assert got == pinned[f"block{b}.bin"], (
-                    f"{path.name} under numpy {np.__version__}, stream "
+                assert got == pinned[f"block{row.block_id}.bin"], (
+                    f"{row.id} under numpy {np.__version__}, stream "
                     f"fingerprint {proto.stream_fingerprint().hex()}")
 
-    def test_reads_and_timeouts_per_session(self):
+    def test_reads_and_timeouts_per_session(self, row):
         # one read per received frame, but for the extra reads of Bob's
         # POSTSELECT_MASK (~100 KB, past the first buffer), and no
         # settimeout after the constructor's
         ends = peer_pair()
         for end in ends:
             end.sock = _CountingSocket(end.sock)
-        out = run_pair(SystemConfig(), transports=ends)
-        assert np.array_equal(out[Role.ALICE].key_bits,
-                              out[Role.BOB].key_bits)
+        ends_as_expected(row, ends)
         received = [sum(d == "received" for d, _ in e.events) for e in ends]
         assert received[0] > 50 and received[1] > 50
         alice, bob = (end.sock for end in ends)
@@ -1004,7 +1031,7 @@ class TestDeadline:
     # socket's own timeout is set once and bounds each read
 
     @pytest.mark.parametrize("staller", list(Role), ids=lambda r: r.value)
-    def test_stalling_peer_cannot_hold_a_block(self, staller):
+    def test_stalling_peer_cannot_hold_a_block(self, row, staller):
         # each frame half a timeout late keeps every wait inside the
         # timeout; with a deadline per frame, block 1 ran to its keys after
         # ~43 timeouts
@@ -1017,10 +1044,7 @@ class TestDeadline:
 
         ends = dict((role, (Stalling if role is staller else Peer)(
             sock, timeout_s)) for role, sock in zip(Role, socket.socketpair()))
-        out, elapsed = run_pair_timed(SystemConfig(),
-                                      transports=ends.values(), block_id=1)
-        both_failed(out, AbortReason.TIMEOUT)
-        assert elapsed < 2 * timeout_s
+        ends_as_expected(row, ends.values())
         # the other end passed its deadline first, and told the staller
         assert ends[staller].events[-1] == ("received", encode_frame(
             Frame(MsgType.ABORT, AbortReason.TIMEOUT)))
@@ -1062,35 +1086,31 @@ class TestRoundTrips:
     # mask (11.3 KB) 13.7-13.9 KB, and every pulse's basis 24.7-24.8 KB.
     MAX_BOB_BYTES = 11_000
 
-    def test_parity_requests_per_block_bounded(self):
-        cfg = small_cfg()
-        for block_id in range(6):
-            alice, bob = peer_pair(5.0)
-            out = run_pair(cfg, block_id=block_id, transports=(alice, bob))
+    def test_parity_requests_per_block_bounded(self, rows):
+        for row in rows:
+            result, (alice, _) = ends_as_expected(row)
             requests = [f for f in alice.sent
                         if f.msg_type == MsgType.PARITY_REQ]
-            assert len(requests) <= self.MAX_PARITY_REQUESTS, block_id
+            assert len(requests) <= self.MAX_PARITY_REQUESTS, row.id
             # each end sizes out_len from the parities Bob served
             served = sum(len(f.value[1]) for f in requests)
-            assert out[Role.BOB].report.leak_bits == served > 0
-            assert out[Role.ALICE].report == out[Role.BOB].report
+            assert result.report.leak_bits == served > 0
 
-    def test_bases_of_kept_pulses_only(self):
-        cfg = small_cfg()
-        for block_id in range(6):
-            alice, bob = peer_pair(5.0)
-            run_pair(cfg, block_id=block_id, transports=(alice, bob))
+    def test_bases_of_kept_pulses_only(self, rows):
+        for row in rows:
+            _, (_, bob) = ends_as_expected(row)
             hello, kept, basis = bob.sent[:3]
             assert hello.msg_type == MsgType.HELLO
             assert len(encode_frame(hello)) == 5 + 74
             assert kept.msg_type == MsgType.POSTSELECT_MASK
             assert basis.msg_type == MsgType.BASIS_ANNOUNCE
-            n_post = reference_estimation(cfg, block_id)[1].kept_indices.size
+            n_post = reference_estimation(
+                row.cfg, row.block_id)[1].kept_indices.size
             assert len(encode_frame(kept)) == 5 + 4 + 4 * n_post
             assert len(encode_frame(basis)) == 5 + math.ceil(n_post / 8)
             # the chain's frames, after the HELLO
             sent = sum(len(encode_frame(f)) for f in bob.sent[1:])
-            assert sent <= self.MAX_BOB_BYTES, block_id
+            assert sent <= self.MAX_BOB_BYTES, row.id
 
 
 # what stream_fingerprint() gives under numpy 2.4.6; a numpy release whose
@@ -1099,55 +1119,17 @@ PINNED_FINGERPRINT = ("b7d1c8973a800c1b94b4cf7e6bf87523"
                       "83a4d4c54d32374cad9b2faed1dd0192")
 
 
-def _changed(cfg, key, hint, value):
-    """`cfg` with `key` changed as little as its type allows: a flag
-    flipped, an integer one up, a float one ulp up, an unset float set."""
-    if value is None:
-        new = 1.0
-    elif hint is bool:
-        new = not value
-    elif hint is int:
-        new = value + 1
-    else:
-        new = math.nextafter(value, math.inf)
-    return config._replace(cfg, {key: new})
-
-
 class TestHandshake:
-    def _refused_at_first_frame(self, cfg, **kwargs):
-        """Both ends end in CONFIG_MISMATCH after Alice's HELLO and Bob's
-        ABORT, within half the receive timeout."""
-        ends = peer_pair()
-        out, elapsed = run_pair_timed(cfg, transports=ends, **kwargs)
-        both_failed(out, AbortReason.CONFIG_MISMATCH)
-        assert [(d, data[4]) for d, data in ends[0].events] == [
-            ("sent", MsgType.HELLO), ("received", MsgType.ABORT)]
-        assert [(d, data[4]) for d, data in ends[1].events] == [
-            ("received", MsgType.HELLO), ("sent", MsgType.ABORT)]
-        assert elapsed < TIMEOUT_S / 2
-        return out
-
-    def test_each_config_key_on_one_end_fails_both(self):
-        # a key that no block reads (qber_smoothing), or a change that moves
-        # no derived value (an f_cal one ulp up), is refused all the same
-        cfg = keyed_cfg()
-        keys = []
-        for key, hint, value in config._walk(cfg):
-            bob_cfg = _changed(cfg, key, hint, value)
-            assert bob_cfg != cfg, key
-            out = self._refused_at_first_frame(cfg, bob_cfg=bob_cfg)
-            assert "config_digest" in str(out[Role.BOB]), key
-            keys.append(key)
+    def test_each_config_key_on_one_end_fails_both(self, rows):
+        for row in rows:
+            assert row.bob_cfg != row.cfg, row.id
+            ends_as_expected(row)
+        keys = [row.id for row in rows]
         assert "rep_rate_hz" in keys and "qber_smoothing" in keys
 
-    def test_another_block_id_fails_both(self):
-        out = self._refused_at_first_frame(keyed_cfg(), bob_block_id=1)
-        assert "block_id" in str(out[Role.BOB])
-
-    test_another_protocol_version_fails_both = fault_test(
-        "test_another_protocol_version_fails_both")
-    test_alice_refuses_another_hello_from_bob = fault_test(
-        "test_alice_refuses_another_hello_from_bob")
+    test_another_block_id_fails_both = session_test
+    test_another_protocol_version_fails_both = session_test
+    test_alice_refuses_another_hello_from_bob = session_test
 
     @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
     def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):
@@ -1181,3 +1163,4 @@ class TestStreamFingerprint:
         assert got == PINNED_FINGERPRINT, (
             f"numpy {np.__version__} draws other streams than the pinned "
             f"ones: stream fingerprint {got}")
+
