@@ -108,10 +108,9 @@ def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
     t.start()
     go(Role.ALICE, ta)
     t.join()
-    crashed = {role: exc for role, exc in out.items()
-               if isinstance(exc, Exception)
-               and not isinstance(exc, SessionFailed)}
-    assert not crashed, crashed
+    for role, exc in out.items():
+        if isinstance(exc, Exception) and not isinstance(exc, SessionFailed):
+            raise AssertionError(f"{role.value} end crashed") from exc
     return out
 
 
@@ -120,3 +119,13 @@ def both_failed(out, reason: AbortReason) -> None:
     for role in Role:
         assert isinstance(out[role], SessionFailed), (role, out[role])
         assert out[role].reason == reason, (role, out[role])
+
+
+def transcript_frames(data: bytes) -> list:
+    """The frames of a transcript, each as its bytes."""
+    frames, i = [], 0
+    while i < len(data):
+        end = i + 5 + int.from_bytes(data[i:i + 4], "big")
+        frames.append(data[i:end])
+        i = end
+    return frames

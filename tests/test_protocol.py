@@ -534,32 +534,34 @@ def ends_as_expected(row: Session, ends=None):
             assert isinstance(out[role], BlockResult), (role, out[role])
     else:
         both_failed(out, reason)
-    for end, other in (ends, ends[::-1]):
-        got = [data for d, data in end.events if d == "received"]
-        sent = [data for d, data in other.events if d == "sent"]
-        assert got == sent[:len(got)]
+    faulty = [end for end in ends if end.fault_at is not None and not agrees]
+    if reason is AbortReason.TIMEOUT:
+        # both ends wait on each other, and each at most one timeout once
+        # a frame is lost
+        since = faulty[0].fault_at if faulty else start
+        assert done - since < 2 * alice.timeout_s
+    else:
+        assert done - start < TIMEOUT_S / 2
+        # the peer refused the faulty frame itself, not a later one
+        for end in faulty:
+            assert end.received_after == [MsgType.ABORT]
+    if agrees or reason is AbortReason.CONFIG_MISMATCH:
+        # each end read every frame the other sent, in the same order
+        assert alice.events == [(_FLIP[d], data) for d, data in bob.events]
+    else:
+        for end, other in (ends, ends[::-1]):
+            got = [data for d, data in end.events if d == "received"]
+            sent = [data for d, data in other.events if d == "sent"]
+            assert got == sent[:len(got)]
+    if reason is AbortReason.CONFIG_MISMATCH:
+        # refused at the handshake: Alice's events are the HELLOs until one
+        # end's ABORT
+        kinds = [(d, data[4]) for d, data in alice.events]
+        refuser = next((r for r in Role if _REFUSED[r] == kinds), None)
+        assert refuser, kinds
+        assert all(d in str(out[refuser]) for d in detail), out[refuser]
     if not agrees:
-        faulty = [end for end in ends if end.fault_at is not None]
-        if reason is AbortReason.TIMEOUT:
-            # both ends wait on each other, and each at most one timeout
-            # once a frame is lost
-            since = faulty[0].fault_at if faulty else start
-            assert done - since < 2 * alice.timeout_s
-        else:
-            assert done - start < TIMEOUT_S / 2
-            # the peer refused the faulty frame itself, not a later one
-            for end in faulty:
-                assert end.received_after == [MsgType.ABORT]
-        if reason is AbortReason.CONFIG_MISMATCH:
-            # refused at the handshake: Alice's events, and Bob's as Alice
-            # saw them, are the HELLOs until one end's ABORT
-            kinds = [[(d, data[4]) for d, data in alice.events],
-                     [(_FLIP[d], data[4]) for d, data in bob.events]]
-            assert kinds[0] == kinds[1] in _REFUSED.values(), kinds
-            refuser = next(r for r in Role if _REFUSED[r] == kinds[0])
-            assert all(d in str(out[refuser]) for d in detail), out[refuser]
         return None, ends
-    assert done - start < TIMEOUT_S / 2
     cfg, block_id = row.cfg, row.block_id
     local = distill_block(cfg, block_id, mean_drift(cfg))
     assert local.report.skr_bits_per_s == (
@@ -575,7 +577,6 @@ def ends_as_expected(row: Session, ends=None):
         assert {type(report.p_post), type(report.qber), type(result.qber_raw),
                 type(report.skr_bits_per_s)} == {float}
         json.dumps(asdict(report))
-    assert alice.events == [(_FLIP[d], data) for d, data in bob.events]
     if not row.fault:
         # every protocol step runs in run_chain, so the in-process link
         # passes exactly the frames the wire carries, in the same order
@@ -1163,4 +1164,3 @@ class TestStreamFingerprint:
         assert got == PINNED_FINGERPRINT, (
             f"numpy {np.__version__} draws other streams than the pinned "
             f"ones: stream fingerprint {got}")
-
