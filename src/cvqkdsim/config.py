@@ -109,8 +109,10 @@ class SystemConfig:
         if self.epsilon_intrinsic_snu < 0.0:
             raise ConfigError("epsilon_intrinsic_snu must be >= 0",
                               key="epsilon_intrinsic_snu")
-        if self.cascade_passes < 2:
-            raise ConfigError("cascade_passes must be >= 2",
+        # past pass 30 a pass's block size, k1 * 2**p, exceeds any kept-bit
+        # count; each pass costs a permutation of the block's kept bits
+        if not 2 <= self.cascade_passes <= 32:
+            raise ConfigError("cascade_passes outside [2, 32]",
                               key="cascade_passes")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0", key="seed")

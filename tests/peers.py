@@ -1,14 +1,22 @@
 """Two-end session helpers for the tests: a scripted peer, whose one
-`rewrite` of an outgoing frame is each hostile-peer fault, and the pairs
-it runs over."""
+`rewrite` of an outgoing frame is each hostile-peer fault, the pairs it
+runs over, and the one rule a two-end session is held to."""
 
+import json
 import socket
 import threading
 import time
+from dataclasses import asdict
+from typing import NamedTuple
+
+import numpy as np
 
 from cvqkdsim import protocol as proto
-from cvqkdsim.protocol import (AbortReason, Role, SessionFailed, decode_frame,
-                               encode_frame)
+from cvqkdsim.config import SystemConfig
+from cvqkdsim.pipeline import (BlockResult, LocalLink, distill_block,
+                               run_chain, simulate_quantum_exchange)
+from cvqkdsim.protocol import (AbortReason, Frame, MsgType, Role,
+                               SessionFailed, decode_frame, encode_frame)
 
 # the receive timeout of the test sessions; a session that ends on its own,
 # not on a timeout, must end within half of it
@@ -114,13 +122,6 @@ def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
     return out
 
 
-def both_failed(out, reason: AbortReason) -> None:
-    """Both ends of run_pair's `out` raised SessionFailed with `reason`."""
-    for role in Role:
-        assert isinstance(out[role], SessionFailed), (role, out[role])
-        assert out[role].reason == reason, (role, out[role])
-
-
 def transcript_frames(data: bytes) -> list:
     """The frames of a transcript, each as its bytes."""
     frames, i = [], 0
@@ -129,3 +130,122 @@ def transcript_frames(data: bytes) -> list:
         frames.append(data[i:end])
         i = end
     return frames
+
+
+AGREES = "agrees"
+
+
+class Session(NamedTuple):
+    """A two-end session over `pair` (peer_pair or tcp_pair), Bob on
+    `bob_cfg` and `bob_block_id` where given, and its outcome: AGREES, or
+    (reason[, detail]).  A `fault` (sender, msg_type, rewrite) sends the
+    sender's first msg_type frame as rewrite(frame); b"" drops it."""
+    id: str
+    cfg: SystemConfig
+    block_id: int = 0
+    outcome: object = AGREES
+    fault: tuple = ()
+    bob_cfg: SystemConfig | None = None
+    bob_block_id: int | None = None
+    pair: object = peer_pair
+
+
+class _RecordingLink(LocalLink):
+    """A LocalLink that keeps every value it passes encoded as a wire
+    frame."""
+
+    def __init__(self):
+        self.frames = []
+
+    def from_bob(self, kind, make, bound=None):
+        value = make()
+        self.frames.append(encode_frame(Frame(MsgType[kind], value)))
+        return value
+
+    from_alice = from_bob
+
+
+_FLIP = {"sent": "received", "received": "sent"}
+# Alice's events when each end refuses the other's HELLO
+_REFUSED = {
+    Role.BOB: [("sent", MsgType.HELLO), ("received", MsgType.ABORT)],
+    Role.ALICE: [("sent", MsgType.HELLO), ("received", MsgType.HELLO),
+                 ("sent", MsgType.ABORT)]}
+
+
+def ends_as_expected(row: Session, ends=None):
+    """The rule of every two-end session, run over `ends` (row.pair's by
+    default): each end returns a BlockResult or raises SessionFailed, and
+    receives the first frames the other sent.  AGREES: both return what
+    distill_block does at the mean drift, its counts Python ints and its
+    rates floats, over the frames the in-process chain passes.  (reason[,
+    detail]): both raise SessionFailed with `reason`, and an end that
+    refused the peer's HELLO names `detail`.  Returns (the result both ends
+    agree on, or None; the ends)."""
+    agrees = row.outcome == AGREES
+    reason, *detail = (None,) if agrees else row.outcome
+    timeout_s = 0.2 if reason is AbortReason.TIMEOUT else TIMEOUT_S
+    alice, bob = ends = tuple(ends or row.pair(timeout_s, *row.fault))
+    start = time.monotonic()
+    out = run_pair(row.cfg, ends, row.bob_cfg, row.block_id, row.bob_block_id)
+    done = time.monotonic()
+    for role, result in out.items():
+        assert isinstance(result, BlockResult if agrees else SessionFailed), (
+            role, result)
+        assert agrees or result.reason == reason, (role, result)
+    faulty = [end for end in ends if end.fault_at is not None and not agrees]
+    if reason is AbortReason.TIMEOUT:
+        # both ends wait on each other, and each at most one timeout once
+        # a frame is lost
+        since = faulty[0].fault_at if faulty else start
+        assert done - since < 2 * alice.timeout_s
+    else:
+        assert done - start < TIMEOUT_S / 2
+        # the peer refused the faulty frame itself, not a later one
+        for end in faulty:
+            assert end.received_after == [MsgType.ABORT]
+    if agrees or reason is AbortReason.CONFIG_MISMATCH:
+        # each end read every frame the other sent, in the same order
+        assert alice.events == [(_FLIP[d], data) for d, data in bob.events]
+    else:
+        for end, other in (ends, ends[::-1]):
+            got = [data for d, data in end.events if d == "received"]
+            sent = [data for d, data in other.events if d == "sent"]
+            assert got == sent[:len(got)]
+    if reason is AbortReason.CONFIG_MISMATCH:
+        # refused at the handshake: Alice's events are the HELLOs until one
+        # end's ABORT
+        kinds = [(d, data[4]) for d, data in alice.events]
+        refuser = next((r for r in Role if _REFUSED[r] == kinds), None)
+        assert refuser, kinds
+        assert all(d in str(out[refuser]) for d in detail), out[refuser]
+    if not agrees:
+        return None, ends
+    cfg, block_id = row.cfg, row.block_id
+    drift = cfg.drift.mean_state()
+    local = distill_block(cfg, block_id, drift)
+    assert local.report.skr_bits_per_s == (
+        local.key_bits.size * cfg.rep_rate_hz / cfg.block_size_pulses)
+    for end, result in [("in process", local), *out.items()]:
+        assert result.report == local.report, end
+        assert np.array_equal(result.key_bits, local.key_bits), end
+        assert result.variance_snu == local.variance_snu, end
+        # a numpy scalar in a report does not serialise to JSON
+        report = result.report
+        assert {type(report.leak_bits), type(report.final_key_bits),
+                type(result.residual_errors)} == {int}
+        assert {type(report.p_post), type(report.qber), type(result.qber_raw),
+                type(report.skr_bits_per_s)} == {float}
+        json.dumps(asdict(report))
+    if not row.fault:
+        # every protocol step runs in run_chain, so the in-process link
+        # passes exactly the frames the wire carries, in the same order
+        link = _RecordingLink()
+        chained = run_chain(cfg, block_id, simulate_quantum_exchange(
+            cfg, block_id, drift), link)
+        assert chained.report == local.report
+        hello = encode_frame(Frame(MsgType.HELLO, proto._hello(cfg, block_id)))
+        assert [data for _, data in alice.events] == [hello, hello,
+                                                      *link.frames]
+        assert [d for d, _ in alice.events[:2]] == ["sent", "received"]
+    return local, ends

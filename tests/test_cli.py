@@ -46,6 +46,8 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["--config", "/no/such/file", "dump-config"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "/no/such/file" in err
 
     @pytest.mark.parametrize("argv", [
         ["calibrate", "--pulses", "abc"],
@@ -372,3 +374,4 @@ class TestRunLink:
     def test_bad_endpoint_spec(self, capsys):
         assert cli.main(["run-link", "--role", "alice",
                          "--connect", "nonsense"]) == 1
+        assert "expected HOST:PORT" in capsys.readouterr().err

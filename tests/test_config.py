@@ -204,8 +204,13 @@ class TestInvariants:
         assert enabled == [1, 2]
 
     def test_cascade_passes_minimum(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(cascade_passes=1)
+        # and its maximum: a block draws a permutation of its kept bits per
+        # pass after the first, ~128 GB in all at a million passes
+        for passes in (1, 33):
+            with pytest.raises(ConfigError) as exc_info:
+                parse_config_text(f"cascade_passes = {passes}")
+            assert exc_info.value.key == "cascade_passes"
+        assert SystemConfig(cascade_passes=32).cascade_passes == 32
 
     def test_block_size_minimum(self):
         with pytest.raises(ConfigError):
