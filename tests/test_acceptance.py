@@ -1,9 +1,10 @@
 """Acceptance gate: one test per criterion (1, 1b, 2-9), each ending in a
 single PASS/FAIL line (also visible as the pytest verdict for that test),
-unless a shared check it calls stops it first.  Each criterion is the only
-test of its check: criteria 5 and 9 run their sessions on
-peers.ends_as_expected, the rule of every two-end session, and criterion 7
-holds holevo_bound to test_quantum's Fock-basis oracle."""
+unless a shared check it calls stops it first.  Criteria 5 and 9 run their
+sessions on peers.ends_as_expected, the rule of every two-end session,
+criterion 7 holds holevo_bound to test_quantum's Fock-basis oracle, and
+criterion 8 is the only test of the PRBS-15 ones count, period and
+nonzero-lag autocorrelation."""
 
 import math
 import time

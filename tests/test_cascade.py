@@ -261,6 +261,21 @@ class TestCorrection:
         assert np.array_equal(corrected, bob)
         assert leak > 0
 
+    def test_converges_at_five_percent(self):
+        # acceptance setting: qber 0.05, n = 1e4, 4 passes
+        failures = 0
+        for trial in range(100):
+            rng = np.random.default_rng(1000 + trial)
+            bob = rng.integers(0, 2, 10_000).astype(np.uint8)
+            flips = rng.random(10_000) < 0.05
+            alice = bob ^ flips.astype(np.uint8)
+            k1 = pp.cascade_block_size(0.05, 10_000)
+            corrected, _ = run_cascade(alice, bob, passes=4, k1=k1,
+                                       seed=2000 + trial)
+            if not np.array_equal(corrected, bob):
+                failures += 1
+        assert failures <= 1
+
     def test_requests_never_modified_once_handed(self):
         # the oracle may read a request after Alice has moved on, as a
         # wire send of it does

@@ -37,6 +37,10 @@ class TestLongrun:
         assert stamps == sorted(stamps)
         assert len(set(stamps)) == len(stamps)
 
+    def test_deterministic_bytes(self):
+        cfg = fast_cfg()
+        assert ex.exp_longrun(cfg, 150.0) == ex.exp_longrun(cfg, 150.0)
+
     def test_seed_changes_output(self):
         a = ex.exp_longrun(fast_cfg(), 150.0)
         b = ex.exp_longrun(fast_cfg(seed=999), 150.0)
@@ -169,6 +173,9 @@ class TestVarianceSweep:
             # identical noise draws, so the variance deltas divide exactly
             assert float(l[2]) / float(b[2]) == pytest.approx(2.0, rel=1e-3)
 
+    def test_deterministic_bytes(self):
+        cfg = fast_cfg()
+        assert ex.exp_variance_sweep(cfg) == ex.exp_variance_sweep(cfg)
 
 class TestEye:
     def test_fourteen_rows(self):
@@ -190,11 +197,19 @@ class TestEye:
         for row in csv_rows(csv):
             assert float(row[2]) == 1.0
 
+    def test_deterministic_bytes(self):
+        assert ex.exp_eye(SystemConfig()) == ex.exp_eye(SystemConfig())
+
 
 class TestCalibrationRunner:
     def test_estimate_near_unity(self):
         est = ex.run_calibration(SystemConfig(), 200_000)
         assert est == pytest.approx(1.0, rel=0.02)
+
+    def test_deterministic(self):
+        cfg = SystemConfig()
+        assert ex.run_calibration(cfg, 50_000) == ex.run_calibration(cfg,
+                                                                     50_000)
 
 
 class TestTimeScaleInvariance:

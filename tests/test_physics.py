@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import special
+from scipy.stats import chi2
 
 from cvqkdsim.config import SystemConfig
 from cvqkdsim.physics import (
@@ -183,6 +184,19 @@ class TestPrepareAndMeasure:
 
 
 class TestCalibration:
+    def test_chi_square_confidence(self):
+        # With n = 1e6 the sample variance lies inside the 99% chi-square
+        # interval around the truth, which itself is well within 1%.
+        n = 1_000_000
+        rng = np.random.default_rng(1234)
+        batch = prepare_and_measure(n, SystemConfig(), DriftState(), rng,
+                                    blocked=True)
+        est = calibrate_shot_noise(batch)
+        lo = chi2.ppf(0.005, n - 1) / (n - 1)
+        hi = chi2.ppf(0.995, n - 1) / (n - 1)
+        assert lo <= est <= hi
+        assert abs(est - 1.0) < 0.01
+
     def test_scales_with_true_variance(self):
         rng = np.random.default_rng(9)
         x = 2.5 * rng.standard_normal(200_000)

@@ -339,6 +339,7 @@ SESSIONS = {
             small_cfg(), x_th_snu=x_th, sample_fraction=fraction))
         for x_th, fraction in ((40.0, 0.2), (4.84, 0.2), (4.72, 0.2),
                                (4.72, 0.9))],
+    "test_transcripts_deterministic": _SMALL[:1],
     "test_corrupted_frame_fails_both_ends_matching_reason": [
         # Alice's first frame, her HELLO, goes out under an unknown type
         _fault("hello-unknown-type", Role.ALICE, MsgType.HELLO, unknown_type,
@@ -560,6 +561,13 @@ class TestSession:
         assert report.final_key_bits == 0
         assert report.skr_bits_per_s == 0.0
         assert report.p_post == _KEEPS[row.cfg.x_th_snu] / _N_SIGNAL
+
+    def test_transcripts_deterministic(self, row):
+        # a transcript records its end's events
+        events = [[end.events for end in ends_as_expected(row)[1]]
+                  for _ in range(2)]
+        assert events[0] == events[1]
+
 
 class TestFaultInjection:
     test_corrupted_frame_fails_both_ends_matching_reason = session_test

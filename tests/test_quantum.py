@@ -121,10 +121,22 @@ class TestBinaryEntropy:
 
 
 class TestHolevo:
+    def test_two_state_closed_form(self):
+        # chi = H2((1 - s) / 2) with s = <a|-a> = exp(-2|a|^2)
+        ens = CoherentStateEnsemble((0.5, -0.5), (0.5, 0.5))
+        assert holevo_bound(ens) == pytest.approx(0.7153491667107217,
+                                                  abs=1e-9)
+
     def test_four_state_closed_form(self):
         for m in (0.3, 0.68, 1.1):
             got = holevo_bound(CoherentStateEnsemble.four_state(m))
             assert got == pytest.approx(_four_state_closed_form(m), abs=1e-12)
+
+    def test_four_state_fock_oracle(self):
+        for m in (0.5, 0.68, 1.0):
+            ens = CoherentStateEnsemble.four_state(m)
+            assert holevo_bound(ens) == pytest.approx(_holevo_fock(ens),
+                                                      abs=1e-8)
 
     def test_pinned_values(self):
         assert holevo_bound(
