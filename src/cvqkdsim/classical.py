@@ -1,5 +1,10 @@
 """The classical side of the WDM link: PRBS15 pattern source and a
-mid-bit-sampled NRZ eye-opening metric for the 12.5 Gbit/s OOK channels."""
+mid-bit-sampled NRZ eye-opening metric for the 12.5 Gbit/s OOK channels.
+
+The x^15 + x^14 + 1 LFSR's output obeys s[i] = s[i-14] ^ s[i-15].  Squaring
+the polynomial k times over GF(2) gives x^(15*2^k) + x^(14*2^k) + 1, so also
+s[i] = s[i - 14*2^k] ^ s[i - 15*2^k]: once 15*2^k bits are known, the next
+14*2^k follow in one array xor, and a period takes 15 of them."""
 
 from __future__ import annotations
 
@@ -24,17 +29,26 @@ def prbs15_sequence(n: int, seed: int = 0x0001) -> np.ndarray:
     15-bit register `seed`.
 
     Fibonacci form with feedback from stages 15 and 14; each step's
-    feedback bit is the output and shifts in as the low tap.
+    feedback bit is the output and shifts in as the low tap.  The register
+    holds the 15 bits before the output, oldest (stage 15) highest, and the
+    squared recurrence of the module docstring extends them.
     """
     if not 0 < seed <= _REG_MASK:
         raise ValueError(f"register {seed:#x} outside 1..0x7fff")
-    out = bytearray(n)
-    reg = seed
-    for i in range(n):
-        bit = ((reg >> 14) ^ (reg >> 13)) & 1
-        reg = ((reg << 1) | bit) & _REG_MASK
-        out[i] = bit
-    return np.frombuffer(out, dtype=np.uint8)
+    if n < 0:
+        raise ValueError(f"negative length {n}")
+    s = np.empty(15 + n, dtype=np.uint8)
+    s[:15] = (seed >> np.arange(14, -1, -1)) & 1
+    done = 15
+    while done < s.size:
+        k = (done // 15).bit_length() - 1    # the largest with 15*2^k <= done
+        lag14, lag15 = 14 << k, 15 << k
+        step = min(lag14, s.size - done)
+        np.bitwise_xor(s[done - lag14:done - lag14 + step],
+                       s[done - lag15:done - lag15 + step],
+                       out=s[done:done + step])
+        done += step
+    return s[15:]
 
 
 @dataclass(frozen=True)
@@ -71,8 +85,10 @@ def simulate_ook_link(bits, snr_db: float,
     if sigma > 0.0:
         mid = mid + sigma * rng.standard_normal(mid.size)
 
-    ones = mid[bits == 1]
-    zeros = mid[bits == 0]
+    # compress is ~5x faster than a boolean index at a 50/50 mask; a sample
+    # whose bit is neither 0 nor 1 joins no level
+    ones = np.compress(bits == 1, mid)
+    zeros = np.compress(bits == 0, mid)
     mu1 = float(np.mean(ones)) if ones.size else 1.0
     mu0 = float(np.mean(zeros)) if zeros.size else 0.0
     resid = np.concatenate([ones - mu1, zeros - mu0])

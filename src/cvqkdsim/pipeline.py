@@ -187,7 +187,10 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     An end computes what the roles it plays hold, and every value one role
     sends the other passes through the link (see the module docstring).
     `qber_used` replaces the block's sampled error rate in the key-length
-    arithmetic; Cascade still corrects the real errors.
+    arithmetic; Cascade still corrects the real errors.  Without one (every
+    wire session), the key is sized at the sample's rate or model_qber,
+    whichever is higher, so that a small sample that happens to show few
+    errors does not size the key above what the model supports.
     """
     # Bob announces the kept pulses first; from here on, indices count them.
     # Alice's check holds them to her count, order and range, but never to
@@ -219,7 +222,7 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
             sample_bits != bob_bits[sample])) / sample.size)
     else:
         sample, qber_raw = np.empty(0, dtype=np.intp), 0.5
-    qber = qber_raw if qber_used is None else qber_used
+    qber = max(qber_raw, model_qber(cfg)) if qber_used is None else qber_used
     disclosed = sample.size
     n_kept = n_post - disclosed
 
@@ -270,7 +273,8 @@ def distill_block(cfg, block_id: int, drift: DriftState,
                   qber_used: float | None = None) -> BlockResult:
     """Full distillation of one block in process; `qber_used` substitutes
     a pooled error-rate estimate (e.g. the experiment runner's running
-    average) for the block's own noisy sample, as in run_chain."""
+    average) for the block's own noisy sample, and without one the key is
+    sized no lower than model_qber, as in run_chain."""
     return run_chain(cfg, block_id,
                      simulate_quantum_exchange(cfg, block_id, drift),
                      LocalLink(), qber_used)

@@ -1,11 +1,13 @@
-"""Acceptance gate: one test per criterion (1, 1b, 2-9), each ending in a
-single PASS/FAIL line (also visible as the pytest verdict for that test),
-unless a shared check it calls stops it first.  Criteria 5 and 9 run their
-sessions on peers.ends_as_expected, the rule of every two-end session,
-criterion 7 holds holevo_bound to test_quantum's Fock-basis oracle, and
-criterion 8 is the only test of the PRBS-15 ones count, period and
-nonzero-lag autocorrelation."""
+"""Acceptance gate: one test per criterion (1, 1b, 2-9), each printing a
+single PASS/FAIL line (also visible as the pytest verdict for that test).
+A criterion stopped by a shared check before its verdict prints its FAIL
+line with that check's exception (test_each_criterion_prints_one_line).
+Criteria 5 and 9 run their sessions on peers.ends_as_expected, the rule of
+every two-end session, criterion 7 holds holevo_bound to test_quantum's
+Fock-basis oracle, and criterion 8 is the only test of the PRBS-15 ones
+count, period and nonzero-lag autocorrelation."""
 
+import functools
 import math
 import time
 from dataclasses import replace
@@ -31,10 +33,32 @@ from peers import Session, ends_as_expected, unknown_type
 from test_quantum import _holevo_fock
 
 
+class CriterionFailed(AssertionError):
+    """A criterion's verdict, FAIL, whose line is printed."""
+
+
 def verdict(num, ok: bool, detail: str) -> None:
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
-    assert ok, line
+    if not ok:
+        raise CriterionFailed(line)
+
+
+def criterion(test):
+    """The test `test_criterion_<num>_...`, which prints `criterion <num>:
+    FAIL (<exception>)` for an exception raised before its verdict."""
+    num = test.__name__.split("_")[2]
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        try:
+            return test(*args, **kwargs)
+        except CriterionFailed:
+            raise
+        except Exception as exc:
+            print(f"criterion {num}: FAIL ({exc!r})")
+            raise
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +71,7 @@ def longrun_skr():
     return skr, time.monotonic() - start
 
 
+@criterion
 def test_criterion_1_paper_band(longrun_skr):
     skr, elapsed = longrun_skr
     mean = float(np.mean(skr))
@@ -55,6 +80,7 @@ def test_criterion_1_paper_band(longrun_skr):
                    f"blocks, runtime {elapsed:.0f} s")
 
 
+@criterion
 def test_criterion_1b_block_band(longrun_skr):
     # supporting bound from the same run: every block inside [15, 60] kbit/s
     skr, _ = longrun_skr
@@ -63,6 +89,7 @@ def test_criterion_1b_block_band(longrun_skr):
             f"block SKR {lo:.0f} to {hi:.0f} bit/s inside [15000, 60000]")
 
 
+@criterion
 def test_criterion_2_coexistence_ceiling():
     rows = ex.exp_variance_sweep(SystemConfig()).strip().splitlines()[1:]
     rels = [float(r.split(",")[2]) for r in rows]
@@ -75,6 +102,7 @@ def test_criterion_2_coexistence_ceiling():
                    f"zero-coefficient changes {max(zero_rels):.0e}")
 
 
+@criterion
 def test_criterion_3_onoff_insensitivity():
     csv = ex.exp_onoff(SystemConfig(), interval_s=600.0, total_s=7800.0)
     lines = csv.strip().splitlines()
@@ -87,6 +115,7 @@ def test_criterion_3_onoff_insensitivity():
                    f"over {toggles} toggles")
 
 
+@criterion
 def test_criterion_4_shot_noise_calibration():
     n = 1_000_000
     lo = chi2.ppf(0.005, n - 1) / (n - 1)
@@ -101,6 +130,7 @@ def test_criterion_4_shot_noise_calibration():
                    f"interval [{lo:.6f}, {hi:.6f}] and within 1% of truth")
 
 
+@criterion
 def test_criterion_5_protocol_correctness():
     # both ends agree with the in-process chain on a noiseless block; Alice's
     # first frame, her HELLO, under an unknown type fails both ends
@@ -115,6 +145,7 @@ def test_criterion_5_protocol_correctness():
             "fails both endpoints with reason DECODE_ERROR")
 
 
+@criterion
 def test_criterion_6_reconciliation():
     failures = 0
     leak_matches = True
@@ -135,6 +166,7 @@ def test_criterion_6_reconciliation():
                    f"leak equals disclosed-parity count: {leak_matches}")
 
 
+@criterion
 def test_criterion_7_security_math_oracle():
     # two-state closed form
     err2 = 0.0
@@ -152,6 +184,7 @@ def test_criterion_7_security_math_oracle():
                    f"four-state Fock-oracle error {err4:.1e} <= 1e-8")
 
 
+@criterion
 def test_criterion_8_prbs():
     bits = prbs15_sequence(2 * PRBS15_PERIOD)
     period_ok = np.array_equal(bits[:PRBS15_PERIOD], bits[PRBS15_PERIOD:])
@@ -165,6 +198,7 @@ def test_criterion_8_prbs():
                    f"autocorrelation -1 exactly")
 
 
+@criterion
 def test_criterion_9_determinism():
     cfg = SystemConfig()
     csv_runs = [(ex.exp_longrun(cfg, 3600.0), ex.exp_variance_sweep(cfg),
@@ -181,3 +215,29 @@ def test_criterion_9_determinism():
     verdict(9, csv_ok and wire_ok,
             "two consecutive runs gave byte-identical CSVs, calibration "
             "estimates and wire transcripts")
+
+
+
+def _shared_check():
+    raise AssertionError("a shared check")
+
+
+@pytest.mark.parametrize("check, raises, line", [
+    (_shared_check, AssertionError,
+     "criterion 0: FAIL (AssertionError('a shared check'))"),
+    (lambda: verdict(0, False, "why"), CriterionFailed,
+     "criterion 0: FAIL (why)"),
+    (lambda: verdict(0, True, "why"), None, "criterion 0: PASS (why)"),
+])
+def test_each_criterion_prints_one_line(check, raises, line, capsys):
+    @criterion
+    def test_criterion_0_example():
+        check()
+
+    if raises is None:
+        test_criterion_0_example()
+    else:
+        with pytest.raises(raises) as failed:
+            test_criterion_0_example()
+        assert type(failed.value) is raises
+    assert capsys.readouterr().out == line + "\n"

@@ -1,13 +1,45 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvqkdsim.classical import (
     PRBS15_PERIOD,
+    EyeReport,
     prbs15_sequence,
     simulate_ook_link,
 )
+
+
+def lfsr_reference(n, seed):
+    """The x^15 + x^14 + 1 Fibonacci LFSR, one step per output bit."""
+    out = bytearray(n)
+    reg = seed
+    for i in range(n):
+        bit = ((reg >> 14) ^ (reg >> 13)) & 1
+        reg = ((reg << 1) | bit) & 0x7FFF
+        out[i] = bit
+    return np.frombuffer(out, dtype=np.uint8)
+
+
+def boolean_index_reference(bits, snr_db, rng):
+    """simulate_ook_link with each level gathered by a boolean index."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    sigma = 0.0 if snr_db == math.inf else 1.0 / (10.0 ** (snr_db / 20.0))
+    mid = bits.astype(float)
+    if sigma > 0.0:
+        mid = mid + sigma * rng.standard_normal(mid.size)
+    ones, zeros = mid[bits == 1], mid[bits == 0]
+    mu1 = float(np.mean(ones)) if ones.size else 1.0
+    mu0 = float(np.mean(zeros)) if zeros.size else 0.0
+    resid = np.concatenate([ones - mu1, zeros - mu0])
+    sigma_hat = float(np.std(resid)) if resid.size > 1 else 0.0
+    span = mu1 - mu0
+    opening = max(0.0, (span - 6.0 * sigma_hat) / span) if span > 0.0 else 0.0
+    return EyeReport(opening, mu1, mu0, sigma_hat)
 
 
 class TestPrbs15:
@@ -29,6 +61,20 @@ class TestPrbs15:
         with pytest.raises(ValueError):
             prbs15_sequence(1, seed=1 << 15)
 
+    def test_rejects_a_negative_length(self):
+        with pytest.raises(ValueError, match="negative length"):
+            prbs15_sequence(-1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.one_of(st.integers(0, 15),
+                       st.integers(0, 3 * PRBS15_PERIOD)),
+           seed=st.integers(1, 0x7FFF))
+    @example(n=3 * PRBS15_PERIOD, seed=0x7FFF)
+    def test_matches_the_lfsr(self, n, seed):
+        got = prbs15_sequence(n, seed)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, lfsr_reference(n, seed))
+
     def test_seed_shifts_phase_only(self):
         a = prbs15_sequence(PRBS15_PERIOD, seed=0x0001)
         b = prbs15_sequence(PRBS15_PERIOD, seed=0x4321)
@@ -39,6 +85,23 @@ class TestPrbs15:
 
 
 class TestEye:
+    @pytest.mark.parametrize("bits", [
+        np.random.default_rng(3).integers(0, 2, 5000, dtype=np.uint8),
+        np.ones(100, np.uint8),
+        np.zeros(100, np.uint8),
+        np.ones(1, np.uint8),
+        # a 2 joins neither level
+        np.array([0, 1, 2, 1, 0, 2, 2], np.uint8),
+    ], ids=["random", "ones", "zeros", "one-bit", "holds-2"])
+    @pytest.mark.parametrize("snr_db", [math.inf, 15.0])
+    def test_matches_boolean_index_gathers(self, bits, snr_db):
+        got = simulate_ook_link(bits, snr_db, np.random.default_rng(4))
+        want = boolean_index_reference(bits, snr_db,
+                                       np.random.default_rng(4))
+        for field in fields(EyeReport):
+            assert (getattr(got, field.name)
+                    == getattr(want, field.name)), field.name
+
     def test_noiseless_eye_fully_open(self):
         bits = prbs15_sequence(1000)
         rep = simulate_ook_link(bits, math.inf, np.random.default_rng(0))

@@ -22,6 +22,7 @@ from cvqkdsim.pipeline import (
     SEED_TAG_SAMPLE,
     derive_seed,
     distill_block,
+    model_qber,
     simulate_quantum_exchange,
 )
 from cvqkdsim.protocol import (
@@ -50,7 +51,7 @@ def small_cfg(**kwargs) -> SystemConfig:
 
 def keyed_cfg() -> SystemConfig:
     # default noise and sampling, the smallest calibration frame; blocks
-    # 0-2 yield 397, 424 and 254 key bits
+    # 0-2 yield 191, 196 and 109 key bits
     return SystemConfig(f_cal=0.0, block_size_pulses=100_000)
 
 
@@ -323,9 +324,11 @@ SESSIONS = {
     "test_report_counts_are_python_ints": _KEYED[1:2],
     "test_matches_in_process_distillation": [
         _SMALL[0], _SMALL[1], _SMALL[4], _NOISELESS[2], _KEYED[0]],
+    # its ~50-bit sample shows no error
+    "test_error_free_sample_is_sized_at_the_model_rate": _KEYED[2:3],
     "test_both_transports_carry_the_same_frames": [
         *_SMALL[:3], _NOISELESS[0], Session("seed1-0", SystemConfig(seed=1))],
-    # Alice's own config keys block 0 at 397 bits; a Bob that draws a
+    # Alice's own config keys block 0 at 191 bits; a Bob that draws a
     # larger sample must not lend her his sample, his key length or his key
     "test_peer_on_another_sample_fraction_fails_both_ends": [Session(
         "sample-fraction", keyed_cfg(), outcome=(_MISMATCH, "config_digest"),
@@ -513,7 +516,10 @@ class TestSession:
             n_sig, frame, qber, reduced = reference_estimation(cfg, block_id)
             assert local.report.p_post == (
                 (reduced.kept_indices.size + reduced.disclosed_count) / n_sig)
-            assert local.report.qber == local.qber_raw == qber
+            assert local.qber_raw == qber
+            # with no pooled estimate, the key is sized at the model rate
+            # when the sample shows fewer errors
+            assert local.report.qber == max(qber, model_qber(cfg))
             kept = simulate_quantum_exchange(
                 cfg, block_id, cfg.drift.mean_state()).position
             assert np.array_equal(kept, frame.kept_indices)
@@ -524,6 +530,18 @@ class TestSession:
             disclosed = frame.postselect_mask & ~reduced.postselect_mask
             assert np.array_equal(kept[sample], np.flatnonzero(disclosed))
             assert sample.size == reduced.disclosed_count
+
+    def test_error_free_sample_is_sized_at_the_model_rate(self, row):
+        # both ends size the key as a runner whose pooled estimate is the
+        # model rate would, not as if the block had no error
+        local = ends_as_expected(row)[0]
+        cfg = row.cfg
+        assert local.qber_raw == 0.0 < model_qber(cfg) == local.report.qber
+        pooled = distill_block(cfg, row.block_id, cfg.drift.mean_state(),
+                               qber_used=model_qber(cfg))
+        assert local.report == pooled.report
+        assert np.array_equal(local.key_bits, pooled.key_bits)
+        assert local.key_bits.size > 0
 
     test_both_transports_carry_the_same_frames = session_test
     test_peer_on_another_sample_fraction_fails_both_ends = session_test
