@@ -18,11 +18,10 @@ runners and protocol.run_session() over the wire.
 
 The transports differ only in the link run_chain is given:
   * `alice`, `bob`: whether this end plays each role and holds its data;
-  * `from_bob(kind, make, bound)`, `from_alice(...)`: a value one role
-    sends the other, under its MsgType name.  The sender calls `make`,
-    the receiver gets the peer's value, checked against `bound`;
-  * `fail(reason, detail)`, wire only: abort both ends with an
-    AbortReason name and return the SessionFailed to raise.
+  * `carry(sender, kind, make, bound)`: a value the role named `sender`
+    ("alice" or "bob") sends the other, under its MsgType name.  The
+    sender calls `make`, the receiver gets the peer's value, checked
+    against `bound`; a value that does not fit ends both ends.
 
 A block's SKR is its final key bits over its duration, calibration frames
 included.  A block yields a 0-bit key and SKR 0 on both paths, and the
@@ -32,8 +31,7 @@ confirmation tags, the last 32 bits of the privacy-amplification hash
 whose first bits are the key, then differ.  A malformed frame from the
 peer ends both ends in SessionFailed with matching AbortReasons, and so
 does a frame that does not fit this end's own block.  A peer on another
-config never reaches the chain: run_session's handshake refuses it
-first.
+config never reaches the chain: run_session refuses its HELLO first.
 """
 
 from __future__ import annotations
@@ -146,38 +144,35 @@ class LocalLink:
 
     alice = bob = True   # this end holds each role's data
 
-    def from_bob(self, kind: str, make, bound=None):
+    def carry(self, sender: str, kind: str, make, bound=None):
         # no end in process reads the kept positions, so none are drawn
         return None if kind == "POSTSELECT_MASK" else make()
-
-    from_alice = from_bob
 
 
 def _reconcile(link, alice_key, bob_key, perms, k1):
     """Cascade, one PARITY_REQ/PARITY_RSP exchange per call of Alice's
     oracle, until her empty request.  Returns (Alice's corrected string or
     None, parities disclosed).  Alice asks nothing once n_kept parities are
-    out, so Bob, serving across the wire, takes a further request as a
-    protocol violation."""
+    out, so a request's bound holds the parities Bob has served, and Bob,
+    serving across the wire, refuses a further one."""
     oracle = pp.LocalParityOracle(bob_key, perms) if link.bob else None
     if link.alice:
         def parities(p, starts, ends):
-            link.from_alice("PARITY_REQ", lambda: (p, starts, ends))
-            return link.from_bob("PARITY_RSP", lambda: oracle.parities(
+            link.carry("alice", "PARITY_REQ", lambda: (p, starts, ends))
+            return link.carry("bob", "PARITY_RSP", lambda: oracle.parities(
                 p, starts, ends), len(starts))
 
         result = pp.cascade_reconcile(
             alice_key, SimpleNamespace(parities=parities), k1, perms)
-        link.from_alice("PARITY_REQ", lambda: (0, [], []))
+        link.carry("alice", "PARITY_REQ", lambda: (0, [], []))
         return result
     while True:
-        p, starts, ends = link.from_alice("PARITY_REQ", None, perms)
+        p, starts, ends = link.carry("alice", "PARITY_REQ", None,
+                                     (perms, oracle.query_count))
         if starts.size == 0:
             return None, oracle.query_count
-        if oracle.query_count >= perms.n:
-            raise link.fail("UNEXPECTED_MESSAGE",
-                            "parity request after n_kept parities")
-        link.from_bob("PARITY_RSP", lambda: oracle.parities(p, starts, ends))
+        link.carry("bob", "PARITY_RSP",
+                   lambda: oracle.parities(p, starts, ends))
 
 
 def run_chain(cfg, block_id: int, batch: KeptPulses, link,
@@ -194,16 +189,16 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     """
     # Bob announces the kept pulses first; from here on, indices count them.
     # Alice's check holds them to her count, order and range, but never to
-    # her block's own: a wire session's handshake has checked that both
-    # ends simulate the same block.
+    # her block's own: a wire session's HELLOs have checked that both ends
+    # simulate the same block.
     n_post = batch.bob_bit.size
-    link.from_bob("POSTSELECT_MASK", lambda: batch.position,
-                  (batch.n_signal, n_post))
+    link.carry("bob", "POSTSELECT_MASK", lambda: batch.position,
+               (batch.n_signal, n_post))
     p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.
-    quad = link.from_bob("BASIS_ANNOUNCE", lambda: batch.bob_quadrature,
-                         n_post)
+    quad = link.carry("bob", "BASIS_ANNOUNCE", lambda: batch.bob_quadrature,
+                      n_post)
     alice_bits = (pp.sift_alice_bits(batch.alice_phase_index, quad)
                   if link.alice else None)
     bob_bits = batch.bob_bit if link.bob else None
@@ -216,10 +211,10 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
         rng = np.random.default_rng(derive_seed(cfg, block_id,
                                                 SEED_TAG_SAMPLE))
         sample = pp.disclosure_sample(n_post, cfg.sample_fraction, rng)
-        sample_bits = link.from_alice("SAMPLE_BITS",
-                                      lambda: alice_bits[sample], sample.size)
-        qber_raw = link.from_bob("QBER_REPORT", lambda: int(np.count_nonzero(
-            sample_bits != bob_bits[sample])) / sample.size)
+        sample_bits = link.carry("alice", "SAMPLE_BITS",
+                                 lambda: alice_bits[sample], sample.size)
+        qber_raw = link.carry("bob", "QBER_REPORT", lambda: int(
+            np.count_nonzero(sample_bits != bob_bits[sample])) / sample.size)
     else:
         sample, qber_raw = np.empty(0, dtype=np.intp), 0.5
     qber = max(qber_raw, model_qber(cfg)) if qber_used is None else qber_used
@@ -254,10 +249,9 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     hash_seed = derive_seed(cfg, block_id, SEED_TAG_HASH)
     key, tag = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
                                 hash_seed, out_len)
-    bob_tag = link.from_bob("KEY_CONFIRM", lambda: tag, tag.size)
-    alice_tag = link.from_alice("KEY_CONFIRM", lambda: (pp.toeplitz_hash(
-        corrected, hash_seed, out_len)[1] if residual else tag),
-        tag.size)
+    bob_tag = link.carry("bob", "KEY_CONFIRM", lambda: tag, tag.size)
+    alice_tag = link.carry("alice", "KEY_CONFIRM", lambda: (pp.toeplitz_hash(
+        corrected, hash_seed, out_len)[1] if residual else tag), tag.size)
     if not np.array_equal(alice_tag, bob_tag):
         key = key[:0]
 

@@ -73,11 +73,12 @@ key; unequal strings give equal tags with probability 2^-32.  No digest
 of the key is sent.  If the tags differ, both ends keep a 0-bit key and
 the session goes on, as it does in process.
 
-run_session() is the handshake, then pipeline.run_chain over a WireLink,
-and returns run_chain's BlockResult, as distill_block() does in process.
-Every protocol step after the handshake, Cascade's parity exchange and
-key confirmation included, is a step of run_chain; a WireLink only
-carries values.
+run_session() is two HELLO steps, Alice's and then Bob's, then
+pipeline.run_chain over the same WireLink, and returns run_chain's
+BlockResult, as distill_block() does in process.  Every value either end
+sends, a HELLO, a Cascade parity or a key confirmation tag, crosses one
+WireLink.carry, and the `_CODEC` row's check is all a received one is
+held to; a WireLink only carries values.
 A malformed, out-of-range, out-of-order or missing frame ends both
 endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
@@ -229,10 +230,14 @@ def _kept_positions_fit(idx, bound) -> bool:
         not n_post or (idx[-1] < n_signal and np.all(np.diff(idx) > 0)))
 
 
-def _ranges_fit(value, perms) -> bool:
-    """Whether `value`'s ranges lie in one pass of the permutations `perms`."""
+def _ranges_fit(value, bound) -> bool:
+    """Whether `value`'s ranges lie in one pass of the permutations `perms`,
+    for `bound` = (perms, parities served): once n parities are out, only
+    the empty request that ends Cascade fits."""
+    perms, served = bound
     pass_index, starts, ends = value
     return (pass_index < perms.passes and starts.size == ends.size
+            and (not starts.size or served < perms.n)
             and not np.count_nonzero(starts >= ends)
             and not np.count_nonzero(ends > perms.n))
 
@@ -506,11 +511,9 @@ class WireLink:
         self.n_pulses = n_pulses   # bounds what the peer's headers may claim
         self.deadline = time.monotonic() + transport.timeout_s   # the block's
 
-    def fail(self, reason: AbortReason | str, detail: str = "",
+    def fail(self, reason: AbortReason, detail: str = "",
              notify: bool = True) -> SessionFailed:
         """ABORT the peer unless told not to; the SessionFailed to raise."""
-        if isinstance(reason, str):
-            reason = AbortReason[reason]
         if notify:
             try:
                 self.transport.send_frame(Frame(MsgType.ABORT, reason))
@@ -553,37 +556,26 @@ class WireLink:
                             f"expected {msg_type.name}, got {frame.msg_type.name}")
         return frame
 
-    def handshake(self, hello: Hello) -> None:
-        """Alice's HELLO, then Bob's: each end checks the peer's against
-        its own before it sends anything more, and any difference ends
-        both ends in CONFIG_MISMATCH."""
-        if self.alice:
-            self.send(Frame(MsgType.HELLO, hello))
-        peer = self.expect(MsgType.HELLO).value
-        if _CODEC[MsgType.HELLO][3](peer, hello) is None:
-            differ = [name for name, own, theirs
-                      in zip(Hello._fields, hello, peer) if own != theirs]
-            raise self.fail(AbortReason.CONFIG_MISMATCH,
-                            f"HELLO differs in {', '.join(differ)}")
-        if self.bob:
-            self.send(Frame(MsgType.HELLO, hello))
-
-    def from_alice(self, kind: str, make, bound=None):
-        return self._carry(self.alice, _BY_NAME[kind], make, bound)
-
-    def from_bob(self, kind: str, make, bound=None):
-        return self._carry(self.bob, _BY_NAME[kind], make, bound)
-
-    def _carry(self, sending: bool, t: MsgType, make, bound):
-        if sending:
+    def carry(self, sender: str, kind: str, make, bound=None):
+        """pipeline's link step: send `make()` if this end plays `sender`,
+        else receive the peer's value and hold it to its row's check; a
+        HELLO that differs from this end's own names what differs."""
+        t = _BY_NAME[kind]
+        if getattr(self, sender):
             value = make()
             self.send(Frame(t, value))
             return value
-        value = _CODEC[t][3](self.expect(t).value, bound)
-        if value is None:
-            raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
-                            f"{t.name} does not fit the block")
-        return value
+        peer = self.expect(t).value
+        value = _CODEC[t][3](peer, bound)
+        if value is not None:
+            return value
+        if t is MsgType.HELLO:
+            differ = [name for name, own, theirs
+                      in zip(Hello._fields, bound, peer) if own != theirs]
+            raise self.fail(AbortReason.CONFIG_MISMATCH,
+                            f"HELLO differs in {', '.join(differ)}")
+        raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
+                        f"{t.name} does not fit the block")
 
 
 def run_session(role: Role, transport: StreamTransport, cfg,
@@ -605,7 +597,10 @@ def run_session(role: Role, transport: StreamTransport, cfg,
         raise ValueError(f"block_id must be >= 0 and below 2**64, "
                          f"got {block_id}")
     link = WireLink(role, transport, cfg.block_size_pulses)
-    link.handshake(_hello(cfg, block_id))
+    # each end holds the peer's HELLO to its own before it sends more
+    hello = _hello(cfg, block_id)
+    for sender in ("alice", "bob"):
+        link.carry(sender, "HELLO", lambda: hello, hello)
     try:
         batch = simulate_quantum_exchange(cfg, block_id,
                                           cfg.drift.mean_state())

@@ -144,7 +144,8 @@ _PINNED_FRAMES = [
 # (type, the bound the receiver gives it, a value at that bound, one just
 # past it), for every type a session receives.  A bit field arrives
 # padded to whole bytes, so the first bit count past a bound of 10 is 17.
-# The kept positions' bound is (signal pulses, pulses kept).
+# The kept positions' bound is (signal pulses, pulses kept), and a parity
+# request's (permutations, parities Bob has served).
 _PERMS = pp.CascadePermutations(50, 4, 0)
 _OWN_HELLO = proto._hello(SystemConfig(), 0)
 _CHECKS = [
@@ -159,10 +160,15 @@ _CHECKS = [
     (MsgType.QBER_REPORT, None, 0.0, np.nextafter(0.0, -1.0)),
     (MsgType.QBER_REPORT, None, 1.0, np.nextafter(1.0, 2.0)),
     (MsgType.QBER_REPORT, None, 1.0, math.nan),
-    (MsgType.PARITY_REQ, _PERMS, (3, np.array([0, 10]), np.array([10, 50])),
+    (MsgType.PARITY_REQ, (_PERMS, 0),
+     (3, np.array([0, 10]), np.array([10, 50])),
      (3, np.array([0, 10]), np.array([10, 51]))),
-    (MsgType.PARITY_REQ, _PERMS, (3, np.array([0]), np.array([50])),
+    (MsgType.PARITY_REQ, (_PERMS, 49), (3, np.array([0]), np.array([50])),
      (4, np.array([0]), np.array([50]))),
+    # once n parities are out, only the empty request that ends Cascade
+    (MsgType.PARITY_REQ, (_PERMS, _PERMS.n),
+     (0, np.array([], np.int64), np.array([], np.int64)),
+     (0, np.array([0]), np.array([50]))),
     (MsgType.PARITY_RSP, 3, np.ones(3, np.uint8), np.ones(9, np.uint8)),
     (MsgType.KEY_CONFIRM, pp.CONFIRM_TAG_BITS,
      np.ones(pp.CONFIRM_TAG_BITS, np.uint8),
@@ -312,6 +318,12 @@ _SMALL = [Session(f"small-{b}", small_cfg(), b) for b in range(6)]
 _KEYED = [Session(f"keyed-{b}", keyed_cfg(), b) for b in range(3)]
 _DEFAULT = [Session(f"default-{b}", SystemConfig(), b) for b in range(3)]
 _NOISELESS = [Session(f"noiseless-{b}", noiseless_cfg(), b) for b in range(3)]
+_BLOCK_1 = Session("block-1", keyed_cfg(), outcome=(_MISMATCH, "block_id"),
+                   bob_block_id=1)
+# a Bob that takes Alice's HELLO but sends another block's
+_BOB_HELLO_BLOCK_1 = _fault("block-id-1", Role.BOB, MsgType.HELLO,
+                            _value(lambda h: h._replace(block_id=1)),
+                            _MISMATCH, "block_id")
 # how many pulses small_cfg block 0 keeps at each threshold
 _KEEPS = {40.0: 0, 4.84: 1, 4.72: 2}
 
@@ -328,6 +340,7 @@ SESSIONS = {
     "test_error_free_sample_is_sized_at_the_model_rate": _KEYED[2:3],
     "test_both_transports_carry_the_same_frames": [
         *_SMALL[:3], _NOISELESS[0], Session("seed1-0", SystemConfig(seed=1))],
+    "test_every_sent_value_crosses_one_carry": [_KEYED[0], _BLOCK_1],
     # Alice's own config keys block 0 at 191 bits; a Bob that draws a
     # larger sample must not lend her his sample, his key length or his key
     "test_peer_on_another_sample_fraction_fails_both_ends": [Session(
@@ -449,20 +462,15 @@ SESSIONS = {
         Session(key, keyed_cfg(), outcome=(_MISMATCH, "config_digest"),
                 bob_cfg=_changed(keyed_cfg(), key, hint, value))
         for key, hint, value in config._walk(keyed_cfg())],
-    "test_another_block_id_fails_both": [Session(
-        "block-1", keyed_cfg(), outcome=(_MISMATCH, "block_id"),
-        bob_block_id=1)],
+    "test_another_block_id_fails_both": [_BLOCK_1],
     "test_another_protocol_version_fails_both": [
         # an Alice whose HELLO differs only in its version: a parent peer
         # on per-block Cascade permutations, whose tags would never match
         _fault("version-1", Role.ALICE, MsgType.HELLO, _value(
             lambda h: h._replace(version=proto.PROTOCOL_VERSION - 1)),
             _MISMATCH, "version")],
-    "test_alice_refuses_another_hello_from_bob": [
-        # a Bob that takes Alice's HELLO but sends another block's
-        _fault("block-id-1", Role.BOB, MsgType.HELLO,
-               _value(lambda h: h._replace(block_id=1)), _MISMATCH,
-               "block_id")],
+    "test_alice_refuses_another_hello_from_bob": [_BOB_HELLO_BLOCK_1],
+    "test_late_abort_finds_bobs_opening_frames_sent": [_BOB_HELLO_BLOCK_1],
 }
 
 def pytest_generate_tests(metafunc):
@@ -545,6 +553,27 @@ class TestSession:
 
     test_both_transports_carry_the_same_frames = session_test
     test_peer_on_another_sample_fraction_fails_both_ends = session_test
+
+    def test_every_sent_value_crosses_one_carry(self, rows, monkeypatch):
+        # an end sends every value through WireLink.carry, the HELLOs
+        # included; only the ABORT that ends a session goes around it
+        carry, carried = proto.WireLink.carry, []
+
+        def recorded(link, sender, kind, make, bound=None):
+            value = carry(link, sender, kind, make, bound)
+            if getattr(link, sender):
+                carried.append((link.transport, encode_frame(
+                    Frame(MsgType[kind], value))))
+            return value
+
+        monkeypatch.setattr(proto.WireLink, "carry", recorded)
+        for row in rows:
+            carried.clear()
+            for end in ends_as_expected(row)[1]:
+                sent = [data for d, data in end.events
+                        if d == "sent" and data[4] != MsgType.ABORT]
+                assert sent == [data for t, data in carried if t is end], (
+                    row.id)
 
     def test_alice_draws_no_kept_position(self, row, monkeypatch):
         # drawing the positions takes ~0.7 ms of a default block; only Bob,
@@ -1020,6 +1049,24 @@ class TestHandshake:
     test_another_block_id_fails_both = session_test
     test_another_protocol_version_fails_both = session_test
     test_alice_refuses_another_hello_from_bob = session_test
+
+    def test_late_abort_finds_bobs_opening_frames_sent(self, row):
+        # Bob sends his opening frames without waiting on Alice's verdict
+        # on his HELLO, so an ABORT 50 ms late finds them sent and unread
+        _, msg_type, rewrite = row.fault
+
+        class LateAbort(Peer):
+            def send_frame(self, frame):
+                if frame.msg_type == MsgType.ABORT:
+                    time.sleep(0.05)
+                super().send_frame(frame)
+
+        alice, bob = socket.socketpair()
+        ends = (LateAbort(alice, TIMEOUT_S),
+                Peer(bob, TIMEOUT_S, msg_type, rewrite))
+        ends_as_expected(row, ends)
+        assert [data[4] for d, data in ends[1].events if d == "sent"] == [
+            MsgType.HELLO, MsgType.POSTSELECT_MASK, MsgType.BASIS_ANNOUNCE]
 
     @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
     def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):
