@@ -230,11 +230,10 @@ def exp_eye(cfg, snr_db: float = EYE_SNR_DB) -> str:
     classical one, so one simulation per channel gives both rows, which
     differ only in the flag."""
     bits = prbs15_sequence(PRBS15_PERIOD)
+    rngs = [np.random.default_rng(derive_seed(cfg, ch.index, SEED_TAG_EYE))
+            for ch in cfg.wdm]
     lines = [EYE_HEADER]
-    for ch in cfg.wdm:
-        rng = np.random.default_rng(
-            derive_seed(cfg, ch.index, SEED_TAG_EYE))
-        rep = simulate_ook_link(bits, snr_db, rng)
+    for ch, rep in zip(cfg.wdm, simulate_ook_link(bits, snr_db, rngs)):
         metrics = (f"{rep.eye_opening!r},{rep.level_one_mean!r},"
                    f"{rep.level_zero_mean!r},{rep.noise_sigma!r}")
         lines += [f"{ch.index},true,{metrics}", f"{ch.index},false,{metrics}"]

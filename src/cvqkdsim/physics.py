@@ -361,9 +361,10 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     n_kept = rng.multinomial(stats.counts.ravel(), np.hstack(
         [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
     # per kept pulse, in random order: 2 * class + tail (0 upper, 1 lower),
-    # shuffled in int64, which is faster than a uint8 shuffle, then split
-    # in uint8
-    label = rng.permutation(np.repeat(np.arange(16), n_kept[:, :2].ravel()))
+    # shuffled in place in int64, which is faster than a uint8 shuffle,
+    # then split in uint8
+    label = np.repeat(np.arange(16), n_kept[:, :2].ravel())
+    rng.shuffle(label)
     label = label.astype(np.uint8)
     return KeptPulses(n_sig, label >> 2, label >> 1 & 1, 1 - (label & 1),
                       stats.variance_snu, rng)

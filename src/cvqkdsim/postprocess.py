@@ -252,11 +252,15 @@ class CascadePermutations:
 @functools.lru_cache(maxsize=4)
 def _permutation_draw(seed: int, passes: int,
                       m: int) -> tuple[np.ndarray, ...]:
-    """passes - 1 permutations of range(m) as read-only int32 arrays, drawn
-    from default_rng(seed).  A default block's entry, m = 32768, is 384 KB;
-    one of 1e8 pulses ~48 MB, hence the few entries."""
+    """passes - 1 permutations of range(m) as read-only arrays of the
+    narrowest unsigned type that holds m itself, drawn from
+    default_rng(seed).  Holding m lets a block index pos // size with
+    size <= n <= m be computed in that type.  A default block's entry,
+    m = 32768, is uint16 and 192 KB; one of 1e8 pulses ~48 MB, hence the
+    few entries."""
     rng = np.random.default_rng(seed)
-    draw = tuple(rng.permutation(m).astype(np.int32)
+    dtype = np.min_scalar_type(m)
+    draw = tuple(rng.permutation(m).astype(dtype)
                  for _ in range(1, passes))
     for perm in draw:
         perm.flags.writeable = False
@@ -278,7 +282,7 @@ class LocalParityOracle:
     def __init__(self, bob_bits: np.ndarray, perms: CascadePermutations):
         bits = np.asarray(bob_bits, dtype=np.uint8)
         # pass 0's order is the identity, the string's own; a gather
-        # through an int32 order is ~2x faster by take than by indexing
+        # through a narrow order is ~2x faster by take than by indexing
         self.prefix = [_prefix_xor(bits)] + [_prefix_xor(bits.take(perm))
                                              for perm in perms.perm[1:]]
         self.query_count = 0

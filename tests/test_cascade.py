@@ -221,11 +221,13 @@ class TestRunningParity:
     @given(n=st.integers(1, 3000), passes=st.integers(2, 5),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_oracle_same_for_int32_and_intp_orders(self, n, passes, seed):
-        # the cached draws are int32; an intp order must serve the same
+        # the cached draws are the narrowest unsigned type that holds m;
+        # an intp order must serve the same
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, n, dtype=np.uint8)
         perms = pp.CascadePermutations(n, passes, seed)
-        assert all(p.dtype == np.int32 for p in perms.perm[1:])
+        m = 1 << max(n - 1, 0).bit_length()
+        assert all(p.dtype == np.min_scalar_type(m) for p in perms.perm[1:])
         wide = pp.CascadePermutations(n, passes, seed)
         wide.perm = [p.astype(np.intp) for p in perms.perm]
         narrow_oracle = pp.LocalParityOracle(bits, perms)
@@ -398,3 +400,20 @@ class TestMatchesReference:
     def test_contradicting_one_bit_blocks(self):
         assert_matches_reference(np.zeros(9, dtype=np.uint8), _Contradicting,
                                  4, _identity_perms(9, 4))
+
+    @pytest.mark.parametrize("n", [256, 65_536])
+    def test_whole_string_blocks_at_a_dtype_boundary(self, n):
+        # n = m is the least value that its order's dtype holds and the
+        # dtype below does not.  With every block the whole string, a flip
+        # found in a later pass indexes pass 0's blocks as pos // n in that
+        # dtype.  Only answers of no one string find such a flip, and they
+        # go on to the leak cap at n, so both runs are cut at 200 answers.
+        perms = pp.CascadePermutations(n, 4, 3)
+        assert perms.perm[1].dtype == np.min_scalar_type(n)
+        calls = []
+        for reconcile in (pp.cascade_reconcile, reference_cascade):
+            oracle = _RecordingOracle(_RandomOracle(3, limit=200))
+            with pytest.raises(AssertionError, match="does not stop"):
+                reconcile(np.zeros(n, dtype=np.uint8), oracle, n, perms)
+            calls.append(oracle.calls)
+        assert calls[0] == calls[1]

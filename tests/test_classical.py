@@ -95,16 +95,22 @@ class TestEye:
     ], ids=["random", "ones", "zeros", "one-bit", "holds-2"])
     @pytest.mark.parametrize("snr_db", [math.inf, 15.0])
     def test_matches_boolean_index_gathers(self, bits, snr_db):
-        got = simulate_ook_link(bits, snr_db, np.random.default_rng(4))
-        want = boolean_index_reference(bits, snr_db,
-                                       np.random.default_rng(4))
-        for field in fields(EyeReport):
-            assert (getattr(got, field.name)
-                    == getattr(want, field.name)), field.name
+        # each report is its own seed's, whatever shares the call and its
+        # reused buffers; no generator, no report
+        for seeds in ([], [4], [4, 5], [5, 4]):
+            got = simulate_ook_link(
+                bits, snr_db, [np.random.default_rng(s) for s in seeds])
+            assert len(got) == len(seeds)
+            for rep, seed in zip(got, seeds):
+                want = boolean_index_reference(bits, snr_db,
+                                               np.random.default_rng(seed))
+                for field in fields(EyeReport):
+                    assert (getattr(rep, field.name)
+                            == getattr(want, field.name)), (seeds, field.name)
 
     def test_noiseless_eye_fully_open(self):
         bits = prbs15_sequence(1000)
-        rep = simulate_ook_link(bits, math.inf, np.random.default_rng(0))
+        [rep] = simulate_ook_link(bits, math.inf, [np.random.default_rng(0)])
         assert rep.eye_opening == 1.0
         assert rep.noise_sigma == 0.0
         assert rep.level_one_mean == pytest.approx(1.0)
@@ -114,22 +120,22 @@ class TestEye:
         # sigma = swing / 6 puts the opening exactly at the 0 boundary
         snr_db = 20.0 * math.log10(6.0)
         bits = prbs15_sequence(20_000)
-        rep = simulate_ook_link(bits, snr_db, np.random.default_rng(1))
+        [rep] = simulate_ook_link(bits, snr_db, [np.random.default_rng(1)])
         assert rep.eye_opening == pytest.approx(0.0, abs=0.02)
 
     def test_five_percent_sigma_gives_seventy_percent(self):
         # sigma = 0.05 * swing -> opening (1 - 6*0.05) = 0.7
         snr_db = 20.0 * math.log10(1.0 / 0.05)
         bits = prbs15_sequence(50_000)
-        rep = simulate_ook_link(bits, snr_db, np.random.default_rng(2))
+        [rep] = simulate_ook_link(bits, snr_db, [np.random.default_rng(2)])
         assert rep.eye_opening == pytest.approx(0.7, abs=0.01)
 
     def test_rejects_bad_inputs(self):
         bits = prbs15_sequence(100)
         with pytest.raises(ValueError):
             simulate_ook_link(np.array([], dtype=np.uint8), 20.0,
-                              np.random.default_rng(0))
+                              [np.random.default_rng(0)])
         with pytest.raises(ValueError):
-            simulate_ook_link(bits, math.nan, np.random.default_rng(0))
+            simulate_ook_link(bits, math.nan, [np.random.default_rng(0)])
         with pytest.raises(ValueError):
-            simulate_ook_link(bits, -math.inf, np.random.default_rng(0))
+            simulate_ook_link(bits, -math.inf, [np.random.default_rng(0)])
