@@ -121,8 +121,8 @@ class SystemConfig:
                 f"a block of {self.block_size_pulses} pulses leaves no signal "
                 f"pulse after its {self.calibration_pulses}-pulse calibration "
                 f"frame", key="block_size_pulses")
-        # a kept pulse's position is an int32 in process and a u32 on the
-        # wire, so both must index every signal pulse
+        # Cascade's int32 inverse order and a PARITY_REQ's u32 ranges must
+        # index every pulse that a block can keep
         if self.block_size_pulses - self.calibration_pulses >= 2 ** 31:
             raise ConfigError(
                 f"a block of {self.block_size_pulses} pulses has 2**31 or "

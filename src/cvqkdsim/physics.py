@@ -9,8 +9,7 @@ calibrate_shot_noise draw every pulse; they are the statistical reference.
 draw_signal_statistics and draw_kept_pulses draw only what a block's
 distillation reads: per-class sufficient statistics, the calibration
 estimate, and each kept pulse's class and tail (Bob's bit), in uint8.  A
-kept pulse's position, an int32, is drawn only when it is first read,
-which only a link that carries it to the peer does.  Normal tail
+kept pulse's position is never drawn: no stage reads it.  Normal tail
 probabilities come from math.erfc (_ndtr).
 
 Quadrature convention: the vacuum quadrature variance is 1 shot-noise unit
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -146,24 +144,14 @@ class SignalStatistics:
 @dataclass
 class KeptPulses:
     """The signal pulses of one block that pass post-selection, in pulse
-    order: all that the distillation chain reads of a simulated block."""
+    order, their positions undrawn: all that the distillation chain reads
+    of a simulated block."""
 
     n_signal: int                   # signal pulses in the block
     alice_phase_index: np.ndarray   # uint8 in {0..3}
     bob_quadrature: np.ndarray      # uint8, 0 = Q, 1 = P
     bob_bit: np.ndarray             # uint8, 1 iff the outcome is positive
     variance_snu: float             # over all signal pulses, kept or not
-    # the block's stream where the labels left it, for `position`
-    rng: np.random.Generator
-
-    @cached_property
-    def position(self) -> np.ndarray:
-        """int32, ascending, in [0, n_signal): a uniformly random set, the
-        block's last draw, made on first read."""
-        # n_signal < 2**31 (SystemConfig's bound), so int32 holds them all
-        return np.sort(self.rng.choice(
-            self.n_signal, self.bob_bit.size, replace=False,
-            shuffle=False).astype(np.int32))
 
 
 @dataclass(frozen=True)
@@ -346,9 +334,9 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     a class is kept in its upper tail, x >= thr, or its lower one,
     x <= -thr.  The kept count of each (class, tail) is one multinomial
     draw from the class count.  The kept pulses take their (class, tail)
-    labels in random order and a uniformly random set of positions, which
-    KeptPulses.position draws from `rng` when first read.  A tail is an
-    outcome's sign, Bob's bit, and no more of it is drawn.
+    labels in random order, which is how they fall in pulse order whatever
+    their positions, so no position is drawn.  A tail is an outcome's sign,
+    Bob's bit, and no more of it is drawn.
     Given the class counts, they are independent of the block's
     variance_snu.
     """
@@ -367,7 +355,7 @@ def draw_kept_pulses(stats: SignalStatistics, x_th_snu: float,
     rng.shuffle(label)
     label = label.astype(np.uint8)
     return KeptPulses(n_sig, label >> 2, label >> 1 & 1, 1 - (label & 1),
-                      stats.variance_snu, rng)
+                      stats.variance_snu)
 
 
 def advance_drift(drift: DriftState, dt_s: float, params: DriftParams,

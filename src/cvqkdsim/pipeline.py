@@ -10,9 +10,9 @@ kept bits.  So each end derives them too, and each sizes the final key
 from values both ends hold.  A block draws only what the chain reads:
 the pulses that pass post-selection (physics.KeptPulses), ~2.5 % of a
 default block, each as its class and tail (Bob's bit) in one byte each,
-and the block's signal variance from per-class statistics.  The kept
-pulses' positions are drawn only at Bob's end of the wire, which sends
-them; no other end reads them.  run_chain() distills a block into a
+and the block's signal variance from per-class statistics.  Both ends
+draw the kept pulses in the same order, so indices count them and no end
+needs their positions.  run_chain() distills a block into a
 BlockResult, which distill_block() returns in process for the experiment
 runners and protocol.run_session() over the wire.
 
@@ -145,8 +145,7 @@ class LocalLink:
     alice = bob = True   # this end holds each role's data
 
     def carry(self, sender: str, kind: str, make, bound=None):
-        # no end in process reads the kept positions, so none are drawn
-        return None if kind == "POSTSELECT_MASK" else make()
+        return make()
 
 
 def _reconcile(link, alice_key, bob_key, perms, k1):
@@ -187,13 +186,10 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     whichever is higher, so that a small sample that happens to show few
     errors does not size the key above what the model supports.
     """
-    # Bob announces the kept pulses first; from here on, indices count them.
-    # Alice's check holds them to her count, order and range, but never to
-    # her block's own: a wire session's HELLOs have checked that both ends
-    # simulate the same block.
+    # Both ends draw the kept pulses in the same order, and indices count
+    # them: a wire session's HELLOs have checked that both ends simulate
+    # the same block.
     n_post = batch.bob_bit.size
-    link.carry("bob", "POSTSELECT_MASK", lambda: batch.position,
-               (batch.n_signal, n_post))
     p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.

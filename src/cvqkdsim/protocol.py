@@ -28,18 +28,16 @@ CONFIG_MISMATCH at the first frame.  So two ends that go on simulate the
 same block, and no later frame is checked against the receiver's own copy
 of it.
 
-Bob's frames come next: POSTSELECT_MASK 0x02, the kept pulses' positions
-among the signal pulses as a u32 count, then that many strictly ascending
-u32 positions; and BASIS_ANNOUNCE 0x01, their quadratures.  Alice never
-reads the positions: she checks only that they ascend, lie below the
-block's signal count and number as many as her block keeps, so she does
-not draw them.  No frame carries what the shared seed fixes: each end
-draws the disclosed error sample and the privacy-amplification hash's a
-and b from the block's seed, and Cascade's permutations from the config
-seed alone, and sizes the final key, on its own.  Type bytes 0x03 and
-0x08 are unassigned, so a frame of either is an unknown type.
+Bob's BASIS_ANNOUNCE 0x01 comes next: the quadratures of the kept
+pulses, in the order each end draws them from the shared seed, so no
+frame names a pulse's position.  No frame carries what the shared seed
+fixes: each end draws its kept pulses, the disclosed error sample and the
+privacy-amplification hash's a and b from the block's seed, and
+Cascade's permutations from the config seed alone, and sizes the final
+key, on its own.  Type bytes 0x02, 0x03 and 0x08 are unassigned, so a
+frame of any of them is an unknown type.
 
-Bob sends his HELLO and his two opening frames back to back.  Under
+Bob sends his HELLO and his BASIS_ANNOUNCE back to back.  Under
 Nagle's algorithm each frame after the first waits until the peer
 acknowledges the one before, and the peer delays that ACK (~40 ms on
 Linux) because it has nothing to send back yet.  A TCP StreamTransport
@@ -128,14 +126,14 @@ _HEADER = struct.Struct(">IB")   # payload length, message type
 DEFAULT_TIMEOUT_S = 30.0
 # 2: the multiply-add-shift hash.  3: Cascade's permutations fixed per
 # config, not per block, so a version-2 peer reads other orders and its
-# tags would never match
-PROTOCOL_VERSION = 3
+# tags would never match.  4: the kept pulses' positions (type 0x02) left
+# the wire, so a version-3 peer waits for a frame that never comes
+PROTOCOL_VERSION = 4
 _RECV_BUFFER = 1 << 16   # a transport's receive buffer until a frame needs more
 
 
 class MsgType(enum.IntEnum):
     BASIS_ANNOUNCE = 0x01
-    POSTSELECT_MASK = 0x02
     SAMPLE_BITS = 0x04
     QBER_REPORT = 0x05
     PARITY_REQ = 0x06
@@ -198,14 +196,6 @@ def _encode_indices(indices) -> bytes:
     return struct.pack(">I", idx.size) + idx.tobytes()
 
 
-def _decode_indices(payload: bytes) -> np.ndarray:
-    (count,) = struct.unpack(">I", payload[:4])
-    idx = np.frombuffer(payload[4:], dtype=">u4")
-    if idx.size != count:
-        raise FrameDecodeError("index count mismatch")
-    return idx.astype(np.int64)
-
-
 def _encode_ranges(value) -> bytes:
     pass_index, starts, ends = value
     return (struct.pack(">I", pass_index) + _encode_indices(starts)
@@ -220,14 +210,6 @@ def _decode_ranges(payload) -> tuple:
     if not 0 <= count <= n - 3 or words[2 + count] != n - 3 - count:
         raise FrameDecodeError("index count mismatch")
     return int(words[0]), words[2:2 + count], words[3 + count:]
-
-
-def _kept_positions_fit(idx, bound) -> bool:
-    """Whether `idx` holds `n_post` strictly ascending positions, each below
-    `n_signal`, for `bound` = (n_signal, n_post)."""
-    n_signal, n_post = bound
-    return idx.size == n_post and (
-        not n_post or (idx[-1] < n_signal and np.all(np.diff(idx) > 0)))
 
 
 def _ranges_fit(value, bound) -> bool:
@@ -272,10 +254,8 @@ _STREAM_DRAWS = {
     # shapes below and above 1 take different algorithms
     "standard_gamma": lambda rng: rng.standard_gamma([0.5, 2.0, 500.0]),
     "permutation": lambda rng: rng.permutation(64),
-    # Bob's kept positions, unshuffled; a disclosure sample, shuffled
-    "choice": lambda rng: np.hstack([
-        rng.choice(20_000, 500, replace=False, shuffle=False),
-        rng.choice(20_000, 100, replace=False)]),
+    # a disclosure sample
+    "choice": lambda rng: rng.choice(20_000, 100, replace=False),
     # pipeline.derive_seed, which seeds every stream of a block
     "SeedSequence": lambda rng: np.random.SeedSequence(
         (1, 2, 3)).generate_state(1, dtype=np.uint64),
@@ -331,9 +311,6 @@ _BITS_ROW = (
 # payload -> value must copy what it keeps.
 _CODEC = {
     MsgType.BASIS_ANNOUNCE: _BITS_ROW,
-    MsgType.POSTSELECT_MASK: (_encode_indices, _decode_indices,
-                              lambda n: 4 + 4 * n,
-                              _passes(_kept_positions_fit)),
     MsgType.SAMPLE_BITS: _BITS_ROW,
     MsgType.QBER_REPORT: _struct_row(
         ">d", _passes(lambda q, _: 0.0 <= q <= 1.0), float),

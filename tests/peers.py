@@ -67,9 +67,10 @@ class Peer(proto.StreamTransport):
 
 
 def unknown_type(frame) -> bytes:
-    """`frame`'s bytes under the unassigned type byte 0x7f."""
+    """`frame`'s bytes under type byte 0x02, which once carried the kept
+    pulses' positions and is now unassigned."""
     data = encode_frame(frame)
-    return data[:4] + b"\x7f" + data[5:]
+    return data[:4] + b"\x02" + data[5:]
 
 
 def peer_pair(timeout_s=TIMEOUT_S, sender=None, msg_type=None, rewrite=None,
@@ -170,7 +171,7 @@ _REFUSED = {
     Role.ALICE: [("sent", MsgType.HELLO), ("received", MsgType.HELLO),
                  ("sent", MsgType.ABORT)]}
 # the frames Bob sends after his HELLO before he waits on Alice
-_OPENING = [MsgType.POSTSELECT_MASK, MsgType.BASIS_ANNOUNCE]
+_OPENING = [MsgType.BASIS_ANNOUNCE]
 
 
 def ends_as_expected(row: Session, ends=None):
@@ -215,8 +216,8 @@ def ends_as_expected(row: Session, ends=None):
             assert got == sent[:len(got)]
     if reason is AbortReason.CONFIG_MISMATCH:
         # refused at the HELLOs: Alice's events are the HELLOs until one
-        # end's ABORT.  Bob sends his opening frames without waiting for
-        # Alice's verdict on his HELLO, so those may be all she never read
+        # end's ABORT.  Bob sends his opening frame without waiting for
+        # Alice's verdict on his HELLO, so that may be all she never read
         kinds = [(d, data[4]) for d, data in alice.events]
         refuser = next((r for r in Role if _REFUSED[r] == kinds), None)
         assert refuser, kinds

@@ -5,7 +5,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from cvqkdsim import config
 from cvqkdsim import postprocess as pp
 from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
-from cvqkdsim.physics import KeptPulses, PulseBatch
+from cvqkdsim.physics import PulseBatch
 from cvqkdsim.pipeline import (
     SEED_TAG_SAMPLE,
     derive_seed,
@@ -60,14 +60,16 @@ def noiseless_cfg(**kwargs) -> SystemConfig:
 
 
 def signal_batch(kept) -> PulseBatch:
-    """A block's signal pulses as a PulseBatch: every kept pulse at its
-    position, with the largest finite outcome of its bit's sign, beyond any
-    threshold; every other pulse with outcome 0, below any threshold > 0."""
-    n = kept.n_signal
+    """A block's signal pulses as a PulseBatch: the kept pulses first, in
+    their order, each with the largest finite outcome of its bit's sign,
+    beyond any threshold; every other pulse with outcome 0, below any
+    threshold > 0.  No stage reads a kept pulse's position, so any
+    ascending set would do."""
+    n, k = kept.n_signal, kept.bob_bit.size
     phase, quad, x = np.zeros(n, np.int8), np.zeros(n, np.int8), np.zeros(n)
-    phase[kept.position] = kept.alice_phase_index
-    quad[kept.position] = kept.bob_quadrature
-    x[kept.position] = (2.0 * kept.bob_bit - 1.0) * np.finfo(float).max
+    phase[:k] = kept.alice_phase_index
+    quad[:k] = kept.bob_quadrature
+    x[:k] = (2.0 * kept.bob_bit - 1.0) * np.finfo(float).max
     return PulseBatch(phase, quad, x)
 
 
@@ -94,7 +96,6 @@ _U32 = st.integers(0, 2 ** 32 - 1)
 # a strategy for the values of each MsgType
 _FRAME_VALUES = {
     MsgType.BASIS_ANNOUNCE: _array(_BITS, np.uint8),
-    MsgType.POSTSELECT_MASK: _array(_U32, np.int64, unique=True).map(np.sort),
     MsgType.SAMPLE_BITS: _array(_BITS, np.uint8),
     MsgType.QBER_REPORT: st.floats(min_value=0.0, max_value=0.5),
     MsgType.PARITY_REQ: st.tuples(_U32, _array(_U32, np.int64, max_size=16),
@@ -117,9 +118,6 @@ _PINNED_FRAMES = [
     (Frame(MsgType.BASIS_ANNOUNCE,
            np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)),
      "00000001 01 4d"),
-    # a count, then the kept pulses' positions
-    (Frame(MsgType.POSTSELECT_MASK, np.array([0, 8, 9])),
-     "00000010 02 00000003 00000000 00000008 00000009"),
     (Frame(MsgType.SAMPLE_BITS,
            np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 1], dtype=np.uint8)),
      "00000002 04 f040"),
@@ -144,18 +142,11 @@ _PINNED_FRAMES = [
 # (type, the bound the receiver gives it, a value at that bound, one just
 # past it), for every type a session receives.  A bit field arrives
 # padded to whole bytes, so the first bit count past a bound of 10 is 17.
-# The kept positions' bound is (signal pulses, pulses kept), and a parity
-# request's (permutations, parities Bob has served).
+# A parity request's bound is (permutations, parities Bob has served).
 _PERMS = pp.CascadePermutations(50, 4, 0)
 _OWN_HELLO = proto._hello(SystemConfig(), 0)
 _CHECKS = [
     (MsgType.BASIS_ANNOUNCE, 10, np.ones(10, np.uint8), np.ones(17, np.uint8)),
-    (MsgType.POSTSELECT_MASK, (16, 2), np.array([0, 15]), np.array([0, 16])),
-    (MsgType.POSTSELECT_MASK, (16, 2), np.array([0, 15]),
-     np.array([0, 1, 15])),
-    # a block may keep no pulse
-    (MsgType.POSTSELECT_MASK, (16, 0), np.array([], np.int64),
-     np.array([0])),
     (MsgType.SAMPLE_BITS, 8, np.ones(8, np.uint8), np.ones(9, np.uint8)),
     (MsgType.QBER_REPORT, None, 0.0, np.nextafter(0.0, -1.0)),
     (MsgType.QBER_REPORT, None, 1.0, np.nextafter(1.0, 2.0)),
@@ -213,10 +204,14 @@ class TestFraming:
             assert encode_frame(decode_frame(data)) == data
 
     def test_decode_rejects_unknown_type(self):
-        # 0x03 and 0x08 are unassigned, as each end derives its sample and
-        # its hash seed: a payload in the layout either type once had (one
-        # sample index; a u64 seed and a u32 key length) is refused too
-        for raw_type, payload in ((0x7F, ""), (0x03, "00000001 00000003"),
+        # 0x02, 0x03 and 0x08 are unassigned, as each end draws its kept
+        # pulses, its sample and its hash seed: a payload in the layout
+        # each type once had (a count of kept positions, then the
+        # positions; one sample index; a u64 seed and a u32 key length) is
+        # refused too
+        for raw_type, payload in ((0x7F, ""),
+                                  (0x02, "00000002 00000000 00000008"),
+                                  (0x03, "00000001 00000003"),
                                   (0x08, "0102030405060708 0a0b0c0d")):
             payload = bytes.fromhex(payload)
             with pytest.raises(FrameDecodeError):
@@ -346,9 +341,6 @@ SESSIONS = {
     "test_peer_on_another_sample_fraction_fails_both_ends": [Session(
         "sample-fraction", keyed_cfg(), outcome=(_MISMATCH, "config_digest"),
         bob_cfg=replace(keyed_cfg(), sample_fraction=0.05))],
-    # two equal configs, so that each end's can be told apart
-    "test_alice_draws_no_kept_position": [
-        _KEYED[0]._replace(bob_cfg=keyed_cfg())],
     "test_blocks_differ_by_id": _NOISELESS[:2],
     "test_too_few_kept_pulses_yield_no_key": [
         Session(f"{_KEEPS[x_th]}-{fraction}", replace(
@@ -361,7 +353,7 @@ SESSIONS = {
         _fault("hello-unknown-type", Role.ALICE, MsgType.HELLO, unknown_type,
                AbortReason.DECODE_ERROR)],
     "test_unexpected_message_aborts_peer": [
-        # Alice answers Bob's HELLO and opening frames out of order: a
+        # Alice answers Bob's HELLO and BASIS_ANNOUNCE out of order: a
         # QBER_REPORT in place of her SAMPLE_BITS
         _fault("qber-report-for-sample-bits", Role.ALICE, MsgType.SAMPLE_BITS,
                lambda f: encode_frame(Frame(MsgType.QBER_REPORT, 0.1)),
@@ -374,23 +366,6 @@ SESSIONS = {
         _fault("basis-padded-1s", Role.BOB, MsgType.BASIS_ANNOUNCE, _value(
             lambda v: np.append(v, np.ones(-v.size % 8, np.uint8))),
             _UNEXPECTED),
-        # one pulse fewer than Alice's block keeps
-        _fault("mask-short", Role.BOB, MsgType.POSTSELECT_MASK,
-               _value(lambda v: v[:-1]), _UNEXPECTED),
-        # one pulse more: those Alice's block kept, and the first it did not
-        _fault("mask-extra", Role.BOB, MsgType.POSTSELECT_MASK, _value(
-            lambda v: np.union1d(v, np.setdiff1d(np.arange(v.size + 1),
-                                                 v)[0])), _UNEXPECTED),
-        # as many positions, but not ascending or not below n_signal
-        _fault("index-1e9", Role.BOB, MsgType.POSTSELECT_MASK,
-               _value(lambda v: np.append(v[:-1], 10 ** 9)), _UNEXPECTED),
-        _fault("indices-unsorted", Role.BOB, MsgType.POSTSELECT_MASK,
-               _value(lambda v: v[::-1]), _UNEXPECTED),
-        _fault("index-repeated", Role.BOB, MsgType.POSTSELECT_MASK,
-               _value(lambda v: np.append(v[:1], v[:-1])), _UNEXPECTED),
-        # position n_signal, one past the last signal pulse
-        _fault("index-past-signal", Role.BOB, MsgType.POSTSELECT_MASK,
-               _value(lambda v: np.append(v[:-1], _N_SIGNAL)), _UNEXPECTED),
         _fault("sample-bits-8", Role.ALICE, MsgType.SAMPLE_BITS,
                _value(lambda v: v[:8]), _UNEXPECTED),
         _fault("qber-nan", Role.BOB, MsgType.QBER_REPORT,
@@ -422,7 +397,6 @@ SESSIONS = {
     "test_dropped_frame_fails_both_ends": [
         # the next frame arrives in the dropped one's place
         _dropped(Role.BOB, MsgType.HELLO, _UNEXPECTED),
-        _dropped(Role.BOB, MsgType.POSTSELECT_MASK, _UNEXPECTED),
         # both ends wait on each other
         _dropped(Role.ALICE, MsgType.HELLO, AbortReason.TIMEOUT),
         _dropped(Role.BOB, MsgType.BASIS_ANNOUNCE, AbortReason.TIMEOUT),
@@ -435,11 +409,6 @@ SESSIONS = {
     "test_degenerate_calibration_fails_both_ends": [Session(
         "sigma-0", small_cfg(force_sigma_snu=0.0),
         outcome=(AbortReason.CALIBRATION_FAILED,))],
-    # as many well-formed positions as Alice's block keeps, each one pulse
-    # earlier: Alice checks their number and order and never reads them
-    "test_moved_kept_positions_leave_the_keys_as_they_are": [Session(
-        "mask-minus-1", keyed_cfg(), fault=(
-            Role.BOB, MsgType.POSTSELECT_MASK, _value(lambda v: v - 1)))],
     "test_endless_parity_requests_abort_both_ends": [
         _SMALL[0]._replace(outcome=(_UNEXPECTED,))],
     "test_random_parity_answers_end_in_one_outcome": _SMALL[:1],
@@ -451,7 +420,10 @@ SESSIONS = {
         row._replace(id=f"{row.id}-tcp", pair=tcp_pair) for row in _KEYED],
     "test_transcripts_follow_each_ends_event_order": _DEFAULT[:1],
     "test_transcripts_match_pinned_digests": _DEFAULT,
-    "test_reads_and_timeouts_per_session": _DEFAULT[:1],
+    # at x_th_snu = 0.5 a default block keeps 635,811 pulses, so its
+    # 79.5 KB BASIS_ANNOUNCE outgrows the first receive buffer
+    "test_reads_and_timeouts_per_session": [
+        _DEFAULT[0], Session("x-th-0.5", SystemConfig(x_th_snu=0.5))],
     "test_stalling_peer_cannot_hold_a_block": [
         _DEFAULT[1]._replace(outcome=(AbortReason.TIMEOUT,))],
     "test_parity_requests_per_block_bounded": _SMALL,
@@ -464,8 +436,8 @@ SESSIONS = {
         for key, hint, value in config._walk(keyed_cfg())],
     "test_another_block_id_fails_both": [_BLOCK_1],
     "test_another_protocol_version_fails_both": [
-        # an Alice whose HELLO differs only in its version: a parent peer
-        # on per-block Cascade permutations, whose tags would never match
+        # an Alice whose HELLO differs only in its version: a parent peer,
+        # which waits for the kept positions that no end sends any more
         _fault("version-1", Role.ALICE, MsgType.HELLO, _value(
             lambda h: h._replace(version=proto.PROTOCOL_VERSION - 1)),
             _MISMATCH, "version")],
@@ -519,7 +491,7 @@ class TestSession:
             local, _ = ends_as_expected(row)
             # the chain's estimation step against the reference helpers;
             # the threshold applied to signal_batch's outcomes keeps exactly
-            # the drawn set, whose positions Bob sends
+            # the drawn pulses, where signal_batch put them
             cfg, block_id = row.cfg, row.block_id
             n_sig, frame, qber, reduced = reference_estimation(cfg, block_id)
             assert local.report.p_post == (
@@ -528,8 +500,8 @@ class TestSession:
             # with no pooled estimate, the key is sized at the model rate
             # when the sample shows fewer errors
             assert local.report.qber == max(qber, model_qber(cfg))
-            kept = simulate_quantum_exchange(
-                cfg, block_id, cfg.drift.mean_state()).position
+            kept = np.arange(simulate_quantum_exchange(
+                cfg, block_id, cfg.drift.mean_state()).bob_bit.size)
             assert np.array_equal(kept, frame.kept_indices)
             # the sample each end draws counts among the kept pulses
             sample = pp.disclosure_sample(
@@ -575,26 +547,6 @@ class TestSession:
                 assert sent == [data for t, data in carried if t is end], (
                     row.id)
 
-    def test_alice_draws_no_kept_position(self, row, monkeypatch):
-        # drawing the positions takes ~0.7 ms of a default block; only Bob,
-        # who sends them, reads them, so Alice's block may not have them
-        simulate = proto.simulate_quantum_exchange
-
-        class NoPositions(KeptPulses):
-            @property
-            def position(self):
-                raise AssertionError("Alice read a kept position")
-
-        def simulate_for(end_cfg, block_id, drift):
-            batch = simulate(end_cfg, block_id, drift)
-            if end_cfg is not row.cfg:
-                return batch
-            return NoPositions(*(getattr(batch, f.name)
-                                 for f in fields(batch)))
-
-        monkeypatch.setattr(proto, "simulate_quantum_exchange", simulate_for)
-        assert ends_as_expected(row)[0].key_bits.size > 0
-
     def test_blocks_differ_by_id(self, rows):
         a, b = (ends_as_expected(row)[0].key_bits for row in rows)
         assert a.size > 0
@@ -623,14 +575,6 @@ class TestFaultInjection:
     test_oversized_length_header_aborts_both_ends = session_test
     test_dropped_frame_fails_both_ends = session_test
     test_degenerate_calibration_fails_both_ends = session_test
-
-    def test_moved_kept_positions_leave_the_keys_as_they_are(self, row):
-        result, (_, bob) = ends_as_expected(row)
-        moved = next(f.value for f in bob.sent
-                     if f.msg_type == MsgType.POSTSELECT_MASK)
-        assert moved.tolist() == (simulate_quantum_exchange(
-            row.cfg, 0, row.cfg.drift.mean_state()).position - 1).tolist()
-        assert result.key_bits.size > 0
 
     def test_endless_parity_requests_abort_both_ends(self, row, monkeypatch):
         # an Alice that asks for the same parity again and again
@@ -710,7 +654,7 @@ class TestFaultInjection:
     def test_trickled_frame_times_out(self):
         # one byte every 0.2 s keeps each recv inside a 0.3 s timeout, but
         # the frame as a whole may not take longer than that
-        data = encode_frame(Frame(MsgType.POSTSELECT_MASK, np.arange(4)))
+        data = encode_frame(Frame(MsgType.PARITY_REQ, (0, [0], [1])))
         assert len(data) == 25
         stop = threading.Event()
         with receiving_pair(0.3) as (sa, receiver):
@@ -799,12 +743,17 @@ PINNED_TRANSCRIPTS = Path(__file__).with_name("transcript_outputs.sha256")
 
 
 class TestReceivePath:
-    # default blocks 0-2 over a socket pair: Alice received 61/59/67 frames,
-    # Bob's HELLO among them, in 62/60/68 reads, and Bob 60/58/66, Alice's
-    # HELLO among them, in as many reads; neither end called settimeout
-    # after its transport was made.  Reading header and payload apart took
-    # 2 reads per frame.
-    MAX_EXTRA_READS = 4
+    # default blocks 0-2 over a socket pair: each end received 60/58/66
+    # frames, the peer's HELLO among them, in as many reads, or one fewer
+    # where one read took two frames; neither end called settimeout after
+    # its transport was made.  Reading header and payload apart took 2
+    # reads per frame.
+    MAX_EXTRA_READS = 1
+    # A frame longer than the first buffer arrives in pieces as the peer's
+    # sendall fills the socket, and may take a read per PIECE bytes of it.
+    # At x_th_snu = 0.5, Alice's 79.5 KB BASIS_ANNOUNCE took 2 reads, and
+    # Bob's 13 PARITY_REQs of 75-997 KB, 3.4 MB in all, 22-70 reads.
+    PIECE = 1 << 14
 
     def test_two_frames_in_one_write_come_back_in_order(self):
         frames = [Frame(MsgType.QBER_REPORT, 0.25),
@@ -818,10 +767,11 @@ class TestReceivePath:
         assert receiver.sock.reads == 1
 
     def test_header_cut_at_the_buffers_end_is_read_on(self):
-        # a 65533-byte POSTSELECT_MASK and 3 bytes of the next header fill
+        # a 65533-byte BASIS_ANNOUNCE and 3 bytes of the next header fill
         # the first buffer to its last byte; the header's other 2 bytes
         # need room that the buffer must make before it reads again
-        frames = [Frame(MsgType.POSTSELECT_MASK, np.arange(16381)),
+        frames = [Frame(MsgType.BASIS_ANNOUNCE,
+                        np.arange(524_224, dtype=np.uint8) & 1),
                   Frame(MsgType.QBER_REPORT, 0.25)]
         data = [encode_frame(f) for f in frames]
         assert len(data[0]) + 3 == proto._RECV_BUFFER
@@ -833,8 +783,8 @@ class TestReceivePath:
     def test_received_values_outlive_the_next_read(self):
         # each decoded value is a copy: the next frame, read into the same
         # bytes of the buffer, leaves it as it was
-        overwrite = encode_frame(Frame(MsgType.POSTSELECT_MASK,
-                                       np.full(16, 2 ** 32 - 1)))
+        overwrite = encode_frame(Frame(MsgType.BASIS_ANNOUNCE,
+                                       np.ones(1024, np.uint8)))
         with receiving_pair() as (sa, receiver):
             for frame, _ in _PINNED_FRAMES:
                 sa.sendall(encode_frame(frame))
@@ -859,8 +809,8 @@ class TestReceivePath:
         assert len(receiver._buf) <= max(proto._RECV_BUFFER, 2 * sent)
 
     def test_frame_in_three_byte_pieces_arrives_whole(self):
-        data = encode_frame(Frame(MsgType.POSTSELECT_MASK,
-                                  np.arange(0, 40, 3)))
+        data = encode_frame(Frame(MsgType.BASIS_ANNOUNCE,
+                                  np.arange(480, dtype=np.uint8) % 3 & 1))
         with receiving_pair() as (sa, receiver):
             def trickle():
                 for i in range(0, len(data), 3):
@@ -881,13 +831,12 @@ class TestReceivePath:
         assert receiver.sock.timeouts == 0
 
     def test_oversized_header_refused_within_one_buffer(self):
-        # a POSTSELECT_MASK header one position past what the block can
-        # keep, ~4 buffers' worth, and all of that payload behind it: a
+        # a BASIS_ANNOUNCE header one byte past what the block's pulses
+        # fill, 4 buffers' worth, and all of that payload behind it: a
         # receiver that awaited the payload before the check would read it
-        n_pulses = proto._RECV_BUFFER
-        body = bytes(4 + 4 * (n_pulses + 1))
-        header = struct.pack(">IB", 4 + 4 * (n_pulses + 1),
-                             MsgType.POSTSELECT_MASK)
+        n_pulses = 32 * proto._RECV_BUFFER
+        body = bytes(n_pulses // 8 + 1)
+        header = struct.pack(">IB", len(body), MsgType.BASIS_ANNOUNCE)
         with receiving_pair() as (sa, receiver):
             def flood():
                 try:
@@ -929,20 +878,28 @@ class TestReceivePath:
                     f"{row.id} under numpy {np.__version__}, stream "
                     f"fingerprint {proto.stream_fingerprint().hex()}")
 
-    def test_reads_and_timeouts_per_session(self, row):
-        # one read per received frame, but for the extra reads of Bob's
-        # POSTSELECT_MASK (~100 KB, past the first buffer), and no
-        # settimeout after the constructor's
-        ends = peer_pair()
-        for end in ends:
-            end.sock = _CountingSocket(end.sock)
-        ends_as_expected(row, ends)
-        received = [sum(d == "received" for d, _ in e.events) for e in ends]
-        assert received[0] > 50 and received[1] > 50
-        alice, bob = (end.sock for end in ends)
-        assert alice.reads <= received[0] + self.MAX_EXTRA_READS
-        assert bob.reads <= received[1] + self.MAX_EXTRA_READS
-        assert [alice.timeouts, bob.timeouts] == [0, 0]
+    def test_reads_and_timeouts_per_session(self, rows):
+        # one read per received frame, but for the pieces of a frame past
+        # the first buffer, and no settimeout after the constructor's; the
+        # last row's BASIS_ANNOUNCE takes Alice's buffer past its first
+        # size
+        for row in rows:
+            ends = peer_pair()
+            for end in ends:
+                end.sock = _CountingSocket(end.sock)
+            ends_as_expected(row, ends)
+            for end in ends:
+                sizes = [len(data) for d, data in end.events
+                         if d == "received"]
+                assert len(sizes) > 50, row.id
+                pieces = sum(-(-size // self.PIECE) for size in sizes
+                             if size > proto._RECV_BUFFER)
+                assert end.sock.reads <= (len(sizes) + pieces
+                                          + self.MAX_EXTRA_READS), row.id
+                assert end.sock.timeouts == 0, row.id
+                # the buffer grows only for a frame past its first size
+                assert (len(end._buf) > proto._RECV_BUFFER) == bool(pieces)
+                assert bool(pieces) == (row is rows[-1]), row.id
 
 
 class TestDeadline:
@@ -969,19 +926,21 @@ class TestDeadline:
             Frame(MsgType.ABORT, AbortReason.TIMEOUT)))
 
     def test_send_that_times_out_ends_in_timeout(self):
-        # an Alice that sends her HELLO and then reads nothing: Bob's
-        # ~100 KB POSTSELECT_MASK cannot pass 4 KB buffers.  A stalled
-        # peer is not a closed one, and Bob neither reads nor sends again
+        # an Alice that sends her HELLO and then reads nothing: at
+        # x_th_snu = 1.0 Bob's ~50 KB BASIS_ANNOUNCE cannot pass 4 KB
+        # buffers.  A stalled peer is not a closed one, and Bob neither
+        # reads nor sends again
         timeout_s = 0.5
+        cfg = SystemConfig(x_th_snu=1.0)
         alice, bob = peer_pair(timeout_s)
         for end in (alice, bob):
             for buffer in (socket.SO_SNDBUF, socket.SO_RCVBUF):
                 end.sock.setsockopt(socket.SOL_SOCKET, buffer, 4096)
-        alice.send_frame(Frame(MsgType.HELLO, proto._hello(SystemConfig(), 0)))
+        alice.send_frame(Frame(MsgType.HELLO, proto._hello(cfg, 0)))
         start = time.monotonic()
         try:
             with pytest.raises(SessionFailed) as exc_info:
-                run_session(Role.BOB, bob, SystemConfig())
+                run_session(Role.BOB, bob, cfg)
             elapsed = time.monotonic() - start
         finally:
             alice.close()
@@ -998,12 +957,12 @@ class TestRoundTrips:
     # Blocks 0-5 of small_cfg took 18-35 requests, the end marker
     # included; the one-parity-per-request search took 137-260.
     MAX_PARITY_REQUESTS = 70
-    # Bob sends the kept pulses' positions, then the bases of kept pulses
-    # only, and neither the sample nor the hash seed: blocks 0-5 of
-    # small_cfg took 9.0-10.8 KB from Bob, 8.4-10.2 KB of it the positions.
-    # Sending the sample and the hash seed too took 11.7-12.9 KB, a keep
-    # mask (11.3 KB) 13.7-13.9 KB, and every pulse's basis 24.7-24.8 KB.
-    MAX_BOB_BYTES = 11_000
+    # Bob sends the bases of kept pulses only, and neither their positions,
+    # the sample nor the hash seed: blocks 0-5 of small_cfg took 438-546 B
+    # from Bob after his HELLO.  Sending the positions too took 8.9-10.8
+    # KB, the sample and the hash seed as well 11.7-12.9 KB, a keep mask
+    # (11.3 KB) 13.7-13.9 KB, and every pulse's basis 24.7-24.8 KB.
+    MAX_BOB_BYTES = 1_000
 
     def test_parity_requests_per_block_bounded(self, rows):
         for row in rows:
@@ -1018,14 +977,12 @@ class TestRoundTrips:
     def test_bases_of_kept_pulses_only(self, rows):
         for row in rows:
             _, (_, bob) = ends_as_expected(row)
-            hello, kept, basis = bob.sent[:3]
+            hello, basis = bob.sent[:2]
             assert hello.msg_type == MsgType.HELLO
             assert len(encode_frame(hello)) == 5 + 74
-            assert kept.msg_type == MsgType.POSTSELECT_MASK
             assert basis.msg_type == MsgType.BASIS_ANNOUNCE
             n_post = reference_estimation(
                 row.cfg, row.block_id)[1].kept_indices.size
-            assert len(encode_frame(kept)) == 5 + 4 + 4 * n_post
             assert len(encode_frame(basis)) == 5 + math.ceil(n_post / 8)
             # the chain's frames, after the HELLO
             sent = sum(len(encode_frame(f)) for f in bob.sent[1:])
@@ -1034,8 +991,8 @@ class TestRoundTrips:
 
 # what stream_fingerprint() gives under numpy 2.4.6; a numpy release whose
 # block streams differ gives another, and so fails every pinned digest
-PINNED_FINGERPRINT = ("b7d1c8973a800c1b94b4cf7e6bf87523"
-                      "83a4d4c54d32374cad9b2faed1dd0192")
+PINNED_FINGERPRINT = ("66c71799ad929f0ccd5a42066c2ce361"
+                      "011913d7b8ab272be00f22a24d9feca8")
 
 
 class TestHandshake:
@@ -1051,8 +1008,9 @@ class TestHandshake:
     test_alice_refuses_another_hello_from_bob = session_test
 
     def test_late_abort_finds_bobs_opening_frames_sent(self, row):
-        # Bob sends his opening frames without waiting on Alice's verdict
-        # on his HELLO, so an ABORT 50 ms late finds them sent and unread
+        # Bob sends his opening frame, BASIS_ANNOUNCE, without waiting on
+        # Alice's verdict on his HELLO, so an ABORT 50 ms late finds it
+        # sent and unread
         _, msg_type, rewrite = row.fault
 
         class LateAbort(Peer):
@@ -1066,7 +1024,7 @@ class TestHandshake:
                 Peer(bob, TIMEOUT_S, msg_type, rewrite))
         ends_as_expected(row, ends)
         assert [data[4] for d, data in ends[1].events if d == "sent"] == [
-            MsgType.HELLO, MsgType.POSTSELECT_MASK, MsgType.BASIS_ANNOUNCE]
+            MsgType.HELLO, MsgType.BASIS_ANNOUNCE]
 
     @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
     def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):

@@ -63,16 +63,13 @@ def reference_exchange(cfg, block_id: int, drift) -> KeptPulses:
     batch = prepare_and_measure(n_sig, cfg, drift, rng)
     x = batch.outcome_snu / math.sqrt(shot)
     kept = np.flatnonzero(np.abs(x) >= cfg.x_th_snu)
-    reference = KeptPulses(n_sig, batch.alice_phase_index[kept],
-                           batch.bob_quadrature[kept],
-                           (x[kept] > 0.0).astype(np.uint8), float(np.var(x)),
-                           rng=None)
-    reference.position = kept
-    return reference
+    return KeptPulses(n_sig, batch.alice_phase_index[kept],
+                      batch.bob_quadrature[kept],
+                      (x[kept] > 0.0).astype(np.uint8), float(np.var(x)))
 
 
 def int64_draw(sig, x_th_snu: float, rng) -> KeptPulses:
-    """physics.draw_kept_pulses with its labels and positions left int64."""
+    """physics.draw_kept_pulses with its labels left int64."""
     n_sig = int(sig.counts.sum())
     thr = x_th_snu * math.sqrt(sig.shot_snu)
     mu = sig.table.reshape(8, 1)
@@ -81,12 +78,8 @@ def int64_draw(sig, x_th_snu: float, rng) -> KeptPulses:
         [p, np.maximum(0.0, 1.0 - p.sum(axis=1, keepdims=True))]))
     label = rng.permutation(np.repeat(np.arange(16),
                                       n_kept[:, :2].ravel()))
-    want = KeptPulses(n_sig, label >> 2, label >> 1 & 1,
-                      (1 - (label & 1)).astype(np.uint8), sig.variance_snu,
-                      rng=None)
-    want.position = np.sort(rng.choice(n_sig, label.size, replace=False,
-                                       shuffle=False))
-    return want
+    return KeptPulses(n_sig, label >> 2, label >> 1 & 1,
+                      (1 - (label & 1)).astype(np.uint8), sig.variance_snu)
 
 
 def block_figures(cfg, batch: KeptPulses, block_id: int) -> dict:
@@ -95,7 +88,7 @@ def block_figures(cfg, batch: KeptPulses, block_id: int) -> dict:
     alice = pp.sift_alice_bits(batch.alice_phase_index, batch.bob_quadrature)
     bob = batch.bob_bit
     report = run_chain(cfg, block_id, batch, LocalLink()).report
-    return {"kept": batch.position.size, "p_post": report.p_post,
+    return {"kept": batch.bob_bit.size, "p_post": report.p_post,
             "qber": float(np.mean(alice != bob)),
             "skr": report.skr_bits_per_s,
             "variance_snu": batch.variance_snu}
@@ -203,20 +196,22 @@ class TestCalibration:
 
 class TestKeptPulses:
     def test_positions_sorted_unique_and_in_range(self):
+        # no stage reads a kept pulse's position, so none is drawn; what is
+        # drawn is one entry of each field per kept pulse, fewer than the
+        # block's signal pulses
         cfg = SystemConfig(block_size_pulses=100_000)
         batch = simulate_quantum_exchange(cfg, 3, cfg.drift.mean_state())
         assert batch.n_signal == frame_sizes(cfg)[1]
-        assert np.all(np.diff(batch.position) > 0)
-        assert 0 <= batch.position[0] and batch.position[-1] < batch.n_signal
+        assert 0 < batch.bob_bit.size < batch.n_signal
         assert (batch.alice_phase_index.size == batch.bob_quadrature.size
-                == batch.bob_bit.size == batch.position.size)
+                == batch.bob_bit.size)
         assert batch.bob_bit.dtype == np.uint8
         assert set(np.unique(batch.bob_bit)) == {0, 1}
 
     def test_zero_threshold_keeps_every_pulse(self):
         cfg = SystemConfig(block_size_pulses=100_000, x_th_snu=0.0)
         batch = simulate_quantum_exchange(cfg, 0, cfg.drift.mean_state())
-        assert np.array_equal(batch.position, np.arange(batch.n_signal))
+        assert batch.bob_bit.size == batch.n_signal
 
     def test_variance_does_not_depend_on_threshold(self):
         # variance_snu is drawn before the kept pulses
@@ -229,8 +224,8 @@ class TestKeptPulses:
 
     @pytest.mark.parametrize("name", [*SCENARIOS, "low-threshold"])
     def test_matches_int64_draw(self, name):
-        # the 1-byte labels and int32 positions hold the very values of the
-        # same draw made in int64, the form it had before it narrowed them
+        # the 1-byte labels hold the very values of the same draw made in
+        # int64, the form it had before it narrowed them
         cfg, drift = SCENARIOS.get(name, (SystemConfig(x_th_snu=1.0), None))
         drift = cfg.drift.mean_state() if drift is None else drift
         n_cal, n_sig = frame_sizes(cfg)
@@ -241,26 +236,11 @@ class TestKeptPulses:
                                                      rng), cfg.x_th_snu, rng)
             assert got.n_signal == want.n_signal
             assert got.variance_snu == want.variance_snu
-            for field in ("position", "alice_phase_index", "bob_quadrature",
-                          "bob_bit"):
+            for field in ("alice_phase_index", "bob_quadrature", "bob_bit"):
                 assert np.array_equal(getattr(got, field),
                                       getattr(want, field)), (b, field)
-            assert got.position.dtype == np.int32
             assert (got.alice_phase_index.dtype == got.bob_quadrature.dtype
                     == got.bob_bit.dtype == np.uint8)
-
-    @pytest.mark.parametrize("x_th_snu", [2.7, 40.0], ids=["kept", "none"])
-    def test_in_process_chain_draws_no_position(self, monkeypatch, x_th_snu):
-        # only a link that carries the kept positions draws them
-        def refuse(batch):
-            raise AssertionError("kept positions drawn")
-
-        monkeypatch.setattr(KeptPulses, "position", property(refuse))
-        cfg = SystemConfig(block_size_pulses=100_000, x_th_snu=x_th_snu)
-        for b in range(3):
-            report = pipeline.distill_block(cfg, b,
-                                            cfg.drift.mean_state()).report
-            assert (report.p_post > 0) == (x_th_snu < 40.0)
 
     def test_variance_sweep_draws_no_kept_pulse(self, monkeypatch):
         def refuse(*args):
