@@ -74,6 +74,10 @@ def simulate_ook_link(bits, snr_db: float,
     snr_db sets the swing-to-noise ratio: sigma = (mu1 - mu0) / 10^(snr/20).
     The co-propagating quantum channel adds no measurable noise, so the
     model has no term for it.
+
+    The level means and the spread are np.mean's and np.std's own steps,
+    in their order, written out so that they run in the call's buffers:
+    np.std takes no buffer for its temporary of one float per sample.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.size == 0:
@@ -87,28 +91,41 @@ def simulate_ook_link(bits, snr_db: float,
     # sample whose bit is neither 0 nor 1 joins no level
     one_at = np.flatnonzero(bits == 1)
     order = np.concatenate([one_at, np.flatnonzero(bits == 0)])
-    # every run reuses these two buffers, so a sweep finds them in cache;
-    # the in-place steps are the same IEEE operations, in the same order,
-    # as bits + sigma * z, a gather per level and ones - mu1, zeros - mu0
+    # every run reuses these two buffers, so a sweep finds them in cache
+    # and a run allocates no array of its own.  The noise steps are the
+    # same IEEE operations as bits + sigma * z and a gather per level:
+    # addition commutes, and skipping + 0.0 on the zeros can only leave a
+    # -0.0 as -0.0, which no level statistic tells apart
     mid = np.empty(bits.size)
     resid = np.empty(order.size)
+    n = resid.size
     ones, zeros = resid[:one_at.size], resid[one_at.size:]
     reports = []
     for rng in rngs:
         if sigma > 0.0:
             rng.standard_normal(out=mid)
-            mid *= sigma
-            mid += bits
         else:
             mid[:] = bits
         # "clip" cannot clip an order in range; "raise" would gather
         # through a temporary copy of resid
         mid.take(order, out=resid, mode="clip")
-        mu1 = float(np.mean(ones)) if ones.size else 1.0
-        mu0 = float(np.mean(zeros)) if zeros.size else 0.0
+        if sigma > 0.0:
+            resid *= sigma
+            ones += 1.0
+        # np.mean's sum and division
+        mu1 = float(ones.sum() / ones.size) if ones.size else 1.0
+        mu0 = float(zeros.sum() / zeros.size) if zeros.size else 0.0
         ones -= mu1
         zeros -= mu0
-        sigma_hat = float(np.std(resid)) if resid.size > 1 else 0.0
+        # np.std's steps (numpy/_core/_methods.py, _var and _std), with
+        # mid, free after the gather, as the squared deviations
+        sigma_hat = 0.0
+        if n > 1:
+            m = resid.sum(keepdims=True)
+            np.true_divide(m, n, out=m, casting="unsafe")
+            x = np.subtract(resid, m, out=mid[:n])
+            np.square(x, out=x)
+            sigma_hat = float(np.sqrt(x.sum() / n))
 
         span = mu1 - mu0
         opening = (max(0.0, (span - 6.0 * sigma_hat) / span) if span > 0.0

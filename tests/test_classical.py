@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -107,6 +108,52 @@ class TestEye:
                 for field in fields(EyeReport):
                     assert (getattr(rep, field.name)
                             == getattr(want, field.name)), (seeds, field.name)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(bits=st.one_of(
+               st.lists(st.integers(0, 2), min_size=1, max_size=64),
+               # long strings: a seeded draw of a drawn length over a drawn
+               # multiset of levels, so a level may be rare or absent
+               st.builds(lambda n, levels, seed: np.random.default_rng(
+                             seed).choice(np.array(levels, np.uint8), n),
+                         st.integers(1, 4096),
+                         st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                         st.integers(0, 2 ** 32 - 1))),
+           snr_db=st.one_of(st.floats(0.0, 40.0), st.just(math.inf)),
+           seeds=st.lists(st.integers(0, 2 ** 32 - 1), max_size=3))
+    @example(bits=[0, 1, 2] * 1365 + [1], snr_db=40.0, seeds=[0, 1, 2])
+    @example(bits=[1] * 4096, snr_db=0.0, seeds=[3])
+    @example(bits=[2, 1], snr_db=0.0, seeds=[7])
+    def test_in_place_statistics_match_numpy(self, bits, snr_db, seeds):
+        # the level means and spread are written out in the call's buffers;
+        # they must be np.mean's and np.std's values to the last bit
+        got = simulate_ook_link(
+            bits, snr_db, [np.random.default_rng(s) for s in seeds])
+        assert len(got) == len(seeds)
+        for rep, seed in zip(got, seeds):
+            want = boolean_index_reference(bits, snr_db,
+                                           np.random.default_rng(seed))
+            for field in fields(EyeReport):
+                assert (getattr(rep, field.name)
+                        == getattr(want, field.name)), (seed, field.name)
+
+    def test_a_channel_allocates_nothing(self):
+        # a sweep's call holds the ones' index, order, mid and resid (896
+        # KiB for a PRBS15 period); its seven channels add nothing to them
+        bits = prbs15_sequence(PRBS15_PERIOD)
+        rngs = [np.random.default_rng(s) for s in range(7)]
+        n_ones = int(np.count_nonzero(bits == 1))
+        own = (np.dtype(np.intp).itemsize * (n_ones + bits.size)
+               + np.dtype(float).itemsize * 2 * bits.size)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            reports = simulate_ook_link(bits, 15.0, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 7
+        assert peak - start <= own + 16 * 1024, (peak - start, own)
 
     def test_noiseless_eye_fully_open(self):
         bits = prbs15_sequence(1000)

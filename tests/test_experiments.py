@@ -196,6 +196,21 @@ class TestEye:
         csv = ex.exp_eye(SystemConfig(), snr_db=math.inf)
         for row in csv_rows(csv):
             assert float(row[2]) == 1.0
+        # the sigma = 0 branch, which no pinned CSV reaches; it draws no
+        # noise, so no numpy release can move it
+        assert (hashlib.sha256(csv.encode()).hexdigest()
+                == "57af9876a5e144c3b606431fb8a6659d"
+                   "0754539e568753e72d4e56120b181c02")
+
+    def test_seed_two_matches_its_digest(self):
+        # the noise streams of CI's seed-2 eye smoke, which eye.csv's digest
+        # (seed 1) does not cover
+        got = hashlib.sha256(
+            ex.exp_eye(SystemConfig(seed=2)).encode()).hexdigest()
+        assert got == ("669222aad1b55de181a11eb279897722"
+                       "ecf7050218c3806b7203834db406fde0"), (
+            f"seed 2's eye sweep differs under numpy {np.__version__}, "
+            f"stream fingerprint {stream_fingerprint().hex()}")
 
     def test_deterministic_bytes(self):
         assert ex.exp_eye(SystemConfig()) == ex.exp_eye(SystemConfig())
