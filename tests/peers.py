@@ -153,14 +153,16 @@ class Session(NamedTuple):
 
 class _RecordingLink(LocalLink):
     """A LocalLink that keeps every value it passes encoded as a wire
-    frame."""
+    frame, and the role that sent it."""
 
     def __init__(self):
         self.frames = []
+        self.senders = []
 
     def carry(self, sender, kind, make, bound=None):
         value = make()
         self.frames.append(encode_frame(Frame(MsgType[kind], value)))
+        self.senders.append(sender)
         return value
 
 
