@@ -83,6 +83,12 @@ class TestParsing:
             parse_config_text("alpha = 0.5\nno_such_key = 1\n")
         assert exc_info.value.line == 2
 
+    def test_key_given_twice_rejected_with_line(self):
+        # the second value would otherwise win without a word
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config_text("seed = 1\n# seed\nseed = 2\n")
+        assert (exc_info.value.line, exc_info.value.key) == (3, "seed")
+
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config_text("seed = banana")
