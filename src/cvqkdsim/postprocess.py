@@ -308,13 +308,13 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     the corrected string and the number of parities disclosed.
 
     Alice keeps her own top-level parity of each block of every pass
-    started, so finding the odd blocks reads no bit.  A flip toggles one
-    block per pass, found through the pass's inverse permutation.  To
-    bisect, only the odd blocks' bits are laid end to end under a running
-    parity; the rest of the string is not read.  Pass 0's order is the
-    identity, so it is read without a gather and has no inverse to build;
-    a later pass's inverse is built at the first flip that needs it, and
-    a block corrected before that pass starts builds none.
+    started, so finding the odd blocks reads no bit.  To bisect, only the
+    odd blocks' bits are laid end to end under a running parity; the rest
+    of the string is not read.  Each depth halves every block longer than
+    one bit, and her parity at its start moves with it; a block leaves at
+    one bit, and is flipped once the last has left.  A flip toggles one
+    block per pass, found through the pass's inverse permutation, which is
+    built at the first flip that needs it; pass 0's order is the identity.
     An array handed to the oracle is never changed afterwards.
 
     It stops once n parities are out, as no key can come of the string
@@ -352,29 +352,27 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
             shift = np.cumsum(length) - length - a
             x = np.arange(length.sum()) - np.repeat(shift, length)
             c = _prefix_xor(bits.take(perms.perm[q][x] if q else x))
-            # one count_nonzero stands for any() and all(); leak adds
-            # sizes, which are Python ints, and never a count, which is a
-            # numpy int that would reach the reports
-            while long_count := np.count_nonzero(long := b - a > 1):
+            head = c[a + shift]   # Alice's parity up to each block's start
+            # the pass's last block is its shortest, and a depth leaves each
+            # block at least half its length, rounded down
+            shortest, found = int(length[-1]), []
+            while True:
+                if shortest <= 1:
+                    keep = b - a > 1
+                    found.append(a[~keep])
+                    a, b, head, shift = (v[keep] for v in (a, b, head, shift))
+                    if not a.size:
+                        break
                 if leak >= n:
                     return bits, leak
-                if long_count == long.size:
-                    # every block halves: a and mid go to the oracle whole,
-                    # so a and b are rebound, not changed
-                    mid = (a + b) >> 1
-                    left = (c[mid + shift] ^ c[a + shift]
-                            != oracle.parities(q, a, mid))
-                    leak += a.size
-                    a, b = np.where(left, a, mid), np.where(left, mid, b)
-                    continue
-                act = np.flatnonzero(long)
-                lo, hi = a[act], b[act]
-                mid = (lo + hi) >> 1
-                s = shift[act]
-                left = c[mid + s] ^ c[lo + s] != oracle.parities(q, lo, mid)
-                leak += act.size
-                a[act] = np.where(left, lo, mid)
-                b[act] = np.where(left, mid, hi)
+                mid = (a + b) >> 1
+                at_mid = c[mid + shift]
+                left = at_mid ^ head != oracle.parities(q, a, mid)
+                leak += a.size
+                a, b, head = (np.where(left, a, mid), np.where(left, mid, b),
+                              np.where(left, head, at_mid))
+                shortest >>= 1
+            a = np.concatenate(found)
             flipped = perms.perm[q][a] if q else a
             bits[flipped] ^= 1
             for r in range(p + 1):
@@ -382,10 +380,8 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
                     inverse[r] = np.empty(n, dtype=np.int32)
                     inverse[r][perms.perm[r]] = np.arange(n, dtype=np.int32)
                 pos = inverse[r][flipped] if r else flipped
-                # each flip toggles its block: the parity of its count
-                alice_top[r] ^= (np.bincount(
-                    pos // sizes[r], minlength=alice_top[r].size)
-                    & 1).astype(np.uint8)
+                # a uint8 operand keeps ufunc.at fast: a Python 1 is ~3x slower
+                np.bitwise_xor.at(alice_top[r], pos // sizes[r], np.uint8(1))
             flips += odd.size
             q = 0
     return bits, leak

@@ -61,7 +61,7 @@ class _RecordingOracle:
 def assert_matches_reference(alice, make_oracle, initial_block, perms):
     """cascade_reconcile and reference_cascade, each given a fresh oracle
     from `make_oracle`, return the same bits and leak after the same
-    oracle calls."""
+    oracle calls.  Returns (bits, leak, calls) as lists."""
     runs = []
     for reconcile in (pp.cascade_reconcile, reference_cascade):
         oracle = _RecordingOracle(make_oracle())
@@ -69,6 +69,7 @@ def assert_matches_reference(alice, make_oracle, initial_block, perms):
                                initial_block, perms)
         runs.append((bits.tolist(), leak, oracle.calls))
     assert runs[0] == runs[1]
+    return runs[0]
 
 
 def run_cascade(alice, bob, passes, k1, seed=99):
@@ -400,6 +401,54 @@ class TestMatchesReference:
     def test_contradicting_one_bit_blocks(self):
         assert_matches_reference(np.zeros(9, dtype=np.uint8), _Contradicting,
                                  4, _identity_perms(9, 4))
+
+    @pytest.mark.parametrize("k1", [12, 13, 16, 17])
+    @pytest.mark.parametrize("last", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_short_last_blocks(self, k1, last, seed):
+        # n = 40 k1 + last, so each of the 4 passes ends in a block of
+        # `last` bits, which leaves the bisection before its siblings, or
+        # at once if it is 1 bit long.  An odd k1 halves into siblings one
+        # bit apart.  The last bit is the only error of its pass-0 block
+        n = 40 * k1 + last
+        rng = np.random.default_rng(seed)
+        bob = rng.integers(0, 2, n, dtype=np.uint8)
+        alice = bob ^ (rng.random(n) < 0.08).astype(np.uint8)
+        alice[-last:] = bob[-last:]
+        alice[-1] ^= 1
+        perms = pp.CascadePermutations(n, 4, seed)
+        bits, _, _ = assert_matches_reference(
+            alice, lambda: pp.LocalParityOracle(bob, perms), k1, perms)
+        assert bits[-1] == bob[-1]
+
+    def test_odd_one_bit_block_alone(self):
+        # the only error is the last bit, pass 0's 1-bit last block: it is
+        # odd at the round's start and flipped without a bisection call
+        n, k1 = 40 * 13 + 1, 13
+        bob = np.random.default_rng(8).integers(0, 2, n, dtype=np.uint8)
+        alice = bob.copy()
+        alice[-1] ^= 1
+        perms = pp.CascadePermutations(n, 4, 8)
+        bits, leak, calls = assert_matches_reference(
+            alice, lambda: pp.LocalParityOracle(bob, perms), k1, perms)
+        assert bits == bob.tolist()
+        assert [p for p, _, _ in calls] == [0, 1, 2, 3]
+        assert leak == sum(len(starts) for _, starts, _ in calls)
+
+    @pytest.mark.parametrize("n, k1, seed", [(100, 8, 0), (100, 8, 1),
+                                             (1000, 64, 0), (1000, 64, 1)])
+    def test_leak_stop_inside_a_depth(self, n, k1, seed):
+        # random answers run the leak up to n in the middle of a bisection:
+        # the last call is a depth, not a pass's top level, and it halved a
+        # block of 4 or more bits, so a block was still to be halved
+        perms = pp.CascadePermutations(n, 4, seed)
+        _, leak, calls = assert_matches_reference(
+            np.zeros(n, dtype=np.uint8),
+            lambda: _RandomOracle(seed, limit=10 * n), k1, perms)
+        p, starts, mids = calls[-1]
+        assert leak >= n
+        assert starts != list(range(0, n, min(n, k1 << p)))
+        assert max(m - s for s, m in zip(starts, mids)) >= 2
 
     @pytest.mark.parametrize("n", [256, 65_536])
     def test_whole_string_blocks_at_a_dtype_boundary(self, n):
