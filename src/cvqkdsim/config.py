@@ -199,8 +199,8 @@ def _convert(raw: str, conv, line: int, key: str):
 
 def parse_config_text(text: str) -> SystemConfig:
     """Parse the line-oriented `key = value` format with dotted section
-    keys ('#' starts a comment).  Unknown keys, and a key given twice, are
-    rejected; missing keys take the documented defaults."""
+    keys ('#' starts a comment).  Unknown and repeated keys are rejected;
+    missing keys take the documented defaults."""
     values: dict = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
