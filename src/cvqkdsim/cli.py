@@ -19,8 +19,8 @@ from . import experiments as ex
 from . import postprocess as pp
 from .config import ConfigError, SystemConfig, dump_config, load_config
 from .physics import CalibrationError
-from .protocol import (DEFAULT_TIMEOUT_S, AbortReason, Role, SessionFailed,
-                       StreamTransport, run_session)
+from .protocol import (BLOCK_IDS, DEFAULT_TIMEOUT_S, AbortReason, Role,
+                       SessionFailed, StreamTransport, run_session)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -134,8 +134,7 @@ def _run_link(cfg, args) -> int:
         raise ConfigError(f"--timeout must be > 0 and at most "
                           f"{threading.TIMEOUT_MAX:.0f} s, "
                           f"got {args.timeout!r}")
-    # a HELLO carries the block id as a u64
-    if not 0 <= args.block_id < 2 ** 64:
+    if not 0 <= args.block_id < BLOCK_IDS:
         raise ConfigError(f"--block-id must be >= 0 and below 2**64, "
                           f"got {args.block_id}")
     # a path that cannot be written fails here, not after the peer has

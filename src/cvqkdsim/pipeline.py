@@ -16,12 +16,16 @@ needs their positions.  run_chain() distills a block into a
 BlockResult, which distill_block() returns in process for the experiment
 runners and protocol.run_session() over the wire.
 
-The transports differ only in the link run_chain is given:
-  * `alice`, `bob`: whether this end plays each role and holds its data;
-  * `carry(sender, kind, make, bound)`: a value the role named `sender`
-    ("alice" or "bob") sends the other, under its MsgType name.  The
-    sender calls `make`, the receiver gets the peer's value, checked
-    against `bound`; a value that does not fit ends both ends.
+run_chain is one end's chain as a generator of steps, and does no I/O.
+It is told which roles the end plays (`alice`, `bob`), and so which data
+it holds.  Each value that the role named `sender` ("alice" or "bob")
+sends the other is one step, `(sender, kind, make, bound)`, `kind` being
+its MsgType name: the sender's value is `make()`, and a received one must
+fit `bound`.  The chain is sent the value that crosses, and it returns
+the BlockResult.  postprocess.drive runs the steps, and the drivers
+differ only in how a step crosses: distill_block plays both roles and
+answers each step with `make()`; run_session answers it with one frame,
+sent or received, where a value that does not fit ends both ends.
 
 A block's SKR is its final key bits over its duration, calibration frames
 included.  A block yields a 0-bit key and SKR 0 on both paths, and the
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,7 +60,6 @@ from .physics import calibrate_shot_noise, prepare_and_measure  # noqa: F401
 
 __all__ = [
     "BlockResult",
-    "LocalLink",
     "derive_seed",
     "config_seed",
     "model_qber",
@@ -65,6 +67,7 @@ __all__ = [
     "simulate_quantum_exchange",
     "run_chain",
     "distill_block",
+    "local_answer",
 ]
 
 
@@ -139,47 +142,49 @@ def simulate_quantum_exchange(cfg, block_id: int,
     return draw_kept_pulses(stats, cfg.x_th_snu, rng)
 
 
-class LocalLink:
-    """Both roles in one process: a sent value is the sender's own."""
-
-    alice = bob = True   # this end holds each role's data
-
-    def carry(self, sender: str, kind: str, make, bound=None):
-        return make()
+def local_answer(sender: str, kind: str, make, bound):
+    """The in-process answer to a step: both roles are here, so a sent
+    value is the sender's own."""
+    return make()
 
 
-def _reconcile(link, alice_key, bob_key, perms, k1):
-    """Cascade, one PARITY_REQ/PARITY_RSP exchange per call of Alice's
-    oracle, until her empty request.  Returns (Alice's corrected string or
-    None, parities disclosed).  Alice asks nothing once n_kept parities are
-    out, so a request's bound holds the parities Bob has served, and Bob,
-    serving across the wire, refuses a further one."""
-    oracle = pp.LocalParityOracle(bob_key, perms) if link.bob else None
-    if link.alice:
-        def parities(p, starts, ends):
-            link.carry("alice", "PARITY_REQ", lambda: (p, starts, ends))
-            return link.carry("bob", "PARITY_RSP", lambda: oracle.parities(
-                p, starts, ends), len(starts))
+def _reconcile(alice_key, bob_key, perms, k1):
+    """Cascade's steps: each PARITY_REQ of Alice's, which advances her
+    cascade_steps, and Bob's PARITY_RSP from his LocalParityOracle, until
+    her empty request; a `None` key is a role this end does not play.
+    Returns (Alice's corrected string, or None at Bob's end; the parities
+    Bob served).  Alice asks nothing once n_kept parities are out, so a
+    request's bound holds the parities served, and Bob, serving across
+    the wire, refuses a further one."""
+    oracle = None if bob_key is None else pp.LocalParityOracle(bob_key, perms)
+    corrected, parities, served = None, None, 0
 
-        result = pp.cascade_reconcile(
-            alice_key, SimpleNamespace(parities=parities), k1, perms)
-        link.carry("alice", "PARITY_REQ", lambda: (0, [], []))
-        return result
+    def alice_requests():
+        # cascade_steps', then the empty request that ends Cascade
+        nonlocal corrected
+        corrected, _ = yield from pp.cascade_steps(alice_key, k1, perms)
+        yield 0, [], []
+
+    requests = alice_requests()
     while True:
-        p, starts, ends = link.carry("alice", "PARITY_REQ", None,
-                                     (perms, oracle.query_count))
-        if starts.size == 0:
-            return None, oracle.query_count
-        link.carry("bob", "PARITY_RSP",
-                   lambda: oracle.parities(p, starts, ends))
+        p, starts, ends = yield "alice", "PARITY_REQ", lambda: requests.send(
+            parities), (perms, served)
+        if not len(starts):
+            return corrected, served
+        served += len(starts)
+        parities = yield "bob", "PARITY_RSP", lambda: oracle.parities(
+            p, starts, ends), len(starts)
 
 
-def run_chain(cfg, block_id: int, batch: KeptPulses, link,
-              qber_used: float | None = None) -> BlockResult:
-    """Distill one simulated block, from post-selection to key confirmation.
+def run_chain(cfg, block_id: int, batch: KeptPulses, alice: bool = True,
+              bob: bool = True, qber_used: float | None = None):
+    """Distill one simulated block, from post-selection to key confirmation,
+    as the steps of an end that plays the roles `alice` and `bob`.
 
-    An end computes what the roles it plays hold, and every value one role
-    sends the other passes through the link (see the module docstring).
+    An end computes what the roles it plays hold, and yields every value
+    one role sends the other (see the module docstring); it returns the
+    block's BlockResult.
+
     `qber_used` replaces the block's sampled error rate in the key-length
     arithmetic; Cascade still corrects the real errors.  Without one (every
     wire session), the key is sized at the sample's rate or model_qber,
@@ -193,11 +198,10 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     p_post = n_post / batch.n_signal
 
     # Sifting: Bob announces the quadratures he measured the kept pulses in.
-    quad = link.carry("bob", "BASIS_ANNOUNCE", lambda: batch.bob_quadrature,
-                      n_post)
+    quad = yield "bob", "BASIS_ANNOUNCE", lambda: batch.bob_quadrature, n_post
     alice_bits = (pp.sift_alice_bits(batch.alice_phase_index, quad)
-                  if link.alice else None)
-    bob_bits = batch.bob_bit if link.bob else None
+                  if alice else None)
+    bob_bits = batch.bob_bit if bob else None
 
     # Error estimation on a disclosed pseudo-random subset of the kept bits,
     # which each end draws from the shared seed.  With none kept, there is
@@ -207,10 +211,10 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
         rng = np.random.default_rng(derive_seed(cfg, block_id,
                                                 SEED_TAG_SAMPLE))
         sample = pp.disclosure_sample(n_post, cfg.sample_fraction, rng)
-        sample_bits = link.carry("alice", "SAMPLE_BITS",
-                                 lambda: alice_bits[sample], sample.size)
-        qber_raw = link.carry("bob", "QBER_REPORT", lambda: int(
-            np.count_nonzero(sample_bits != bob_bits[sample])) / sample.size)
+        sample_bits = yield ("alice", "SAMPLE_BITS",
+                             lambda: alice_bits[sample], sample.size)
+        qber_raw = yield "bob", "QBER_REPORT", lambda: int(np.count_nonzero(
+            sample_bits != bob_bits[sample])) / sample.size, None
     else:
         sample, qber_raw = np.empty(0, dtype=np.intp), 0.5
     qber = max(qber_raw, model_qber(cfg)) if qber_used is None else qber_used
@@ -221,16 +225,16 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     # sample left a bit to correct.
     keep = np.ones(n_post, dtype=bool)
     keep[sample] = False
-    alice_key = alice_bits[keep] if link.alice else None
-    bob_key = bob_bits[keep] if link.bob else None
+    alice_key = alice_bits[keep] if alice else None
+    bob_key = bob_bits[keep] if bob else None
     perms = pp.CascadePermutations(n_kept, cfg.cascade_passes,
                                    config_seed(cfg, SEED_TAG_CASCADE))
     k1 = pp.cascade_block_size(max(qber, model_qber(cfg), 1e-3), n_kept)
-    corrected, leak = (_reconcile(link, alice_key, bob_key, perms, k1)
+    corrected, leak = ((yield from _reconcile(alice_key, bob_key, perms, k1))
                        if n_kept else (alice_key, 0))
     # a diagnostic of an end that holds both strings; the tags decide
     residual = (int(np.count_nonzero(corrected != bob_key))
-                if link.alice and link.bob else 0)
+                if alice and bob else 0)
 
     # Privacy amplification and key confirmation.  Each end sizes the key
     # from values both hold (Alice's leak is the parities Bob served) and
@@ -245,9 +249,9 @@ def run_chain(cfg, block_id: int, batch: KeptPulses, link,
     hash_seed = derive_seed(cfg, block_id, SEED_TAG_HASH)
     key, tag = pp.toeplitz_hash(corrected if bob_key is None else bob_key,
                                 hash_seed, out_len)
-    bob_tag = link.carry("bob", "KEY_CONFIRM", lambda: tag, tag.size)
-    alice_tag = link.carry("alice", "KEY_CONFIRM", lambda: (pp.toeplitz_hash(
-        corrected, hash_seed, out_len)[1] if residual else tag), tag.size)
+    bob_tag = yield "bob", "KEY_CONFIRM", lambda: tag, tag.size
+    alice_tag = yield "alice", "KEY_CONFIRM", lambda: (pp.toeplitz_hash(
+        corrected, hash_seed, out_len)[1] if residual else tag), tag.size
     if not np.array_equal(alice_tag, bob_tag):
         key = key[:0]
 
@@ -265,6 +269,5 @@ def distill_block(cfg, block_id: int, drift: DriftState,
     a pooled error-rate estimate (e.g. the experiment runner's running
     average) for the block's own noisy sample, and without one the key is
     sized no lower than model_qber, as in run_chain."""
-    return run_chain(cfg, block_id,
-                     simulate_quantum_exchange(cfg, block_id, drift),
-                     LocalLink(), qber_used)
+    return pp.drive(run_chain(cfg, block_id, simulate_quantum_exchange(
+        cfg, block_id, drift), qber_used=qber_used), local_answer)

@@ -44,6 +44,8 @@ __all__ = [
     "expected_qber",
     "cascade_block_size",
     "cascade_reconcile",
+    "cascade_steps",
+    "drive",
     "toeplitz_hash",
     "secret_fraction",
     "final_key_length",
@@ -295,17 +297,38 @@ class LocalParityOracle:
         return c[ends] ^ c[starts]
 
 
+def drive(steps, answer):
+    """Run the generator `steps` to its return value, sending it
+    `answer(*step)` for each tuple `step` it yields."""
+    try:
+        step = next(steps)
+        while True:
+            step = steps.send(answer(*step))
+    except StopIteration as stop:
+        return stop.value
+
+
 def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
                       perms: CascadePermutations) -> tuple[np.ndarray, int]:
-    """Cascade with binary search and back-propagation, in lockstep.
+    """cascade_steps with each request answered by `oracle.parities(pass,
+    starts, ends)`: the corrected string and the parities disclosed."""
+    return drive(cascade_steps(alice_bits, initial_block, perms),
+                 oracle.parities)
 
-    Reverse reconciliation: Alice corrects her string toward Bob's, whose
-    parities `oracle.parities(pass, starts, ends)` serves for many ranges
-    of one pass per call.  Each pass asks for all its top-level parities
-    at once.  While a block of a pass seen so far has odd parity, the odd
-    blocks of the first such pass are bisected together, one call per
-    depth; they are disjoint, so each flips a different error.  Returns
-    the corrected string and the number of parities disclosed.
+
+def cascade_steps(alice_bits: np.ndarray, initial_block: int,
+                  perms: CascadePermutations):
+    """Cascade with binary search and back-propagation, in lockstep, as a
+    generator of Alice's parity requests.
+
+    Reverse reconciliation: Alice corrects her string toward Bob's.  Each
+    request yielded is (pass, starts, ends), many ranges of one pass, and
+    the generator is sent Bob's parity of each range.  Each pass asks for
+    all its top-level parities at once.  While a block of a pass seen so
+    far has odd parity, the odd blocks of the first such pass are bisected
+    together, one request per depth; they are disjoint, so each flips a
+    different error.  Returns the corrected string and the number of
+    parities disclosed.
 
     Alice keeps her own top-level parity of each block of every pass
     started, so finding the odd blocks reads no bit.  To bisect, only the
@@ -315,11 +338,11 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     one bit, and is flipped once the last has left.  A flip toggles one
     block per pass, found through the pass's inverse permutation, which is
     built at the first flip that needs it; pass 0's order is the identity.
-    An array handed to the oracle is never changed afterwards.
+    An array yielded is never changed afterwards.
 
     It stops once n parities are out, as no key can come of the string
-    then, or once it has flipped more than n bits, which only an oracle
-    that is no one string's can make it do.
+    then, or once it has flipped more than n bits, which only parities
+    that are no one string's can make it do.
     """
     n = len(alice_bits)
     if n == 0:
@@ -334,7 +357,7 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
     inverse = [None] * perms.passes
     leak = flips = 0
     for p in range(perms.passes):
-        bob_top.append(oracle.parities(p, starts[p], ends[p]))
+        bob_top.append((yield p, starts[p], ends[p]))
         leak += starts[p].size
         alice_top.append(np.bitwise_xor.reduceat(
             bits.take(perms.perm[p]) if p else bits, starts[p]))
@@ -367,7 +390,7 @@ def cascade_reconcile(alice_bits: np.ndarray, oracle, initial_block: int,
                     return bits, leak
                 mid = (a + b) >> 1
                 at_mid = c[mid + shift]
-                left = at_mid ^ head != oracle.parities(q, a, mid)
+                left = at_mid ^ head != (yield q, a, mid)
                 leak += a.size
                 a, b, head = (np.where(left, a, mid), np.where(left, mid, b),
                               np.where(left, head, at_mid))

@@ -71,12 +71,14 @@ key; unequal strings give equal tags with probability 2^-32.  No digest
 of the key is sent.  If the tags differ, both ends keep a 0-bit key and
 the session goes on, as it does in process.
 
-run_session() is two HELLO steps, Alice's and then Bob's, then
-pipeline.run_chain over the same WireLink, and returns run_chain's
-BlockResult, as distill_block() does in process.  Every value either end
-sends, a HELLO, a Cascade parity or a key confirmation tag, crosses one
-WireLink.carry, and the `_CODEC` row's check is all a received one is
-held to; a WireLink only carries values.
+session_steps() is a block's steps over the wire: two HELLO steps,
+Alice's and then Bob's, then pipeline.run_chain's, and it returns
+run_chain's BlockResult, as distill_block() does in process.
+run_session() drives one end's steps with WireLink.carry as the answer
+(postprocess.drive).  So every value either end sends, a HELLO, a Cascade
+parity or a key confirmation tag, crosses one WireLink.carry, and the
+`_CODEC` row's check is all a received one is held to; a WireLink only
+carries values, and it is the one place that does I/O.
 A malformed, out-of-range, out-of-order or missing frame ends both
 endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
@@ -102,7 +104,7 @@ import numpy as np
 from .config import dump_config
 from .physics import CalibrationError
 from .pipeline import BlockResult, run_chain, simulate_quantum_exchange
-from .postprocess import CONFIRM_TAG_BITS
+from .postprocess import CONFIRM_TAG_BITS, drive
 
 __all__ = [
     "MsgType",
@@ -118,6 +120,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "stream_fingerprint",
+    "session_steps",
     "run_session",
 ]
 
@@ -234,6 +237,7 @@ class Hello(NamedTuple):
 
 
 _HELLO = struct.Struct(">HQ32s32s")
+BLOCK_IDS = 2 ** 64   # a HELLO carries the block id as a u64
 
 
 def _encode_hello(hello) -> bytes:
@@ -476,14 +480,13 @@ class Role(enum.Enum):
 
 
 class WireLink:
-    """One endpoint's link for pipeline.run_chain: each value crosses as
+    """One endpoint's answer to its session_steps: each value crosses as
     one frame, and a received one is checked against the block before it
     enters the chain.  A failure sends ABORT (unless the peer did) and
     raises SessionFailed."""
 
     def __init__(self, role: Role, transport: StreamTransport, n_pulses: int):
-        self.alice = role == Role.ALICE
-        self.bob = role == Role.BOB
+        self.alice, self.bob = role == Role.ALICE, role == Role.BOB
         self.transport = transport
         self.n_pulses = n_pulses   # bounds what the peer's headers may claim
         self.deadline = time.monotonic() + transport.timeout_s   # the block's
@@ -534,13 +537,13 @@ class WireLink:
         return frame
 
     def carry(self, sender: str, kind: str, make, bound=None):
-        """pipeline's link step: send `make()` if this end plays `sender`,
-        else receive the peer's value and hold it to its row's check; a
-        HELLO that differs from this end's own names what differs."""
+        """The wire's answer to a step: send `make()` if this end plays
+        `sender`, else receive the peer's value and hold it to its row's
+        check; a HELLO that differs from this end's own names what
+        differs."""
         t = _BY_NAME[kind]
         if getattr(self, sender):
-            value = make()
-            self.send(Frame(t, value))
+            self.send(Frame(t, value := make()))
             return value
         peer = self.expect(t).value
         value = _CODEC[t][3](peer, bound)
@@ -554,33 +557,50 @@ class WireLink:
         raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
                         f"{t.name} does not fit the block")
 
+    def steps(self, cfg, block_id: int):
+        """This end's session_steps, in which a failed calibration frame
+        ends the session in CALIBRATION_FAILED, and the peer hears it."""
+        try:
+            return (yield from session_steps(cfg, block_id, self.alice,
+                                             self.bob))
+        except CalibrationError as exc:
+            raise self.fail(AbortReason.CALIBRATION_FAILED, str(exc))
+
+
+def session_steps(cfg, block_id: int, alice: bool = True, bob: bool = True):
+    """One end's steps of block `block_id` over the wire, for the roles it
+    plays: the two HELLOs, Alice's first, each held to this end's own, then
+    pipeline.run_chain's on the block each end simulates; returns its
+    BlockResult.  A calibration frame that fails raises CalibrationError
+    once the HELLOs have crossed; each end simulates the same block, so
+    each finds it alike."""
+    hello = _hello(cfg, block_id)
+    # each end holds the peer's HELLO to its own before it sends more
+    for sender in ("alice", "bob"):
+        yield sender, "HELLO", lambda: hello, hello
+    batch = simulate_quantum_exchange(cfg, block_id, cfg.drift.mean_state())
+    return (yield from run_chain(cfg, block_id, batch, alice, bob))
+
 
 def run_session(role: Role, transport: StreamTransport, cfg,
                 block_id: int = 0) -> BlockResult:
     """Drive one key-distillation block end to end over `transport`.
 
-    The two ends exchange HELLOs, then each reconstructs the quantum
-    exchange from the shared config seed, runs pipeline.run_chain over a
-    WireLink and returns its BlockResult.  Raises SessionFailed (after
-    emitting ABORT) on any protocol violation, with CONFIG_MISMATCH if
-    the peer is on another config, block, protocol version or numpy
-    stream, and with TIMEOUT if the peer's frames outlast the transport's
-    timeout.  On return both ends hold the same key, but for a 2**-32
-    chance that unequal strings give equal KEY_CONFIRM tags; where the
-    tags differ, that key has 0 bits.  Raises ValueError, before any frame
-    is sent, for a block id that a HELLO's u64 cannot carry.
+    Each of the end's steps (WireLink.steps), the HELLOs and then the
+    chain on the quantum exchange each end reconstructs from the shared
+    config seed, crosses one WireLink.carry, and it returns their
+    BlockResult.  Raises SessionFailed (after emitting ABORT) on any
+    protocol violation, with CONFIG_MISMATCH if the peer is on another
+    config, block, protocol version or numpy stream, with
+    CALIBRATION_FAILED if the block's calibration frame fails, and with
+    TIMEOUT if the peer's frames outlast the transport's timeout.  On
+    return both ends hold the same key, but for a 2**-32 chance that
+    unequal strings give equal KEY_CONFIRM tags; where the tags differ,
+    that key has 0 bits.  Raises ValueError, before any frame is sent, for
+    a block id that a HELLO's u64 cannot carry.
     """
-    if not 0 <= block_id < 2 ** 64:
+    if not 0 <= block_id < BLOCK_IDS:
         raise ValueError(f"block_id must be >= 0 and below 2**64, "
                          f"got {block_id}")
     link = WireLink(role, transport, cfg.block_size_pulses)
-    # each end holds the peer's HELLO to its own before it sends more
-    hello = _hello(cfg, block_id)
-    for sender in ("alice", "bob"):
-        link.carry(sender, "HELLO", lambda: hello, hello)
-    try:
-        batch = simulate_quantum_exchange(cfg, block_id,
-                                          cfg.drift.mean_state())
-    except CalibrationError as exc:
-        raise link.fail(AbortReason.CALIBRATION_FAILED, str(exc))
-    return run_chain(cfg, block_id, batch, link)
+    return drive(link.steps(cfg, block_id), link.carry)

@@ -1,20 +1,26 @@
 """Two-end session helpers for the tests: a scripted peer, whose one
 `rewrite` of an outgoing frame is each hostile-peer fault, the pairs it
-runs over, and the one rule a two-end session is held to."""
+runs over, the two drivers of a pair (both ends in one thread over an
+in-memory pipe, or one thread each over a socket), and the one rule a
+two-end session is held to."""
 
+import contextlib
+import errno
 import json
 import socket
 import threading
 import time
 from dataclasses import asdict
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
 from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
-from cvqkdsim.pipeline import (BlockResult, LocalLink, distill_block,
-                               run_chain, simulate_quantum_exchange)
+from cvqkdsim.pipeline import (BlockResult, distill_block, run_chain,
+                               simulate_quantum_exchange)
+from cvqkdsim.postprocess import drive
 from cvqkdsim.protocol import (AbortReason, Frame, MsgType, Role,
                                SessionFailed, decode_frame, encode_frame)
 
@@ -73,15 +79,65 @@ def unknown_type(frame) -> bytes:
     return data[:4] + b"\x02" + data[5:]
 
 
+class Pipe:
+    """One end of an in-memory byte stream, as much of a socket as a
+    StreamTransport uses.  It is a local stream, as a socket pair's is, so
+    the transport sets no TCP option on it.  A read of an empty pipe
+    returns no byte once the peer has closed, and times out at once
+    otherwise, as does every read once `timed_out` is set: step_pair reads
+    an empty pipe only when both ends wait."""
+
+    family = socket.AF_UNIX
+
+    def __init__(self):
+        self.inbox = bytearray()
+        self.peer = None
+        self.closed = self.timed_out = False
+
+    @classmethod
+    def pair(cls):
+        ends = cls(), cls()
+        ends[0].peer, ends[1].peer = ends[1], ends[0]
+        return ends
+
+    def ready(self) -> bool:
+        """Whether a read returns without waiting."""
+        return bool(self.inbox) or self.peer.closed or self.timed_out
+
+    def settimeout(self, timeout_s):
+        pass
+
+    def sendall(self, data):
+        if self.closed or self.peer.closed:
+            raise BrokenPipeError(errno.EPIPE, "peer closed the connection")
+        self.peer.inbox += data
+
+    def recv_into(self, buf):
+        if self.timed_out or not (self.inbox or self.peer.closed):
+            raise socket.timeout("timed out")
+        n = min(len(buf), len(self.inbox))
+        buf[:n] = self.inbox[:n]
+        del self.inbox[:n]
+        return n
+
+    def close(self):
+        self.closed = True
+
+
 def peer_pair(timeout_s=TIMEOUT_S, sender=None, msg_type=None, rewrite=None,
               transcripts=(None, None), socks=None):
-    """(Alice end, Bob end): two Peers over `socks` (one socket pair by
+    """(Alice end, Bob end): two Peers over `socks` (a Pipe pair by
     default), `sender`'s rewriting the first `msg_type` frame it sends."""
     return tuple(
         Peer(sock, timeout_s, msg_type if role == sender else None, rewrite,
              path)
-        for role, sock, path in zip(Role, socks or socket.socketpair(),
-                                    transcripts))
+        for role, sock, path in zip(Role, socks or Pipe.pair(), transcripts))
+
+
+def socket_pair(timeout_s=TIMEOUT_S, *fault, transcripts=(None, None)):
+    """peer_pair's two Peers over one socket pair."""
+    return peer_pair(timeout_s, *fault, transcripts=transcripts,
+                     socks=socket.socketpair())
 
 
 def tcp_pair(timeout_s=TIMEOUT_S, *fault):
@@ -93,16 +149,71 @@ def tcp_pair(timeout_s=TIMEOUT_S, *fault):
     return peer_pair(timeout_s, *fault, socks=(alice, bob))
 
 
-def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
-             bob_block_id=None):
-    """Drive both roles over `transports` (a peer_pair by default), Bob on
-    `bob_cfg` and block `bob_block_id` if given; returns
-    {role: result|SessionFailed}.  An end that raised anything else, in
-    either thread, fails the call, which names it."""
-    ta, tb = transports or peer_pair()
-    args = {Role.ALICE: (cfg, block_id),
+def _session_args(cfg, bob_cfg, block_id, bob_block_id) -> dict:
+    """{role: (config, block id)}, Bob's own where given."""
+    return {Role.ALICE: (cfg, block_id),
             Role.BOB: (bob_cfg or cfg,
                        block_id if bob_block_id is None else bob_block_id)}
+
+
+def _crashed(out: dict) -> dict:
+    """`out`, unless an end raised anything but SessionFailed, which fails
+    the call and is named."""
+    for role, exc in out.items():
+        if isinstance(exc, Exception) and not isinstance(exc, SessionFailed):
+            raise AssertionError(f"{role.value} end crashed") from exc
+    return out
+
+
+def step_pair(cfg, transports, bob_cfg=None, block_id=0, bob_block_id=None):
+    """run_pair's outcome with both ends in this thread, over the Pipes of
+    `transports`, and no wall-clock wait.  Each end answers its
+    WireLink.steps with WireLink.carry, as run_session does, and is
+    stepped until it would read an empty pipe; then the other end is.
+    When both would, both reads time out at once, Alice's first.  An end
+    that is done closes its transport."""
+    args = _session_args(cfg, bob_cfg, block_id, bob_block_id)
+    ends = dict(zip(Role, transports))
+    links = {role: proto.WireLink(role, end, args[role][0].block_size_pulses)
+             for role, end in ends.items()}
+    steps = {role: link.steps(*args[role]) for role, link in links.items()}
+    step = dict.fromkeys(Role)   # each end's next step; None before its first
+    out = {}
+
+    def goes(role):
+        """Whether `role`'s next step runs without waiting: it sends, or
+        its transport holds unread bytes, or its pipe returns some."""
+        end = ends[role]
+        return role not in out and (
+            step[role] is None or getattr(links[role], step[role][0])
+            or end._end > end._start or end.sock.ready())
+
+    while len(out) < 2:
+        if not any(map(goes, Role)):
+            for role in Role:
+                ends[role].sock.timed_out = True
+        for role in Role:
+            while goes(role):
+                try:
+                    value = (None if step[role] is None
+                             else links[role].carry(*step[role]))
+                    step[role] = steps[role].send(value)
+                except StopIteration as stop:
+                    out[role] = stop.value
+                except Exception as exc:
+                    out[role] = exc
+                if role in out:
+                    ends[role].close()
+    return _crashed(out)
+
+
+def run_pair(cfg, transports, bob_cfg=None, block_id=0, bob_block_id=None):
+    """Drive both roles over the sockets of `transports`, Bob's in a thread
+    of its own, Bob on `bob_cfg` and block `bob_block_id` if given; returns
+    {role: result|SessionFailed}.  An end that raised anything else, in
+    either thread, fails the call, which names it."""
+    ta, tb = transports
+    args = _session_args(cfg, bob_cfg, block_id, bob_block_id)
     out = {}
 
     def go(role, transport):
@@ -117,10 +228,7 @@ def run_pair(cfg, transports=None, bob_cfg=None, block_id=0,
     t.start()
     go(Role.ALICE, ta)
     t.join()
-    for role, exc in out.items():
-        if isinstance(exc, Exception) and not isinstance(exc, SessionFailed):
-            raise AssertionError(f"{role.value} end crashed") from exc
-    return out
+    return _crashed(out)
 
 
 def transcript_frames(data: bytes) -> list:
@@ -137,7 +245,8 @@ AGREES = "agrees"
 
 
 class Session(NamedTuple):
-    """A two-end session over `pair` (peer_pair or tcp_pair), Bob on
+    """A two-end session over `pair` (peer_pair, socket_pair or tcp_pair:
+    the first runs on step_pair, the others on run_pair), Bob on
     `bob_cfg` and `bob_block_id` where given, and its outcome: AGREES, or
     (reason[, detail]).  A `fault` (sender, msg_type, rewrite) sends the
     sender's first msg_type frame as rewrite(frame); b"" drops it."""
@@ -151,15 +260,15 @@ class Session(NamedTuple):
     pair: object = peer_pair
 
 
-class _RecordingLink(LocalLink):
-    """A LocalLink that keeps every value it passes encoded as a wire
-    frame, and the role that sent it."""
+class RecordingAnswer:
+    """pipeline.local_answer, keeping every value it passes encoded as a
+    wire frame, and the role that sent it."""
 
     def __init__(self):
         self.frames = []
         self.senders = []
 
-    def carry(self, sender, kind, make, bound=None):
+    def __call__(self, sender, kind, make, bound):
         value = make()
         self.frames.append(encode_frame(Frame(MsgType[kind], value)))
         self.senders.append(sender)
@@ -176,6 +285,17 @@ _REFUSED = {
 _OPENING = [MsgType.BASIS_ANNOUNCE]
 
 
+@contextlib.contextmanager
+def _no_thread_or_socket():
+    """Starting a thread or making a socket raises inside the block."""
+    refuse = mock.Mock(side_effect=AssertionError("a one-thread row made a "
+                                                  "thread or a socket"))
+    with mock.patch.object(threading.Thread, "start", refuse), \
+            mock.patch.object(socket, "socket", refuse), \
+            mock.patch.object(socket, "socketpair", refuse):
+        yield
+
+
 def ends_as_expected(row: Session, ends=None):
     """The rule of every two-end session, run over `ends` (row.pair's by
     default): each end returns a BlockResult or raises SessionFailed, and
@@ -183,15 +303,22 @@ def ends_as_expected(row: Session, ends=None):
     distill_block does at the mean drift, its counts Python ints and its
     rates floats, over the frames the in-process chain passes.  (reason[,
     detail]): both raise SessionFailed with `reason`, and an end that
-    refused the peer's HELLO names `detail`.  Returns (the result both ends
-    agree on, or None; the ends)."""
+    refused the peer's HELLO names `detail`.  A row on peer_pair, or ends
+    over Pipes, run on step_pair, and may make no thread and no socket;
+    two ends that wait on each other there time out alike.  Returns (the
+    result both ends agree on, or None; the ends)."""
     agrees = row.outcome == AGREES
     reason, *detail = (None,) if agrees else row.outcome
     timeout_s = 0.2 if reason is AbortReason.TIMEOUT else TIMEOUT_S
-    alice, bob = ends = tuple(ends or row.pair(timeout_s, *row.fault))
-    start = time.monotonic()
-    out = run_pair(row.cfg, ends, row.bob_cfg, row.block_id, row.bob_block_id)
-    done = time.monotonic()
+    ends = tuple(ends or ())
+    one_thread = (isinstance(ends[0].sock, Pipe) if ends
+                  else row.pair is peer_pair)
+    with _no_thread_or_socket() if one_thread else contextlib.nullcontext():
+        alice, bob = ends = ends or row.pair(timeout_s, *row.fault)
+        start = time.monotonic()
+        out = (step_pair if one_thread else run_pair)(
+            row.cfg, ends, row.bob_cfg, row.block_id, row.bob_block_id)
+        done = time.monotonic()
     for role, result in out.items():
         assert isinstance(result, BlockResult if agrees else SessionFailed), (
             role, result)
@@ -202,6 +329,10 @@ def ends_as_expected(row: Session, ends=None):
         # a frame is lost
         since = faulty[0].fault_at if faulty else start
         assert done - since < 2 * alice.timeout_s
+        if one_thread:
+            # both reads timed out at once
+            assert str(out[Role.ALICE]) == str(out[Role.BOB]) == (
+                "session failed: TIMEOUT receive timed out")
     else:
         assert done - start < TIMEOUT_S / 2
         # the peer refused the faulty frame itself, not a later one
@@ -246,14 +377,14 @@ def ends_as_expected(row: Session, ends=None):
                 type(report.skr_bits_per_s)} == {float}
         json.dumps(asdict(report))
     if not row.fault:
-        # every protocol step runs in run_chain, so the in-process link
+        # every protocol step runs in run_chain, so the in-process answer
         # passes exactly the frames the wire carries, in the same order
-        link = _RecordingLink()
-        chained = run_chain(cfg, block_id, simulate_quantum_exchange(
-            cfg, block_id, drift), link)
+        answer = RecordingAnswer()
+        chained = drive(run_chain(cfg, block_id, simulate_quantum_exchange(
+            cfg, block_id, drift)), answer)
         assert chained.report == local.report
         hello = encode_frame(Frame(MsgType.HELLO, proto._hello(cfg, block_id)))
         assert [data for _, data in alice.events] == [hello, hello,
-                                                      *link.frames]
+                                                      *answer.frames]
         assert [d for d, _ in alice.events[:2]] == ["sent", "received"]
     return local, ends

@@ -8,7 +8,6 @@ effect as a diff of that file."""
 import hashlib
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,9 +16,10 @@ from cvqkdsim import protocol as proto
 from cvqkdsim.config import SystemConfig
 from cvqkdsim.pipeline import (distill_block, run_chain,
                                simulate_quantum_exchange)
+from cvqkdsim.postprocess import drive
 from cvqkdsim.protocol import Frame, MsgType, encode_frame
 
-from peers import _RecordingLink
+from peers import RecordingAnswer
 
 TABLE = Path(__file__).with_name("block_work.tsv")
 TABLE_SHA256 = (
@@ -32,21 +32,23 @@ COLUMNS = ("seed", "block",
 
 
 class _RecordingCascade:
-    """cascade_reconcile, keeping its last call's oracle calls, the passes
-    it reached and the bits it flipped."""
+    """cascade_steps, keeping its last run's requests, the passes it
+    reached and the bits it flipped."""
 
-    def __init__(self, reconcile):
-        self.reconcile = reconcile
+    def __init__(self, steps):
+        self.steps = steps
 
-    def __call__(self, alice_bits, oracle, initial_block, perms):
+    def __call__(self, alice_bits, initial_block, perms):
         asked = []
-
-        def parities(p, starts, ends):
-            asked.append(p)
-            return oracle.parities(p, starts, ends)
-
-        bits, leak = self.reconcile(alice_bits, SimpleNamespace(
-            parities=parities), initial_block, perms)
+        steps = self.steps(alice_bits, initial_block, perms)
+        parities = None
+        try:
+            while True:
+                request = steps.send(parities)
+                asked.append(request[0])
+                parities = yield request
+        except StopIteration as stop:
+            bits, leak = stop.value
         self.calls, self.passes = len(asked), max(asked) + 1
         self.flipped = int(np.count_nonzero(bits != alice_bits))
         return bits, leak
@@ -55,12 +57,12 @@ class _RecordingCascade:
 def block_work(cfg, block_id, cascade) -> list:
     """One row of the table: the block's frames as run_session sends them,
     its two HELLOs first, with `cascade` recording its Cascade."""
-    link = _RecordingLink()
-    result = run_chain(cfg, block_id, simulate_quantum_exchange(
-        cfg, block_id, cfg.drift.mean_state()), link)
+    answer = RecordingAnswer()
+    result = drive(run_chain(cfg, block_id, simulate_quantum_exchange(
+        cfg, block_id, cfg.drift.mean_state())), answer)
     hello = encode_frame(Frame(MsgType.HELLO, proto._hello(cfg, block_id)))
-    frames = [hello, hello, *link.frames]
-    senders = ["alice", "bob", *link.senders]
+    frames = [hello, hello, *answer.frames]
+    senders = ["alice", "bob", *answer.senders]
     row = [cfg.seed, block_id]
     for t in MsgType:
         sizes = [len(f) for f in frames if f[4] == t]
@@ -71,8 +73,8 @@ def block_work(cfg, block_id, cascade) -> list:
 
 
 def work_table(monkeypatch) -> str:
-    cascade = _RecordingCascade(pp.cascade_reconcile)
-    monkeypatch.setattr(pp, "cascade_reconcile", cascade)
+    cascade = _RecordingCascade(pp.cascade_steps)
+    monkeypatch.setattr(pp, "cascade_steps", cascade)
     rows = [COLUMNS] + [block_work(SystemConfig(seed=seed), block_id, cascade)
                         for seed in (1, 2) for block_id in range(12)]
     return "".join("\t".join(map(str, row)) + "\n" for row in rows)

@@ -39,7 +39,7 @@ from cvqkdsim.protocol import (
 )
 
 from peers import (TIMEOUT_S, Peer, Session, ends_as_expected, peer_pair,
-                   tcp_pair, unknown_type)
+                   socket_pair, step_pair, tcp_pair, unknown_type)
 
 
 def small_cfg(**kwargs) -> SystemConfig:
@@ -415,11 +415,12 @@ SESSIONS = {
     "test_unreconciled_block_yields_no_key_on_every_path": [
         Session("seed1-0", SystemConfig(seed=1)),
         Session("seed1-0-tcp", SystemConfig(seed=1), pair=tcp_pair)],
-    "test_nodelay_on_tcp_only": _NOISELESS[:1],
+    "test_nodelay_on_tcp_only": [_NOISELESS[0]._replace(pair=socket_pair)],
     "test_session_matches_in_process": [
         row._replace(id=f"{row.id}-tcp", pair=tcp_pair) for row in _KEYED],
     "test_transcripts_follow_each_ends_event_order": _DEFAULT[:1],
-    "test_transcripts_match_pinned_digests": _DEFAULT,
+    "test_transcripts_match_pinned_digests": [
+        row._replace(pair=socket_pair) for row in _DEFAULT],
     # at x_th_snu = 0.5 a default block keeps 635,811 pulses, so its
     # 79.5 KB BASIS_ANNOUNCE outgrows the first receive buffer
     "test_reads_and_timeouts_per_session": [
@@ -578,9 +579,9 @@ class TestFaultInjection:
 
     def test_endless_parity_requests_abort_both_ends(self, row, monkeypatch):
         # an Alice that asks for the same parity again and again
-        def ask_forever(alice_bits, oracle, initial_block, perms):
+        def ask_forever(alice_bits, initial_block, perms):
             while True:
-                oracle.parities(0, np.array([0]), np.array([perms.n]))
+                yield 0, [0], [perms.n]
 
         # Bob serves n_kept parities, each one request, and refuses the
         # next: a count, where a wall-clock bound depends on machine speed
@@ -591,7 +592,7 @@ class TestFaultInjection:
             served.append(len(starts))
             return serve(oracle, pass_index, starts, ends)
 
-        monkeypatch.setattr(pp, "cascade_reconcile", ask_forever)
+        monkeypatch.setattr(pp, "cascade_steps", ask_forever)
         monkeypatch.setattr(pp.LocalParityOracle, "parities", counted)
         ends_as_expected(row)
         assert sum(served) == reference_estimation(
@@ -612,18 +613,18 @@ class TestFaultInjection:
     def test_unreconciled_block_yields_no_key_on_every_path(self, rows,
                                                             monkeypatch):
         # a Cascade that leaves one bit of Alice's string wrong: in
-        # process, over a socket pair and over TCP, the block keeps no key
-        # and the session goes on, where it keeps 350 bits otherwise
+        # process, on the one-thread driver and over TCP, the block keeps
+        # no key and the session goes on, where it keeps 350 bits otherwise
         cfg = rows[0].cfg
         clean = distill_block(cfg, 0, cfg.drift.mean_state())
         assert clean.key_bits.size == 350
-        reconcile = pp.cascade_reconcile
+        steps = pp.cascade_steps
 
-        def one_bit_wrong(alice_bits, oracle, initial_block, perms):
-            bits, leak = reconcile(alice_bits, oracle, initial_block, perms)
+        def one_bit_wrong(alice_bits, initial_block, perms):
+            bits, leak = yield from steps(alice_bits, initial_block, perms)
             return bits ^ (np.arange(bits.size) == 0), leak
 
-        monkeypatch.setattr(pp, "cascade_reconcile", one_bit_wrong)
+        monkeypatch.setattr(pp, "cascade_steps", one_bit_wrong)
         local = distill_block(cfg, 0, cfg.drift.mean_state())
         assert local.residual_errors == 1
         assert local.report == replace(clean.report, final_key_bits=0,
@@ -631,8 +632,28 @@ class TestFaultInjection:
         for row in rows:
             ends_as_expected(row)
 
+    def test_lost_last_frame_fails_bob_alone(self):
+        # the one exception the protocol docstring names: Alice's
+        # KEY_CONFIRM, the session's last frame, is lost.  She returns her
+        # key, and Bob, still waiting for it, finds her end closed
+        cfg = keyed_cfg()
+        alice, bob = ends = peer_pair(TIMEOUT_S, Role.ALICE,
+                                      MsgType.KEY_CONFIRM, lambda f: b"")
+        out = step_pair(cfg, ends)
+        local = distill_block(cfg, 0, cfg.drift.mean_state())
+        assert local.key_bits.size > 0
+        assert out[Role.ALICE].report == local.report
+        assert np.array_equal(out[Role.ALICE].key_bits, local.key_bits)
+        assert isinstance(out[Role.BOB], SessionFailed)
+        assert out[Role.BOB].reason is AbortReason.TRANSPORT_CLOSED
+        # Bob received every frame Alice sent but the lost one
+        sent = [data for d, data in alice.events if d == "sent"]
+        assert [data for d, data in bob.events if d == "received"] == sent
+        assert alice.fault_at is not None
+        assert MsgType.KEY_CONFIRM not in [f.msg_type for f in alice.sent]
+
     def test_timeout_fails_session(self):
-        ta, tb = peer_pair(0.2)
+        ta, tb = socket_pair(0.2)
         cfg = SystemConfig(block_size_pulses=5000)
         with pytest.raises(SessionFailed) as exc_info:
             run_session(Role.BOB, tb, cfg)  # nobody answers
@@ -857,7 +878,7 @@ class TestReceivePath:
     def test_transcripts_follow_each_ends_event_order(self, row, tmp_path):
         # ends_as_expected checks the events; the files record them
         paths = (tmp_path / "alice.bin", tmp_path / "bob.bin")
-        _, ends = ends_as_expected(row, peer_pair(transcripts=paths))
+        _, ends = ends_as_expected(row, socket_pair(transcripts=paths))
         for end, path in zip(ends, paths):
             assert path.read_bytes() == b"".join(d for _, d in end.events)
 
@@ -884,7 +905,7 @@ class TestReceivePath:
         # last row's BASIS_ANNOUNCE takes Alice's buffer past its first
         # size
         for row in rows:
-            ends = peer_pair()
+            ends = socket_pair()
             for end in ends:
                 end.sock = _CountingSocket(end.sock)
             ends_as_expected(row, ends)
@@ -932,7 +953,7 @@ class TestDeadline:
         # reads nor sends again
         timeout_s = 0.5
         cfg = SystemConfig(x_th_snu=1.0)
-        alice, bob = peer_pair(timeout_s)
+        alice, bob = socket_pair(timeout_s)
         for end in (alice, bob):
             for buffer in (socket.SO_SNDBUF, socket.SO_RCVBUF):
                 end.sock.setsockopt(socket.SOL_SOCKET, buffer, 4096)
@@ -1029,7 +1050,7 @@ class TestHandshake:
     @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
     def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):
         for role in Role:
-            ends = peer_pair(0.5)
+            ends = socket_pair(0.5)
             with pytest.raises(ValueError, match=r"below 2\*\*64"):
                 run_session(role, ends[0], keyed_cfg(), block_id=block_id)
             ends[1].sock.setblocking(False)

@@ -29,8 +29,8 @@ from cvqkdsim.physics import (
 )
 from cvqkdsim.pipeline import (
     SEED_TAG_PULSES,
-    LocalLink,
     derive_seed,
+    local_answer,
     run_chain,
     signal_variance,
     simulate_quantum_exchange,
@@ -87,7 +87,7 @@ def block_figures(cfg, batch: KeptPulses, block_id: int) -> dict:
     and the chain's report with the block's own error estimate."""
     alice = pp.sift_alice_bits(batch.alice_phase_index, batch.bob_quadrature)
     bob = batch.bob_bit
-    report = run_chain(cfg, block_id, batch, LocalLink()).report
+    report = pp.drive(run_chain(cfg, block_id, batch), local_answer).report
     return {"kept": batch.bob_bit.size, "p_post": report.p_post,
             "qber": float(np.mean(alice != bob)),
             "skr": report.skr_bits_per_s,
