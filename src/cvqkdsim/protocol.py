@@ -71,14 +71,16 @@ key; unequal strings give equal tags with probability 2^-32.  No digest
 of the key is sent.  If the tags differ, both ends keep a 0-bit key and
 the session goes on, as it does in process.
 
-session_steps() is a block's steps over the wire: two HELLO steps,
-Alice's and then Bob's, then pipeline.run_chain's, and it returns
-run_chain's BlockResult, as distill_block() does in process.
-run_session() drives one end's steps with WireLink.carry as the answer
-(postprocess.drive).  So every value either end sends, a HELLO, a Cascade
-parity or a key confirmation tag, crosses one WireLink.carry, and the
-`_CODEC` row's check is all a received one is held to; a WireLink only
-carries values, and it is the one place that does I/O.
+A WireLink is one end of a wire block.  Its steps() are the block's
+steps over the wire: two HELLO steps, Alice's and then Bob's, then
+pipeline.run_chain's, and they return run_chain's BlockResult, as
+distill_block() does in process.  run_session() builds the link and
+drives its steps with WireLink.carry as the answer (postprocess.drive).
+So every value either end sends, a HELLO, a Cascade parity or a key
+confirmation tag, crosses one WireLink.carry, which holds a received
+frame, in this order, to its header's check, the peer's ABORT, the
+block's deadline, the type the step expects and the `_CODEC` row's
+check, and to nothing else; a WireLink is the one place that does I/O.
 A malformed, out-of-range, out-of-order or missing frame ends both
 endpoints in SessionFailed with the same AbortReason.  The one exception
 is the last message of a session, Alice's KEY_CONFIRM: if it is lost,
@@ -120,7 +122,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "stream_fingerprint",
-    "session_steps",
     "run_session",
 ]
 
@@ -480,15 +481,15 @@ class Role(enum.Enum):
 
 
 class WireLink:
-    """One endpoint's answer to its session_steps: each value crosses as
-    one frame, and a received one is checked against the block before it
-    enters the chain.  A failure sends ABORT (unless the peer did) and
-    raises SessionFailed."""
+    """One endpoint of a wire block: its steps, and the wire's answer to
+    each, through which every value crosses as one frame and a received
+    one is checked against the block before it enters the chain.  A
+    failure sends ABORT (unless the peer did) and raises SessionFailed."""
 
-    def __init__(self, role: Role, transport: StreamTransport, n_pulses: int):
+    def __init__(self, role: Role, transport: StreamTransport):
         self.alice, self.bob = role == Role.ALICE, role == Role.BOB
         self.transport = transport
-        self.n_pulses = n_pulses   # bounds what the peer's headers may claim
+        self.n_pulses = None   # the block's, which bounds the peer's headers
         self.deadline = time.monotonic() + transport.timeout_s   # the block's
 
     def fail(self, reason: AbortReason, detail: str = "",
@@ -519,7 +520,15 @@ class WireLink:
                 reason = last.value
             raise self.fail(reason, "peer closed the connection", notify=False)
 
-    def expect(self, msg_type: MsgType) -> Frame:
+    def carry(self, sender: str, kind: str, make, bound=None):
+        """The wire's answer to a step: send `make()` if this end plays
+        `sender`, else receive the peer's frame and run every check on it,
+        in the module docstring's order; a HELLO that differs from this
+        end's own names what differs."""
+        t = _BY_NAME[kind]
+        if getattr(self, sender):
+            self.send(Frame(t, value := make()))
+            return value
         try:
             frame = self.transport.recv_frame(self.n_pulses, self.deadline)
         except FrameDecodeError as exc:
@@ -531,76 +540,62 @@ class WireLink:
             raise self.fail(frame.value, "peer aborted", notify=False)
         if time.monotonic() > self.deadline:
             raise self.fail(AbortReason.TIMEOUT, "block timed out")
-        if frame.msg_type != msg_type:
+        if frame.msg_type != t:
             raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
-                            f"expected {msg_type.name}, got {frame.msg_type.name}")
-        return frame
-
-    def carry(self, sender: str, kind: str, make, bound=None):
-        """The wire's answer to a step: send `make()` if this end plays
-        `sender`, else receive the peer's value and hold it to its row's
-        check; a HELLO that differs from this end's own names what
-        differs."""
-        t = _BY_NAME[kind]
-        if getattr(self, sender):
-            self.send(Frame(t, value := make()))
-            return value
-        peer = self.expect(t).value
-        value = _CODEC[t][3](peer, bound)
+                            f"expected {t.name}, got {frame.msg_type.name}")
+        value = _CODEC[t][3](frame.value, bound)
         if value is not None:
             return value
         if t is MsgType.HELLO:
-            differ = [name for name, own, theirs
-                      in zip(Hello._fields, bound, peer) if own != theirs]
+            differ = [name for name, own, theirs in zip(
+                Hello._fields, bound, frame.value) if own != theirs]
             raise self.fail(AbortReason.CONFIG_MISMATCH,
                             f"HELLO differs in {', '.join(differ)}")
         raise self.fail(AbortReason.UNEXPECTED_MESSAGE,
                         f"{t.name} does not fit the block")
 
     def steps(self, cfg, block_id: int):
-        """This end's session_steps, in which a failed calibration frame
-        ends the session in CALIBRATION_FAILED, and the peer hears it."""
+        """This end's steps of block `block_id`, for the role it plays: the
+        two HELLOs, Alice's first, each held to this end's own, then
+        pipeline.run_chain's on the block each end simulates at the mean
+        drift; returns its BlockResult.  Before the first step, a block id
+        that a HELLO's u64 cannot carry raises ValueError, and the block's
+        pulse count becomes the bound on the peer's headers.  A calibration
+        frame that fails ends the session in CALIBRATION_FAILED once the
+        HELLOs have crossed, and the peer hears it; each end simulates the
+        same block, so each finds it alike."""
+        if not 0 <= block_id < BLOCK_IDS:
+            raise ValueError(f"block_id must be >= 0 and below 2**64, "
+                             f"got {block_id}")
+        self.n_pulses = cfg.block_size_pulses
+        hello = _hello(cfg, block_id)
+        # each end holds the peer's HELLO to its own before it sends more
+        for sender in ("alice", "bob"):
+            yield sender, "HELLO", lambda: hello, hello
         try:
-            return (yield from session_steps(cfg, block_id, self.alice,
-                                             self.bob))
+            batch = simulate_quantum_exchange(cfg, block_id,
+                                              cfg.drift.mean_state())
+            return (yield from run_chain(cfg, block_id, batch, self.alice,
+                                         self.bob))
         except CalibrationError as exc:
             raise self.fail(AbortReason.CALIBRATION_FAILED, str(exc))
 
 
-def session_steps(cfg, block_id: int, alice: bool = True, bob: bool = True):
-    """One end's steps of block `block_id` over the wire, for the roles it
-    plays: the two HELLOs, Alice's first, each held to this end's own, then
-    pipeline.run_chain's on the block each end simulates; returns its
-    BlockResult.  A calibration frame that fails raises CalibrationError
-    once the HELLOs have crossed; each end simulates the same block, so
-    each finds it alike."""
-    hello = _hello(cfg, block_id)
-    # each end holds the peer's HELLO to its own before it sends more
-    for sender in ("alice", "bob"):
-        yield sender, "HELLO", lambda: hello, hello
-    batch = simulate_quantum_exchange(cfg, block_id, cfg.drift.mean_state())
-    return (yield from run_chain(cfg, block_id, batch, alice, bob))
-
-
 def run_session(role: Role, transport: StreamTransport, cfg,
                 block_id: int = 0) -> BlockResult:
-    """Drive one key-distillation block end to end over `transport`.
+    """Drive one key-distillation block end to end over `transport`: this
+    end's WireLink.steps, each answered by its WireLink.carry.
 
-    Each of the end's steps (WireLink.steps), the HELLOs and then the
-    chain on the quantum exchange each end reconstructs from the shared
-    config seed, crosses one WireLink.carry, and it returns their
-    BlockResult.  Raises SessionFailed (after emitting ABORT) on any
-    protocol violation, with CONFIG_MISMATCH if the peer is on another
-    config, block, protocol version or numpy stream, with
-    CALIBRATION_FAILED if the block's calibration frame fails, and with
-    TIMEOUT if the peer's frames outlast the transport's timeout.  On
+    Returns the BlockResult of the chain on the quantum exchange each end
+    reconstructs from the shared config seed.  Raises SessionFailed (after
+    emitting ABORT) on any protocol violation, with CONFIG_MISMATCH if the
+    peer is on another config, block, protocol version or numpy stream,
+    with CALIBRATION_FAILED if the block's calibration frame fails, and
+    with TIMEOUT if the peer's frames outlast the transport's timeout.  On
     return both ends hold the same key, but for a 2**-32 chance that
     unequal strings give equal KEY_CONFIRM tags; where the tags differ,
     that key has 0 bits.  Raises ValueError, before any frame is sent, for
     a block id that a HELLO's u64 cannot carry.
     """
-    if not 0 <= block_id < BLOCK_IDS:
-        raise ValueError(f"block_id must be >= 0 and below 2**64, "
-                         f"got {block_id}")
-    link = WireLink(role, transport, cfg.block_size_pulses)
+    link = WireLink(role, transport)
     return drive(link.steps(cfg, block_id), link.carry)

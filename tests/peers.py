@@ -167,15 +167,15 @@ def _crashed(out: dict) -> dict:
 
 def step_pair(cfg, transports, bob_cfg=None, block_id=0, bob_block_id=None):
     """run_pair's outcome with both ends in this thread, over the Pipes of
-    `transports`, and no wall-clock wait.  Each end answers its
-    WireLink.steps with WireLink.carry, as run_session does, and is
-    stepped until it would read an empty pipe; then the other end is.
-    When both would, both reads time out at once, Alice's first.  An end
-    that is done closes its transport."""
+    `transports`, and no wall-clock wait.  Each end builds its WireLink
+    and answers the link's steps with its carry, as run_session does, so
+    the steps check the block id and bound the peer's headers here too.
+    An end is stepped until it would read an empty pipe; then the other
+    end is.  When both would, both reads time out at once, Alice's first.
+    An end that is done closes its transport."""
     args = _session_args(cfg, bob_cfg, block_id, bob_block_id)
     ends = dict(zip(Role, transports))
-    links = {role: proto.WireLink(role, end, args[role][0].block_size_pulses)
-             for role, end in ends.items()}
+    links = {role: proto.WireLink(role, end) for role, end in ends.items()}
     steps = {role: link.steps(*args[role]) for role, link in links.items()}
     step = dict.fromkeys(Role)   # each end's next step; None before its first
     out = {}
@@ -229,16 +229,6 @@ def run_pair(cfg, transports, bob_cfg=None, block_id=0, bob_block_id=None):
     go(Role.ALICE, ta)
     t.join()
     return _crashed(out)
-
-
-def transcript_frames(data: bytes) -> list:
-    """The frames of a transcript, each as its bytes."""
-    frames, i = [], 0
-    while i < len(data):
-        end = i + 5 + int.from_bytes(data[i:i + 4], "big")
-        frames.append(data[i:end])
-        i = end
-    return frames
 
 
 AGREES = "agrees"

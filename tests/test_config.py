@@ -231,8 +231,13 @@ class TestInvariants:
         ("block_size_pulses = 1000\nf_cal = 0", "block_size_pulses"),
         ("f_cal = 0.9999999", "block_size_pulses"),
         ("block_size_pulses = 5000000000", "block_size_pulses"),
+        ("qber_smoothing = 0", "qber_smoothing"),
+        ("qber_smoothing = 1.5", "qber_smoothing"),
+        ("x_th_snu = -1", "x_th_snu"),
+        ("epsilon_intrinsic_snu = -0.0001", "epsilon_intrinsic_snu"),
     ], ids=["seed-negative", "block-1000", "block-1000-no-f_cal",
-            "f_cal-near-1", "signal-2**31-or-more"])
+            "f_cal-near-1", "signal-2**31-or-more", "qber_smoothing-0",
+            "qber_smoothing-1.5", "x_th-negative", "epsilon-negative"])
     def test_config_that_cannot_run_a_block_rejected(self, text, key):
         with pytest.raises(ConfigError) as exc_info:
             parse_config_text(text)

@@ -444,6 +444,7 @@ SESSIONS = {
             _MISMATCH, "version")],
     "test_alice_refuses_another_hello_from_bob": [_BOB_HELLO_BLOCK_1],
     "test_late_abort_finds_bobs_opening_frames_sent": [_BOB_HELLO_BLOCK_1],
+    "test_early_abort_fails_bobs_opening_send": [_BOB_HELLO_BLOCK_1],
 }
 
 def pytest_generate_tests(metafunc):
@@ -671,6 +672,21 @@ class TestFaultInjection:
         assert exc_info.value.reason == AbortReason.TRANSPORT_CLOSED
         assert str(exc_info.value).count("session failed") == 1
         tb.close()
+        # a peer that resets the connection (SO_LINGER 0 sends RST on
+        # close): no bare ConnectionResetError, which the CLI would report
+        # as a configuration error
+        for read in (lambda bob: bob.recv_frame(),
+                     lambda bob: run_session(Role.BOB, bob, SystemConfig(
+                         block_size_pulses=5000))):
+            alice, bob = tcp_pair()
+            alice.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                  struct.pack("ii", 1, 0))
+            alice.close()
+            with pytest.raises(SessionFailed) as exc_info:
+                read(bob)
+            bob.close()
+            assert exc_info.value.reason == AbortReason.TRANSPORT_CLOSED
+            assert "reset" in exc_info.value.detail
 
     def test_trickled_frame_times_out(self):
         # one byte every 0.2 s keeps each recv inside a 0.3 s timeout, but
@@ -898,6 +914,19 @@ class TestReceivePath:
                 assert got == pinned[f"block{row.block_id}.bin"], (
                     f"{row.id} under numpy {np.__version__}, stream "
                     f"fingerprint {proto.stream_fingerprint().hex()}")
+                if row.block_id:
+                    continue
+                # what block 0's pinned transcript, run-link's in CI, holds:
+                # every frame decodes; Alice's and then Bob's 74-byte HELLO
+                # and Bob's BASIS_ANNOUNCE open it, and Bob's and then
+                # Alice's 4-byte KEY_CONFIRM tag end it (26.0 KB in all;
+                # 124.0 KB while Bob sent the kept positions)
+                frames = [(decode_frame(data).msg_type, len(data))
+                          for _, data in end.events]
+                assert frames[:2] == [(MsgType.HELLO, 79)] * 2
+                assert frames[2][0] is MsgType.BASIS_ANNOUNCE
+                assert frames[-2:] == [(MsgType.KEY_CONFIRM, 9)] * 2
+                assert sum(size for _, size in frames) < 40_000
 
     def test_reads_and_timeouts_per_session(self, rows):
         # one read per received frame, but for the pieces of a frame past
@@ -1028,24 +1057,51 @@ class TestHandshake:
     test_another_protocol_version_fails_both = session_test
     test_alice_refuses_another_hello_from_bob = session_test
 
+    @staticmethod
+    def refused_hello(row, late: bool) -> list:
+        """ends_as_expected on `row`, in which Alice refuses Bob's HELLO,
+        over a socket pair: Alice's ABORT 50 ms late if `late`, or else
+        Bob's opening frame held until Alice has sent it and hung up.
+        Returns the types of the frames Bob sent."""
+        _, msg_type, rewrite = row.fault
+        closed = threading.Event()
+
+        class Alice(Peer):
+            def send_frame(self, frame):
+                if late and frame.msg_type == MsgType.ABORT:
+                    time.sleep(0.05)
+                super().send_frame(frame)
+
+            def close(self):
+                super().close()
+                closed.set()
+
+        class Bob(Peer):
+            def send_frame(self, frame):
+                if not late and frame.msg_type == MsgType.BASIS_ANNOUNCE:
+                    assert closed.wait(TIMEOUT_S)
+                super().send_frame(frame)
+
+        alice, bob = socket.socketpair()
+        ends = (Alice(alice, TIMEOUT_S),
+                Bob(bob, TIMEOUT_S, msg_type, rewrite))
+        ends_as_expected(row, ends)
+        # either way Bob's last read is Alice's ABORT
+        assert ends[1].events[-1] == ("received", encode_frame(
+            Frame(MsgType.ABORT, _MISMATCH)))
+        return [data[4] for d, data in ends[1].events if d == "sent"]
+
     def test_late_abort_finds_bobs_opening_frames_sent(self, row):
         # Bob sends his opening frame, BASIS_ANNOUNCE, without waiting on
         # Alice's verdict on his HELLO, so an ABORT 50 ms late finds it
         # sent and unread
-        _, msg_type, rewrite = row.fault
-
-        class LateAbort(Peer):
-            def send_frame(self, frame):
-                if frame.msg_type == MsgType.ABORT:
-                    time.sleep(0.05)
-                super().send_frame(frame)
-
-        alice, bob = socket.socketpair()
-        ends = (LateAbort(alice, TIMEOUT_S),
-                Peer(bob, TIMEOUT_S, msg_type, rewrite))
-        ends_as_expected(row, ends)
-        assert [data[4] for d, data in ends[1].events if d == "sent"] == [
+        assert self.refused_hello(row, late=True) == [
             MsgType.HELLO, MsgType.BASIS_ANNOUNCE]
+
+    def test_early_abort_fails_bobs_opening_send(self, row):
+        # an opening frame that meets Alice's closed end is not sent; Bob's
+        # failed send reads her ABORT, which names why she hung up
+        assert self.refused_hello(row, late=False) == [MsgType.HELLO]
 
     @pytest.mark.parametrize("block_id", [-1, 2 ** 64])
     def test_block_id_past_the_hello_fails_before_any_frame(self, block_id):
@@ -1058,6 +1114,12 @@ class TestHandshake:
                 ends[1].sock.recv(1)
             for end in ends:
                 end.close()
+            # the link's own steps refuse it, whichever driver steps them
+            ends = peer_pair()
+            with pytest.raises(ValueError, match=r"below 2\*\*64"):
+                next(proto.WireLink(role, ends[0]).steps(keyed_cfg(),
+                                                         block_id))
+            assert not ends[1].sock.inbox and not ends[0].events
 
 
 class TestStreamFingerprint:
